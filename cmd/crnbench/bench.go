@@ -156,17 +156,35 @@ func benchSuite() ([]benchSpec, error) {
 
 	// End-to-end primitives, matching the facade benchmarks: the
 	// node-slot volume per op is the scenario's node count times the
-	// slots one run executes (measured once up front).
+	// slots one run executes (measured once up front). Discovery stops
+	// when it completes; CGCAST counts only the slots the engine
+	// simulates — its dissemination schedule — because abstract-mode
+	// setup slots are charged, not simulated.
 	cseek := crn.Discovery(crn.CSeek)
-	cseekRes, err := cseek.Run(ctx, gnp, 1)
+	discoverySlots := func(s *crn.Scenario) (int64, error) {
+		res, err := cseek.Run(ctx, s, 1)
+		if err != nil {
+			return 0, err
+		}
+		if res.CompletedAtSlot >= 0 {
+			return res.CompletedAtSlot, nil
+		}
+		return res.ScheduleSlots, nil
+	}
+	cseekSlots, err := discoverySlots(gnp)
 	if err != nil {
 		return nil, err
 	}
-	cseekSlots := cseekRes.ScheduleSlots
-	if cseekRes.CompletedAtSlot >= 0 {
-		cseekSlots = cseekRes.CompletedAtSlot
+	mobileSlots, err := discoverySlots(mobile)
+	if err != nil {
+		return nil, err
 	}
 	cgcast := crn.GlobalBroadcast(0, "m")
+	cgcastRes, err := cgcast.Run(ctx, chain, 1)
+	if err != nil {
+		return nil, err
+	}
+	cgcastSlots := cgcastRes.Broadcast.DissemScheduleSlots
 
 	// Kernel slot loop: the same 64-node graph driven by deterministic
 	// scripted protocols (arithmetic role rotation, no rng, a declared
@@ -324,7 +342,8 @@ func benchSuite() ([]benchSpec, error) {
 			},
 		},
 		{
-			name: "primitive/cseek-dynamic",
+			name:        "primitive/cseek-dynamic",
+			nodeSlotsOp: float64(mobile.N()) * float64(mobileSlots),
 			fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -335,7 +354,8 @@ func benchSuite() ([]benchSpec, error) {
 			},
 		},
 		{
-			name: "primitive/cgcast",
+			name:        "primitive/cgcast",
+			nodeSlotsOp: float64(chain.N()) * float64(cgcastSlots),
 			fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

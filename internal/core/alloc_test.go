@@ -101,3 +101,48 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 		t.Fatal("workload produced no deliveries; test exercises nothing")
 	}
 }
+
+// TestCGCastSetupAllocs guards the flat CGCAST setup: abstract-mode
+// PrepareCGCast on a unit-disk instance stays under a fixed allocation
+// ceiling, and quadrupling the coloring phases adds at most n
+// allocations per extra phase — one rng stream per node — so no
+// per-phase map or buffer can creep back.
+func TestCGCastSetupAllocs(t *testing.T) {
+	const n = 48
+	g, err := graph.UnitDisk(n, 0.35, rng.New(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(n, 6, 2, rng.New(49))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, p, _ := buildBroadcastNet(t, g, a)
+	prepare := func(p Params) (allocs float64, phases int) {
+		allocs = testing.AllocsPerRun(5, func() {
+			s, err := PrepareCGCast(nw, SessionConfig{Params: p, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			phases = s.ColoringPhases()
+		})
+		return allocs, phases
+	}
+	// 1,199 allocations here, nearly all of them one coloring state per
+	// edge; the ceiling leaves headroom but not a per-phase buffer.
+	const ceiling = 1600
+	base, phases := prepare(p)
+	if base > ceiling {
+		t.Errorf("setup made %.0f allocations over %d phases, ceiling %d", base, phases, ceiling)
+	}
+	long := p
+	long.Tuning.ColoringPhases *= 4
+	more, longPhases := prepare(long)
+	if longPhases <= phases {
+		t.Fatalf("quadrupled tuning ran %d phases, base %d", longPhases, phases)
+	}
+	if perPhase := (more - base) / float64(longPhases-phases); perPhase > n {
+		t.Errorf("each extra coloring phase made %.1f allocations (%.0f over %d phases vs %.0f over %d), want <= %d",
+			perPhase, more, longPhases, base, phases, n)
+	}
+}

@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
+	"crn/internal/bitset"
 	"crn/internal/coloring"
 	"crn/internal/graph"
 	"crn/internal/radio"
@@ -37,10 +38,11 @@ import (
 //
 // Stages 1–4 are pure message exchange. BroadcastConfig.Mode selects
 // their fidelity: ExchangeFull simulates every CSEEK slot in the radio
-// model; ExchangeAbstract delivers the same payloads to the same
-// recipients through an oracle while charging the identical slot
-// budget (see DESIGN.md, "Exchange fidelity"). Stage 5 always
-// runs in the radio model.
+// model; ExchangeAbstract lets every neighbor hear every exchange
+// through an oracle while charging the identical slot budget. Both
+// decode the exchanges through one path, from who heard whom (see
+// DESIGN.md, "Exchange fidelity"). Stage 5 always runs in the radio
+// model.
 
 // BroadcastMode selects the exchange fidelity of CGCAST stages 1–4.
 type BroadcastMode int
@@ -49,9 +51,9 @@ type BroadcastMode int
 const (
 	// ExchangeFull runs every CSEEK exchange in the radio model.
 	ExchangeFull BroadcastMode = iota + 1
-	// ExchangeAbstract delivers exchange payloads through an oracle at
-	// the same slot cost; discovery metadata (neighbor sets, dedicated
-	// channels) is synthesized from ground truth.
+	// ExchangeAbstract lets every neighbor hear every exchange through
+	// an oracle at the same slot cost; discovery metadata (neighbor
+	// sets, dedicated channels) is synthesized from ground truth.
 	ExchangeAbstract
 )
 
@@ -107,49 +109,6 @@ type BroadcastResult struct {
 	// finished its schedule (stage failures surface as errors before a
 	// result exists, so it is true on any returned result).
 	Radio radio.Stats
-}
-
-// edgeKey identifies an undirected edge by its endpoints, U < V.
-type edgeKey struct {
-	U, V radio.NodeID
-}
-
-func mkEdgeKey(a, b radio.NodeID) edgeKey {
-	if a > b {
-		a, b = b, a
-	}
-	return edgeKey{U: a, V: b}
-}
-
-// other returns the endpoint of e that is not u.
-func (e edgeKey) other(u radio.NodeID) radio.NodeID {
-	if e.U == u {
-		return e.V
-	}
-	return e.U
-}
-
-// firstHeardPayload is the stage-2 frame body.
-type firstHeardPayload struct {
-	FirstHeard map[radio.NodeID]int64
-}
-
-// colorEntry carries one virtual node's proposal or decision.
-type colorEntry struct {
-	Edge  edgeKey
-	Color int
-}
-
-// colorBundle is one simulator's coloring-state snapshot for a step.
-type colorBundle struct {
-	From    radio.NodeID
-	Entries []colorEntry
-}
-
-// exchangePayload is the frame body of coloring exchange epochs: the
-// sender's own bundle plus any bundles it is relaying.
-type exchangePayload struct {
-	Bundles []colorBundle
 }
 
 // RunCGCast executes one CGCAST broadcast over the given network:
@@ -213,13 +172,14 @@ type SessionConfig struct {
 type BroadcastSession struct {
 	nw         *radio.Network
 	p          Params
-	mode       BroadcastMode
 	n          int
-	edges      []map[edgeKey]*edgeState
-	dropped    map[edgeKey]bool
 	setupSlots int64
 	setupRadio radio.Stats
 	phases     int
+	// colored counts the edges colored at both endpoints; valid
+	// reports whether their coloring is proper.
+	colored int
+	valid   bool
 	// schedules[u] maps color -> u's local dedicated channel (-1 when
 	// none), precomputed once: every dissemination reuses it read-only.
 	schedules [][]int32
@@ -238,6 +198,8 @@ func PrepareCGCastCtx(ctx context.Context, nw *radio.Network, cfg SessionConfig)
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
+	// The edge index relies on the finalized graph's sorted edge list.
+	nw.Graph.Finalize()
 	p := cfg.Params
 	if err := p.Normalize(); err != nil {
 		return nil, err
@@ -268,16 +230,7 @@ func (s *BroadcastSession) ColoringPhases() int { return s.phases }
 
 // EdgesColored returns the number of graph edges with a color at both
 // endpoints.
-func (s *BroadcastSession) EdgesColored() int {
-	colored := 0
-	for _, e := range s.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		if st, ok := s.edges[e.U][key]; ok && st.color != coloring.NoColor {
-			colored++
-		}
-	}
-	return colored
-}
+func (s *BroadcastSession) EdgesColored() int { return s.colored }
 
 // DissemResult reports one dissemination over a prepared session.
 type DissemResult struct {
@@ -307,23 +260,40 @@ type cgcastDriver struct {
 	// charged per exchange in both modes.
 	exchangeSlots int64
 
-	// Per-node edge state established after stages 1–2.
-	edges   []map[edgeKey]*edgeState // indexed by node
-	dropped map[edgeKey]bool
+	// Edge index over the finalized graph: edge id e is the position of
+	// edges[e] in Graph.Edges(), sorted by (U, V). inc[incStart[u]:
+	// incStart[u+1]] lists u's incident edge ids in ascending neighbor
+	// order, aligned with neighbors[u] = Graph.Neighbors(u).
+	edges     []graph.Edge
+	incStart  []int32
+	inc       []int32
+	neighbors [][]int32
+	es        []edgeState
+
+	// entry is the per-edge table every coloring exchange carries:
+	// this phase's proposals in step one, its decisions in step two
+	// (coloring.NoColor where there is none). vis is the view the last
+	// two-hop exchange left: vis(u, s) reports whether u holds the
+	// entries s simulates. scratch collects one edge's conflicts.
+	entry   []int
+	vis     *bitset.Matrix
+	scratch []int
 
 	setupSlots int64
 	setupRadio radio.Stats // engine counters of full-mode exchanges
 	stage      int         // monotone counter used for RNG stream separation
 }
 
-// edgeState is one endpoint's view of an incident edge.
+// edgeState is the setup state of one graph edge (U, V).
 type edgeState struct {
-	// localCh is this endpoint's local label of the dedicated channel.
-	localCh int32
-	// color is the final edge color, or coloring.NoColor.
-	color int
-	// sim is the coloring state if this endpoint simulates the edge.
+	// ch holds the local labels of the dedicated channel at U and at V.
+	ch [2]int32
+	// sim is the coloring state of the edge's virtual node, simulated
+	// by U, the smaller endpoint; its color is the edge's final color.
 	sim *coloring.NodeState
+	// live reports that the edge is established at both endpoints; it
+	// is cleared when the edge fails discovery, exchange or coloring.
+	live bool
 }
 
 func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
@@ -334,6 +304,7 @@ func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
 	}
 	d.exchangeSlots = probe.TotalSlots()
 
+	d.indexEdges()
 	if err := d.establishEdges(); err != nil {
 		return nil, err
 	}
@@ -347,36 +318,69 @@ func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
 	s := &BroadcastSession{
 		nw:         d.nw,
 		p:          d.p,
-		mode:       d.mode,
 		n:          d.n,
-		edges:      d.edges,
-		dropped:    d.dropped,
 		setupSlots: d.setupSlots,
 		setupRadio: d.setupRadio,
 		phases:     phases,
 	}
-	s.buildSchedules()
+	d.buildSchedules(s)
 	return s, nil
 }
 
+// indexEdges numbers the edges and builds the incident-edge lists.
+// Graph.Edges() is sorted by (U, V), so appending each edge at both
+// endpoints in id order leaves every list in ascending neighbor order.
+func (d *cgcastDriver) indexEdges() {
+	g := d.nw.Graph
+	d.edges = g.Edges()
+	d.incStart = make([]int32, d.n+1)
+	d.neighbors = make([][]int32, d.n)
+	for u := range d.neighbors {
+		d.neighbors[u] = g.Neighbors(u)
+		d.incStart[u+1] = d.incStart[u] + int32(len(d.neighbors[u]))
+	}
+	d.inc = make([]int32, 2*len(d.edges))
+	fill := append([]int32(nil), d.incStart[:d.n]...)
+	for e, ed := range d.edges {
+		d.inc[fill[ed.U]] = int32(e)
+		fill[ed.U]++
+		d.inc[fill[ed.V]] = int32(e)
+		fill[ed.V]++
+	}
+	d.es = make([]edgeState, len(d.edges))
+	d.entry = make([]int, len(d.edges))
+}
+
 // buildSchedules derives each node's color -> dedicated-channel map
-// from the final (post-drop) edge states. The session's whole point is
+// from the live edges, and tallies them. The session's whole point is
 // many disseminations per setup, so this is computed once, not per
-// message.
-func (s *BroadcastSession) buildSchedules() {
-	numColors := 2 * s.p.Delta
-	s.schedules = make([][]int32, s.n)
-	for u := 0; u < s.n; u++ {
-		schedule := make([]int32, numColors)
-		for i := range schedule {
-			schedule[i] = -1
+// message. Writing in edge-id order visits each node's edges in
+// ascending neighbor order; a color already taken at a node makes the
+// coloring improper.
+func (d *cgcastDriver) buildSchedules(s *BroadcastSession) {
+	numColors := 2 * d.p.Delta
+	flat := make([]int32, d.n*numColors)
+	for i := range flat {
+		flat[i] = -1
+	}
+	s.schedules = make([][]int32, d.n)
+	for u := range s.schedules {
+		s.schedules[u] = flat[u*numColors : (u+1)*numColors : (u+1)*numColors]
+	}
+	s.valid = true
+	for e, ed := range d.edges {
+		st := &d.es[e]
+		if !st.live {
+			continue
 		}
-		for _, key := range sortedEdgeKeys(s.edges[u]) {
-			if st := s.edges[u][key]; st.color >= 0 && st.color < numColors {
-				schedule[st.color] = st.localCh
+		s.colored++
+		c := st.sim.Color()
+		for side, u := range [2]int32{ed.U, ed.V} {
+			if s.schedules[u][c] >= 0 {
+				s.valid = false
 			}
+			s.schedules[u][c] = st.ch[side]
 		}
-		s.schedules[u] = schedule
 	}
 }
 
@@ -391,27 +395,22 @@ func (d *cgcastDriver) nextStage() { d.stage++ }
 // ----- Stages 1 & 2: discovery and dedicated-channel fixing -----
 
 func (d *cgcastDriver) establishEdges() error {
-	d.edges = make([]map[edgeKey]*edgeState, d.n)
-	for u := range d.edges {
-		d.edges[u] = make(map[edgeKey]*edgeState)
-	}
-	d.dropped = make(map[edgeKey]bool)
-
+	a := d.nw.Assign
 	if d.mode == ExchangeAbstract {
 		// Oracle: adjacency from ground truth; the dedicated channel is
 		// the lowest-numbered shared global channel. Charge two CSEEK
 		// executions (stages 1 and 2).
-		for _, e := range d.nw.Graph.Edges() {
-			u, v := int(e.U), int(e.V)
-			shared := d.nw.Assign.SharedChannels(u, v)
-			if len(shared) == 0 {
-				d.dropped[mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))] = true
-				continue
+		for e, ed := range d.edges {
+			u, v := int(ed.U), int(ed.V)
+			g := int32(-1)
+			for l := 0; l < a.C; l++ {
+				if c := a.Global(u, l); a.Local(v, c) >= 0 && (g < 0 || c < g) {
+					g = c
+				}
 			}
-			g := shared[0]
-			key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-			d.edges[u][key] = &edgeState{localCh: d.nw.Assign.Local(u, g), color: coloring.NoColor}
-			d.edges[v][key] = &edgeState{localCh: d.nw.Assign.Local(v, g), color: coloring.NoColor}
+			if g >= 0 {
+				d.es[e] = edgeState{ch: [2]int32{a.Local(u, g), a.Local(v, g)}, live: true}
+			}
 		}
 		d.setupSlots += 2 * d.exchangeSlots
 		d.nextStage()
@@ -419,84 +418,38 @@ func (d *cgcastDriver) establishEdges() error {
 		return nil
 	}
 
-	// Full mode, stage 1: CSEEK with channel logging.
-	stage1 := make([]*CSeek, d.n)
-	protos := make([]radio.Protocol, d.n)
-	for u := 0; u < d.n; u++ {
-		s, err := NewCSeek(d.p, Env{ID: radio.NodeID(u), C: d.p.C, Rand: d.nodeRand(u)})
-		if err != nil {
-			return err
-		}
-		s.RecordChannels()
-		stage1[u] = s
-		protos[u] = s
-	}
-	NewSeekBank(stage1)
-	if err := d.runEngine(protos); err != nil {
+	// Full mode, stage 1: CSEEK with channel logging. Stage 2: CSEEK
+	// again, each frame standing for the sender's stage-1 first-heard
+	// map.
+	stage1, err := d.runSeeks(true)
+	if err != nil {
 		return err
 	}
 	d.nextStage()
-
-	// Stage 2: CSEEK carrying the first-heard maps.
-	stage2 := make([]*CSeek, d.n)
-	for u := 0; u < d.n; u++ {
-		s, err := NewCSeek(d.p, Env{ID: radio.NodeID(u), C: d.p.C, Rand: d.nodeRand(u)})
-		if err != nil {
-			return err
-		}
-		fh := make(map[radio.NodeID]int64, stage1[u].DiscoveredCount())
-		for _, v := range stage1[u].Discovered() {
-			fh[v] = stage1[u].Observation(v).Slot
-		}
-		s.SetPayload(firstHeardPayload{FirstHeard: fh})
-		stage2[u] = s
-		protos[u] = s
-	}
-	NewSeekBank(stage2)
-	if err := d.runEngine(protos); err != nil {
+	stage2, err := d.runSeeks(false)
+	if err != nil {
 		return err
 	}
 	d.nextStage()
 
 	// Fix dedicated channels: u establishes (u,v) iff it heard v in
-	// stage 1 and received v's first-heard map naming u in stage 2.
-	for u := 0; u < d.n; u++ {
-		uid := radio.NodeID(u)
-		for _, v := range stage1[u].Discovered() {
-			tUV := stage1[u].Observation(v).Slot
-			obs2 := stage2[u].Observation(v)
-			if obs2 == nil {
-				continue
-			}
-			fh, ok := obs2.Payload.(firstHeardPayload)
-			if !ok {
-				continue
-			}
-			tVU, ok := fh.FirstHeard[uid]
-			if !ok {
-				continue
-			}
-			tMin := tUV
-			if tVU < tMin {
-				tMin = tVU
-			}
-			ch, ok := stage1[u].ChannelAt(tMin)
-			if !ok {
-				continue
-			}
-			d.edges[u][mkEdgeKey(uid, v)] = &edgeState{localCh: ch, color: coloring.NoColor}
+	// stage 1 and received v's map naming u in stage 2 — that is, u
+	// heard v in stage 2 and v heard u in stage 1, at the slot v's
+	// stage-1 record holds, so the maps need not ride the frames. Both
+	// endpoints use the channel they were tuned to in the earlier of
+	// the two first-heard slots.
+	for e, ed := range d.edges {
+		u, v := ed.U, ed.V
+		uv, vu := stage1[u].Observation(radio.NodeID(v)), stage1[v].Observation(radio.NodeID(u))
+		if uv == nil || vu == nil ||
+			stage2[u].Observation(radio.NodeID(v)) == nil || stage2[v].Observation(radio.NodeID(u)) == nil {
+			continue
 		}
-	}
-
-	// Account edges established on one side only (or neither).
-	for _, e := range d.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		_, atU := d.edges[e.U][key]
-		_, atV := d.edges[e.V][key]
-		if !atU || !atV {
-			d.dropped[key] = true
-			delete(d.edges[e.U], key)
-			delete(d.edges[e.V], key)
+		t := min(uv.Slot, vu.Slot)
+		chU, okU := stage1[u].ChannelAt(t)
+		chV, okV := stage1[v].ChannelAt(t)
+		if okU && okV {
+			d.es[e] = edgeState{ch: [2]int32{chU, chV}, live: true}
 		}
 	}
 	return nil
@@ -505,338 +458,199 @@ func (d *cgcastDriver) establishEdges() error {
 // ----- Stage 3: line-graph coloring over exchange epochs -----
 
 func (d *cgcastDriver) colorEdges(phases int) error {
-	// Simulators: the smaller endpoint owns the virtual node.
-	for u := 0; u < d.n; u++ {
-		for key, st := range d.edges[u] {
-			if key.U == radio.NodeID(u) {
-				st.sim = coloring.NewNodeState(2 * d.p.Delta)
-			}
+	for e := range d.es {
+		if d.es[e].live {
+			d.es[e].sim = coloring.NewNodeState(2 * d.p.Delta)
 		}
 	}
-
-	// Iterate incident edges in sorted order: Propose draws from the
-	// node's per-stage stream, so map-iteration order would make the
-	// realized coloring differ between same-seed runs. The edge sets
-	// are fixed for the whole coloring (drops happen later, in
-	// announceColors), so sort once per node.
-	keysByNode := make([][]edgeKey, d.n)
-	for u := 0; u < d.n; u++ {
-		keysByNode[u] = sortedEdgeKeys(d.edges[u])
-	}
-
 	for phase := 0; phase < phases; phase++ {
 		if err := d.ctx.Err(); err != nil {
 			return err
 		}
-		// Step one: propose and exchange proposals two hops out.
-		proposals := make([]map[edgeKey]int, d.n)
-		for u := 0; u < d.n; u++ {
-			r := d.nodeRand(u)
-			proposals[u] = make(map[edgeKey]int)
-			for _, key := range keysByNode[u] {
-				st := d.edges[u][key]
-				if st.sim != nil && st.sim.Active() {
-					if p := st.sim.Propose(r); p != coloring.NoColor {
-						proposals[u][key] = p
-					}
-				}
+		// Step one: propose and exchange proposals two hops out. A
+		// node's simulated edges are contiguous in id order and
+		// ascending in V, so its stream draws over them in ascending
+		// neighbor order; a node with no active edge splits no stream.
+		var r *rng.Source
+		owner := int32(-1)
+		for e := range d.es {
+			d.entry[e] = coloring.NoColor
+			sim := d.es[e].sim
+			if sim == nil || !sim.Active() {
+				continue
 			}
+			if u := d.edges[e].U; u != owner {
+				r, owner = d.nodeRand(int(u)), u
+			}
+			d.entry[e] = sim.Propose(r)
 		}
 		d.nextStage()
-		views, err := d.exchangeTwoHop(d.bundles(proposals))
-		if err != nil {
+		if err := d.exchangeTwoHop(); err != nil {
 			return err
 		}
-		// Resolve conflicts against every adjacent proposal seen.
-		decisions := make([]map[edgeKey]int, d.n)
-		for u := 0; u < d.n; u++ {
-			decisions[u] = make(map[edgeKey]int)
-			for _, key := range keysByNode[u] {
-				st := d.edges[u][key]
-				if st.sim == nil || !st.sim.Active() {
-					continue
-				}
-				if _, proposed := proposals[u][key]; !proposed {
-					st.sim.ResolveConflicts(nil)
-					continue
-				}
-				conflicts := adjacentColors(key, views[u], proposals[u])
-				if st.sim.ResolveConflicts(conflicts) {
-					st.color = st.sim.Color()
-					decisions[u][key] = st.color
-				}
+		// Resolve every proposal against the adjacent proposals its
+		// simulator saw, then keep only this phase's decisions.
+		for e := range d.es {
+			if d.entry[e] != coloring.NoColor {
+				d.es[e].sim.ResolveConflicts(d.adjacentEntries(e))
+			}
+		}
+		for e := range d.es {
+			if d.entry[e] != coloring.NoColor && d.es[e].sim.Active() {
+				d.entry[e] = coloring.NoColor
 			}
 		}
 		// Step two: exchange decisions, strike colors from plates.
-		views, err = d.exchangeTwoHop(d.bundles(decisions))
-		if err != nil {
+		if err := d.exchangeTwoHop(); err != nil {
 			return err
 		}
-		for u := 0; u < d.n; u++ {
-			for key, st := range d.edges[u] {
-				if st.sim == nil || !st.sim.Active() {
-					continue
-				}
-				st.sim.ObserveDecisions(adjacentColors(key, views[u], decisions[u]))
+		for e := range d.es {
+			if sim := d.es[e].sim; sim != nil && sim.Active() {
+				sim.ObserveDecisions(d.adjacentEntries(e))
 			}
 		}
 	}
 	return nil
 }
 
-// sortedEdgeKeys returns a node's incident edge keys in canonical
-// order, for deterministic iteration over the edge-state map.
-func sortedEdgeKeys(edges map[edgeKey]*edgeState) []edgeKey {
-	keys := make([]edgeKey, 0, len(edges))
-	for key := range edges {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].U != keys[j].U {
-			return keys[i].U < keys[j].U
-		}
-		return keys[i].V < keys[j].V
-	})
-	return keys
-}
-
-// bundles converts per-node entry maps into per-node colorBundles.
-func (d *cgcastDriver) bundles(entries []map[edgeKey]int) []colorBundle {
-	out := make([]colorBundle, d.n)
-	for u := 0; u < d.n; u++ {
-		b := colorBundle{From: radio.NodeID(u)}
-		keys := make([]edgeKey, 0, len(entries[u]))
-		for key := range entries[u] {
-			keys = append(keys, key)
-		}
-		// Deterministic ordering keeps runs reproducible.
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].U != keys[j].U {
-				return keys[i].U < keys[j].U
+// adjacentEntries collects the table entries of the edges adjacent to
+// e (sharing an endpoint) that e's simulator holds: its own, and those
+// of every simulator in its view. The result aliases d.scratch.
+func (d *cgcastDriver) adjacentEntries(e int) []int {
+	sim := d.edges[e].U
+	out := d.scratch[:0]
+	for _, end := range [2]int32{d.edges[e].U, d.edges[e].V} {
+		for _, f := range d.inc[d.incStart[end]:d.incStart[end+1]] {
+			if int(f) == e || d.entry[f] == coloring.NoColor {
+				continue
 			}
-			return keys[i].V < keys[j].V
-		})
-		for _, key := range keys {
-			b.Entries = append(b.Entries, colorEntry{Edge: key, Color: entries[u][key]})
+			if s := d.edges[f].U; s == sim || d.vis.Get(int(sim), int(s)) {
+				out = append(out, d.entry[f])
+			}
 		}
-		out[u] = b
 	}
+	d.scratch = out
 	return out
 }
 
-// adjacentColors collects colors attached to edges adjacent to key
-// (sharing an endpoint), from both the node's own entries and every
-// bundle it received.
-func adjacentColors(key edgeKey, received map[radio.NodeID]colorBundle, own map[edgeKey]int) []int {
-	var out []int
-	adjacent := func(e edgeKey) bool {
-		if e == key {
-			return false
-		}
-		return e.U == key.U || e.U == key.V || e.V == key.U || e.V == key.V
+// exchangeTwoHop carries the entry table two hops out via two one-hop
+// exchanges, the second relaying what the first delivered, and leaves
+// in d.vis whose entries each node then holds: u holds s's iff u heard
+// s in either exchange, or heard in the second some node that heard s
+// in the first. In abstract mode every neighbor hears both, so the
+// view is the static two-hop neighborhood, built once. Cost: two CSEEK
+// executions.
+func (d *cgcastDriver) exchangeTwoHop() error {
+	first, err := d.exchange()
+	if err != nil {
+		return err
 	}
-	for e, c := range own {
-		if adjacent(e) {
-			out = append(out, c)
-		}
+	second, err := d.exchange()
+	if err != nil {
+		return err
 	}
-	for _, b := range received {
-		for _, entry := range b.Entries {
-			if adjacent(entry.Edge) {
-				out = append(out, entry.Color)
+	if d.vis != nil && d.mode == ExchangeAbstract {
+		return nil
+	}
+	d.vis = bitset.NewMatrix(d.n, d.n)
+	for u, relays := range second {
+		for _, s := range first[u] {
+			d.vis.Set(u, int(s))
+		}
+		for _, x := range relays {
+			d.vis.Set(u, int(x))
+			for _, s := range first[x] {
+				d.vis.Set(u, int(s))
 			}
 		}
 	}
-	return out
+	return nil
 }
 
-// exchangeTwoHop delivers every node's bundle to all nodes within two
-// hops, via two one-hop exchanges (the second relays the first), and
-// returns each node's merged view. Cost: two CSEEK executions.
-func (d *cgcastDriver) exchangeTwoHop(own []colorBundle) ([]map[radio.NodeID]colorBundle, error) {
-	payloadsA := make([]any, d.n)
-	for u := 0; u < d.n; u++ {
-		payloadsA[u] = exchangePayload{Bundles: []colorBundle{own[u]}}
-	}
-	recvA, err := d.exchange(payloadsA)
-	if err != nil {
-		return nil, err
-	}
-	payloadsB := make([]any, d.n)
-	for u := 0; u < d.n; u++ {
-		relay := exchangePayload{Bundles: []colorBundle{own[u]}}
-		for _, data := range recvA[u] {
-			if ep, ok := data.(exchangePayload); ok {
-				relay.Bundles = append(relay.Bundles, ep.Bundles...)
-			}
-		}
-		payloadsB[u] = relay
-	}
-	recvB, err := d.exchange(payloadsB)
-	if err != nil {
-		return nil, err
-	}
-
-	views := make([]map[radio.NodeID]colorBundle, d.n)
-	for u := 0; u < d.n; u++ {
-		view := make(map[radio.NodeID]colorBundle)
-		for _, recv := range []map[radio.NodeID]any{recvA[u], recvB[u]} {
-			for _, data := range recv {
-				ep, ok := data.(exchangePayload)
-				if !ok {
-					continue
-				}
-				for _, b := range ep.Bundles {
-					if b.From != radio.NodeID(u) {
-						view[b.From] = b
-					}
-				}
-			}
-		}
-		views[u] = view
-	}
-	return views, nil
-}
-
-// exchange performs one one-hop all-pairs exchange: every node's
-// payload reaches every neighbor. In full mode this is a CSEEK
-// execution; in abstract mode an oracle at identical slot cost.
-func (d *cgcastDriver) exchange(payloads []any) ([]map[radio.NodeID]any, error) {
+// exchange performs one one-hop all-pairs exchange and returns who
+// heard whom: heard[u] lists the nodes whose frame reached u. In full
+// mode this is a CSEEK execution; in abstract mode an oracle at
+// identical slot cost in which every neighbor hears. What a frame
+// carries is a function of its sender's state, which the driver holds,
+// so who heard whom is all the decoding needs.
+func (d *cgcastDriver) exchange() ([][]int32, error) {
 	defer d.nextStage()
 	if err := d.ctx.Err(); err != nil {
 		return nil, err
 	}
 	if d.mode == ExchangeAbstract {
-		out := make([]map[radio.NodeID]any, d.n)
-		for u := 0; u < d.n; u++ {
-			out[u] = make(map[radio.NodeID]any)
-		}
-		for _, e := range d.nw.Graph.Edges() {
-			out[e.U][radio.NodeID(e.V)] = payloads[e.V]
-			out[e.V][radio.NodeID(e.U)] = payloads[e.U]
-		}
 		d.setupSlots += d.exchangeSlots
-		return out, nil
+		return d.neighbors, nil
 	}
+	seeks, err := d.runSeeks(false)
+	if err != nil {
+		return nil, err
+	}
+	heard := make([][]int32, d.n)
+	for u, s := range seeks {
+		for _, v := range s.Discovered() {
+			heard[u] = append(heard[u], int32(v))
+		}
+	}
+	return heard, nil
+}
 
+// runSeeks runs one full-schedule CSEEK execution, every node drawing
+// from its stream of the current stage, and charges its slots to
+// setup. record enables the per-slot channel log stage 1 needs.
+func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
 	seeks := make([]*CSeek, d.n)
 	protos := make([]radio.Protocol, d.n)
-	for u := 0; u < d.n; u++ {
+	for u := range seeks {
 		s, err := NewCSeek(d.p, Env{ID: radio.NodeID(u), C: d.p.C, Rand: d.nodeRand(u)})
 		if err != nil {
 			return nil, err
 		}
-		s.SetPayload(payloads[u])
-		seeks[u] = s
-		protos[u] = s
+		if record {
+			s.RecordChannels()
+		}
+		seeks[u], protos[u] = s, s
 	}
 	NewSeekBank(seeks)
-	if err := d.runEngine(protos); err != nil {
-		return nil, err
-	}
-	out := make([]map[radio.NodeID]any, d.n)
-	for u := 0; u < d.n; u++ {
-		out[u] = make(map[radio.NodeID]any)
-		for _, v := range seeks[u].Discovered() {
-			out[u][v] = seeks[u].Observation(v).Payload
-		}
-	}
-	return out, nil
-}
-
-// runEngine executes one full-schedule protocol set and charges its
-// slots to setup.
-func (d *cgcastDriver) runEngine(protos []radio.Protocol) error {
 	e, err := radio.NewEngine(d.nw, protos)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st, err := e.RunUntilCtx(d.ctx, d.exchangeSlots+1, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A fixed-length schedule that fails to finish is an engine or
 	// schedule bug in the static model — but under a dynamic topology
 	// a down node legitimately freezes mid-schedule, so partial
 	// exchanges are an expected degradation outcome there.
 	if !st.Completed && d.nw.Topology == nil {
-		return fmt.Errorf("core: exchange stage did not complete in %d slots", d.exchangeSlots)
+		return nil, fmt.Errorf("core: exchange stage did not complete in %d slots", d.exchangeSlots)
 	}
 	d.setupRadio.Accumulate(st)
 	d.setupSlots += d.exchangeSlots
-	return nil
+	return seeks, nil
 }
 
 // ----- Stage 4: color announcement -----
 
+// announceColors runs the announcement exchange: each simulator
+// announces its edges' colors, and the other endpoint learns one iff
+// it heard the simulator. An edge without a color at both endpoints is
+// dropped.
 func (d *cgcastDriver) announceColors() error {
-	announcements := make([]map[edgeKey]int, d.n)
-	for u := 0; u < d.n; u++ {
-		announcements[u] = make(map[edgeKey]int)
-		for key, st := range d.edges[u] {
-			if st.sim != nil && st.sim.Color() != coloring.NoColor {
-				announcements[u][key] = st.sim.Color()
-			}
-		}
-	}
 	d.nextStage()
-	recv, err := d.exchange(anySlice(d.bundles(announcements)))
+	heard, err := d.exchange()
 	if err != nil {
 		return err
 	}
-	for u := 0; u < d.n; u++ {
-		uid := radio.NodeID(u)
-		for key, st := range d.edges[u] {
-			if st.sim != nil {
-				st.color = st.sim.Color()
-				continue
-			}
-			// Non-simulator endpoint: look for the announcement from the
-			// simulator (the other endpoint).
-			simID := key.other(uid)
-			data, ok := recv[u][simID]
-			if !ok {
-				continue
-			}
-			ep, ok := data.(exchangePayload)
-			if !ok {
-				continue
-			}
-			for _, b := range ep.Bundles {
-				if b.From != simID {
-					continue
-				}
-				for _, entry := range b.Entries {
-					if entry.Edge == key {
-						st.color = entry.Color
-					}
-				}
-			}
-		}
-	}
-	// Drop edges that remain uncolored at either endpoint.
-	for _, e := range d.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		stU, okU := d.edges[e.U][key]
-		stV, okV := d.edges[e.V][key]
-		if !okU || !okV {
-			continue // already dropped
-		}
-		if stU.color == coloring.NoColor || stV.color == coloring.NoColor {
-			d.dropped[key] = true
-			delete(d.edges[e.U], key)
-			delete(d.edges[e.V], key)
+	for e, ed := range d.edges {
+		st := &d.es[e]
+		if st.live && (st.sim.Color() == coloring.NoColor || !slices.Contains(heard[ed.V], ed.U)) {
+			st.live = false
 		}
 	}
 	return nil
-}
-
-func anySlice(bundles []colorBundle) []any {
-	out := make([]any, len(bundles))
-	for i, b := range bundles {
-		out[i] = exchangePayload{Bundles: []colorBundle{b}}
-	}
-	return out
 }
 
 // ----- Stage 5: dissemination -----
@@ -923,36 +737,9 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 }
 
 func (s *BroadcastSession) fillColoringStats(res *BroadcastResult) {
-	colored := make(map[graph.Edge]int)
-	for _, e := range s.nw.Graph.Edges() {
-		key := mkEdgeKey(radio.NodeID(e.U), radio.NodeID(e.V))
-		stU, okU := s.edges[e.U][key]
-		if okU && stU.color != coloring.NoColor {
-			colored[e] = stU.color
-		}
-	}
-	res.EdgesColored = len(colored)
-	res.EdgesDropped = s.nw.Graph.M() - len(colored)
-	res.ColoringValid = validPartialEdgeColoring(s.nw.Graph, colored)
-}
-
-// validPartialEdgeColoring checks properness on the colored subgraph.
-func validPartialEdgeColoring(g *graph.Graph, colors map[graph.Edge]int) bool {
-	type slot struct {
-		node  int32
-		color int
-	}
-	seen := make(map[slot]bool)
-	for e, c := range colors {
-		for _, end := range [2]int32{e.U, e.V} {
-			key := slot{node: end, color: c}
-			if seen[key] {
-				return false
-			}
-			seen[key] = true
-		}
-	}
-	return true
+	res.EdgesColored = s.colored
+	res.EdgesDropped = s.nw.Graph.M() - s.colored
+	res.ColoringValid = s.valid
 }
 
 // dissemProto is the stage-5 per-node protocol: D phases × 2Δ steps ×

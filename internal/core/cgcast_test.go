@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crn/internal/chanassign"
+	"crn/internal/dynamics"
 	"crn/internal/graph"
 	"crn/internal/radio"
 	"crn/internal/rng"
@@ -141,6 +142,53 @@ func TestCGCastFullSmall(t *testing.T) {
 	}
 	if res.EdgesDropped != 0 {
 		t.Errorf("%d edges dropped in full mode", res.EdgesDropped)
+	}
+}
+
+// TestCGCastFullMobilitySchedulesBaseEdges runs full fidelity while
+// nodes move: the CSEEK exchanges then hear pairs the base graph does
+// not connect. The session is built over the base graph's edges, so
+// every node schedules exactly its colored base edges.
+func TestCGCastFullMobilitySchedulesBaseEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow full-fidelity test")
+	}
+	g, geom, err := graph.UnitDiskGeometry(10, 0.45, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(10, 3, 2, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, p, _ := buildBroadcastNet(t, g, a)
+	if nw.Topology, err = dynamics.NewRandomWaypoint(geom, 0.004, 4, 23); err != nil {
+		t.Fatal(err)
+	}
+	s, err := PrepareCGCast(nw, SessionConfig{Params: p, Mode: ExchangeFull, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res BroadcastResult
+	s.fillColoringStats(&res)
+	if !res.ColoringValid || res.EdgesColored == 0 {
+		t.Fatalf("coloring valid=%v colored=%d", res.ColoringValid, res.EdgesColored)
+	}
+	entries := 0
+	for u, sched := range s.schedules {
+		k := 0
+		for _, ch := range sched {
+			if ch >= 0 {
+				k++
+			}
+		}
+		if k > g.Degree(u) {
+			t.Errorf("node %d schedules %d colors, base degree %d", u, k, g.Degree(u))
+		}
+		entries += k
+	}
+	if entries != 2*res.EdgesColored {
+		t.Errorf("schedules hold %d entries for %d colored edges", entries, res.EdgesColored)
 	}
 }
 
