@@ -571,8 +571,8 @@ func (d *cgcastDriver) exchangeTwoHop() error {
 // heard whom: heard[u] lists the nodes whose frame reached u. In full
 // mode this is a CSEEK execution; in abstract mode an oracle at
 // identical slot cost in which every neighbor hears. What a frame
-// carries is a function of its sender's state, which the driver holds,
-// so who heard whom is all the decoding needs.
+// carries is a function of its sender's state, which the setup
+// already holds, so who heard whom is all the decoding needs.
 func (d *cgcastDriver) exchange() ([][]int32, error) {
 	defer d.nextStage()
 	if err := d.ctx.Err(); err != nil {
