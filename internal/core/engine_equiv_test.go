@@ -14,13 +14,14 @@ import (
 
 // TestCrossEngineEquivalenceUnderJammers is the cross-engine
 // determinism lockdown for the spectrum subsystem: for every jammer
-// family, the sequential engine (Run) and the goroutine-parallel
-// engine (RunParallel at 1/2/4/8 workers) must produce identical
-// results on the same seed — identical Stats and identical per-node
-// protocol outcomes — table-driven across all four primitives' protocol
-// stacks (CSEEK, CKSEEK, CGCAST dissemination, flooding). Stateful
-// jammers (the reactive adversary) are re-instantiated per engine via
-// spectrum.RunScoped, exactly as the facade does per run.
+// family, three runs with distinct seeds stepped together as the
+// replicas of one radio.BatchEngine must each produce exactly what
+// they produce alone on a radio.Engine — identical Stats and identical
+// per-node protocol outcomes — table-driven across all four
+// primitives' protocol stacks (CSEEK, CKSEEK, CGCAST dissemination,
+// flooding). Stateful jammers (the reactive adversary) are
+// re-instantiated per run via spectrum.RunScoped, exactly as the
+// facade does per run.
 func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 	const n, c, k, seed = 10, 4, 2, 5
 	g, err := graph.GNP(n, 0.4, rng.New(seed))
@@ -66,9 +67,9 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 		slots   int64
 		outcome func() string
 	}
-	discoveryStack := func(t *testing.T, mk func(Env) (Discoverer, error)) stack {
+	discoveryStack := func(t *testing.T, off uint64, mk func(Env) (Discoverer, error)) stack {
 		t.Helper()
-		master := rng.New(seed + 2)
+		master := rng.New(seed + 2 + off)
 		ds := make([]Discoverer, n)
 		protos := make([]radio.Protocol, n)
 		for u := 0; u < n; u++ {
@@ -91,24 +92,24 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 	}
 	primitives := []struct {
 		name  string
-		build func(t *testing.T, nw *radio.Network) stack
+		build func(t *testing.T, nw *radio.Network, off uint64) stack
 	}{
-		{"cseek", func(t *testing.T, _ *radio.Network) stack {
-			return discoveryStack(t, func(env Env) (Discoverer, error) { return NewCSeek(p, env) })
+		{"cseek", func(t *testing.T, _ *radio.Network, off uint64) stack {
+			return discoveryStack(t, off, func(env Env) (Discoverer, error) { return NewCSeek(p, env) })
 		}},
-		{"ckseek", func(t *testing.T, _ *radio.Network) stack {
-			return discoveryStack(t, func(env Env) (Discoverer, error) { return NewCKSeek(p, env, k, p.Delta) })
+		{"ckseek", func(t *testing.T, _ *radio.Network, off uint64) stack {
+			return discoveryStack(t, off, func(env Env) (Discoverer, error) { return NewCKSeek(p, env, k, p.Delta) })
 		}},
-		{"cgcast-dissem", func(t *testing.T, nw *radio.Network) stack {
+		{"cgcast-dissem", func(t *testing.T, nw *radio.Network, off uint64) stack {
 			// Setup runs in abstract mode (no engine involved), so only
 			// the dissemination stage exercises the engines under test —
 			// built the same way DisseminateCtx builds it.
-			session, err := PrepareCGCast(nw, SessionConfig{Params: p, Seed: seed + 3})
+			session, err := PrepareCGCast(nw, SessionConfig{Params: p, Seed: seed + 3 + off})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rounds := scaledSteps(p.Tuning.DissemRounds, 1, p.LgN())
-			master := rng.New(seed + 4)
+			master := rng.New(seed + 4 + off)
 			dps := make([]*dissemProto, n)
 			protos := make([]radio.Protocol, n)
 			for u := 0; u < n; u++ {
@@ -134,8 +135,8 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 				return out
 			}}
 		}},
-		{"flood", func(t *testing.T, _ *radio.Network) stack {
-			master := rng.New(seed + 5)
+		{"flood", func(t *testing.T, _ *radio.Network, off uint64) stack {
+			master := rng.New(seed + 5 + off)
 			fls := make([]*Flood, n)
 			protos := make([]radio.Protocol, n)
 			for u := 0; u < n; u++ {
@@ -156,40 +157,43 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 		}},
 	}
 
+	const replicas = 3
 	for _, jc := range jammers {
 		for _, prim := range primitives {
 			t.Run(jc.name+"/"+prim.name, func(t *testing.T) {
-				run := func(workers int) (radio.Stats, string) {
+				network := func() *radio.Network {
 					j := jc.j
 					if rs, ok := j.(spectrum.RunScoped); ok {
 						j = rs.NewRun()
 					}
-					nw := &radio.Network{Graph: g, Assign: a, Jammer: j}
-					st := prim.build(t, nw)
+					return &radio.Network{Graph: g, Assign: a, Jammer: j}
+				}
+				reps := make([]radio.Replica, replicas)
+				batch := make([]stack, replicas)
+				for r := range reps {
+					nw := network()
+					batch[r] = prim.build(t, nw, uint64(r))
+					reps[r] = radio.Replica{Protocols: batch[r].protos, Jammer: nw.Jammer}
+				}
+				be, err := radio.NewBatchEngine(g, a, reps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Equivalence needs a prefix, not a full schedule.
+				budget := min(batch[0].slots+1, 30000)
+				batchStats := be.Run(budget)
+				for r := range reps {
+					nw := network()
+					st := prim.build(t, nw, uint64(r))
 					e, err := radio.NewEngine(nw, st.protos)
 					if err != nil {
 						t.Fatal(err)
 					}
-					budget := st.slots + 1
-					if budget > 30000 {
-						budget = 30000 // equivalence needs a prefix, not a full schedule
+					if want := e.Run(budget); batchStats[r] != want {
+						t.Errorf("replica %d stats = %+v, solo %+v", r, batchStats[r], want)
 					}
-					var stats radio.Stats
-					if workers == 0 {
-						stats = e.Run(budget)
-					} else {
-						stats = e.RunParallel(budget, workers)
-					}
-					return stats, st.outcome()
-				}
-				wantStats, wantOutcome := run(0)
-				for _, workers := range []int{1, 2, 4, 8} {
-					gotStats, gotOutcome := run(workers)
-					if gotStats != wantStats {
-						t.Errorf("workers=%d stats = %+v, want %+v", workers, gotStats, wantStats)
-					}
-					if gotOutcome != wantOutcome {
-						t.Errorf("workers=%d outcome diverged:\n got %s\nwant %s", workers, gotOutcome, wantOutcome)
+					if got, want := batch[r].outcome(), st.outcome(); got != want {
+						t.Errorf("replica %d outcome diverged:\n got %s\nwant %s", r, got, want)
 					}
 				}
 			})

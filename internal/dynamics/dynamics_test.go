@@ -362,9 +362,10 @@ func TestComposeSemantics(t *testing.T) {
 }
 
 // TestModelsOnRealEngine drives every model through a real engine
-// pair (Run and RunParallel) and requires identical stats — the
-// engine-level equivalence guarantee holds for the shipped models,
-// not just scripted feeds.
+// pair — three run-scoped instances stepped as the replicas of one
+// radio.BatchEngine, and each alone on a radio.Engine — and requires
+// identical stats: the engine-level equivalence guarantee holds for
+// the shipped models, not just scripted feeds.
 func TestModelsOnRealEngine(t *testing.T) {
 	g, geom, err := graph.UnitDiskGeometry(18, 0.4, rng.New(21))
 	if err != nil {
@@ -395,34 +396,42 @@ func TestModelsOnRealEngine(t *testing.T) {
 		{"waypoint", way},
 		{"compose", Compose(churn, flap)},
 	}
+	const replicas, slots = 3, 500
 	for _, fc := range feeds {
 		t.Run(fc.name, func(t *testing.T) {
-			run := func(workers int) radio.Stats {
+			run := func(r int) radio.Replica {
 				feed := fc.feed
 				if rs, ok := feed.(RunScoped); ok {
 					feed = rs.NewRun()
 				}
-				master := rng.New(31)
+				master := rng.New(31 + uint64(r))
 				protos := make([]radio.Protocol, g.N())
 				for u := range protos {
 					protos[u] = &chatterProto{r: master.Split(uint64(u)), c: 3}
 				}
-				e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a, Topology: feed}, protos)
+				return radio.Replica{Protocols: protos, Topology: feed}
+			}
+			reps := make([]radio.Replica, replicas)
+			for r := range reps {
+				reps[r] = run(r)
+			}
+			be, err := radio.NewBatchEngine(g, a, reps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := be.Run(slots)
+			for r := range reps {
+				solo := run(r)
+				e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a, Topology: solo.Topology}, solo.Protocols)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if workers == 0 {
-					return e.Run(500)
+				want := e.Run(slots)
+				if want.EdgeAdds+want.EdgeRemoves+want.DownSlots == 0 {
+					t.Fatalf("replica %d: model applied no dynamics: %+v", r, want)
 				}
-				return e.RunParallel(500, workers)
-			}
-			want := run(0)
-			if want.EdgeAdds+want.EdgeRemoves+want.DownSlots == 0 {
-				t.Fatalf("model applied no dynamics: %+v", want)
-			}
-			for _, workers := range []int{2, 8} {
-				if got := run(workers); got != want {
-					t.Errorf("workers=%d stats = %+v, want %+v", workers, got, want)
+				if got[r] != want {
+					t.Errorf("replica %d stats = %+v, solo %+v", r, got[r], want)
 				}
 			}
 		})

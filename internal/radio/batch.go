@@ -25,319 +25,317 @@ type Replica struct {
 	// Trace optionally observes this replica's deliveries.
 	Trace TraceFunc
 	// Topology optionally makes this replica's topology time-varying:
-	// the batch engine clones the shared base graph into a
-	// replica-private mutable view and steps the feed once per slot,
-	// exactly as Engine does for Network.Topology. Feeds must be
+	// the engine clones the shared base graph into a replica-private
+	// mutable view and steps the feed once per slot. Feeds must be
 	// run-scoped (one instance per replica). nil means the static
 	// model.
 	Topology TopologyFeed
 }
 
-// BatchEngine steps B independent replicas of the same static network
-// through one fused slot loop: one collect pass, one channel-index
-// build and one resolve pass cover every replica, so the graph, the
-// channel assignment, the adjacency matrix and all engine scratch are
-// touched once per slot instead of once per run.
+// BatchEngine is the slot loop: it steps B independent replicas of
+// one network in lockstep. Every slot runs each active replica's
+// topology step, collect, index, resolve/observe and done scan in
+// turn over one shared set of per-slot scratch, so the graph, the
+// channel assignment, the adjacency matrix and the scratch stay
+// cache-resident across the whole batch instead of being rebuilt per
+// run. Engine is the one-replica case.
 //
-// Replicas never interact: replica r's broadcasters are bucketed under
-// channel keys r·universe+ch, disjoint from every other replica's
-// keys, and its listeners resolve only against those buckets, so each
-// replica's slot outcomes — deliveries, collisions, stats, traces —
-// are byte-identical to running it alone on a sequential Engine. The
-// batched sweep path relies on exactly this equivalence.
+// Replicas never interact: the per-slot scratch holds one replica's
+// actions and channel index at a time, and everything that outlives a
+// slot — node states, FixedSchedule bounds, the dynamic topology view,
+// stats — is per replica. Each replica's slot outcomes (deliveries,
+// collisions, stats, traces) are therefore byte-identical to running
+// it alone; the batched sweep path relies on exactly that.
 //
-// Dynamic topologies batch too: a replica with a TopologyFeed gets a
-// private graph.Dynamic clone of the shared base graph (plus its own
-// adjacency matrix), its feed is stepped once per slot from the fused
-// loop's sequential section, and its listeners resolve against the
-// private view — the same reconciliation Engine performs, paid per
-// dynamic replica. Static replicas keep resolving against the shared
-// base graph and matrix, so mixing static and dynamic replicas in one
+// A replica with a TopologyFeed gets a private graph.Dynamic clone of
+// the shared base graph (plus its own adjacency matrix) and resolves
+// against it, keeping the shared base as the partition-loss
+// counterfactual. Static replicas resolve against the shared base
+// graph and matrix, so mixing static and dynamic replicas in one
 // batch costs clones only for the dynamic ones.
 type BatchEngine struct {
 	g      *graph.Graph
 	assign *chanassign.Assignment
 	nbr    *bitset.Matrix
+	n      int
+	// flat/flatC is the assignment's flattened label table (nil/0 when
+	// it has none; the collect then falls back to Global).
+	flat  []int32
+	flatC int
 
-	b, n, universe int
-
-	// Per-replica run state.
-	reps    []Replica
-	sinks   []ActivitySink
+	reps    []replica
 	stats   []Stats
-	nDone   []int
-	doneAt  [][]int64
-	minDone []int64
-	active  []bool
 	nActive int
+	slot    int64
 
-	// Per-replica range dispatch (see detectRangeBank): banks[r] is
-	// replica r's shared bank, nil for per-node dispatch. acts and
-	// deliv are the range scratch in replica-local node ids; the fused
-	// loop resolves replicas one at a time, so one n-sized set serves
-	// the whole batch. delivIdx records which nodes the current
-	// replica delivered into, so the post-observe reset touches only
-	// those entries (deliv holds From=-1 everywhere in between).
-	banks    []RangeProtocol
+	// Per-slot hot state of the replica being stepped, struct-of-arrays:
+	// the collect phase writes one byte (kind), one int32 (globalCh) and
+	// — for broadcasters only — one interface word pair (data) per node,
+	// and the resolve phase reads them back with unit-stride loads.
+	// acts and deliv are the range ABI's scratch, indexed by node.
+	kind     []Kind
+	data     []any   // broadcast payload, valid only for this slot's broadcasters
+	globalCh []int32 // resolved global channel per non-idle node
 	acts     []Action
 	deliv    []Delivery
+	// delivIdx records which nodes the resolve phase delivered into,
+	// so the post-observe reset touches only those entries (deliv holds
+	// From=-1 everywhere in between).
 	delivIdx []int32
+	// listeners and the counts below carry the collect phase's
+	// classification to the resolve phase, which then visits only the
+	// listeners instead of rescanning every node's kind. Node state
+	// cannot change between the two phases, so the collect-time
+	// classification is exactly what resolve would recompute.
+	listeners              []int32
+	nListen, idles, bcasts int64
+	downs                  int64
 
-	// Per-replica dynamic topology (nil/shared entries for static
-	// replicas): gs[r]/nbrs[r] are the graph and adjacency matrix
-	// replica r resolves against — the shared base pair unless the
-	// replica has a feed, in which case they are its private mutable
-	// clone (dyns[r]) and muts[r] is the pre-boxed mutator handed to
-	// the feed. countTopo[r] mirrors Engine.countTopo; up is the
-	// flattened per-node participation state driven by the feeds. The
-	// shared base g/nbr double as the partition-loss counterfactual
-	// base, exactly like Engine.baseG/baseNbr.
-	topos     []TopologyFeed
-	dyns      []*graph.Dynamic
-	gs        []*graph.Graph
-	nbrs      []*bitset.Matrix
-	muts      []TopologyMutator
-	countTopo []bool
-	up        []bool
-
-	// Flattened per-node hot state, replica-major: node u of replica r
-	// is flat id r·n+u. Same struct-of-arrays layout as Engine.
-	kind     []Kind
-	data     []any
-	globalCh []int32 // offset channel key r·universe+ch
-	state    []uint8
-
-	// Per-slot channel index over the offset key space [0, b·universe),
-	// plus the shared bitset-row pool; see Engine for the scheme. Row
-	// bits are replica-local node ids, so a listener's adjacency row
-	// ANDs against them directly.
+	// Per-slot channel index (the "index" phase): chCount[ch] is the
+	// number of broadcasters on global channel ch (zero for channels
+	// not in touched), and chHead[ch]/bcastNext thread them into a
+	// per-channel list (chHead[ch] is one broadcaster, bcastNext[v]
+	// the next, -1 ends the list) built in one pass over bcasters.
 	chCount   []int32
 	chHead    []int32
 	bcastNext []int32
 	touched   []int32
 	bcasters  []int32
+
+	// Channel bitset rows (nil without a dense adjacency matrix): a
+	// channel whose broadcaster count reaches rowMin gets a row of n
+	// bits from rowBuf — one bit per broadcaster — so listeners resolve
+	// the whole channel with an AND/popcount sweep against their
+	// neighbor-matrix row instead of walking broadcaster or neighbor
+	// lists. rowOf[ch] is the channel's row index this slot (-1 none);
+	// rows are cleared when (re)assigned, so resetIndex only has to
+	// reset rowOf and the row cursor.
 	rowBuf    []uint64
 	rowOf     []int32
 	rowStride int
 	rowMin    int32
 	rowsUsed  int32
 
-	slot       int64
-	scratchMsg Message
-	activity   []int
+	// activity is the broadcast count per global channel handed to
+	// reactive jammers (nil when no replica has an ActivitySink).
+	activity []int
+	// traceMsg backs every delivery handed to a TraceFunc; reuse is why
+	// the trace contract limits message lifetime to the call.
+	traceMsg Message
 }
 
-// NewBatchEngine constructs a fused engine over the shared (graph,
+// replica is one run's state inside the engine. It doubles as the
+// TopologyMutator handed to its feed.
+type replica struct {
+	Replica
+	// bank dispatches Act/Observe over node ranges: the protocols'
+	// own shared bank when ranged (see detectRangeBank), otherwise a
+	// protocolBank adapter over the per-node calls.
+	bank   RangeProtocol
+	ranged bool
+	sink   ActivitySink
+	stats  *Stats
+
+	// g/nbr are the topology the replica resolves against: the shared
+	// base pair on static runs, the private graph.Dynamic view (dyn)
+	// when a feed is installed. up[u] is the feed-driven participation
+	// state (dynamic replicas only). countTopo gates the Stats mutation
+	// counters: false during the feed's first Step on this engine,
+	// where feeds re-establish their current state against the freshly
+	// cloned base topology (a multi-engine pipeline hands one feed
+	// several engines) — those reconciliations set initial conditions
+	// rather than model events.
+	g         *graph.Graph
+	nbr       *bitset.Matrix
+	dyn       *graph.Dynamic
+	up        []bool
+	countTopo bool
+
+	// state[u] is the node's engine status (nodeLive/nodeDone/
+	// nodeDown). doneAt[u] is the earliest observed-slot count at which
+	// protocol u may report Done (from FixedSchedule; 0 when unknown),
+	// and minDone the minimum over live protocols, letting refreshDone
+	// skip the whole scan during a homogeneous schedule's steady state.
+	state   []uint8
+	doneAt  []int64
+	minDone int64
+	nDone   int
+	active  bool
+}
+
+// Node engine states, one byte per node on the hot loops. nodeDone
+// dominates nodeDown: Done is terminal, so a done node that rejoins
+// stays done.
+const (
+	nodeLive uint8 = iota
+	nodeDone
+	nodeDown
+)
+
+// NewBatchEngine constructs an engine over the shared (graph,
 // assignment) pair and the given replicas. The graph is finalized
-// (idempotent); every replica must provide exactly one protocol per
+// (idempotent) so adjacency queries can use the sorted or bit-matrix
+// fast paths; every replica must provide exactly one protocol per
 // node.
 func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replica) (*BatchEngine, error) {
-	if g == nil || assign == nil {
-		return nil, fmt.Errorf("radio: batch engine needs both graph and assignment")
-	}
-	if g.N() != assign.N() {
-		return nil, fmt.Errorf("radio: graph has %d nodes, assignment %d", g.N(), assign.N())
+	if err := (&Network{Graph: g, Assign: assign}).Validate(); err != nil {
+		return nil, err
 	}
 	if len(reps) == 0 {
 		return nil, fmt.Errorf("radio: batch engine needs at least one replica")
 	}
-	g.Finalize()
 	n := g.N()
-	b := len(reps)
-	u := assign.Universe
 	for r := range reps {
 		if len(reps[r].Protocols) != n {
 			return nil, fmt.Errorf("radio: replica %d has %d protocols for %d nodes", r, len(reps[r].Protocols), n)
 		}
 	}
+	g.Finalize()
+	u := assign.Universe
 	e := &BatchEngine{
 		g:         g,
 		assign:    assign,
 		nbr:       g.NeighborMatrix(),
-		b:         b,
 		n:         n,
-		universe:  u,
-		reps:      reps,
-		sinks:     make([]ActivitySink, b),
-		stats:     make([]Stats, b),
-		nDone:     make([]int, b),
-		doneAt:    make([][]int64, b),
-		minDone:   make([]int64, b),
-		active:    make([]bool, b),
-		nActive:   b,
-		kind:      make([]Kind, b*n),
-		data:      make([]any, b*n),
-		globalCh:  make([]int32, b*n),
-		state:     make([]uint8, b*n),
-		chCount:   make([]int32, b*u),
-		chHead:    make([]int32, b*u),
-		bcastNext: make([]int32, b*n),
-		touched:   make([]int32, 0, b*u),
-		bcasters:  make([]int32, 0, b*n),
-		banks:     make([]RangeProtocol, b),
-		topos:     make([]TopologyFeed, b),
-		dyns:      make([]*graph.Dynamic, b),
-		gs:        make([]*graph.Graph, b),
-		nbrs:      make([]*bitset.Matrix, b),
-		muts:      make([]TopologyMutator, b),
-		countTopo: make([]bool, b),
-		up:        make([]bool, b*n),
+		reps:      make([]replica, len(reps)),
+		stats:     make([]Stats, len(reps)),
+		nActive:   len(reps),
+		kind:      make([]Kind, n),
+		data:      make([]any, n),
+		globalCh:  make([]int32, n),
+		acts:      make([]Action, n),
+		deliv:     make([]Delivery, n),
+		delivIdx:  make([]int32, n),
+		listeners: make([]int32, n),
+		chCount:   make([]int32, u),
+		chHead:    make([]int32, u),
+		bcastNext: make([]int32, n),
+		touched:   make([]int32, 0, u),
+		bcasters:  make([]int32, 0, n),
+		rowOf:     make([]int32, u),
 	}
+	e.flat, e.flatC = assign.Flat()
 	for i := range e.chHead {
 		e.chHead[i] = -1
+		e.rowOf[i] = -1
 	}
-	for i := range e.up {
-		e.up[i] = true
-	}
-	hasSink := false
-	hasBank := false
-	for r := range reps {
-		e.active[r] = true
-		e.doneAt[r] = make([]int64, n)
-		e.minDone[r] = -1
-		e.gs[r] = g
-		e.nbrs[r] = e.nbr
-		if reps[r].Topology != nil {
-			// Dynamic replica: private mutable clone, exactly like
-			// Engine under Network.Topology. The shared base pair keeps
-			// serving as the partition-loss counterfactual.
-			e.topos[r] = reps[r].Topology
-			e.dyns[r] = graph.NewDynamic(g)
-			e.gs[r] = e.dyns[r].Graph()
-			e.nbrs[r] = e.gs[r].NeighborMatrix()
-			e.muts[r] = batchMutator{e: e, r: r}
-		}
-		for i, p := range reps[r].Protocols {
-			// FixedSchedule bounds count observed slots; a down node
-			// observes nothing, so the Done-poll skip is disabled for
-			// dynamic replicas (see Engine's identical gating).
-			if e.topos[r] == nil {
-				if fs, ok := p.(FixedSchedule); ok {
-					e.doneAt[r][i] = fs.MinDoneSlots()
-				}
-			}
-			if e.minDone[r] < 0 || e.doneAt[r][i] < e.minDone[r] {
-				e.minDone[r] = e.doneAt[r][i]
-			}
-		}
-		if sink, ok := reps[r].Jammer.(ActivitySink); ok {
-			e.sinks[r] = sink
-			hasSink = true
-		}
-		if bank := detectRangeBank(reps[r].Protocols); bank != nil {
-			e.banks[r] = bank
-			hasBank = true
-		}
-	}
-	if hasBank {
-		e.acts = make([]Action, n)
-		e.deliv = make([]Delivery, n)
-		e.delivIdx = make([]int32, n)
-		// resolveReplica keeps From=-1 as the steady-state content of
-		// every entry, writing (and resetting) only actual deliveries.
-		for i := range e.deliv {
-			e.deliv[i].From = -1
-		}
-	}
-	if hasSink {
-		e.activity = make([]int, u)
+	// resolve keeps From=-1 as the steady-state content of every entry,
+	// writing (and afterwards resetting) only actual deliveries.
+	for i := range e.deliv {
+		e.deliv[i].From = -1
 	}
 	if e.nbr != nil {
-		// Same row economics as Engine.initChannelRows, with the pool
-		// bound summed over replicas (each replica can independently
-		// have n/rowMin dense channels in a slot).
+		// Rows exist only when the graph affords a dense adjacency
+		// matrix. The walk path costs ~min(count, degree) dependent
+		// probes, the row path ~stride sequential word ops; rows start
+		// paying for themselves once a channel has a couple of
+		// broadcasters, except on huge graphs where a row sweep reads
+		// stride words per listener and the bar is proportionally
+		// higher. At most n/rowMin channels can earn a row in a slot,
+		// which bounds the pool.
 		e.rowStride = e.nbr.Stride()
 		e.rowMin = int32(max(2, e.rowStride/4))
-		maxRows := b * (n/int(e.rowMin) + 1)
-		if maxRows > b*u {
-			maxRows = b * u
-		}
-		e.rowBuf = make([]uint64, maxRows*e.rowStride)
+		e.rowBuf = make([]uint64, min(n/int(e.rowMin)+1, u)*e.rowStride)
 	}
-	e.rowOf = make([]int32, b*u)
-	for i := range e.rowOf {
-		e.rowOf[i] = -1
+	for r := range reps {
+		rp := &e.reps[r]
+		rp.Replica = reps[r]
+		rp.stats = &e.stats[r]
+		rp.active = true
+		rp.g, rp.nbr = g, e.nbr
+		rp.state = make([]uint8, n)
+		rp.doneAt = make([]int64, n)
+		if rp.Topology != nil {
+			// Dynamic replica: resolve against a private mutable clone
+			// so the shared base graph stays immutable.
+			rp.dyn = graph.NewDynamic(g)
+			rp.g = rp.dyn.Graph()
+			rp.nbr = rp.g.NeighborMatrix()
+			rp.up = make([]bool, n)
+			for i := range rp.up {
+				rp.up[i] = true
+			}
+		}
+		rp.minDone = -1
+		for i, p := range rp.Protocols {
+			// FixedSchedule bounds are in observed slots; under a dynamic
+			// topology a down node observes nothing, so the bounds no
+			// longer map onto engine slots and the Done-poll skip is
+			// disabled (doneAt stays 0 — Done is simply polled every slot).
+			if fs, ok := p.(FixedSchedule); ok && rp.dyn == nil {
+				rp.doneAt[i] = fs.MinDoneSlots()
+			}
+			if rp.minDone < 0 || rp.doneAt[i] < rp.minDone {
+				rp.minDone = rp.doneAt[i]
+			}
+		}
+		if sink, ok := rp.Jammer.(ActivitySink); ok {
+			rp.sink = sink
+			e.activity = make([]int, u)
+		}
+		rp.bank = detectRangeBank(rp.Protocols)
+		rp.ranged = rp.bank != nil
+		if !rp.ranged {
+			rp.bank = &protocolBank{protocols: rp.Protocols}
+		}
 	}
 	return e, nil
 }
 
-// batchMutator is the TopologyMutator handed to replica r's feed: the
-// BatchEngine analogue of engineMutator, operating on the replica's
-// private graph clone and its slice of the flattened node state.
-type batchMutator struct {
-	e *BatchEngine
-	r int
-}
+func (rp *replica) N() int { return len(rp.state) }
 
-func (m batchMutator) N() int { return m.e.n }
+func (rp *replica) NodeUp(u int) bool { return u >= 0 && u < len(rp.up) && rp.up[u] }
 
-func (m batchMutator) NodeUp(u int) bool {
-	return u >= 0 && u < m.e.n && m.e.up[m.r*m.e.n+u]
-}
-
-func (m batchMutator) SetNodeUp(u int, up bool) bool {
-	e := m.e
-	if u < 0 || u >= e.n {
+func (rp *replica) SetNodeUp(u int, up bool) bool {
+	if u < 0 || u >= len(rp.up) || rp.up[u] == up {
 		return false
 	}
-	f := m.r*e.n + u
-	if e.up[f] == up {
-		return false
-	}
-	e.up[f] = up
-	if e.state[f] != nodeDone {
+	rp.up[u] = up
+	if rp.state[u] != nodeDone {
 		if up {
-			e.state[f] = nodeLive
+			rp.state[u] = nodeLive
 		} else {
-			e.state[f] = nodeDown
+			rp.state[u] = nodeDown
 		}
 	}
-	if e.countTopo[m.r] {
+	if rp.countTopo {
 		if up {
-			e.stats[m.r].NodeJoins++
+			rp.stats.NodeJoins++
 		} else {
-			e.stats[m.r].NodeLeaves++
+			rp.stats.NodeLeaves++
 		}
 	}
 	return true
 }
 
-func (m batchMutator) HasEdge(u, v int) bool { return m.e.dyns[m.r].HasEdge(u, v) }
+func (rp *replica) HasEdge(u, v int) bool { return rp.dyn.HasEdge(u, v) }
 
-func (m batchMutator) AddEdge(u, v int) bool {
-	if !m.e.dyns[m.r].AddEdge(u, v) {
+func (rp *replica) AddEdge(u, v int) bool {
+	if !rp.dyn.AddEdge(u, v) {
 		return false
 	}
-	if m.e.countTopo[m.r] {
-		m.e.stats[m.r].EdgeAdds++
+	if rp.countTopo {
+		rp.stats.EdgeAdds++
 	}
 	return true
 }
 
-func (m batchMutator) RemoveEdge(u, v int) bool {
-	if !m.e.dyns[m.r].RemoveEdge(u, v) {
+func (rp *replica) RemoveEdge(u, v int) bool {
+	if !rp.dyn.RemoveEdge(u, v) {
 		return false
 	}
-	if m.e.countTopo[m.r] {
-		m.e.stats[m.r].EdgeRemoves++
+	if rp.countTopo {
+		rp.stats.EdgeRemoves++
 	}
 	return true
 }
 
-// applyTopology steps every active dynamic replica's feed for the slot
-// about to execute, from the fused loop's sequential section — the
-// same ordering Engine.applyTopology guarantees, applied replica by
-// replica. First-Step reconciliations are uncounted per replica (see
-// Engine.countTopo).
-func (e *BatchEngine) applyTopology() {
-	for r := 0; r < e.b; r++ {
-		if e.topos[r] == nil || !e.active[r] {
-			continue
-		}
-		e.topos[r].Step(e.slot, e.muts[r])
-		e.countTopo[r] = true
-	}
-}
+// allLive reports whether every node of the replica is guaranteed live
+// this slot: no topology feed (so nothing is ever down) and no protocol
+// done yet. The collect and observe phases then dispatch the whole
+// node range in one call with no per-node state checks — on a static
+// run this is its whole pre-completion lifetime, i.e. the hot path.
+func (rp *replica) allLive() bool { return rp.dyn == nil && rp.nDone == 0 }
 
 // Slot returns the number of slots executed so far.
 func (e *BatchEngine) Slot() int64 { return e.slot }
@@ -353,179 +351,188 @@ func (e *BatchEngine) Run(maxSlots int64) []Stats {
 }
 
 // RunCtx is Run with cooperative cancellation and an optional
-// per-replica stop predicate, mirroring Engine.RunUntilCtx: stop(r,
-// slot) is checked for each still-active replica after each slot, and
-// a replica that stops is frozen — its protocols are no longer
-// stepped, its stats no longer advance — while the rest of the batch
-// runs on. A nil ctx means context.Background().
+// per-replica stop predicate: stop(r, slot) is checked for each
+// still-active replica after each slot, and a replica that stops is
+// frozen — its protocols are no longer stepped, its stats no longer
+// advance — while the rest of the batch runs on. The context is polled
+// every ctxCheckMask+1 slots, and a cancelled run returns the stats
+// accumulated so far together with ctx.Err(). A nil ctx means
+// context.Background(). This is the cancellation point every facade
+// primitive and the sweep engine thread their contexts down to.
 func (e *BatchEngine) RunCtx(ctx context.Context, maxSlots int64, stop func(r int, slot int64) bool) ([]Stats, error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	n := e.n
+	for r := range e.reps {
+		if rp := &e.reps[r]; rp.active && rp.nDone == e.n {
+			e.deactivate(rp)
+		}
+	}
 	for e.slot < maxSlots && e.nActive > 0 {
 		if done != nil && e.slot&ctxCheckMask == 0 {
 			select {
 			case <-done:
-				for r := range e.stats {
-					e.stats[r].Completed = e.nDone[r] == n
-				}
+				e.settle()
 				return e.stats, ctx.Err()
 			default:
 			}
 		}
-		// Deactivate replicas whose protocols all finished, exactly
-		// where the sequential engine's loop condition would exit.
-		for r := 0; r < e.b; r++ {
-			if e.active[r] && e.nDone[r] == n {
-				e.deactivate(r)
-			}
-		}
-		if e.nActive == 0 {
-			break
-		}
 		e.step()
 		e.slot++
-		for r := 0; r < e.b; r++ {
-			if !e.active[r] {
+		for r := range e.reps {
+			rp := &e.reps[r]
+			if !rp.active {
 				continue
 			}
-			e.stats[r].Slots = e.slot
-			if stop != nil && stop(r, e.slot) {
-				e.deactivate(r)
+			rp.stats.Slots = e.slot
+			// The predicate runs even on the slot the replica finishes
+			// in, so goal-time harnesses still see that slot.
+			if stop != nil && stop(r, e.slot) || rp.nDone == e.n {
+				e.deactivate(rp)
 			}
 		}
 	}
-	for r := range e.stats {
-		e.stats[r].Completed = e.nDone[r] == n
-	}
+	e.settle()
 	return e.stats, nil
 }
 
-func (e *BatchEngine) deactivate(r int) {
-	e.active[r] = false
+// ctxCheckMask spaces out the cancellation polls: a non-blocking
+// channel select costs tens of nanoseconds, which is comparable to a
+// small slot, so polling every slot taxes the hot loop measurably.
+// Polling every 16th slot keeps cancellation latency in the
+// microseconds while making the poll cost invisible.
+const ctxCheckMask = 15
+
+func (e *BatchEngine) deactivate(rp *replica) {
+	rp.active = false
 	e.nActive--
 }
 
-// step runs one fused slot: apply topology feeds, collect over every
-// active replica, one index build, resolve over every active replica.
+// settle records each replica's completion flag.
+func (e *BatchEngine) settle() {
+	for r := range e.reps {
+		e.stats[r].Completed = e.reps[r].nDone == e.n
+	}
+}
+
+// step runs one slot of every active replica: topology, collect, index,
+// resolve/observe, activity feed, index reset, done scan. Mutations
+// therefore apply between slots and are never concurrent with protocol
+// work; slot s's actions see every mutation Step(s, ·) applied, and a
+// reactive jammer observing slot s's activity senses traffic that
+// already ran on the mutated topology.
 func (e *BatchEngine) step() {
-	e.applyTopology()
+	for r := range e.reps {
+		rp := &e.reps[r]
+		if !rp.active {
+			continue
+		}
+		if rp.Topology != nil {
+			rp.Topology.Step(e.slot, rp)
+			rp.countTopo = true
+		}
+		e.collect(rp)
+		e.buildIndex()
+		e.resolve(rp)
+		e.feedActivity(rp)
+		e.resetIndex()
+		e.refreshDone(rp)
+	}
+}
+
+// collect is the collect phase: one ActRange per maximal run of live
+// nodes (a single call over every node while all are live) fills
+// e.acts, and each run is folded into the hot state right after its
+// call, while the actions are still cache-hot. Done and down nodes are
+// recorded as Idle.
+func (e *BatchEngine) collect(rp *replica) {
 	e.bcasters = e.bcasters[:0]
-	for r := 0; r < e.b; r++ {
-		if e.active[r] {
-			e.bcasters = e.collectReplica(r, e.bcasters)
-		}
+	e.nListen, e.idles, e.bcasts, e.downs = 0, 0, 0, 0
+	if rp.allLive() {
+		rp.bank.ActRange(e.slot, 0, e.n, e.acts)
+		e.fold(0, e.n)
+		return
 	}
-	e.buildIndex(e.bcasters)
-	for r := 0; r < e.b; r++ {
-		if e.active[r] {
-			e.resolveReplica(r)
+	state := rp.state
+	for u := 0; u < e.n; {
+		if state[u] != nodeLive {
+			if state[u] == nodeDown {
+				e.downs++
+			}
+			e.kind[u] = Idle
+			u++
+			continue
 		}
-	}
-	e.feedActivity()
-	e.resetIndex()
-	for r := 0; r < e.b; r++ {
-		if e.active[r] {
-			e.refreshDone(r)
+		lo := u
+		for u < e.n && state[u] == nodeLive {
+			u++
 		}
+		rp.bank.ActRange(e.slot, lo, u, e.acts)
+		e.fold(lo, u)
 	}
 }
 
-// collectReplica runs the collect phase for replica r, appending the
-// flat ids of its broadcasters to buf.
-func (e *BatchEngine) collectReplica(r int, buf []int32) []int32 {
-	if e.banks[r] != nil {
-		return e.collectReplicaRange(r, buf)
-	}
-	assign := e.assign
-	slot := e.slot
-	state := e.state
-	kind := e.kind
-	data := e.data
-	globalCh := e.globalCh
-	protocols := e.reps[r].Protocols
-	base := r * e.n
-	chBase := int32(r * e.universe)
-	for u := 0; u < e.n; u++ {
-		f := base + u
-		if state[f] != nodeLive {
-			kind[f] = Idle
-			continue
-		}
-		a := protocols[u].Act(slot)
-		kind[f] = a.Kind
-		if a.Kind == Idle {
-			continue
-		}
-		globalCh[f] = chBase + assign.Global(u, a.Ch)
-		if a.Kind == Broadcast {
-			data[f] = a.Data
-			buf = append(buf, int32(f))
-		}
-	}
-	return buf
-}
-
-// collectReplicaRange is collectReplica in range-dispatch mode: one
-// ActRange per maximal run of live nodes fills e.acts (replica-local
-// ids), then a tight pass folds the actions into the flat SoA state —
-// Engine.collectRange with the replica offset bookkeeping.
-func (e *BatchEngine) collectReplicaRange(r int, buf []int32) []int32 {
-	bank := e.banks[r]
+// fold copies the actions of live nodes [lo, hi) into the hot state,
+// classifying each node: idles and broadcasts are counted, broadcasters
+// appended to e.bcasters (the index phase's input) and listeners to
+// e.listeners. The flat label table replaces Global's per-call guards
+// with one validity compare, falling back to Global for its loud
+// out-of-range panic. An invalid action kind panics here.
+func (e *BatchEngine) fold(lo, hi int) {
+	// Hoist the hot slices into locals: the appends mutate engine
+	// fields, so the compiler would otherwise reload every header.
 	acts := e.acts
-	state := e.state
 	kind := e.kind
-	slot := e.slot
-	n := e.n
-	base := r * n
-	for u := 0; u < n; {
-		if state[base+u] != nodeLive {
-			kind[base+u] = Idle
-			u++
-			continue
-		}
-		runLo := u
-		for u < n && state[base+u] == nodeLive {
-			u++
-		}
-		bank.ActRange(slot, runLo, u, acts)
-	}
-	assign := e.assign
 	data := e.data
 	globalCh := e.globalCh
-	chBase := int32(r * e.universe)
-	for u := 0; u < n; u++ {
-		f := base + u
-		if state[f] != nodeLive {
+	listeners := e.listeners
+	bcasters := e.bcasters
+	flat, fc := e.flat, e.flatC
+	nListen := e.nListen
+	var idles, bcasts int64
+	for v := lo; v < hi; v++ {
+		// Field loads through a pointer, not a struct copy: the Idle
+		// case then touches one byte of the 32-byte Action.
+		a := &acts[v]
+		k := a.Kind
+		kind[v] = k
+		switch k {
+		case Idle:
+			idles++
 			continue
+		case Broadcast:
+			bcasts++
+			data[v] = a.Data
+			bcasters = append(bcasters, int32(v))
+		case Listen:
+			listeners[nListen] = int32(v)
+			nListen++
+		default:
+			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
 		}
-		a := acts[u]
-		kind[f] = a.Kind
-		if a.Kind == Idle {
-			continue
-		}
-		globalCh[f] = chBase + assign.Global(u, a.Ch)
-		if a.Kind == Broadcast {
-			data[f] = a.Data
-			buf = append(buf, int32(f))
+		if uint(a.Ch) < uint(fc) {
+			globalCh[v] = flat[v*fc+a.Ch]
+		} else {
+			globalCh[v] = e.assign.Global(v, a.Ch)
 		}
 	}
-	return buf
+	e.bcasters = bcasters
+	e.nListen = nListen
+	e.idles += idles
+	e.bcasts += bcasts
 }
 
-// buildIndex is Engine.buildIndex over the offset key space: channel
-// keys already encode the replica, and row bits are replica-local node
-// ids (flat id minus the replica base), so a listener's adjacency row
-// ANDs against its own replica's broadcasters only.
-func (e *BatchEngine) buildIndex(bcasters []int32) {
-	// Hoisted locals, as in Engine.buildIndex: the touched append
-	// mutates an engine field, so the compiler would otherwise reload
-	// every slice header per broadcaster.
+// buildIndex buckets this slot's broadcasters by global channel: the
+// index phase. One pass threads each broadcaster into its channel's
+// list; it costs O(broadcasters) and allocates nothing (all scratch is
+// engine-owned and pre-sized).
+func (e *BatchEngine) buildIndex() {
+	// Hoist the index slices into locals: the touched append mutates
+	// an engine field, so without these the compiler must assume
+	// aliasing and reload every slice header per broadcaster.
 	rowMin := e.rowMin
 	stride := e.rowStride
-	n := int32(e.n)
 	globalCh := e.globalCh
 	chHead := e.chHead
 	chCount := e.chCount
@@ -533,19 +540,23 @@ func (e *BatchEngine) buildIndex(bcasters []int32) {
 	rowBuf := e.rowBuf
 	rowOf := e.rowOf
 	touched := e.touched
-	for _, f := range bcasters {
-		ch := globalCh[f]
+	for _, u := range e.bcasters {
+		ch := globalCh[u]
 		head := chHead[ch]
 		if head < 0 {
 			touched = append(touched, ch)
 		}
-		bcastNext[f] = head
-		chHead[ch] = f
+		bcastNext[u] = head
+		chHead[ch] = u
 		cnt := chCount[ch] + 1
 		chCount[ch] = cnt
 		if rowBuf == nil || cnt < rowMin {
 			continue
 		}
+		// Dense channel: maintain its bitset row. The first broadcaster
+		// to reach rowMin claims a row from the pool, clears it and
+		// back-fills everyone threaded so far; later broadcasters set
+		// their own bit.
 		ri := rowOf[ch]
 		if cnt == rowMin {
 			ri = e.rowsUsed
@@ -553,19 +564,19 @@ func (e *BatchEngine) buildIndex(bcasters []int32) {
 			rowOf[ch] = ri
 			row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
 			clear(row)
-			base := (f / n) * n
-			for v := f; v >= 0; v = bcastNext[v] {
-				lv := v - base
-				row[lv>>6] |= 1 << (uint(lv) & 63)
+			for v := u; v >= 0; v = bcastNext[v] {
+				row[v>>6] |= 1 << (uint(v) & 63)
 			}
 			continue
 		}
-		lu := f % n
-		rowBuf[int(ri)*stride+int(lu>>6)] |= 1 << (uint(lu) & 63)
+		rowBuf[int(ri)*stride+int(u>>6)] |= 1 << (uint(u) & 63)
 	}
 	e.touched = touched
 }
 
+// resetIndex clears the per-slot channel index, touching only the
+// channels that were active. Rows are cleared lazily on reassignment,
+// so only the channel→row map needs resetting here.
 func (e *BatchEngine) resetIndex() {
 	for _, ch := range e.touched {
 		e.chCount[ch] = 0
@@ -576,99 +587,89 @@ func (e *BatchEngine) resetIndex() {
 	e.rowsUsed = 0
 }
 
-// resolveReplica is the resolve phase for replica r — Engine's
-// resolveAndObserve with flat-id bookkeeping (channel keys and
-// broadcaster ids carry the replica offset; adjacency probes strip
-// it). Dynamic replicas resolve against their private view and run the
-// partition-loss counterfactual against the shared base topology; a
-// banked replica (range dispatch) collects outcomes into e.deliv and
-// observes via ObserveRange over maximal runs of live nodes, exactly
-// like Engine.resolveRange.
-func (e *BatchEngine) resolveReplica(r int) {
-	g := e.gs[r]
-	nbr := e.nbrs[r]
-	dynamic := e.topos[r] != nil
-	bank := e.banks[r]
-	deliv := e.deliv
-	jam := e.reps[r].Jammer
-	trace := e.reps[r].Trace
+// resolve is the resolve/observe phase: it decides what each listener
+// collect recorded hears, writing deliveries into e.deliv, and then
+// hands every live node its outcome through one ObserveRange per
+// maximal run of live nodes. The channel index is immutable during the
+// phase and protocol state is node-private, so deferring the observes
+// to the end cannot change any resolution. Traces fire per delivery in
+// ascending listener order, before the slot's observes.
+//
+// A listener on a channel with zero broadcasters resolves to silence
+// in O(1); a dense channel with a bitset row resolves with one
+// AND/popcount sweep of the listener's adjacency row; otherwise the
+// shorter of the channel's broadcaster list and the listener's
+// neighbor list is walked, stopping at the second talker.
+//
+// e.deliv holds From=-1 for every node outside this phase, so only
+// actual deliveries are written — and only those entries are reset
+// afterwards. Most node-slots hear nothing; paying one 24-byte store
+// per delivery instead of one per live node is a large share of the
+// range path's speed.
+func (e *BatchEngine) resolve(rp *replica) {
+	g := rp.g
+	nbr := rp.nbr
+	jam := rp.Jammer
+	trace := rp.Trace
+	dynamic := rp.dyn != nil
 	slot := e.slot
-	state := e.state
 	kind := e.kind
 	data := e.data
 	globalCh := e.globalCh
-	protocols := e.reps[r].Protocols
 	chCount := e.chCount
 	chHead := e.chHead
 	bcastNext := e.bcastNext
 	rowOf := e.rowOf
 	rowBuf := e.rowBuf
 	stride := e.rowStride
-	base := int32(r * e.n)
-	chBase := int32(r * e.universe)
-	scratch := &e.scratchMsg
-	st := &e.stats[r]
-	var idles, bcasts, listens, deliveries, collisions, jammedL, downs, plosses int64
+	deliv := e.deliv
 	delivIdx := e.delivIdx
-	nDeliv := 0
-	for u := 0; u < e.n; u++ {
-		f := base + int32(u)
-		if state[f] != nodeLive {
-			if state[f] == nodeDown {
-				downs++
-			}
-			continue
-		}
-		switch kind[f] {
-		case Idle:
-			idles++
-			if bank == nil {
-				protocols[u].Observe(slot, nil)
-			}
-		case Broadcast:
-			bcasts++
-			if bank == nil {
-				protocols[u].Observe(slot, nil)
-			}
-		case Listen:
-			listens++
-			ch := globalCh[f]
-			realCh := ch - chBase
-			if jam != nil && jam.Jammed(slot, realCh) {
-				jammedL++
-				if bank == nil {
-					protocols[u].Observe(slot, nil)
-				}
-				continue
-			}
+	listeners := e.listeners[:e.nListen]
+	var deliveries, collisions, jammedL, plosses int64
+	// The first loop is the specialized steady-state body — no jammer,
+	// static topology, no trace — so none of those per-listener checks
+	// sit on the hot path; anything else drops to the general loop
+	// below, which is the same resolution with the full checks.
+	if jam == nil && !dynamic && trace == nil {
+		for _, l := range listeners {
+			u := int(l)
+			ch := globalCh[u]
 			cnt := chCount[ch]
 			if cnt == 0 {
-				if bank == nil {
-					protocols[u].Observe(slot, nil)
-				}
 				continue
 			}
 			talkers := 0
 			var from int32 = -1
-			var row []uint64
 			if ri := rowOf[ch]; ri >= 0 {
-				row = rowBuf[int(ri)*stride : (int(ri)+1)*stride]
+				row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
 				c, sole := bitset.AndCountSole(nbr.Row(u), row)
 				talkers = c
 				from = int32(sole)
 			} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
-				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-					if e.replicaAdjacent(g, nbr, u, v-base) {
-						talkers++
-						if talkers > 1 {
-							break
+				if nbr != nil {
+					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
+						if nbr.Get(u, int(v)) {
+							talkers++
+							if talkers > 1 {
+								break
+							}
+							from = v
 						}
-						from = v - base
+					}
+				} else {
+					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
+						if g.Adjacent(u, int(v)) {
+							talkers++
+							if talkers > 1 {
+								break
+							}
+							from = v
+						}
 					}
 				}
 			} else {
 				for _, v := range nbrs {
-					if kind[base+v] == Broadcast && globalCh[base+v] == ch {
+					if kind[v] == Broadcast && globalCh[v] == ch {
 						talkers++
 						if talkers > 1 {
 							break
@@ -677,98 +678,145 @@ func (e *BatchEngine) resolveReplica(r int) {
 					}
 				}
 			}
-			if dynamic && !e.sameAsBase(nbr, u) {
-				// Partition-loss counterfactual against the shared base
-				// topology; see Engine.resolveAndObserve.
-				baseTalkers := 0
-				var baseFrom int32 = -1
-				if row != nil && e.nbr != nil {
-					c, sole := bitset.AndCountSole(e.nbr.Row(u), row)
-					baseTalkers, baseFrom = c, int32(sole)
-				} else {
-					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-						if e.baseAdjacent(u, v-base) {
-							baseTalkers++
-							if baseTalkers > 1 {
-								break
-							}
-							baseFrom = v - base
-						}
-					}
-				}
-				if baseTalkers == 1 && (talkers != 1 || from != baseFrom) {
-					plosses++
-				}
-			}
 			switch {
 			case talkers == 1:
+				delivIdx[deliveries] = int32(u)
 				deliveries++
-				if trace != nil {
-					scratch.From = NodeID(from)
-					scratch.Data = data[base+from]
-					trace(slot, NodeID(u), realCh, scratch)
-				}
-				if bank != nil {
-					delivIdx[nDeliv] = int32(u)
-					nDeliv++
-					deliv[u] = Delivery{From: NodeID(from), Data: data[base+from]}
-				} else {
-					scratch.From = NodeID(from)
-					scratch.Data = data[base+from]
-					protocols[u].Observe(slot, scratch)
-				}
+				deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
 			case talkers > 1:
 				collisions++
-				if bank == nil {
-					protocols[u].Observe(slot, nil)
+			}
+		}
+		goto observe
+	}
+	for _, l := range listeners {
+		u := int(l)
+		ch := globalCh[u]
+		if jam != nil && jam.Jammed(slot, ch) {
+			jammedL++
+			continue
+		}
+		cnt := chCount[ch]
+		if cnt == 0 {
+			continue
+		}
+		talkers := 0
+		var from int32 = -1
+		var row []uint64
+		if ri := rowOf[ch]; ri >= 0 {
+			row = rowBuf[int(ri)*stride : (int(ri)+1)*stride]
+			c, sole := bitset.AndCountSole(nbr.Row(u), row)
+			talkers = c
+			from = int32(sole)
+		} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
+			if nbr != nil {
+				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
+					if nbr.Get(u, int(v)) {
+						talkers++
+						if talkers > 1 {
+							break
+						}
+						from = v
+					}
 				}
-			default:
-				if bank == nil {
-					protocols[u].Observe(slot, nil)
+			} else {
+				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
+					if g.Adjacent(u, int(v)) {
+						talkers++
+						if talkers > 1 {
+							break
+						}
+						from = v
+					}
 				}
 			}
-		default:
-			panic(fmt.Sprintf("radio: replica %d node %d returned invalid action kind %d", r, u, kind[f]))
+		} else {
+			for _, v := range nbrs {
+				if kind[v] == Broadcast && globalCh[v] == ch {
+					talkers++
+					if talkers > 1 {
+						break
+					}
+					from = v
+				}
+			}
+		}
+		if dynamic && !e.sameAsBase(nbr, u) {
+			// Partition-loss counterfactual: would the base (static)
+			// topology have delivered a frame this listener-slot does not
+			// deliver? Resolves the same broadcaster set against base
+			// adjacency — dynamics-only cost, early exit at 2, skipped
+			// outright (sameAsBase) when nothing incident to the listener
+			// has churned, since then both resolutions are identical by
+			// construction.
+			baseTalkers := 0
+			var baseFrom int32 = -1
+			if row != nil && e.nbr != nil {
+				c, sole := bitset.AndCountSole(e.nbr.Row(u), row)
+				baseTalkers, baseFrom = c, int32(sole)
+			} else {
+				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
+					if e.baseAdjacent(u, v) {
+						baseTalkers++
+						if baseTalkers > 1 {
+							break
+						}
+						baseFrom = v
+					}
+				}
+			}
+			if baseTalkers == 1 && (talkers != 1 || from != baseFrom) {
+				plosses++
+			}
+		}
+		switch {
+		case talkers == 1:
+			delivIdx[deliveries] = int32(u)
+			deliveries++
+			deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
+			if trace != nil {
+				e.traceMsg = Message(deliv[u])
+				trace(slot, NodeID(u), ch, &e.traceMsg)
+			}
+		case talkers > 1:
+			collisions++
 		}
 	}
-	if bank != nil {
+observe:
+	if rp.allLive() {
+		rp.bank.ObserveRange(slot, 0, e.n, deliv)
+	} else {
+		state := rp.state
 		for u := 0; u < e.n; {
-			if state[base+int32(u)] != nodeLive {
+			if state[u] != nodeLive {
 				u++
 				continue
 			}
-			runLo := u
-			for u < e.n && state[base+int32(u)] == nodeLive {
+			lo := u
+			for u < e.n && state[u] == nodeLive {
 				u++
 			}
-			bank.ObserveRange(slot, runLo, u, deliv)
-		}
-		// Restore the From=-1 invariant (and drop payload references)
-		// before the next replica reuses the scratch.
-		for i := 0; i < nDeliv; i++ {
-			deliv[delivIdx[i]] = Delivery{From: -1}
+			rp.bank.ObserveRange(slot, lo, u, deliv)
 		}
 	}
-	st.Idles += idles
-	st.Broadcasts += bcasts
-	st.Listens += listens
+	// Restore the From=-1 invariant (and drop payload references) on
+	// exactly the entries this slot delivered into.
+	for _, u := range delivIdx[:deliveries] {
+		deliv[u] = Delivery{From: -1}
+	}
+	st := rp.stats
+	st.Idles += e.idles
+	st.Broadcasts += e.bcasts
+	st.Listens += e.nListen
 	st.Deliveries += deliveries
 	st.Collisions += collisions
 	st.JammedListens += jammedL
-	st.DownSlots += downs
+	st.DownSlots += e.downs
 	st.PartitionLosses += plosses
 }
 
-// replicaAdjacent probes adjacency in the replica's resolve view.
-func (e *BatchEngine) replicaAdjacent(g *graph.Graph, nbr *bitset.Matrix, u int, v int32) bool {
-	if nbr != nil {
-		return nbr.Get(u, int(v))
-	}
-	return g.Adjacent(u, int(v))
-}
-
-// baseAdjacent probes adjacency in the shared base topology (the
-// partition-loss counterfactual base for dynamic replicas).
+// baseAdjacent probes adjacency in the shared base topology, the
+// partition-loss counterfactual for dynamic replicas.
 func (e *BatchEngine) baseAdjacent(u int, v int32) bool {
 	if e.nbr != nil {
 		return e.nbr.Get(u, int(v))
@@ -776,9 +824,11 @@ func (e *BatchEngine) baseAdjacent(u int, v int32) bool {
 	return e.g.Adjacent(u, int(v))
 }
 
-// sameAsBase reports whether listener u's adjacency row in the
-// replica's view equals its base-topology row — Engine.sameAsBase per
-// replica.
+// sameAsBase reports whether listener u's current adjacency row equals
+// its base-topology row, in which case the partition-loss
+// counterfactual cannot differ from the real resolution (same
+// broadcasters, same adjacency) and is skipped. Requires dense
+// matrices on both views; huge graphs always run the counterfactual.
 func (e *BatchEngine) sameAsBase(nbr *bitset.Matrix, u int) bool {
 	if nbr == nil || e.nbr == nil {
 		return false
@@ -786,55 +836,49 @@ func (e *BatchEngine) sameAsBase(nbr *bitset.Matrix, u int) bool {
 	return bitset.EqualWords(nbr.Row(u), e.nbr.Row(u))
 }
 
-// feedActivity reports each replica's broadcast counts to its reactive
-// jammer, replica by replica so every sink sees exactly the slice a
-// solo engine would have handed it.
-func (e *BatchEngine) feedActivity() {
-	if e.activity == nil {
+// feedActivity reports the slot's broadcast counts per global channel
+// to the replica's reactive jammer, after the slot resolves and before
+// the next slot's Jammed queries. The activity slice is zero outside
+// the call: touched entries are filled from the channel index and
+// cleared again afterwards, so the cost is O(active channels), not
+// O(universe).
+func (e *BatchEngine) feedActivity(rp *replica) {
+	if rp.sink == nil {
 		return
 	}
-	universe := int32(e.universe)
-	for r := 0; r < e.b; r++ {
-		sink := e.sinks[r]
-		if sink == nil || !e.active[r] {
-			continue
-		}
-		lo, hi := int32(r)*universe, int32(r+1)*universe
-		for _, ch := range e.touched {
-			if ch >= lo && ch < hi {
-				e.activity[ch-lo] = int(e.chCount[ch])
-			}
-		}
-		sink.ObserveActivity(e.slot, e.activity)
-		for _, ch := range e.touched {
-			if ch >= lo && ch < hi {
-				e.activity[ch-lo] = 0
-			}
-		}
+	for _, ch := range e.touched {
+		e.activity[ch] = int(e.chCount[ch])
+	}
+	rp.sink.ObserveActivity(e.slot, e.activity)
+	for _, ch := range e.touched {
+		e.activity[ch] = 0
 	}
 }
 
-// refreshDone is Engine.refreshDone for replica r.
-func (e *BatchEngine) refreshDone(r int) {
+// refreshDone updates completion flags after a slot resolves. At this
+// point e.slot is still the index of the slot just executed, so every
+// live protocol has observed e.slot+1 slots; protocols that declared a
+// FixedSchedule bound beyond that cannot be done yet and are skipped
+// without the interface call — including the whole scan while the
+// bound of every live protocol lies in the future.
+func (e *BatchEngine) refreshDone(rp *replica) {
 	observed := e.slot + 1
-	if observed < e.minDone[r] {
+	if observed < rp.minDone {
 		return
 	}
-	base := r * e.n
-	doneAt := e.doneAt[r]
 	min := int64(-1)
-	for u, p := range e.reps[r].Protocols {
-		if e.state[base+u] == nodeDone {
+	for u, p := range rp.Protocols {
+		if rp.state[u] == nodeDone {
 			continue
 		}
-		if observed >= doneAt[u] && p.Done() {
-			e.state[base+u] = nodeDone
-			e.nDone[r]++
+		if observed >= rp.doneAt[u] && p.Done() {
+			rp.state[u] = nodeDone
+			rp.nDone++
 			continue
 		}
-		if min < 0 || doneAt[u] < min {
-			min = doneAt[u]
+		if min < 0 || rp.doneAt[u] < min {
+			min = rp.doneAt[u]
 		}
 	}
-	e.minDone[r] = min
+	rp.minDone = min
 }

@@ -34,6 +34,51 @@ func (j *reactiveTestJammer) ObserveActivity(_ int64, byChannel []int) {
 	j.target = best
 }
 
+// soloRun is one fresh run for checkSoloVsBatch: its network (graph,
+// assignment, jammer, feed, trace), its protocols, and a fingerprint
+// of everything the run observed (protocol end state, trace).
+type soloRun struct {
+	nw      *Network
+	protos  []Protocol
+	outcome func() string
+}
+
+// checkSoloVsBatch builds b runs with mk, steps them together as the
+// replicas of one BatchEngine, then rebuilds each from scratch and
+// runs it alone on an Engine. Every replica's stats and fingerprint
+// must equal its solo run's; the batch stats are returned, or the
+// first difference. mk must
+// build fresh protocols, jammer state and feed on every call, and every
+// run must share one graph and assignment.
+func checkSoloVsBatch(b int, slots int64, mk func(r int) soloRun) ([]Stats, error) {
+	reps := make([]Replica, b)
+	runs := make([]soloRun, b)
+	for r := range reps {
+		runs[r] = mk(r)
+		nw := runs[r].nw
+		reps[r] = Replica{Protocols: runs[r].protos, Jammer: nw.Jammer, Trace: nw.Trace, Topology: nw.Topology}
+	}
+	be, err := NewBatchEngine(runs[0].nw.Graph, runs[0].nw.Assign, reps)
+	if err != nil {
+		return nil, err
+	}
+	sts := be.Run(slots)
+	for r := range runs {
+		solo := mk(r)
+		e, err := NewEngine(solo.nw, solo.protos)
+		if err != nil {
+			return nil, err
+		}
+		if st := e.Run(slots); st != sts[r] {
+			return nil, fmt.Errorf("replica %d stats:\n batch %+v\n solo  %+v", r, sts[r], st)
+		}
+		if got, want := runs[r].outcome(), solo.outcome(); got != want {
+			return nil, fmt.Errorf("replica %d outcome diverged:\n batch %s\n solo  %s", r, got, want)
+		}
+	}
+	return sts, nil
+}
+
 type traceEvent struct {
 	slot     int64
 	listener NodeID

@@ -98,7 +98,7 @@ func TestDelayedEndToEnd(t *testing.T) {
 }
 
 // delayedChatter is a never-finishing random protocol for the
-// pool-equivalence tests, summarizing its delivery history.
+// batch-equivalence tests, summarizing its delivery history.
 type delayedChatter struct {
 	r     *rng.Source
 	c     int
@@ -124,73 +124,52 @@ func (p *delayedChatter) Observe(_ int64, msg *Message) {
 
 func (p *delayedChatter) Done() bool { return false }
 
-// TestDelayedParallelMatchesSequential: a network of staggered-start
+// TestDelayedParallelMatchesSequential: networks of staggered-start
 // protocols (one Delayed wrapper per node, starts spread across the
-// run so wake-ups land in every worker's node range) produces
-// identical stats and per-node delivery histories under Run and the
-// persistent worker pool at 2/4/8 workers. Delayed was previously
-// only exercised on the serial engine; the wrapper's started/Done
-// interplay and the pre-start idles all cross the pool's barriers
-// here.
+// run, offset per replica) produce identical stats and per-node
+// delivery histories as replicas of one BatchEngine and as solo runs.
 func TestDelayedParallelMatchesSequential(t *testing.T) {
 	const n, c, slots = 24, 3, 600
 	g, err := graph.GNP(n, 0.3, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (Stats, string) {
-		nw := newTestNetwork(t, g, c, 99)
-		master := rng.New(8)
+	nw := newTestNetwork(t, g, c, 99)
+	sts, err := checkSoloVsBatch(3, slots, func(r int) soloRun {
+		master := rng.New(8 + uint64(r))
 		inner := make([]*delayedChatter, n)
 		protos := make([]Protocol, n)
 		for u := 0; u < n; u++ {
 			inner[u] = &delayedChatter{r: master.Split(uint64(u)), c: c}
 			// Stagger starts 0, 7, 14, ... so some nodes wake mid-run.
-			protos[u] = &Delayed{Start: int64(u * 7), Inner: inner[u]}
+			protos[u] = &Delayed{Start: int64(u*7 + r), Inner: inner[u]}
 		}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st Stats
-		if workers == 0 {
-			st = e.Run(slots)
-		} else {
-			st = e.RunParallel(slots, workers)
-		}
-		fp := ""
-		for u, p := range inner {
-			fp += fmt.Sprintf("%d:%v;", u, p.heard)
-		}
-		return st, fp
-	}
-	wantStats, wantFP := run(0)
-	if wantStats.Deliveries == 0 {
-		t.Fatal("staggered workload delivered nothing — degenerate test")
+		return soloRun{nw: &Network{Graph: g, Assign: nw.Assign}, protos: protos, outcome: func() string {
+			fp := ""
+			for u, p := range inner {
+				fp += fmt.Sprintf("%d:%v;", u, p.heard)
+			}
+			return fp
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Pre-start slots are engine Idles: the late starters idle through
-	// 7u slots each.
-	if wantStats.Idles == 0 {
-		t.Fatal("no idle slots despite staggered starts")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		gotStats, gotFP := run(workers)
-		if gotStats != wantStats {
-			t.Errorf("workers=%d stats = %+v, want %+v", workers, gotStats, wantStats)
-		}
-		if gotFP != wantFP {
-			t.Errorf("workers=%d delivery histories diverged from sequential", workers)
-		}
+	// 7u+r slots each.
+	if sts[0].Deliveries == 0 || sts[0].Idles == 0 {
+		t.Fatalf("staggered workload degenerate: %+v", sts[0])
 	}
 }
 
 // TestDelayedFiniteParallelCompletion: Delayed wrappers around finite
-// scripts complete under the pool exactly as they do sequentially,
+// scripts complete as BatchEngine replicas exactly as they do solo,
 // including the started/Done interplay (a never-started Delayed must
 // not report done).
 func TestDelayedFiniteParallelCompletion(t *testing.T) {
 	const n = 8
 	g := graph.Path(n)
+	nw := newTestNetwork(t, g, 1, 5)
 	mk := func() []Protocol {
 		protos := make([]Protocol, n)
 		for u := 0; u < n; u++ {
@@ -206,31 +185,25 @@ func TestDelayedFiniteParallelCompletion(t *testing.T) {
 		}
 		return protos
 	}
-	budget := int64(3*(n-1) + 4 + 1)
-	for _, workers := range []int{0, 2, 4} {
-		nw := newTestNetwork(t, g, 1, 5)
+	// The last starter wakes at 3(n-1) and needs 4 slots; one budget
+	// slot short of that, no replica may report completion.
+	for _, budget := range []int64{3*(n-1) + 3, 3*(n-1) + 4 + 1} {
 		e, err := NewEngine(nw, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Stats
-		if workers == 0 {
-			st = e.Run(budget)
-		} else {
-			st = e.RunParallel(budget, workers)
+		want := budget > 3*(n-1)+3
+		if st := e.Run(budget); st.Completed != want {
+			t.Errorf("budget %d: solo Completed = %v, want %v: %+v", budget, st.Completed, want, st)
 		}
-		if !st.Completed {
-			t.Errorf("workers=%d: staggered finite run did not complete in %d slots: %+v", workers, budget, st)
+		be, err := NewBatchEngine(g, nw.Assign, []Replica{{Protocols: mk()}, {Protocols: mk()}, {Protocols: mk()}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Under-budget runs must not report completion: the last starter
-	// has not finished its script yet.
-	nw := newTestNetwork(t, g, 1, 5)
-	e, err := NewEngine(nw, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.RunParallel(int64(3*(n-1)+1), 4); st.Completed {
-		t.Error("run completed before the last delayed starter could finish")
+		for r, st := range be.Run(budget) {
+			if st.Completed != want {
+				t.Errorf("budget %d: replica %d Completed = %v, want %v: %+v", budget, r, st.Completed, want, st)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,66 +11,39 @@ import (
 )
 
 // TestQuickEngineEquivalence fuzzes random networks, assignments and
-// protocol behaviors and requires the sequential and parallel engines
-// to agree exactly — the load-bearing guarantee behind using
-// RunParallel for sweeps.
+// protocol behaviors and requires every replica of a BatchEngine to
+// agree exactly with its solo Engine run — the load-bearing guarantee
+// behind batched sweeps.
 func TestQuickEngineEquivalence(t *testing.T) {
-	f := func(seed uint64, workersRaw uint8) bool {
-		run := func(parallel bool, workers int) ([][]NodeID, Stats) {
-			r := rng.New(seed)
-			g, err := graph.GNP(12, 0.35, r)
-			if err != nil {
-				return nil, Stats{}
-			}
-			a, err := chanassign.SharedPool(12, 4, 1, 8, rng.New(seed+1))
-			if err != nil {
-				return nil, Stats{}
-			}
-			nw := &Network{Graph: g, Assign: a}
-			master := rng.New(seed + 2)
+	f := func(seed uint64, replicas uint8) bool {
+		g, err := graph.GNP(12, 0.35, rng.New(seed))
+		if err != nil {
+			return true // disconnected sample, skipped
+		}
+		a, err := chanassign.SharedPool(12, 4, 1, 8, rng.New(seed+1))
+		if err != nil {
+			return false
+		}
+		_, err = checkSoloVsBatch(int(replicas%4)+2, 1000, func(r int) soloRun {
+			master := rng.New(seed + 2 + uint64(r))
 			protos := make([]Protocol, 12)
 			rps := make([]*randomProto, 12)
 			for i := range protos {
-				rp := &randomProto{r: master.Split(uint64(i)), c: 4, slots: 60}
-				rps[i] = rp
-				protos[i] = rp
+				rps[i] = &randomProto{r: master.Split(uint64(i)), c: 4, slots: 60 + 10*r}
+				protos[i] = rps[i]
 			}
-			e, err := NewEngine(nw, protos)
-			if err != nil {
-				return nil, Stats{}
-			}
-			var st Stats
-			if parallel {
-				st = e.RunParallel(1000, workers)
-			} else {
-				st = e.Run(1000)
-			}
-			out := make([][]NodeID, 12)
-			for i, rp := range rps {
-				out[i] = rp.heard
-			}
-			return out, st
-		}
-		workers := int(workersRaw%6) + 2
-		hs, ss := run(false, 0)
-		hp, sp := run(true, workers)
-		if hs == nil && hp == nil {
-			return true // disconnected sample, skipped
-		}
-		if ss != sp {
-			return false
-		}
-		for i := range hs {
-			if len(hs[i]) != len(hp[i]) {
-				return false
-			}
-			for j := range hs[i] {
-				if hs[i][j] != hp[i][j] {
-					return false
+			return soloRun{nw: &Network{Graph: g, Assign: a}, protos: protos, outcome: func() string {
+				out := ""
+				for _, rp := range rps {
+					out += fmt.Sprint(rp.heard, ";")
 				}
-			}
+				return out
+			}}
+		})
+		if err != nil {
+			t.Log(err)
 		}
-		return true
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 
 	"crn/internal/graph"
@@ -71,37 +72,40 @@ func TestJammingOnlyAffectsItsChannel(t *testing.T) {
 	}
 }
 
+// TestJammingParallelEngineAgrees: one stateless jammer shared by three
+// replicas of a BatchEngine jams each exactly as it jams a solo run.
 func TestJammingParallelEngineAgrees(t *testing.T) {
-	run := func(parallel bool) Stats {
-		g := graph.Star(8)
-		nw := newTestNetwork(t, g, 3, 33)
-		nw.Jammer = &stubJammer{jam: map[[2]int64]bool{
-			{0, 0}: true, {1, 1}: true, {2, 2}: true, {5, 0}: true,
-		}}
+	jam := &stubJammer{jam: map[[2]int64]bool{
+		{0, 0}: true, {1, 1}: true, {2, 2}: true, {5, 0}: true,
+	}}
+	g := graph.Star(8)
+	nw := newTestNetwork(t, g, 3, 33)
+	if _, err := checkSoloVsBatch(3, 100, func(r int) soloRun {
 		protos := make([]Protocol, 8)
+		sps := make([]*scriptProto, 8)
 		for i := range protos {
 			script := make([]Action, 12)
 			for s := range script {
-				if i%2 == 0 {
+				if (i+r)%2 == 0 {
 					script[s] = Action{Kind: Listen, Ch: (i + s) % 3}
 				} else {
-					script[s] = Action{Kind: Broadcast, Ch: (i + s) % 3, Data: i}
+					script[s] = Action{Kind: Broadcast, Ch: (i + s + r) % 3, Data: i}
 				}
 			}
-			protos[i] = &scriptProto{script: script}
+			sps[i] = &scriptProto{script: script}
+			protos[i] = sps[i]
 		}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel {
-			return e.RunParallel(100, 4)
-		}
-		return e.Run(100)
-	}
-	seq := run(false)
-	par := run(true)
-	if seq != par {
-		t.Errorf("stats differ under jamming: seq %+v vs par %+v", seq, par)
+		return soloRun{nw: &Network{Graph: g, Assign: nw.Assign, Jammer: jam}, protos: protos, outcome: func() string {
+			out := ""
+			for _, sp := range sps {
+				for _, m := range sp.heard {
+					out += fmt.Sprintf("%v,", m)
+				}
+				out += ";"
+			}
+			return out
+		}}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -49,9 +49,7 @@ package radio
 import (
 	"context"
 	"fmt"
-	"runtime"
 
-	"crn/internal/bitset"
 	"crn/internal/chanassign"
 	"crn/internal/graph"
 )
@@ -281,123 +279,12 @@ func (nw *Network) Validate() error {
 	return nil
 }
 
-// Engine steps a set of protocols over a network.
-// Engines are single-use: construct, Run, inspect stats.
+// Engine steps one protocol set over a network: the single-run front
+// end over a one-replica BatchEngine, which owns the slot loop.
+// Construct, Run (again with a larger budget to continue), inspect
+// stats.
 type Engine struct {
-	nw        *Network
-	protocols []Protocol
-	trace     TraceFunc
-
-	// g is the topology the engine resolves against: the network's
-	// graph on static runs, the engine's private graph.Dynamic view
-	// when a TopologyFeed is installed.
-	g *graph.Graph
-	// dyn is the mutable topology view (nil on static runs); topo is
-	// the installed feed and mut the engine-side mutator handed to it.
-	dyn  *graph.Dynamic
-	topo TopologyFeed
-	mut  TopologyMutator // pre-boxed engineMutator, one boxing per run
-	// countTopo gates the Stats mutation counters: false during the
-	// feed's first Step on this engine, where feeds re-establish their
-	// current state against the freshly cloned base topology (a
-	// multi-engine pipeline hands one feed several engines) — those
-	// reconciliations set initial conditions rather than model events.
-	countTopo bool
-	// baseG/baseNbr are the untouched base topology, for the
-	// partition-loss counterfactual (nil matrix on huge graphs).
-	baseG   *graph.Graph
-	baseNbr *bitset.Matrix
-
-	// Per-slot hot state, struct-of-arrays: the collect phase writes
-	// one byte (kind), one int32 (globalCh) and — for broadcasters
-	// only — one interface word pair (data) per node, and the resolve
-	// phase reads them back with unit-stride loads instead of pulling
-	// 32-byte Action structs through the cache.
-	kind     []Kind
-	data     []any   // broadcast payload, valid only for this slot's broadcasters
-	globalCh []int32 // resolved global channel per non-idle node
-	// state[u] is the node's engine status (nodeLive/nodeDone/nodeDown),
-	// folding the old done+up pair into a single byte load on both hot
-	// loops. nodeDone dominates nodeDown: a protocol that reports Done
-	// stays done across rejoins.
-	state []uint8
-	// up[u] reports whether node u currently participates; all-true on
-	// static runs, driven by the TopologyFeed otherwise. A down node's
-	// Act and Observe are not called, so its protocol freezes on its
-	// local clock until rejoin.
-	up []bool
-	// doneAt[u] is the earliest observed-slot count at which protocol
-	// u may report Done (from FixedSchedule; 0 when unknown). minDoneAt
-	// is the minimum over live protocols, letting refreshDone skip the
-	// whole scan during a homogeneous schedule's steady state.
-	doneAt    []int64
-	minDoneAt int64
-	nDone     int
-	slot      int64
-	stats     Stats
-
-	// Per-slot channel index (the "index" phase): chCount[ch] is the
-	// number of broadcasters on global channel ch (zero for channels
-	// not in touched), and chHead[ch]/bcastNext thread them into a
-	// per-channel list (chHead[ch] is one broadcaster, bcastNext[v]
-	// the next, -1 ends the list) built in one pass.
-	chCount   []int32
-	chHead    []int32
-	bcastNext []int32
-	touched   []int32
-	// bcasters is the sequential engine's collect-phase broadcaster
-	// buffer; seqSegs wraps it in the segment shape buildIndex takes
-	// (the pool passes per-worker segments instead).
-	bcasters []int32
-	seqSegs  [][]int32
-
-	// Channel bitset rows (nil without a dense adjacency matrix): a
-	// channel whose broadcaster count reaches rowMin gets a row of n
-	// bits from rowBuf — one bit per broadcaster — so listeners resolve
-	// the whole channel with an AND/popcount sweep against their
-	// neighbor-matrix row instead of walking broadcaster or neighbor
-	// lists. rowOf[ch] is the channel's row index this slot (-1 none);
-	// rows are cleared when (re)assigned, so resetIndex only has to
-	// reset rowOf and the row cursor.
-	rowBuf    []uint64
-	rowOf     []int32
-	rowStride int
-	rowMin    int32
-	rowsUsed  int32
-
-	// nbr is the graph's dense adjacency matrix (nil on huge graphs,
-	// where the engine binary-searches sorted adjacency instead).
-	nbr *bitset.Matrix
-
-	// scratchMsg backs every delivery the sequential engine hands to
-	// Observe; pool workers carry their own. Reuse is why the Observe
-	// contract limits message lifetime to the call.
-	scratchMsg Message
-
-	// bank is the shared RangeProtocol when every protocol is a view
-	// into one (see detectRangeBank); nil means per-node dispatch. acts
-	// and deliv are the range ABI's per-slot scratch, indexed by node.
-	// delivIdx records which nodes a resolve segment delivered into —
-	// segment [lo, hi) writes ids at delivIdx[lo:], so concurrent pool
-	// segments stay disjoint — letting the post-observe reset touch
-	// only those entries instead of rescanning the segment.
-	// listenBuf and segStats carry collect-phase results to the
-	// resolve phase in range mode: segment [lo, hi) writes its
-	// listeners' ids at listenBuf[lo:] and its live idle/broadcast/
-	// listen/down counts at segStats[4*lo:], so resolveRange visits
-	// only listeners instead of rescanning every node's kind. Segments
-	// are disjoint, so concurrent pool workers never collide.
-	bank      RangeProtocol
-	acts      []Action
-	deliv     []Delivery
-	delivIdx  []int32
-	listenBuf []int32
-	segStats  []int64
-
-	// activity feed for reactive jammers (nil when the jammer is not an
-	// ActivitySink): broadcast count per global channel, reused per slot.
-	sink     ActivitySink
-	activity []int
+	be *BatchEngine
 }
 
 // NewEngine constructs an engine for the given network and per-node
@@ -411,666 +298,59 @@ func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 	if len(protocols) != nw.Graph.N() {
 		return nil, fmt.Errorf("radio: %d protocols for %d nodes", len(protocols), nw.Graph.N())
 	}
-	nw.Graph.Finalize()
-	n := nw.Graph.N()
-	u := nw.Assign.Universe
-	e := &Engine{
-		nw:        nw,
-		protocols: protocols,
-		g:         nw.Graph,
-		kind:      make([]Kind, n),
-		data:      make([]any, n),
-		globalCh:  make([]int32, n),
-		state:     make([]uint8, n),
-		up:        make([]bool, n),
-		doneAt:    make([]int64, n),
-		chCount:   make([]int32, u),
-		chHead:    make([]int32, u),
-		bcastNext: make([]int32, n),
-		touched:   make([]int32, 0, u),
-		bcasters:  make([]int32, 0, n),
-		seqSegs:   make([][]int32, 1),
-		nbr:       nw.Graph.NeighborMatrix(),
-		trace:     nw.Trace,
+	be, err := NewBatchEngine(nw.Graph, nw.Assign, []Replica{{
+		Protocols: protocols,
+		Jammer:    nw.Jammer,
+		Trace:     nw.Trace,
+		Topology:  nw.Topology,
+	}})
+	if err != nil {
+		return nil, err
 	}
-	for i := range e.chHead {
-		e.chHead[i] = -1
-	}
-	for i := range e.up {
-		e.up[i] = true
-	}
-	if nw.Topology != nil {
-		// Dynamic topology: resolve against a private mutable clone so
-		// the shared base graph stays immutable, and keep the base for
-		// the partition-loss counterfactual.
-		e.topo = nw.Topology
-		e.dyn = graph.NewDynamic(nw.Graph)
-		e.g = e.dyn.Graph()
-		e.nbr = e.g.NeighborMatrix()
-		e.baseG = nw.Graph
-		e.baseNbr = nw.Graph.NeighborMatrix()
-		e.mut = engineMutator{e}
-	}
-	e.initChannelRows(n, u)
-	e.minDoneAt = -1
-	for i, p := range protocols {
-		// FixedSchedule bounds are in observed slots; under a dynamic
-		// topology a down node observes nothing, so the bounds no
-		// longer map onto engine slots and the Done-poll skip is
-		// disabled (doneAt stays 0 — Done is simply polled every slot).
-		if e.topo == nil {
-			if fs, ok := p.(FixedSchedule); ok {
-				e.doneAt[i] = fs.MinDoneSlots()
-			}
-		}
-		if e.minDoneAt < 0 || e.doneAt[i] < e.minDoneAt {
-			e.minDoneAt = e.doneAt[i]
-		}
-	}
-	if sink, ok := nw.Jammer.(ActivitySink); ok {
-		e.sink = sink
-		e.activity = make([]int, u)
-	}
-	if bank := detectRangeBank(protocols); bank != nil {
-		e.bank = bank
-		e.acts = make([]Action, n)
-		e.deliv = make([]Delivery, n)
-		e.delivIdx = make([]int32, n)
-		e.listenBuf = make([]int32, n)
-		e.segStats = make([]int64, 4*n)
-		// resolveRange keeps From=-1 as the steady-state content of
-		// every entry, writing (and afterwards resetting) only actual
-		// deliveries.
-		for i := range e.deliv {
-			e.deliv[i].From = -1
-		}
-	}
-	return e, nil
+	return &Engine{be: be}, nil
 }
 
-// Node engine states, one byte per node on the hot loops. nodeDone
-// dominates nodeDown: Done is terminal, so a done node that rejoins
-// stays done.
-const (
-	nodeLive uint8 = iota
-	nodeDone
-	nodeDown
-)
-
-// initChannelRows sizes the channel bitset-row pool. Rows exist only
-// when the graph affords a dense adjacency matrix; a channel earns a
-// row once rowMin broadcasters land on it in a slot, and at most
-// n/rowMin channels can do that, which bounds the pool.
-func (e *Engine) initChannelRows(n, universe int) {
-	// rowOf always exists (all -1) so the resolve loop needs no nil
-	// check; rowBuf stays nil when the graph has no dense matrix, and
-	// buildIndex never claims a row then.
-	e.rowOf = make([]int32, universe)
-	for i := range e.rowOf {
-		e.rowOf[i] = -1
-	}
-	if e.nbr == nil {
-		return
-	}
-	e.rowStride = e.nbr.Stride()
-	// The walk path costs ~min(count, degree) dependent probes, the
-	// row path ~stride sequential word ops; rows start paying for
-	// themselves once a channel has a couple of broadcasters, except
-	// on huge graphs where a row sweep reads stride words per
-	// listener and the bar is proportionally higher.
-	e.rowMin = int32(max(2, e.rowStride/4))
-	maxRows := n/int(e.rowMin) + 1
-	if maxRows > universe {
-		maxRows = universe
-	}
-	e.rowBuf = make([]uint64, maxRows*e.rowStride)
-}
-
-// engineMutator is the TopologyMutator the engine hands its feed.
-type engineMutator struct{ e *Engine }
-
-func (m engineMutator) N() int { return len(m.e.protocols) }
-
-func (m engineMutator) NodeUp(u int) bool {
-	return u >= 0 && u < len(m.e.up) && m.e.up[u]
-}
-
-func (m engineMutator) SetNodeUp(u int, up bool) bool {
-	if u < 0 || u >= len(m.e.up) || m.e.up[u] == up {
-		return false
-	}
-	m.e.up[u] = up
-	if m.e.state[u] != nodeDone {
-		if up {
-			m.e.state[u] = nodeLive
-		} else {
-			m.e.state[u] = nodeDown
-		}
-	}
-	if m.e.countTopo {
-		if up {
-			m.e.stats.NodeJoins++
-		} else {
-			m.e.stats.NodeLeaves++
-		}
-	}
-	return true
-}
-
-func (m engineMutator) HasEdge(u, v int) bool { return m.e.dyn.HasEdge(u, v) }
-
-func (m engineMutator) AddEdge(u, v int) bool {
-	if !m.e.dyn.AddEdge(u, v) {
-		return false
-	}
-	if m.e.countTopo {
-		m.e.stats.EdgeAdds++
-	}
-	return true
-}
-
-func (m engineMutator) RemoveEdge(u, v int) bool {
-	if !m.e.dyn.RemoveEdge(u, v) {
-		return false
-	}
-	if m.e.countTopo {
-		m.e.stats.EdgeRemoves++
-	}
-	return true
-}
-
-// applyTopology runs the feed for the slot about to execute. It is
-// called from the engines' sequential sections before the collect
-// phase, so mutations are never concurrent with protocol work and
-// both engines apply identical sequences. Mutations applied during
-// the feed's first Step on this engine are not counted in Stats —
-// they re-establish the feed's current state over the fresh clone
-// (see countTopo); everything after is a model event.
-func (e *Engine) applyTopology() {
-	if e.topo == nil {
-		return
-	}
-	e.topo.Step(e.slot, e.mut)
-	e.countTopo = true
-}
-
-// SetTrace installs a delivery trace callback (nil to disable).
-// With RunParallel the callback may be invoked from multiple
-// goroutines concurrently; use Run for ordered traces.
-func (e *Engine) SetTrace(fn TraceFunc) { e.trace = fn }
+// SetTrace installs a delivery trace callback (nil to disable),
+// replacing the network's.
+func (e *Engine) SetTrace(fn TraceFunc) { e.be.reps[0].Trace = fn }
 
 // Slot returns the number of slots executed so far.
-func (e *Engine) Slot() int64 { return e.slot }
+func (e *Engine) Slot() int64 { return e.be.slot }
 
 // Stats returns counters accumulated so far.
-func (e *Engine) Stats() Stats { return e.stats }
+func (e *Engine) Stats() Stats { return e.be.stats[0] }
 
-// Run executes slots sequentially until every protocol reports Done or
-// maxSlots have elapsed. It can be called again to continue a run with
-// a larger budget.
+// Run executes slots until every protocol reports Done or maxSlots
+// have elapsed. It can be called again to continue a run with a larger
+// budget.
 func (e *Engine) Run(maxSlots int64) Stats {
 	return e.RunUntil(maxSlots, nil)
 }
 
-// RunUntil executes slots sequentially like Run but additionally stops
-// as soon as stop returns true (checked after each slot). Harnesses use
-// it to measure time-to-goal for protocols whose own schedules are
+// RunUntil executes slots like Run but additionally stops as soon as
+// stop returns true (checked after each slot). Harnesses use it to
+// measure time-to-goal for protocols whose own schedules are
 // fixed-length (e.g. "slots until every node knows all neighbors").
 func (e *Engine) RunUntil(maxSlots int64, stop func(slot int64) bool) Stats {
 	st, _ := e.RunUntilCtx(context.Background(), maxSlots, stop)
 	return st
 }
 
-// RunUntilCtx is RunUntil with cooperative cancellation: the context is
-// polled every ctxCheckMask+1 slots (slots are sub-microsecond, so
-// cancellation still lands within microseconds), and a cancelled run
-// returns the stats accumulated so far together with ctx.Err(). A nil
-// ctx means context.Background(). This is the cancellation point every
-// facade primitive and the sweep engine thread their contexts down to.
+// RunUntilCtx is RunUntil with cooperative cancellation (see
+// BatchEngine.RunCtx): a cancelled run returns the stats accumulated
+// so far together with ctx.Err(). A nil ctx means
+// context.Background(). A later call continues the run, also after the
+// stop predicate fired.
 func (e *Engine) RunUntilCtx(ctx context.Context, maxSlots int64, stop func(slot int64) bool) (Stats, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
+	be := e.be
+	if rp := &be.reps[0]; !rp.active && rp.nDone < be.n {
+		rp.active = true
+		be.nActive = 1
 	}
-	for e.slot < maxSlots && e.nDone < len(e.protocols) {
-		if done != nil && e.slot&ctxCheckMask == 0 {
-			select {
-			case <-done:
-				e.stats.Completed = false
-				return e.stats, ctx.Err()
-			default:
-			}
-		}
-		e.step()
-		e.slot++
-		e.stats.Slots = e.slot
-		if stop != nil && stop(e.slot) {
-			break
-		}
+	var rstop func(int, int64) bool
+	if stop != nil {
+		rstop = func(_ int, slot int64) bool { return stop(slot) }
 	}
-	e.stats.Completed = e.nDone == len(e.protocols)
-	return e.stats, nil
-}
-
-// ctxCheckMask spaces out the engines' cancellation polls: a
-// non-blocking channel select costs tens of nanoseconds, which is
-// comparable to a small slot, so polling every slot taxes the hot
-// loop measurably. Polling every 16th slot keeps cancellation latency
-// in the microseconds while making the poll cost invisible.
-const ctxCheckMask = 15
-
-// RunParallel executes the same semantics as Run but fans the per-node
-// Act/Observe work out to a persistent pool of `workers` goroutines
-// (0 means GOMAXPROCS). Results are identical to Run for the same
-// protocols and seeds.
-func (e *Engine) RunParallel(maxSlots int64, workers int) Stats {
-	st, _ := e.RunParallelCtx(context.Background(), maxSlots, workers)
-	return st
-}
-
-// RunParallelCtx is RunParallel with cooperative cancellation,
-// mirroring RunUntilCtx: the context is polled every ctxCheckMask+1
-// slots, and a cancelled run returns the stats accumulated so far
-// together with ctx.Err(). A nil ctx means context.Background().
-//
-// The worker pool is spawned once per call and synchronizes the
-// collect and resolve phases with barriers; per-slot work allocates
-// nothing.
-func (e *Engine) RunParallelCtx(ctx context.Context, maxSlots int64, workers int) (Stats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := len(e.protocols)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return e.RunUntilCtx(ctx, maxSlots, nil)
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	p := newPool(e, workers)
-	defer p.stop()
-	for e.slot < maxSlots && e.nDone < n {
-		if done != nil && e.slot&ctxCheckMask == 0 {
-			select {
-			case <-done:
-				p.drain(&e.stats)
-				e.stats.Completed = false
-				return e.stats, ctx.Err()
-			default:
-			}
-		}
-		e.applyTopology()
-		p.runPhase(phaseCollect)
-		e.buildIndex(p.segs)
-		p.runPhase(phaseResolve)
-		e.feedActivity()
-		e.resetIndex()
-		e.refreshDone()
-		e.slot++
-		e.stats.Slots = e.slot
-	}
-	p.drain(&e.stats)
-	e.stats.Completed = e.nDone == n
-	return e.stats, nil
-}
-
-// step runs one full slot sequentially through the shared
-// collect → index → resolve/observe core.
-func (e *Engine) step() {
-	n := len(e.protocols)
-	e.applyTopology()
-	e.bcasters = e.collectActions(0, n, e.bcasters[:0])
-	e.seqSegs[0] = e.bcasters
-	e.buildIndex(e.seqSegs)
-	e.resolveAndObserve(0, n, &e.stats, &e.scratchMsg)
-	e.feedActivity()
-	e.resetIndex()
-	e.refreshDone()
-}
-
-// feedActivity reports the slot's broadcast counts per global channel
-// to a reactive jammer. It runs in the engines' sequential sections
-// (after the slot resolves, before the next slot's Jammed queries), so
-// Run and RunParallel feed identical sequences. The activity slice is
-// zero outside the call: touched entries are filled from the channel
-// index and cleared again afterwards, so the cost is O(active
-// channels), not O(universe).
-func (e *Engine) feedActivity() {
-	if e.sink == nil {
-		return
-	}
-	for _, ch := range e.touched {
-		e.activity[ch] = int(e.chCount[ch])
-	}
-	e.sink.ObserveActivity(e.slot, e.activity)
-	for _, ch := range e.touched {
-		e.activity[ch] = 0
-	}
-}
-
-// collectActions runs the collect phase over nodes [lo, hi),
-// appending the ids of broadcasting nodes to buf (the index phase's
-// input) and returning the extended slice. Callers pass a pre-sized
-// buffer so steady-state slots allocate nothing.
-func (e *Engine) collectActions(lo, hi int, buf []int32) []int32 {
-	if e.bank != nil {
-		return e.collectRange(lo, hi, buf)
-	}
-	// Hoist the hot slices into locals: the Act interface call forces
-	// field reloads otherwise.
-	assign := e.nw.Assign
-	slot := e.slot
-	state := e.state
-	kind := e.kind
-	data := e.data
-	globalCh := e.globalCh
-	protocols := e.protocols
-	for u := lo; u < hi; u++ {
-		if state[u] != nodeLive {
-			kind[u] = Idle
-			continue
-		}
-		a := protocols[u].Act(slot)
-		kind[u] = a.Kind
-		if a.Kind == Idle {
-			continue
-		}
-		globalCh[u] = assign.Global(u, a.Ch)
-		if a.Kind == Broadcast {
-			data[u] = a.Data
-			buf = append(buf, int32(u))
-		}
-	}
-	return buf
-}
-
-// buildIndex buckets this slot's broadcasters by global channel: the
-// index phase. segs holds the collect phase's broadcaster ids (one
-// segment per collector). One pass threads each broadcaster into its
-// channel's list; it runs in the engines' sequential sections between
-// the collect and resolve phases, costs O(broadcasters), and
-// allocates nothing (all scratch is engine-owned and pre-sized).
-func (e *Engine) buildIndex(segs [][]int32) {
-	// Hoist the index slices into locals: the touched append mutates
-	// an engine field, so without these the compiler must assume
-	// aliasing and reload every slice header per broadcaster.
-	rowMin := e.rowMin
-	stride := e.rowStride
-	globalCh := e.globalCh
-	chHead := e.chHead
-	chCount := e.chCount
-	bcastNext := e.bcastNext
-	rowBuf := e.rowBuf
-	rowOf := e.rowOf
-	touched := e.touched
-	for _, seg := range segs {
-		for _, u := range seg {
-			ch := globalCh[u]
-			head := chHead[ch]
-			if head < 0 {
-				touched = append(touched, ch)
-			}
-			bcastNext[u] = head
-			chHead[ch] = u
-			cnt := chCount[ch] + 1
-			chCount[ch] = cnt
-			if rowBuf == nil || cnt < rowMin {
-				continue
-			}
-			// Dense channel: maintain its bitset row. The first
-			// broadcaster to reach rowMin claims a row from the pool,
-			// clears it and back-fills everyone threaded so far; later
-			// broadcasters set their own bit.
-			ri := rowOf[ch]
-			if cnt == rowMin {
-				ri = e.rowsUsed
-				e.rowsUsed++
-				rowOf[ch] = ri
-				row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
-				clear(row)
-				for v := int32(u); v >= 0; v = bcastNext[v] {
-					row[v>>6] |= 1 << (uint(v) & 63)
-				}
-				continue
-			}
-			rowBuf[int(ri)*stride+int(u>>6)] |= 1 << (uint(u) & 63)
-		}
-	}
-	e.touched = touched
-}
-
-// resetIndex clears the per-slot channel index, touching only the
-// channels that were active. Rows are cleared lazily on reassignment,
-// so only the channel→row map needs resetting here.
-func (e *Engine) resetIndex() {
-	for _, ch := range e.touched {
-		e.chCount[ch] = 0
-		e.chHead[ch] = -1
-		e.rowOf[ch] = -1
-	}
-	e.touched = e.touched[:0]
-	e.rowsUsed = 0
-}
-
-// adjacent reports whether v is a neighbor of u: the cached dense
-// matrix when the graph built one, otherwise graph.Adjacent's sorted
-// binary search. Under a TopologyFeed both consult the engine's
-// mutable view.
-func (e *Engine) adjacent(u int, v int32) bool {
-	if e.nbr != nil {
-		return e.nbr.Get(u, int(v))
-	}
-	return e.g.Adjacent(u, int(v))
-}
-
-// baseAdjacent is adjacent against the untouched base topology, for
-// the partition-loss counterfactual. Only called when a TopologyFeed
-// is installed.
-func (e *Engine) baseAdjacent(u int, v int32) bool {
-	if e.baseNbr != nil {
-		return e.baseNbr.Get(u, int(v))
-	}
-	return e.baseG.Adjacent(u, int(v))
-}
-
-// resolveAndObserve is the resolve phase over nodes [lo, hi): it
-// consults the channel index to decide what each listener hears and
-// delivers exactly one Observe per live protocol. scratch backs every
-// delivered Message (per worker under the pool), which is why the
-// Observe contract limits message lifetime to the call.
-func (e *Engine) resolveAndObserve(lo, hi int, st *Stats, scratch *Message) {
-	if e.bank != nil {
-		e.resolveRange(lo, hi, st, scratch)
-		return
-	}
-	// Hoist the hot slices into locals: the Observe interface calls
-	// force field reloads otherwise. Counters accumulate in locals and
-	// fold into st once at the end, so the loop body never chases the
-	// Stats pointer.
-	g := e.g
-	jam := e.nw.Jammer
-	dynamic := e.topo != nil
-	slot := e.slot
-	state := e.state
-	kind := e.kind
-	data := e.data
-	globalCh := e.globalCh
-	protocols := e.protocols
-	chCount := e.chCount
-	chHead := e.chHead
-	bcastNext := e.bcastNext
-	nbr := e.nbr
-	rowOf := e.rowOf
-	rowBuf := e.rowBuf
-	stride := e.rowStride
-	var idles, bcasts, listens, deliveries, collisions, jammedL, downs, plosses int64
-	for u := lo; u < hi; u++ {
-		if state[u] != nodeLive {
-			if state[u] == nodeDown {
-				downs++
-			}
-			continue
-		}
-		switch kind[u] {
-		case Idle:
-			idles++
-			protocols[u].Observe(slot, nil)
-		case Broadcast:
-			bcasts++
-			protocols[u].Observe(slot, nil)
-		case Listen:
-			listens++
-			ch := globalCh[u]
-			if jam != nil && jam.Jammed(slot, ch) {
-				jammedL++
-				protocols[u].Observe(slot, nil)
-				continue
-			}
-			cnt := chCount[ch]
-			if cnt == 0 {
-				// Fast path: nobody anywhere broadcast on this channel.
-				protocols[u].Observe(slot, nil)
-				continue
-			}
-			talkers := 0
-			var from int32 = -1
-			var row []uint64
-			if ri := rowOf[ch]; ri >= 0 {
-				// Dense channel: resolve the whole channel with one
-				// AND/popcount sweep of the listener's adjacency row
-				// against the channel's broadcaster row.
-				row = rowBuf[int(ri)*stride : (int(ri)+1)*stride]
-				c, sole := bitset.AndCountSole(nbr.Row(u), row)
-				talkers = c
-				from = int32(sole)
-			} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
-				// Walk the channel's broadcaster list (covers the
-				// sole-talker case with a single adjacency probe).
-				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-					if e.adjacent(u, v) {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
-					}
-				}
-			} else {
-				// More broadcasters on the channel than the listener has
-				// neighbors: walk the neighbor list instead.
-				for _, v := range nbrs {
-					if kind[v] == Broadcast && globalCh[v] == ch {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
-					}
-				}
-			}
-			if dynamic && !e.sameAsBase(u) {
-				// Partition-loss counterfactual: would the base (static)
-				// topology have delivered a frame this listener-slot does
-				// not deliver? Resolves the same broadcaster set against
-				// base adjacency — dynamics-only cost, early exit at 2,
-				// skipped outright (sameAsBase) when nothing incident to
-				// the listener has churned, since then both resolutions
-				// are identical by construction.
-				baseTalkers := 0
-				var baseFrom int32 = -1
-				if row != nil && e.baseNbr != nil {
-					baseTalkers, baseFrom = e.baseCounterfactual(u, row)
-				} else {
-					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-						if e.baseAdjacent(u, v) {
-							baseTalkers++
-							if baseTalkers > 1 {
-								break
-							}
-							baseFrom = v
-						}
-					}
-				}
-				if baseTalkers == 1 && (talkers != 1 || from != baseFrom) {
-					plosses++
-				}
-			}
-			switch {
-			case talkers == 1:
-				deliveries++
-				scratch.From = NodeID(from)
-				scratch.Data = data[from]
-				if e.trace != nil {
-					e.trace(slot, NodeID(u), ch, scratch)
-				}
-				protocols[u].Observe(slot, scratch)
-			case talkers > 1:
-				collisions++
-				protocols[u].Observe(slot, nil)
-			default:
-				protocols[u].Observe(slot, nil)
-			}
-		default:
-			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", u, kind[u]))
-		}
-	}
-	st.Idles += idles
-	st.Broadcasts += bcasts
-	st.Listens += listens
-	st.Deliveries += deliveries
-	st.Collisions += collisions
-	st.JammedListens += jammedL
-	st.DownSlots += downs
-	st.PartitionLosses += plosses
-}
-
-// baseCounterfactual resolves a channel's broadcaster row against the
-// untouched base topology's adjacency row for listener u.
-func (e *Engine) baseCounterfactual(u int, row []uint64) (int, int32) {
-	c, sole := bitset.AndCountSole(e.baseNbr.Row(u), row)
-	return c, int32(sole)
-}
-
-// sameAsBase reports whether listener u's current adjacency row equals
-// its base-topology row, in which case the partition-loss
-// counterfactual cannot differ from the real resolution (same
-// broadcasters, same adjacency) and is skipped. Requires dense
-// matrices on both views; huge graphs always run the counterfactual.
-func (e *Engine) sameAsBase(u int) bool {
-	if e.nbr == nil || e.baseNbr == nil {
-		return false
-	}
-	return bitset.EqualWords(e.nbr.Row(u), e.baseNbr.Row(u))
-}
-
-// refreshDone updates completion flags after a slot resolves. At this
-// point e.slot is still the index of the slot just executed, so every
-// live protocol has observed e.slot+1 slots; protocols that declared a
-// FixedSchedule bound beyond that cannot be done yet and are skipped
-// without the interface call — including the whole scan while the
-// bound of every live protocol lies in the future.
-func (e *Engine) refreshDone() {
-	observed := e.slot + 1
-	if observed < e.minDoneAt {
-		return
-	}
-	min := int64(-1)
-	for u, p := range e.protocols {
-		if e.state[u] == nodeDone {
-			continue
-		}
-		if observed >= e.doneAt[u] && p.Done() {
-			e.state[u] = nodeDone
-			e.nDone++
-			continue
-		}
-		if min < 0 || e.doneAt[u] < min {
-			min = e.doneAt[u]
-		}
-	}
-	e.minDoneAt = min
+	st, err := be.RunCtx(ctx, maxSlots, rstop)
+	return st[0], err
 }

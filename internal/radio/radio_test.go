@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -277,9 +278,11 @@ func (p *randomProto) Observe(_ int64, msg *Message) {
 
 func (p *randomProto) Done() bool { return p.slots <= 0 }
 
-func runRandom(t *testing.T, parallel bool, workers int) ([][]NodeID, Stats) {
+// randomRun builds the random-traffic equivalence workload: a 20-node
+// GNP network and one randomProto per node drawn from master seed
+// seed, each living `slots` slots.
+func randomRun(t *testing.T, seed uint64, slots int) soloRun {
 	t.Helper()
-	master := rng.New(42)
 	g, err := graph.GNP(20, 0.3, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -288,215 +291,90 @@ func runRandom(t *testing.T, parallel bool, workers int) ([][]NodeID, Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := &Network{Graph: g, Assign: a}
+	master := rng.New(seed)
 	protos := make([]Protocol, 20)
 	rps := make([]*randomProto, 20)
 	for i := range protos {
-		rp := &randomProto{r: master.Split(uint64(i)), c: 5, slots: 200}
-		rps[i] = rp
-		protos[i] = rp
+		rps[i] = &randomProto{r: master.Split(uint64(i)), c: 5, slots: slots}
+		protos[i] = rps[i]
 	}
-	e, err := NewEngine(nw, protos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if parallel {
-		st = e.RunParallel(10000, workers)
-	} else {
-		st = e.Run(10000)
-	}
-	out := make([][]NodeID, 20)
-	for i, rp := range rps {
-		out[i] = rp.heard
-	}
-	return out, st
+	return soloRun{nw: &Network{Graph: g, Assign: a}, protos: protos, outcome: func() string {
+		out := ""
+		for i, rp := range rps {
+			out += fmt.Sprintf("%d:%v;", i, rp.heard)
+		}
+		return out
+	}}
 }
 
 func TestSequentialDeterminism(t *testing.T) {
-	h1, s1 := runRandom(t, false, 0)
-	h2, s2 := runRandom(t, false, 0)
-	if s1 != s2 {
-		t.Fatalf("stats differ across identical runs: %+v vs %+v", s1, s2)
+	var stats [2]Stats
+	var outs [2]string
+	for i := range stats {
+		run := randomRun(t, 42, 200)
+		e, err := NewEngine(run.nw, run.protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[i], outs[i] = e.Run(10000), run.outcome()
 	}
-	for i := range h1 {
-		if len(h1[i]) != len(h2[i]) {
-			t.Fatalf("node %d heard %d vs %d messages", i, len(h1[i]), len(h2[i]))
-		}
-		for j := range h1[i] {
-			if h1[i][j] != h2[i][j] {
-				t.Fatalf("node %d observation %d differs", i, j)
-			}
-		}
+	if stats[0] != stats[1] {
+		t.Fatalf("stats differ across identical runs: %+v vs %+v", stats[0], stats[1])
+	}
+	if outs[0] != outs[1] {
+		t.Fatal("observations differ across identical runs")
 	}
 }
 
+// TestParallelMatchesSequential steps three random-traffic protocol
+// sets (distinct seeds, staggered lifetimes) side by side as the
+// replicas of one BatchEngine and requires each to match its solo
+// Engine run exactly.
 func TestParallelMatchesSequential(t *testing.T) {
-	hs, ss := runRandom(t, false, 0)
-	for _, workers := range []int{2, 4, 0} {
-		hp, sp := runRandom(t, true, workers)
-		if ss != sp {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, ss, sp)
-		}
-		for i := range hs {
-			if len(hs[i]) != len(hp[i]) {
-				t.Fatalf("workers=%d node %d heard %d vs %d", workers, i, len(hs[i]), len(hp[i]))
-			}
-			for j := range hs[i] {
-				if hs[i][j] != hp[i][j] {
-					t.Fatalf("workers=%d node %d observation %d differs", workers, i, j)
-				}
-			}
-		}
+	if _, err := checkSoloVsBatch(3, 10000, func(r int) soloRun {
+		return randomRun(t, 42+uint64(r), 200+40*r)
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestGoProtocolPingPong(t *testing.T) {
-	g := graph.Path(2)
-	nw := newTestNetwork(t, g, 1, 10)
-	var got []string
-	sender := NewGoProtocol(func(tr *Transceiver) {
-		tr.BroadcastOn(0, "ping")
-		if msg := tr.ListenOn(0); msg != nil {
-			got = append(got, msg.Data.(string))
-		}
-	})
-	receiver := NewGoProtocol(func(tr *Transceiver) {
-		if msg := tr.ListenOn(0); msg != nil {
-			got = append(got, msg.Data.(string))
-		}
-		tr.BroadcastOn(0, "pong")
-	})
-	e, err := NewEngine(nw, []Protocol{sender, receiver})
+// TestEngineRunContinuation: a run continued with growing budgets —
+// including after a stop predicate fired — executes exactly the slots
+// of one uninterrupted run with the final budget.
+func TestEngineRunContinuation(t *testing.T) {
+	var trace []traceEvent
+	run := randomRun(t, 9, 300)
+	run.nw.Trace = traceRecorder(&trace)
+	e, err := NewEngine(run.nw, run.protos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.Run(100)
-	if !st.Completed {
-		t.Fatal("goroutine protocols did not complete")
+	if st := e.Run(50); st.Slots != 50 || st.Completed {
+		t.Fatalf("first leg: %+v", st)
 	}
-	if st.Slots != 2 {
-		t.Errorf("Slots = %d, want 2", st.Slots)
+	if st := e.RunUntil(200, func(slot int64) bool { return slot == 120 }); st.Slots != 120 {
+		t.Fatalf("stop predicate did not end the second leg at slot 120: %+v", st)
 	}
-	if len(got) != 2 || got[0] != "ping" || got[1] != "pong" {
-		t.Errorf("exchanged %v, want [ping pong]", got)
-	}
-}
+	got := e.Run(1000)
 
-func TestGoProtocolLastSlot(t *testing.T) {
-	g := graph.Path(2)
-	nw := newTestNetwork(t, g, 1, 11)
-	var slots []int64
-	p0 := NewGoProtocol(func(tr *Transceiver) {
-		tr.IdleSlot()
-		slots = append(slots, tr.LastSlot())
-		tr.IdleSlot()
-		slots = append(slots, tr.LastSlot())
-	})
-	p1 := NewGoProtocol(func(tr *Transceiver) {
-		tr.IdleSlot()
-	})
-	e, err := NewEngine(nw, []Protocol{p0, p1})
+	var wantTrace []traceEvent
+	ref := randomRun(t, 9, 300)
+	ref.nw.Trace = traceRecorder(&wantTrace)
+	re, err := NewEngine(ref.nw, ref.protos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Run(10).Completed {
-		t.Fatal("did not complete")
+	want := re.Run(1000)
+	if got != want || !got.Completed {
+		t.Fatalf("continued run stats:\n got  %+v\n want %+v", got, want)
 	}
-	if len(slots) != 2 || slots[0] != 0 || slots[1] != 1 {
-		t.Errorf("slots = %v, want [0 1]", slots)
+	if run.outcome() != ref.outcome() {
+		t.Error("continued run observations diverged from one uninterrupted run")
 	}
-}
-
-// TestGoProtocolMatchesStateMachine runs the same randomized logic as
-// both a state machine and a goroutine program and requires identical
-// observations.
-func TestGoProtocolMatchesStateMachine(t *testing.T) {
-	build := func(asGo bool) ([][]NodeID, Stats) {
-		master := rng.New(99)
-		g := graph.Star(6)
-		a, err := chanassign.Identical(6, 3, rng.New(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw := &Network{Graph: g, Assign: a}
-		heard := make([][]NodeID, 6)
-		protos := make([]Protocol, 6)
-		for i := 0; i < 6; i++ {
-			i := i
-			r := master.Split(uint64(i))
-			if asGo {
-				protos[i] = NewGoProtocol(func(tr *Transceiver) {
-					for s := 0; s < 50; s++ {
-						var msg *Message
-						switch r.Intn(3) {
-						case 0:
-							tr.IdleSlot()
-						case 1:
-							msg = tr.ListenOn(r.Intn(3))
-						default:
-							tr.BroadcastOn(r.Intn(3), i)
-						}
-						if msg != nil {
-							heard[i] = append(heard[i], msg.From)
-						}
-					}
-				})
-			} else {
-				protos[i] = &rngDriven{r: r, c: 3, remaining: 50, sink: &heard[i]}
-			}
-		}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := e.Run(1000)
-		return heard, st
-	}
-	hSM, stSM := build(false)
-	hGo, stGo := build(true)
-	if stSM.Deliveries != stGo.Deliveries || stSM.Collisions != stGo.Collisions || stSM.Slots != stGo.Slots {
-		t.Fatalf("stats differ: %+v vs %+v", stSM, stGo)
-	}
-	for i := range hSM {
-		if len(hSM[i]) != len(hGo[i]) {
-			t.Fatalf("node %d heard %d vs %d", i, len(hSM[i]), len(hGo[i]))
-		}
-		for j := range hSM[i] {
-			if hSM[i][j] != hGo[i][j] {
-				t.Fatalf("node %d observation %d differs", i, j)
-			}
-		}
+	if fmt.Sprint(trace) != fmt.Sprint(wantTrace) {
+		t.Error("continued run trace diverged from one uninterrupted run")
 	}
 }
-
-// rngDriven mirrors the goroutine body in TestGoProtocolMatchesStateMachine.
-type rngDriven struct {
-	r         *rng.Source
-	c         int
-	remaining int
-	sink      *[]NodeID
-}
-
-func (p *rngDriven) Act(_ int64) Action {
-	p.remaining--
-	switch p.r.Intn(3) {
-	case 0:
-		return Action{Kind: Idle}
-	case 1:
-		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
-	default:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: 0}
-	}
-}
-
-func (p *rngDriven) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		*p.sink = append(*p.sink, msg.From)
-	}
-}
-
-func (p *rngDriven) Done() bool { return p.remaining <= 0 }
 
 func TestInvalidActionKindPanics(t *testing.T) {
 	g := graph.Path(2)

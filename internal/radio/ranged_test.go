@@ -12,9 +12,9 @@ import (
 // This file locks down the batch-aware range ABI: an engine whose
 // protocols share a bank must produce byte-identical outcomes — stats,
 // traces, per-node observations — to the same protocols on per-node
-// dispatch, across static, jammed and dynamic (churn + flap) networks
-// and at every worker count. It also pins the detection rules and the
-// range path's zero-alloc steady state.
+// dispatch, across static, jammed and dynamic (churn + flap) networks,
+// solo and batched. It also pins the detection rules and the range
+// path's zero-alloc steady state.
 
 // bankedProto is randomProto with an optional bank view: the same rng
 // draw order and observation bookkeeping on both dispatch modes.
@@ -137,9 +137,10 @@ func churnFlapFeed(g *graph.Graph, seed uint64) TopologyFeed {
 }
 
 // TestEngineRangeDispatchMatchesPerNode: for static, jammed and
-// dynamic networks, sequential and parallel, the range ABI produces
-// byte-identical stats, traces and per-node observations to per-node
-// dispatch on the same seed.
+// dynamic networks, the range ABI produces byte-identical stats,
+// traces and per-node observations to per-node dispatch on the same
+// seed — solo, and as each of three same-seed replicas of one
+// BatchEngine.
 func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
 	g, a := rangedFixture(t)
 	const n, c, slots = 24, 5, 400
@@ -155,61 +156,50 @@ func TestEngineRangeDispatchMatchesPerNode(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(banked bool, workers int) (Stats, string, []traceEvent) {
-				// Traces are only recorded sequentially: under RunParallel
-				// the workers fire the callback concurrently per segment,
-				// so cross-segment ordering is not part of the contract.
+			mk := func(banked bool) soloRun {
 				var trace []traceEvent
-				nw := &Network{Graph: g, Assign: a, Jammer: sc.jam}
-				if workers == 0 {
-					nw.Trace = traceRecorder(&trace)
-				}
+				nw := &Network{Graph: g, Assign: a, Jammer: sc.jam, Trace: traceRecorder(&trace)}
 				if sc.dynamic {
 					nw.Topology = churnFlapFeed(g, 0xFEED)
 				}
 				protos, views := mkBankedSet(n, c, rng.New(42), banked)
-				e, err := NewEngine(nw, protos)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e.RangeDispatch() != banked {
-					t.Fatalf("banked=%v but RangeDispatch=%v", banked, e.RangeDispatch())
-				}
-				var st Stats
-				if workers == 0 {
-					st = e.Run(slots)
-				} else {
-					st = e.RunParallel(slots, workers)
-				}
-				fp := ""
-				for _, v := range views {
-					fp += v.fingerprint()
-				}
-				return st, fp, trace
+				return soloRun{nw: nw, protos: protos, outcome: func() string {
+					fp := fmt.Sprint(trace)
+					for _, v := range views {
+						fp += v.fingerprint()
+					}
+					return fp
+				}}
 			}
-			wantStats, wantFP, wantTrace := run(false, 0)
+			want := mk(false)
+			e, err := NewEngine(want.nw, want.protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.RangeDispatch() {
+				t.Fatal("per-node set selected range dispatch")
+			}
+			wantStats := e.Run(slots)
 			if sc.dynamic && (wantStats.DownSlots == 0 || wantStats.EdgeAdds+wantStats.EdgeRemoves == 0) {
 				t.Fatalf("dynamic scenario applied no dynamics: %+v", wantStats)
 			}
-			for _, workers := range []int{0, 3} {
-				gotStats, gotFP, gotTrace := run(true, workers)
-				if gotStats != wantStats {
-					t.Errorf("workers=%d stats:\n range    %+v\n per-node %+v", workers, gotStats, wantStats)
-				}
-				if gotFP != wantFP {
-					t.Errorf("workers=%d per-node observations diverged", workers)
-				}
-				if workers != 0 {
-					continue
-				}
-				if len(gotTrace) != len(wantTrace) {
-					t.Fatalf("%d trace events on range path, %d on per-node", len(gotTrace), len(wantTrace))
-				}
-				for i := range wantTrace {
-					if gotTrace[i] != wantTrace[i] {
-						t.Fatalf("trace event %d: range %+v, per-node %+v", i, gotTrace[i], wantTrace[i])
-					}
-				}
+			sts, err := checkSoloVsBatch(3, slots, func(int) soloRun { return mk(true) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := mk(true)
+			ge, err := NewEngine(got.nw, got.protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ge.RangeDispatch() {
+				t.Fatal("banked set did not select range dispatch")
+			}
+			if gotStats := ge.Run(slots); gotStats != wantStats || sts[0] != wantStats {
+				t.Errorf("stats:\n range    %+v\n per-node %+v", gotStats, wantStats)
+			}
+			if got.outcome() != want.outcome() {
+				t.Error("range dispatch observations or trace diverged from per-node dispatch")
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -186,23 +187,138 @@ func TestResolveJammedChannel(t *testing.T) {
 	}
 }
 
+// randomScripts draws a deterministic random action per (node, slot).
+// heavy skews ~3/4 of all actions to Broadcast, pushing per-channel
+// broadcaster counts past the bitset-row threshold so the
+// whole-channel AND/popcount resolution — not the list walks — decides
+// most listener outcomes.
+func randomScripts(r *rng.Source, n, c, slots int, heavy bool) [][]Action {
+	scripts := make([][]Action, n)
+	for u := range scripts {
+		scripts[u] = make([]Action, slots)
+		for s := range scripts[u] {
+			roll := r.Intn(3)
+			if heavy && r.Intn(4) != 0 {
+				roll = 2
+			}
+			switch roll {
+			case 0:
+				scripts[u][s] = Action{Kind: Idle}
+			case 1:
+				scripts[u][s] = Action{Kind: Listen, Ch: r.Intn(c)}
+			default:
+				scripts[u][s] = Action{Kind: Broadcast, Ch: r.Intn(c), Data: u*1000 + s}
+			}
+		}
+	}
+	return scripts
+}
+
+// scriptSet wraps scripts as per-node protocols.
+func scriptSet(scripts [][]Action) ([]Protocol, []*scriptProto) {
+	protos := make([]Protocol, len(scripts))
+	sps := make([]*scriptProto, len(scripts))
+	for u := range scripts {
+		sps[u] = &scriptProto{script: scripts[u]}
+		protos[u] = sps[u]
+	}
+	return protos, sps
+}
+
+// oracleRun is the naive model's account of one run: every node's
+// observation sequence, the Stats, and the delivery trace.
+type oracleRun struct {
+	heard [][]*Message
+	stats Stats
+	trace []traceEvent
+}
+
+// check compares an engine run against the oracle: every observation,
+// the full Stats, and — when the run was traced — the trace.
+func (o *oracleRun) check(t *testing.T, label string, st Stats, sps []*scriptProto, trace []traceEvent, traced bool) {
+	t.Helper()
+	want := o.stats
+	want.Completed = st.Completed
+	if st != want {
+		t.Errorf("%s stats:\n engine %+v\n oracle %+v", label, st, want)
+	}
+	for u, sp := range sps {
+		if len(sp.heard) != len(o.heard[u]) {
+			t.Fatalf("%s: node %d observed %d times, oracle %d (clock must pause while down)",
+				label, u, len(sp.heard), len(o.heard[u]))
+		}
+		for i, w := range o.heard[u] {
+			got := sp.heard[i]
+			if (got == nil) != (w == nil) || got != nil && (got.From != w.From || got.Data != w.Data) {
+				t.Fatalf("%s: node %d observe %d: got %+v, oracle %+v", label, u, i, got, w)
+			}
+		}
+	}
+	if traced && fmt.Sprint(trace) != fmt.Sprint(o.trace) {
+		t.Errorf("%s: trace diverged from the oracle's deliveries:\n engine %v\n oracle %v", label, trace, o.trace)
+	}
+}
+
+// naiveOracle recomputes every listener outcome of a static run with
+// the naive O(Δ) neighbor scan the engine used before the channel
+// index — independently, from the raw action scripts.
+func naiveOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, scripts [][]Action) *oracleRun {
+	n, slots := len(scripts), len(scripts[0])
+	o := &oracleRun{heard: make([][]*Message, n)}
+	for s := 0; s < slots; s++ {
+		for u := 0; u < n; u++ {
+			act := scripts[u][s]
+			var want *Message
+			switch act.Kind {
+			case Idle:
+				o.stats.Idles++
+			case Broadcast:
+				o.stats.Broadcasts++
+			case Listen:
+				o.stats.Listens++
+				ch := a.Global(u, act.Ch)
+				if jam != nil && jam.Jammed(int64(s), ch) {
+					o.stats.JammedListens++
+					break
+				}
+				talkers := 0
+				for _, v := range g.Neighbors(u) {
+					va := scripts[v][s]
+					if va.Kind == Broadcast && a.Global(int(v), va.Ch) == ch {
+						talkers++
+						if talkers == 1 {
+							want = &Message{From: NodeID(v), Data: va.Data}
+						}
+					}
+				}
+				switch {
+				case talkers == 1:
+					o.stats.Deliveries++
+					o.trace = append(o.trace, traceEvent{int64(s), NodeID(u), ch, want.From})
+				case talkers > 1:
+					o.stats.Collisions++
+					want = nil
+				}
+			}
+			o.heard[u] = append(o.heard[u], want)
+		}
+	}
+	o.stats.Slots = int64(slots)
+	return o
+}
+
 // TestResolutionMatchesNaiveOracle compares whole engine runs against
-// an oracle that recomputes every listener outcome with the naive
-// O(Δ) neighbor scan the engine used before the channel index —
-// independently, from the raw action scripts.
+// the naive-scan oracle: a solo Engine run, and a 3-replica
+// BatchEngine whose replicas carry distinct scripts — replica 1
+// jammed, replica 2 traced.
 func TestResolutionMatchesNaiveOracle(t *testing.T) {
 	const slots = 120
 	cases := []struct {
-		name string
-		n    int
-		p    float64
-		c    int
-		jam  Jammer
-		// heavy skews ~3/4 of all actions to Broadcast over few
-		// channels, pushing every slot's per-channel broadcaster count
-		// past the bitset-row threshold so the whole-channel
-		// AND/popcount resolution path — not the list walks — decides
-		// most listener outcomes.
+		name  string
+		n     int
+		p     float64
+		c     int
+		jam   Jammer
 		heavy bool
 	}{
 		{name: "sparse", n: 12, p: 0.2, c: 3},
@@ -222,35 +338,9 @@ func TestResolutionMatchesNaiveOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Scripts: deterministic random action per (node, slot).
-			r := rng.New(uint64(ci) + 300)
-			scripts := make([][]Action, tc.n)
-			for u := range scripts {
-				scripts[u] = make([]Action, slots)
-				for s := range scripts[u] {
-					roll := r.Intn(3)
-					if tc.heavy && r.Intn(4) != 0 {
-						roll = 2
-					}
-					switch roll {
-					case 0:
-						scripts[u][s] = Action{Kind: Idle}
-					case 1:
-						scripts[u][s] = Action{Kind: Listen, Ch: r.Intn(tc.c)}
-					default:
-						scripts[u][s] = Action{Kind: Broadcast, Ch: r.Intn(tc.c), Data: u*1000 + s}
-					}
-				}
-			}
-			nw := &Network{Graph: g, Assign: a, Jammer: tc.jam}
-			protos := make([]Protocol, tc.n)
-			sps := make([]*scriptProto, tc.n)
-			for u := range protos {
-				sp := &scriptProto{script: scripts[u]}
-				sps[u] = sp
-				protos[u] = sp
-			}
-			e, err := NewEngine(nw, protos)
+			scripts := randomScripts(rng.New(uint64(ci)+300), tc.n, tc.c, slots, tc.heavy)
+			protos, sps := scriptSet(scripts)
+			e, err := NewEngine(&Network{Graph: g, Assign: a, Jammer: tc.jam}, protos)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,56 +348,25 @@ func TestResolutionMatchesNaiveOracle(t *testing.T) {
 			if st.Slots != slots {
 				t.Fatalf("ran %d slots, want %d", st.Slots, slots)
 			}
+			naiveOracle(g, a, tc.jam, scripts).check(t, "engine", st, sps, nil, false)
 
-			// Oracle: naive neighbor scan per listener per slot.
-			var oracleStats Stats
-			for s := 0; s < slots; s++ {
-				for u := 0; u < tc.n; u++ {
-					act := scripts[u][s]
-					var want *Message
-					switch act.Kind {
-					case Idle:
-						oracleStats.Idles++
-					case Broadcast:
-						oracleStats.Broadcasts++
-					case Listen:
-						oracleStats.Listens++
-						ch := a.Global(u, act.Ch)
-						if tc.jam != nil && tc.jam.Jammed(int64(s), ch) {
-							oracleStats.JammedListens++
-							break
-						}
-						talkers := 0
-						for _, v := range g.Neighbors(u) {
-							va := scripts[v][s]
-							if va.Kind == Broadcast && a.Global(int(v), va.Ch) == ch {
-								talkers++
-								if talkers == 1 {
-									want = &Message{From: NodeID(v), Data: va.Data}
-								}
-							}
-						}
-						switch {
-						case talkers == 1:
-							oracleStats.Deliveries++
-						case talkers > 1:
-							oracleStats.Collisions++
-							want = nil
-						}
-					}
-					got := sps[u].heard[s]
-					if (got == nil) != (want == nil) {
-						t.Fatalf("slot %d node %d: got %+v, oracle %+v", s, u, got, want)
-					}
-					if got != nil && (got.From != want.From || got.Data != want.Data) {
-						t.Fatalf("slot %d node %d: got %+v, oracle %+v", s, u, got, want)
-					}
-				}
+			jams := []Jammer{tc.jam, parityJammer{}, tc.jam}
+			reps := make([]Replica, 3)
+			repScripts := make([][][]Action, 3)
+			repSps := make([][]*scriptProto, 3)
+			var trace []traceEvent
+			for r := range reps {
+				repScripts[r] = randomScripts(rng.New(uint64(ci)+310+uint64(r)), tc.n, tc.c, slots, tc.heavy)
+				reps[r].Protocols, repSps[r] = scriptSet(repScripts[r])
+				reps[r].Jammer = jams[r]
 			}
-			oracleStats.Slots = slots
-			oracleStats.Completed = st.Completed
-			if st != oracleStats {
-				t.Errorf("stats %+v, oracle %+v", st, oracleStats)
+			reps[2].Trace = traceRecorder(&trace)
+			be, err := NewBatchEngine(g, a, reps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, st := range be.Run(slots + 1) {
+				naiveOracle(g, a, jams[r], repScripts[r]).check(t, fmt.Sprintf("replica %d", r), st, repSps[r], trace, r == 2)
 			}
 		})
 	}
@@ -358,10 +417,11 @@ func TestResolveBinarySearchPathHugeGraph(t *testing.T) {
 	}
 }
 
-// TestRunParallelCtxCancellation covers the pool engine's cancellation
-// path: a cancelled context stops the run promptly with ctx.Err() and
-// partial stats.
-func TestRunParallelCtxCancellation(t *testing.T) {
+// TestRunCtxCancellation covers both loop entry points' cancellation:
+// a context cancelled before the run executes no slot, and one
+// cancelled mid-run stops within ctxCheckMask+1 slots of the cancel.
+// Either way the run reports ctx.Err() and incomplete stats.
+func TestRunCtxCancellation(t *testing.T) {
 	g, err := graph.GNP(16, 0.3, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -370,26 +430,58 @@ func TestRunParallelCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master := rng.New(5)
-	protos := make([]Protocol, 16)
-	for i := range protos {
-		protos[i] = &randomProto{r: master.Split(uint64(i)), c: 3, slots: 1 << 30}
+	protos := func() []Protocol {
+		master := rng.New(5)
+		out := make([]Protocol, 16)
+		for i := range out {
+			out[i] = &randomProto{r: master.Split(uint64(i)), c: 3, slots: 1 << 30}
+		}
+		return out
 	}
-	e, err := NewEngine(&Network{Graph: g, Assign: a}, protos)
-	if err != nil {
-		t.Fatal(err)
+	const cancelAt = 37
+	runs := map[string]func(ctx context.Context, stop func(int64) bool) (Stats, error){
+		"engine": func(ctx context.Context, stop func(int64) bool) (Stats, error) {
+			e, err := NewEngine(&Network{Graph: g, Assign: a}, protos())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e.RunUntilCtx(ctx, 1<<20, stop)
+		},
+		"batch": func(ctx context.Context, stop func(int64) bool) (Stats, error) {
+			be, err := NewBatchEngine(g, a, []Replica{{Protocols: protos()}, {Protocols: protos()}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sts, err := be.RunCtx(ctx, 1<<20, func(r int, slot int64) bool { return r == 0 && stop(slot) })
+			if sts[0].Slots != sts[1].Slots {
+				t.Errorf("replicas stopped at slots %d and %d", sts[0].Slots, sts[1].Slots)
+			}
+			return sts[1], err
+		},
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err := e.RunParallelCtx(ctx, 1<<20, 4)
-	if err == nil {
-		t.Fatal("cancelled RunParallelCtx returned nil error")
-	}
-	if st.Completed {
-		t.Error("cancelled run reported Completed")
-	}
-	if st.Slots != 0 {
-		t.Errorf("pre-cancelled run executed %d slots, want 0", st.Slots)
+	for name, run := range runs {
+		t.Run(name+"/pre-cancelled", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			st, err := run(ctx, func(int64) bool { return false })
+			if err == nil || st.Completed || st.Slots != 0 {
+				t.Errorf("pre-cancelled run: err=%v stats %+v, want ctx error after 0 slots", err, st)
+			}
+		})
+		t.Run(name+"/mid-run", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			st, err := run(ctx, func(slot int64) bool {
+				if slot == cancelAt {
+					cancel()
+				}
+				return false
+			})
+			if err == nil || st.Completed || st.Slots < cancelAt || st.Slots > cancelAt+ctxCheckMask+1 {
+				t.Errorf("mid-run cancel at slot %d: err=%v stats %+v, want ctx error within %d slots",
+					cancelAt, err, st, ctxCheckMask+1)
+			}
+		})
 	}
 }
 
@@ -402,15 +494,186 @@ type topoEvent struct {
 	on    bool
 }
 
+type edgeKey [2]int
+
+func mkEdgeKey(a, b int) edgeKey {
+	if a > b {
+		a, b = b, a
+	}
+	return edgeKey{a, b}
+}
+
+// randomTopoEvents scripts churn and flap events from slot 1 on
+// (slot-0 mutations are feed reconciliation, not model events).
+// Tracking up/edges during generation guarantees each event is a
+// genuine change.
+func randomTopoEvents(t *testing.T, g *graph.Graph, r *rng.Source, slots int) map[int64][]topoEvent {
+	t.Helper()
+	n := g.N()
+	edges := make(map[edgeKey]bool)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			edges[mkEdgeKey(u, int(v))] = true
+		}
+	}
+	up := make([]bool, n)
+	for u := range up {
+		up[u] = true
+	}
+	events := make(map[int64][]topoEvent)
+	churned, flapped := 0, 0
+	for s := int64(1); s < int64(slots); s++ {
+		if r.Intn(4) == 0 {
+			u := r.Intn(n)
+			up[u] = !up[u]
+			events[s] = append(events[s], topoEvent{churn: true, a: u, on: up[u]})
+			churned++
+		}
+		if r.Intn(4) == 0 {
+			ea, eb := r.Intn(n), r.Intn(n)
+			if ea != eb {
+				k := mkEdgeKey(ea, eb)
+				edges[k] = !edges[k]
+				events[s] = append(events[s], topoEvent{a: k[0], b: k[1], on: edges[k]})
+				flapped++
+			}
+		}
+	}
+	if churned < 10 || flapped < 10 {
+		t.Fatalf("event script too thin: %d churn, %d flap events", churned, flapped)
+	}
+	return events
+}
+
+// eventFeed replays scripted events, failing the test on any no-op.
+func eventFeed(t *testing.T, events map[int64][]topoEvent) TopologyFeed {
+	return &scriptFeed{steps: func(slot int64, mut TopologyMutator) {
+		for _, ev := range events[slot] {
+			var changed bool
+			switch {
+			case ev.churn:
+				changed = mut.SetNodeUp(ev.a, ev.on)
+			case ev.on:
+				changed = mut.AddEdge(ev.a, ev.b)
+			default:
+				changed = mut.RemoveEdge(ev.a, ev.b)
+			}
+			if !changed {
+				t.Errorf("slot %d: event %+v was a no-op", slot, ev)
+			}
+		}
+	}}
+}
+
+// naiveDynamicOracle replays the same events on an independent naive
+// model: down nodes neither transmit nor observe (their protocol
+// clocks pause), listeners resolve against the *current* adjacency,
+// and the partition-loss counterfactual resolves the same broadcaster
+// set against the untouched base adjacency.
+func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, scripts [][]Action, events map[int64][]topoEvent, slots int64) *oracleRun {
+	n := g.N()
+	base := make(map[edgeKey]bool)
+	cur := make(map[edgeKey]bool)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			base[mkEdgeKey(u, int(v))] = true
+			cur[mkEdgeKey(u, int(v))] = true
+		}
+	}
+	up := make([]bool, n)
+	for u := range up {
+		up[u] = true
+	}
+	pos := make([]int, n)
+	acts := make([]Action, n)
+	o := &oracleRun{heard: make([][]*Message, n)}
+	for s := int64(0); s < slots; s++ {
+		for _, ev := range events[s] {
+			switch {
+			case ev.churn && ev.on:
+				o.stats.NodeJoins++
+				up[ev.a] = true
+			case ev.churn:
+				o.stats.NodeLeaves++
+				up[ev.a] = false
+			case ev.on:
+				o.stats.EdgeAdds++
+				cur[mkEdgeKey(ev.a, ev.b)] = true
+			default:
+				o.stats.EdgeRemoves++
+				cur[mkEdgeKey(ev.a, ev.b)] = false
+			}
+		}
+		for u := 0; u < n; u++ {
+			if !up[u] {
+				o.stats.DownSlots++
+				continue
+			}
+			acts[u] = scripts[u][pos[u]]
+			pos[u]++
+		}
+		for u := 0; u < n; u++ {
+			if !up[u] {
+				continue
+			}
+			var heard *Message
+			switch act := acts[u]; act.Kind {
+			case Idle:
+				o.stats.Idles++
+			case Broadcast:
+				o.stats.Broadcasts++
+			case Listen:
+				o.stats.Listens++
+				ch := a.Global(u, act.Ch)
+				if jam != nil && jam.Jammed(s, ch) {
+					o.stats.JammedListens++
+					break
+				}
+				talkers, baseTalkers := 0, 0
+				var from, baseFrom *Message
+				for v := 0; v < n; v++ {
+					if v == u || !up[v] || acts[v].Kind != Broadcast || a.Global(v, acts[v].Ch) != ch {
+						continue
+					}
+					if cur[mkEdgeKey(u, v)] {
+						talkers++
+						if talkers == 1 {
+							from = &Message{From: NodeID(v), Data: acts[v].Data}
+						}
+					}
+					if base[mkEdgeKey(u, v)] {
+						baseTalkers++
+						if baseTalkers == 1 {
+							baseFrom = &Message{From: NodeID(v), Data: acts[v].Data}
+						}
+					}
+				}
+				if baseTalkers == 1 && (talkers != 1 || from.From != baseFrom.From) {
+					o.stats.PartitionLosses++
+				}
+				switch {
+				case talkers == 1:
+					o.stats.Deliveries++
+					o.trace = append(o.trace, traceEvent{s, NodeID(u), ch, from.From})
+					heard = from
+				case talkers > 1:
+					o.stats.Collisions++
+				}
+			}
+			o.heard[u] = append(o.heard[u], heard)
+		}
+	}
+	o.stats.Slots = slots
+	return o
+}
+
 // TestDynamicsResolutionMatchesNaiveOracle is the oracle suite's
 // dynamics arm: node churn and link flapping are scripted on top of
-// randomized action scripts, and an independent naive model replays
-// the same events — down nodes neither transmit nor observe (their
-// protocol clocks pause), listeners resolve against the *current*
-// adjacency, and the partition-loss counterfactual resolves the same
-// broadcaster set against the untouched base adjacency. Every heard
-// message, plus the full Stats including the churn/flap/loss counters,
-// must match.
+// randomized action scripts, and the naive model replays the same
+// events. Every heard message, plus the full Stats including the
+// churn/flap/loss counters, must match — on a solo Engine run and on
+// each replica of a 3-replica BatchEngine with distinct scripts and
+// events (replica 0 jammed, replica 2 traced).
 func TestDynamicsResolutionMatchesNaiveOracle(t *testing.T) {
 	const (
 		n     = 20
@@ -425,215 +688,36 @@ func TestDynamicsResolutionMatchesNaiveOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Action scripts, same distribution as the static oracle. A node's
-	// script is consumed only while it is up.
-	r := rng.New(402)
-	scripts := make([][]Action, n)
-	for u := range scripts {
-		scripts[u] = make([]Action, slots)
-		for s := range scripts[u] {
-			switch r.Intn(3) {
-			case 0:
-				scripts[u][s] = Action{Kind: Idle}
-			case 1:
-				scripts[u][s] = Action{Kind: Listen, Ch: r.Intn(c)}
-			default:
-				scripts[u][s] = Action{Kind: Broadcast, Ch: r.Intn(c), Data: u*1000 + s}
-			}
-		}
-	}
-
-	// Scripted topology events from slot 1 on (slot-0 mutations are
-	// feed reconciliation, not model events). Tracking up/edges during
-	// generation guarantees each event is a genuine change.
-	edgeKey := func(a, b int) [2]int {
-		if a > b {
-			a, b = b, a
-		}
-		return [2]int{a, b}
-	}
-	baseEdges := make(map[[2]int]bool)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			baseEdges[edgeKey(u, int(v))] = true
-		}
-	}
-	er := rng.New(403)
-	events := make(map[int64][]topoEvent)
-	genUp := make([]bool, n)
-	genEdges := make(map[[2]int]bool, len(baseEdges))
-	for k := range baseEdges {
-		genEdges[k] = true
-	}
-	for u := range genUp {
-		genUp[u] = true
-	}
-	churned, flapped := 0, 0
-	for s := int64(1); s < slots; s++ {
-		if er.Intn(4) == 0 {
-			u := er.Intn(n)
-			genUp[u] = !genUp[u]
-			events[s] = append(events[s], topoEvent{churn: true, a: u, on: genUp[u]})
-			churned++
-		}
-		if er.Intn(4) == 0 {
-			ea, eb := er.Intn(n), er.Intn(n)
-			if ea != eb {
-				k := edgeKey(ea, eb)
-				genEdges[k] = !genEdges[k]
-				events[s] = append(events[s], topoEvent{a: k[0], b: k[1], on: genEdges[k]})
-				flapped++
-			}
-		}
-	}
-	if churned < 10 || flapped < 10 {
-		t.Fatalf("event script too thin: %d churn, %d flap events", churned, flapped)
-	}
-
-	feed := &scriptFeed{steps: func(slot int64, mut TopologyMutator) {
-		for _, ev := range events[slot] {
-			var changed bool
-			switch {
-			case ev.churn:
-				changed = mut.SetNodeUp(ev.a, ev.on)
-			case ev.on:
-				changed = mut.AddEdge(ev.a, ev.b)
-			default:
-				changed = mut.RemoveEdge(ev.a, ev.b)
-			}
-			if !changed {
-				t.Fatalf("slot %d: event %+v was a no-op", slot, ev)
-			}
-		}
-	}}
-
-	protos := make([]Protocol, n)
-	sps := make([]*scriptProto, n)
-	for u := range protos {
-		sp := &scriptProto{script: scripts[u]}
-		sps[u] = sp
-		protos[u] = sp
-	}
-	e, err := NewEngine(&Network{Graph: g, Assign: a, Jammer: parityJammer{}, Topology: feed}, protos)
+	// A node's script is consumed only while it is up.
+	scripts := randomScripts(rng.New(402), n, c, slots, false)
+	events := randomTopoEvents(t, g, rng.New(403), slots)
+	protos, sps := scriptSet(scripts)
+	e, err := NewEngine(&Network{Graph: g, Assign: a, Jammer: parityJammer{}, Topology: eventFeed(t, events)}, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := e.Run(slots)
+	naiveDynamicOracle(g, a, parityJammer{}, scripts, events, slots).check(t, "engine", st, sps, nil, false)
 
-	// Oracle replay: same events, naive resolution.
-	up := make([]bool, n)
-	for u := range up {
-		up[u] = true
+	jams := []Jammer{parityJammer{}, nil, nil}
+	reps := make([]Replica, 3)
+	repScripts := make([][][]Action, 3)
+	repEvents := make([]map[int64][]topoEvent, 3)
+	repSps := make([][]*scriptProto, 3)
+	var trace []traceEvent
+	for r := range reps {
+		repScripts[r] = randomScripts(rng.New(412+10*uint64(r)), n, c, slots, false)
+		repEvents[r] = randomTopoEvents(t, g, rng.New(413+10*uint64(r)), slots)
+		reps[r].Protocols, repSps[r] = scriptSet(repScripts[r])
+		reps[r].Jammer = jams[r]
+		reps[r].Topology = eventFeed(t, repEvents[r])
 	}
-	curEdges := make(map[[2]int]bool, len(baseEdges))
-	for k := range baseEdges {
-		curEdges[k] = true
+	reps[2].Trace = traceRecorder(&trace)
+	be, err := NewBatchEngine(g, a, reps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pos := make([]int, n)
-	acts := make([]Action, n)
-	expHeard := make([][]*Message, n)
-	var jam Jammer = parityJammer{}
-	var o Stats
-	for s := int64(0); s < slots; s++ {
-		for _, ev := range events[s] {
-			switch {
-			case ev.churn && ev.on:
-				o.NodeJoins++
-				up[ev.a] = true
-			case ev.churn:
-				o.NodeLeaves++
-				up[ev.a] = false
-			case ev.on:
-				o.EdgeAdds++
-				curEdges[edgeKey(ev.a, ev.b)] = true
-			default:
-				o.EdgeRemoves++
-				curEdges[edgeKey(ev.a, ev.b)] = false
-			}
-		}
-		for u := 0; u < n; u++ {
-			if !up[u] {
-				o.DownSlots++
-				continue
-			}
-			acts[u] = scripts[u][pos[u]]
-			pos[u]++
-		}
-		for u := 0; u < n; u++ {
-			if !up[u] {
-				continue
-			}
-			act := acts[u]
-			switch act.Kind {
-			case Idle:
-				o.Idles++
-				expHeard[u] = append(expHeard[u], nil)
-			case Broadcast:
-				o.Broadcasts++
-				expHeard[u] = append(expHeard[u], nil)
-			case Listen:
-				o.Listens++
-				ch := a.Global(u, act.Ch)
-				if jam.Jammed(s, ch) {
-					o.JammedListens++
-					expHeard[u] = append(expHeard[u], nil)
-					continue
-				}
-				talkers, baseTalkers := 0, 0
-				var from, baseFrom *Message
-				for v := 0; v < n; v++ {
-					if v == u || !up[v] || acts[v].Kind != Broadcast || a.Global(v, acts[v].Ch) != ch {
-						continue
-					}
-					if curEdges[edgeKey(u, v)] {
-						talkers++
-						if talkers == 1 {
-							from = &Message{From: NodeID(v), Data: acts[v].Data}
-						}
-					}
-					if baseEdges[edgeKey(u, v)] {
-						baseTalkers++
-						if baseTalkers == 1 {
-							baseFrom = &Message{From: NodeID(v), Data: acts[v].Data}
-						}
-					}
-				}
-				if baseTalkers == 1 && (talkers != 1 || from.From != baseFrom.From) {
-					o.PartitionLosses++
-				}
-				switch {
-				case talkers == 1:
-					o.Deliveries++
-					expHeard[u] = append(expHeard[u], from)
-				case talkers > 1:
-					o.Collisions++
-					expHeard[u] = append(expHeard[u], nil)
-				default:
-					expHeard[u] = append(expHeard[u], nil)
-				}
-			}
-		}
-	}
-	o.Slots = slots
-	o.Completed = st.Completed
-
-	if st != o {
-		t.Errorf("stats:\n engine %+v\n oracle %+v", st, o)
-	}
-	for u := 0; u < n; u++ {
-		if len(sps[u].heard) != len(expHeard[u]) {
-			t.Fatalf("node %d observed %d times, oracle %d (clock must pause while down)",
-				u, len(sps[u].heard), len(expHeard[u]))
-		}
-		for i := range expHeard[u] {
-			got, want := sps[u].heard[i], expHeard[u][i]
-			if (got == nil) != (want == nil) {
-				t.Fatalf("node %d observe %d: got %+v, oracle %+v", u, i, got, want)
-			}
-			if got != nil && (got.From != want.From || got.Data != want.Data) {
-				t.Fatalf("node %d observe %d: got %+v, oracle %+v", u, i, got, want)
-			}
-		}
+	for r, st := range be.Run(slots) {
+		naiveDynamicOracle(g, a, jams[r], repScripts[r], repEvents[r], slots).check(t, fmt.Sprintf("replica %d", r), st, repSps[r], trace, r == 2)
 	}
 }

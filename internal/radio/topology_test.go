@@ -172,10 +172,11 @@ func TestTopologyFeedChurn(t *testing.T) {
 	}
 }
 
-// TestTopologyFeedCrossEngineEquivalence: a feed mixing churn and
-// edge flapping produces identical stats and protocol outcomes under
-// Run and RunParallel at every worker count — the dynamics analogue
-// of the spectrum cross-engine suite.
+// TestTopologyFeedCrossEngineEquivalence: feeds mixing churn and edge
+// flapping (one scripted instance per run) produce identical stats and
+// protocol outcomes for every replica of a BatchEngine and its solo
+// Engine run — the dynamics analogue of the spectrum cross-engine
+// suite.
 func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
 	const n, c, slots = 16, 3, 400
 	g, err := graph.GNP(n, 0.35, rng.New(5))
@@ -186,63 +187,28 @@ func TestTopologyFeedCrossEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.Edges()
-	mkFeed := func() TopologyFeed {
-		r := rng.New(77)
-		return &scriptFeed{steps: func(slot int64, mut TopologyMutator) {
-			// Deterministic pseudo-random churn + flap per slot.
-			u := r.Intn(n)
-			if r.Bernoulli(0.1) {
-				mut.SetNodeUp(u, !mut.NodeUp(u))
-			}
-			ei := r.Intn(len(edges))
-			if r.Bernoulli(0.2) {
-				e := edges[ei]
-				if mut.HasEdge(int(e.U), int(e.V)) {
-					mut.RemoveEdge(int(e.U), int(e.V))
-				} else {
-					mut.AddEdge(int(e.U), int(e.V))
-				}
-			}
-		}}
-	}
-	run := func(workers int) (Stats, string) {
-		master := rng.New(9)
+	sts, err := checkSoloVsBatch(3, slots, func(r int) soloRun {
+		master := rng.New(9 + uint64(r))
 		protos := make([]Protocol, n)
 		seeks := make([]*seekLike, n)
 		for u := 0; u < n; u++ {
-			sk := &seekLike{id: NodeID(u), c: c, r: master.Split(uint64(u))}
-			seeks[u] = sk
-			protos[u] = sk
+			seeks[u] = &seekLike{id: NodeID(u), c: c, r: master.Split(uint64(u))}
+			protos[u] = seeks[u]
 		}
-		nw := &Network{Graph: g, Assign: a, Topology: mkFeed()}
-		e, err := NewEngine(nw, protos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st Stats
-		if workers == 0 {
-			st = e.Run(slots)
-		} else {
-			st = e.RunParallel(slots, workers)
-		}
-		fp := ""
-		for _, sk := range seeks {
-			fp += sk.fingerprint()
-		}
-		return st, fp
+		return soloRun{nw: &Network{Graph: g, Assign: a, Topology: churnFlapFeed(g, 77+uint64(r))}, protos: protos, outcome: func() string {
+			fp := ""
+			for _, sk := range seeks {
+				fp += sk.fingerprint()
+			}
+			return fp
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantStats, wantFP := run(0)
-	if wantStats.EdgeAdds+wantStats.EdgeRemoves == 0 || wantStats.DownSlots == 0 {
-		t.Fatalf("feed applied no dynamics: %+v", wantStats)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		gotStats, gotFP := run(workers)
-		if gotStats != wantStats {
-			t.Errorf("workers=%d stats = %+v, want %+v", workers, gotStats, wantStats)
-		}
-		if gotFP != wantFP {
-			t.Errorf("workers=%d protocol outcomes diverged", workers)
+	for r, st := range sts {
+		if st.EdgeAdds+st.EdgeRemoves == 0 || st.DownSlots == 0 {
+			t.Fatalf("replica %d: feed applied no dynamics: %+v", r, st)
 		}
 	}
 }
@@ -322,10 +288,9 @@ func TestStaticEngineSkipsDynamicView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.dyn != nil || e.topo != nil || e.mut != nil {
+	if rp := &e.be.reps[0]; rp.dyn != nil || rp.up != nil {
 		t.Error("static engine built dynamic-topology state")
-	}
-	if e.g != g {
+	} else if rp.g != g || rp.nbr != e.be.nbr {
 		t.Error("static engine does not resolve against the shared graph")
 	}
 	// And the dynamic counterpart flips every one of those.
@@ -334,7 +299,7 @@ func TestStaticEngineSkipsDynamicView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ed.dyn == nil || ed.g == g || ed.baseG != g {
+	if rp := &ed.be.reps[0]; rp.dyn == nil || rp.g == g || ed.be.g != g {
 		t.Error("dynamic engine did not build its private view over the base graph")
 	}
 }
