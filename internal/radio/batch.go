@@ -449,28 +449,31 @@ func (e *BatchEngine) step() {
 func (e *BatchEngine) collect(rp *replica) {
 	e.bcasters = e.bcasters[:0]
 	e.nListen, e.idles, e.bcasts, e.downs = 0, 0, 0, 0
+	n, slot, bank := e.n, e.slot, rp.bank
 	if rp.allLive() {
-		rp.bank.ActRange(e.slot, 0, e.n, e.acts)
-		e.fold(0, e.n)
+		bank.ActRange(slot, 0, n, e.acts)
+		e.fold(0, n)
 		return
 	}
-	state := rp.state
-	for u := 0; u < e.n; {
+	state, kind := rp.state, e.kind
+	var downs int64
+	for u := 0; u < n; {
 		if state[u] != nodeLive {
 			if state[u] == nodeDown {
-				e.downs++
+				downs++
 			}
-			e.kind[u] = Idle
+			kind[u] = Idle
 			u++
 			continue
 		}
 		lo := u
-		for u < e.n && state[u] == nodeLive {
+		for u < n && state[u] == nodeLive {
 			u++
 		}
-		rp.bank.ActRange(e.slot, lo, u, e.acts)
+		bank.ActRange(slot, lo, u, e.acts)
 		e.fold(lo, u)
 	}
+	e.downs = downs
 }
 
 // fold copies the actions of live nodes [lo, hi) into the hot state,
@@ -480,47 +483,49 @@ func (e *BatchEngine) collect(rp *replica) {
 // with one validity compare, falling back to Global for its loud
 // out-of-range panic. An invalid action kind panics here.
 func (e *BatchEngine) fold(lo, hi int) {
-	// Hoist the hot slices into locals: the appends mutate engine
-	// fields, so the compiler would otherwise reload every header.
-	acts := e.acts
-	kind := e.kind
-	data := e.data
-	globalCh := e.globalCh
+	// Window every per-node slice to [lo, hi) with a common length so
+	// the loop runs without bounds checks.
+	acts := e.acts[lo:hi]
+	kind := e.kind[lo:hi][:len(acts)]
+	data := e.data[lo:hi][:len(acts)]
+	globalCh := e.globalCh[lo:hi][:len(acts)]
 	listeners := e.listeners
-	bcasters := e.bcasters
+	bcasters := e.bcasters[:cap(e.bcasters)]
 	flat, fc := e.flat, e.flatC
-	nListen := e.nListen
-	var idles, bcasts int64
-	for v := lo; v < hi; v++ {
-		// Field loads through a pointer, not a struct copy: the Idle
-		// case then touches one byte of the 32-byte Action.
-		a := &acts[v]
+	nl, nb := e.nListen, int64(len(e.bcasters))
+	l0, b0 := nl, nb
+	// The loop body is branch-free on the action kind: random kinds
+	// would mispredict a switch on most nodes. Both id lists take every
+	// node's id and only advance on a match; a broadcaster's or
+	// listener's list position never exceeds its node id, so the writes
+	// stay in bounds.
+	for i := range acts {
+		a := &acts[i]
 		k := a.Kind
-		kind[v] = k
-		switch k {
-		case Idle:
-			idles++
-			continue
-		case Broadcast:
-			bcasts++
-			data[v] = a.Data
-			bcasters = append(bcasters, int32(v))
-		case Listen:
-			listeners[nListen] = int32(v)
-			nListen++
-		default:
+		v := lo + i
+		if k-Idle > Broadcast-Idle {
 			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
 		}
+		kind[i] = k
+		data[i] = a.Data
+		bcasters[nb] = int32(v)
+		listeners[nl] = int32(v)
+		if k == Broadcast {
+			nb++
+		}
+		if k == Listen {
+			nl++
+		}
 		if uint(a.Ch) < uint(fc) {
-			globalCh[v] = flat[v*fc+a.Ch]
-		} else {
-			globalCh[v] = e.assign.Global(v, a.Ch)
+			globalCh[i] = flat[v*fc+a.Ch]
+		} else if k != Idle {
+			globalCh[i] = e.assign.Global(v, a.Ch)
 		}
 	}
-	e.bcasters = bcasters
-	e.nListen = nListen
-	e.idles += idles
-	e.bcasts += bcasts
+	e.bcasts += nb - b0
+	e.idles += int64(hi-lo) - (nb - b0) - (nl - l0)
+	e.bcasters = bcasters[:nb]
+	e.nListen = nl
 }
 
 // buildIndex buckets this slot's broadcasters by global channel: the
@@ -783,20 +788,21 @@ func (e *BatchEngine) resolve(rp *replica) {
 		}
 	}
 observe:
+	n, bank := e.n, rp.bank
 	if rp.allLive() {
-		rp.bank.ObserveRange(slot, 0, e.n, deliv)
+		bank.ObserveRange(slot, 0, n, deliv)
 	} else {
 		state := rp.state
-		for u := 0; u < e.n; {
+		for u := 0; u < n; {
 			if state[u] != nodeLive {
 				u++
 				continue
 			}
 			lo := u
-			for u < e.n && state[u] == nodeLive {
+			for u < n && state[u] == nodeLive {
 				u++
 			}
-			rp.bank.ObserveRange(slot, lo, u, deliv)
+			bank.ObserveRange(slot, lo, u, deliv)
 		}
 	}
 	// Restore the From=-1 invariant (and drop payload references) on
