@@ -126,9 +126,8 @@ func (p kDiscoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []
 }
 
 // discoveryRun is one prepared discovery run: protocols built, network
-// resolved, goal-predicate state initialized. The same preparation
-// backs both the sequential path (one Engine per run) and the batched
-// path (many runs fused into one BatchEngine pass).
+// resolved, goal-predicate state initialized — one replica of the
+// BatchEngine pass runDiscoveryBatch makes.
 type discoveryRun struct {
 	s       *Scenario
 	name    string
@@ -186,8 +185,9 @@ func prepareDiscovery(s *Scenario, name string, mk func(core.Env) (core.Discover
 	// slot it is heard in. The feed applies slot s's joins before slot s
 	// resolves, so the model's LastJoin at tap time is exactly the
 	// latest join at or before the hearing slot — the accounting is
-	// online and needs no post-run join history. Discovery runs on the
-	// sequential engine, so the trace is ordered and race-free. Feeds
+	// online and needs no post-run join history. A replica's trace
+	// fires in slot order on the engine's goroutine, so it is ordered
+	// and race-free. Feeds
 	// without a join log (pure mobility/flapping) have nothing to
 	// measure against — skip the tap and its per-delivery cost.
 	if joinLog, ok := dr.nw.Topology.(dynamics.JoinLog); ok {
@@ -314,49 +314,29 @@ func (dr *discoveryRun) finish(st radio.Stats) *Result {
 }
 
 // runDiscovery drives one discovery protocol instance per node until
-// the goal predicate holds or the schedule ends. When targets is nil
-// the goal is "every node knows all its graph neighbors" and pairs are
-// counted against the full neighbor universe; otherwise targets[u] is
-// the set node u must find, and pairs are counted against it.
+// the goal predicate holds or the schedule ends: runDiscoveryBatch with
+// a single seed. When targets is nil the goal is "every node knows all
+// its graph neighbors" and pairs are counted against the full neighbor
+// universe; otherwise targets[u] is the set node u must find, and pairs
+// are counted against it.
 func runDiscovery(ctx context.Context, s *Scenario, name string, mk func(core.Env) (core.Discoverer, error), targets []map[radio.NodeID]bool, seed uint64) (*Result, error) {
-	dr, err := prepareDiscovery(s, name, mk, targets, seed)
+	res, err := runDiscoveryBatch(ctx, s, name, mk, targets, []uint64{seed})
 	if err != nil {
 		return nil, err
 	}
-	e, err := radio.NewEngine(dr.nw, dr.protos)
-	if err != nil {
-		return nil, err
-	}
-	st, err := e.RunUntilCtx(ctx, dr.maxSlots(), dr.stop)
-	if err != nil {
-		return nil, err
-	}
-	return dr.finish(st), nil
+	return res[0], nil
 }
 
 // runDiscoveryBatch executes one discovery run per seed over the same
 // scenario through a single radio.BatchEngine pass: the graph,
 // assignment and engine scratch are shared across the batch, and every
-// run's outcome is byte-identical to runDiscovery with the same seed
-// (the batch engine's replica-isolation guarantee).
+// run's outcome is byte-identical to running its seed alone (the batch
+// engine's replica-isolation guarantee).
 //
 // Dynamic topologies batch too: prepareDiscovery installs a fresh
 // run-scoped TopologyFeed per run (Scenario.runNetwork), and the batch
-// engine gives each such replica a private mutable graph clone —
-// exactly what a sequential Engine would have built. A single-run
-// batch gains nothing from fusing and runs sequentially.
+// engine gives each such replica a private mutable graph clone.
 func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, mk func(core.Env) (core.Discoverer, error), targets []map[radio.NodeID]bool, seeds []uint64) ([]*Result, error) {
-	results := make([]*Result, len(seeds))
-	if len(seeds) == 1 {
-		for i, seed := range seeds {
-			res, err := runDiscovery(ctx, s, name, mk, targets, seed)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
 	drs := make([]*discoveryRun, len(seeds))
 	reps := make([]radio.Replica, len(seeds))
 	for i, seed := range seeds {
@@ -377,6 +357,7 @@ func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, mk func(co
 	if err != nil {
 		return nil, err
 	}
+	results := make([]*Result, len(seeds))
 	for i, dr := range drs {
 		results[i] = dr.finish(sts[i])
 	}
