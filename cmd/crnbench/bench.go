@@ -232,10 +232,12 @@ func benchSuite() ([]benchSpec, error) {
 	}
 
 	// The kernel workload batched: 8 replicas of the same scenario
-	// fused into one BatchEngine pass, the execution strategy behind
-	// SweepSpec.Batch. One op is one fused slot — 8×64 node-slots.
-	// Deliberately per-node dispatch: together with engine/slot-kernel
-	// it brackets the fallback and range ABIs.
+	// stepped in lockstep by one BatchEngine, the execution strategy
+	// behind SweepSpec.Batch. One op is one batch slot — 8×64
+	// node-slots. Deliberately plain per-node protocols: they run
+	// through the engine's per-node adapter bank, so against
+	// engine/slot-kernel (the same protocols behind their own bank) it
+	// prices the adapter.
 	const batchReplicas = 8
 	batchBench := func(b *testing.B) {
 		g, a, err := benchTopology()
@@ -257,7 +259,7 @@ func benchSuite() ([]benchSpec, error) {
 
 	// Dynamic-topology batching: 8 replicas of the slot-dynamics
 	// workload — random traffic under churn + link flapping, one private
-	// feed and graph clone per replica — through one fused pass. Against
+	// feed and graph clone per replica — through one BatchEngine. Against
 	// engine/slot-dynamics this prices the per-replica reconciliation
 	// the batch engine now performs instead of falling back to
 	// sequential runs.

@@ -13,10 +13,9 @@ import "crn/internal/radio"
 // state and per-node rng draw order is untouched: byte-identity holds
 // by construction, and the equivalence suites pin it.
 //
-// Banks satisfy the RangeProtocol concurrency contract (disjoint
-// ranges of one slot may be dispatched concurrently under
-// RunParallel): they hold no mutable bank-wide state, only the nodes
-// slice, and each loop iteration touches node u's state alone.
+// Banks hold no mutable bank-wide state, only the nodes slice, and
+// each loop iteration touches node u's state alone, so a range call
+// behaves exactly like the per-node calls in ascending order.
 //
 // Attachment is explicit and happens at construction sites
 // (prepareDiscovery, CGCAST's stages, RunFloodCtx, tests): the bank

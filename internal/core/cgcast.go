@@ -713,7 +713,7 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 	if err != nil {
 		return nil, err
 	}
-	// See runEngine: incomplete fixed schedules are a bug in the
+	// See runSeeks: incomplete fixed schedules are a bug in the
 	// static model, a measured outcome under a dynamic topology (down
 	// nodes freeze mid-schedule).
 	if !st.Completed && s.nw.Topology == nil {

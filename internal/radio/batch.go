@@ -271,7 +271,9 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 		}
 		if sink, ok := rp.Jammer.(ActivitySink); ok {
 			rp.sink = sink
-			e.activity = make([]int, u)
+			if e.activity == nil {
+				e.activity = make([]int, u)
+			}
 		}
 		rp.bank = detectRangeBank(rp.Protocols)
 		rp.ranged = rp.bank != nil

@@ -9,41 +9,40 @@
 // broadcasting neighbors) are indistinguishable — there is no collision
 // detection. A broadcasting node "receives" only its own message.
 //
-// Protocols are written against the Protocol interface and stepped by
-// an Engine. Two engines are provided with identical semantics: a
-// sequential engine (Run) and a goroutine-parallel engine
-// (RunParallel) that fans the per-node work out to a persistent pool
-// of workers; results are bit-identical because randomness lives in
-// per-node streams and both engines share one slot-resolution core.
+// Protocols are written against the Protocol interface (or, for
+// protocol sets backed by a shared bank, the RangeProtocol ABI) and
+// stepped by one slot loop, BatchEngine, which runs B independent
+// replicas of a network in lockstep; Engine is its single-run front
+// end. A plain Protocol set runs on the range ABI through an adapter
+// that calls Act and Observe node by node, so every run takes the same
+// path. Runs are deterministic because randomness lives in per-node
+// streams and every phase visits nodes in ascending order.
 //
 // # Slot anatomy
 //
-// Both engines execute a slot in three phases:
+// Each slot, every active replica runs in turn:
 //
-//  1. Collect: every live protocol's Act is called and its chosen
-//     global channel resolved (parallel across nodes under
-//     RunParallel).
-//  2. Index: broadcasters are bucketed by global channel into a
+//  1. Topology: an installed TopologyFeed is stepped, mutating the
+//     replica's private graph.Dynamic view (node churn, link flapping,
+//     mobility). Down nodes neither transmit nor observe. Static runs
+//     never construct the view and resolve against the shared graph.
+//  2. Collect: one ActRange per maximal run of live nodes (one call
+//     while all are live) fills the action scratch, folded at once into
+//     per-node kind/channel/payload arrays plus the lists of
+//     broadcasters and listeners.
+//  3. Index: broadcasters are bucketed by global channel into a
 //     compact per-slot index — a count per channel plus an intrusive
-//     per-channel broadcaster list (sequential; O(broadcasters)).
-//  3. Resolve/observe: every live protocol's Observe is called with
-//     the delivery outcome (parallel across nodes under RunParallel).
-//     A listener on a channel with zero broadcasters resolves to
-//     silence in O(1); with one broadcaster, via a single O(1)/O(log Δ)
-//     adjacency probe; only genuinely contended channels walk the
-//     shorter of the channel's broadcaster list and the listener's
-//     neighbor list.
-//
-// After phase 3 the engine feeds reactive jammers (ActivitySink),
-// refreshes completion flags, and advances the slot counter in its
-// sequential section.
-//
-// Topology may be time-varying: a TopologyFeed installed on the
-// Network is stepped once per slot before phase 1, also from the
-// sequential section, mutating the engine's private graph.Dynamic
-// view (node churn, link flapping, mobility). Down nodes neither
-// transmit nor observe. Static runs never construct the view and
-// resolve against the shared graph exactly as before.
+//     per-channel broadcaster list, and a bitset row for dense
+//     channels (O(broadcasters)).
+//  4. Resolve/observe: only the listeners are resolved. A listener on
+//     a channel with zero broadcasters resolves to silence in O(1); a
+//     dense channel with one AND/popcount sweep of the listener's
+//     adjacency row; otherwise the shorter of the channel's broadcaster
+//     list and the listener's neighbor list is walked. Traces fire per
+//     delivery, then one ObserveRange per run of live nodes hands every
+//     live node its outcome.
+//  5. Reactive jammers (ActivitySink) are fed the slot's broadcast
+//     counts, the index is reset, and completion flags are refreshed.
 package radio
 
 import (
@@ -158,8 +157,7 @@ type Stats struct {
 
 // Accumulate adds o's slot and counter fields into s — the helper
 // multi-engine pipelines (CGCAST's setup stages plus dissemination)
-// and the worker pool's stats merge use to combine Stats. Completed is
-// left untouched.
+// use to combine Stats. Completed is left untouched.
 func (s *Stats) Accumulate(o Stats) {
 	s.Slots += o.Slots
 	s.Broadcasts += o.Broadcasts
@@ -177,15 +175,19 @@ func (s *Stats) Accumulate(o Stats) {
 }
 
 // TraceFunc observes every delivery the engine resolves, for debugging
-// and the crntrace tool. msg is only valid during the call (the engine
-// reuses the storage); copy what you keep.
+// and the crntrace tool. Within a slot a run's traces fire in ascending
+// listener order, all before that run's Observe/ObserveRange calls for
+// the slot. msg is only valid during the call (the engine reuses the
+// storage); copy what you keep.
 type TraceFunc func(slot int64, listener NodeID, globalCh int32, msg *Message)
 
 // Jammer reports primary-user occupancy per (slot, global channel).
 // A frame broadcast on an occupied channel is lost and a listener
 // tuned there hears only silence — secondary users cannot use spectrum
-// a primary user holds. Implementations must be deterministic and safe
-// for concurrent readers (RunParallel queries from worker goroutines).
+// a primary user holds. Implementations must be deterministic. A
+// stateless Jammer must also be safe for concurrent readers: sweep
+// workers share one instance across runs on different goroutines
+// (stateful jammers are run-scoped instead, see spectrum.RunScoped).
 // internal/spectrum provides standard models.
 type Jammer interface {
 	Jammed(slot int64, ch int32) bool
@@ -193,9 +195,8 @@ type Jammer interface {
 
 // ActivitySink is optionally implemented by Jammers that react to
 // secondary-user activity (adversarial models). After every slot
-// resolves, the engine calls ObserveActivity exactly once from its
-// sequential section with the number of broadcasts per global channel
-// for that slot. The slice is a read-only scratch buffer the engine
+// resolves, the engine calls ObserveActivity exactly once with the
+// number of broadcasts per global channel for that slot. The slice is a read-only scratch buffer the engine
 // reuses — implementations must copy what they keep and must not
 // write into it (the engine only re-zeroes the entries it set, so a
 // stray write would persist as phantom activity). Because the engine only
@@ -233,10 +234,9 @@ type TopologyMutator interface {
 
 // TopologyFeed drives per-slot topology mutation — node churn, link
 // flapping, mobility. It mirrors ActivitySink on the input side:
-// before each slot resolves, the engine calls Step exactly once from
-// its sequential section, so mutations apply between slots, are never
-// concurrent with protocol work, and feed Run and RunParallel
-// identically. Slot s's actions see every mutation Step(s, ·)
+// before each slot's collect phase, the engine calls Step exactly
+// once, so mutations apply between slots and are never concurrent with
+// protocol work. Slot s's actions see every mutation Step(s, ·)
 // applied; a reactive jammer observing slot s's activity therefore
 // senses traffic that already ran on the mutated topology.
 //
@@ -262,9 +262,9 @@ type Network struct {
 	// per slot. nil means the static model of the paper. Graph itself
 	// is never mutated.
 	Topology TopologyFeed
-	// Trace optionally observes every delivery the engines resolve;
-	// Engine.SetTrace overrides it. Like SetTrace callbacks it may run
-	// concurrently under RunParallel.
+	// Trace optionally observes every delivery the engine resolves, in
+	// slot order on the engine's goroutine; Engine.SetTrace overrides
+	// it.
 	Trace TraceFunc
 }
 

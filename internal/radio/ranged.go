@@ -1,14 +1,15 @@
 package radio
 
-// This file defines the optional batch-aware protocol ABI: a protocol
-// set backed by a shared "bank" can have its Act and Observe calls
-// dispatched over whole node ranges instead of one interface call per
-// node per slot. The per-node Protocol interface costs two virtual
-// calls per node-slot (~1.5µs per 64-node slot, see
+// This file defines the batch-aware protocol ABI the slot loop drives:
+// Act and Observe are dispatched over whole node ranges instead of one
+// interface call per node per slot. The per-node Protocol interface
+// costs two virtual calls per node-slot (~1.5µs per 64-node slot, see
 // BenchmarkProtocolInterfaceFloor), which dominates once the slot
-// kernel itself is vectorized; a RangeProtocol amortizes that dispatch
-// over a whole range with a single call, letting the implementation
-// run tight loops over flat per-node state.
+// kernel itself is vectorized; a protocol set backed by a shared
+// "bank" amortizes that dispatch over a whole range with a single
+// call, letting the implementation run tight loops over flat per-node
+// state. A plain Protocol set runs through protocolBank, an adapter
+// that makes the per-node calls itself.
 //
 // # Detection rules
 //
@@ -17,7 +18,7 @@ package radio
 // every node's protocol reports the same (pointer-comparable) bank and
 // its own node index within it; any mismatch — a node that does not
 // implement RangeNode, a nil bank, a foreign bank, a wrong index —
-// silently falls back to per-node Act/Observe dispatch. Done, and the
+// silently falls back to the per-node adapter. Done, and the
 // optional FixedSchedule bound, remain per-node interface calls: they
 // are off the hot path (refreshDone is amortized by FixedSchedule).
 //
@@ -28,10 +29,9 @@ package radio
 // node's machine is never stepped — exactly the per-node contract. The
 // slices are indexed by absolute node id (lo and hi delimit the valid
 // window). A bank must behave exactly as if Act(slot) and
-// Observe(slot, ·) had been invoked per node in ascending order;
-// under RunParallel disjoint ranges of one slot are dispatched
-// concurrently, so per-node state must not alias across nodes and any
-// bank-wide state must be read-only during a slot.
+// Observe(slot, ·) had been invoked per node in ascending order. The
+// engine calls a bank from one goroutine only; a slot's ObserveRange
+// calls follow all of that slot's resolution, including its traces.
 
 // Delivery is one node's resolved slot outcome on the range ABI: the
 // broadcaster heard (exactly one broadcasting neighbor on the node's
@@ -47,8 +47,7 @@ type Delivery struct {
 // RangeProtocol is the batch-aware protocol ABI. ActRange fills
 // acts[u] for every u in [lo, hi); ObserveRange consumes
 // deliveries[u] for every u in [lo, hi). Both must be equivalent to
-// the per-node calls in ascending node order (see the file comment for
-// the concurrency contract under RunParallel).
+// the per-node calls in ascending node order (see the file comment).
 type RangeProtocol interface {
 	ActRange(slot int64, lo, hi int, acts []Action)
 	ObserveRange(slot int64, lo, hi int, deliveries []Delivery)

@@ -26,8 +26,7 @@ type RunScoped interface {
 // observed broadcasts are never jammed, so the choice is a
 // deterministic function of the observed activity. ReactiveAdversary
 // is stateful: it implements RunScoped and must be instantiated per
-// run. Between ObserveActivity calls it is read-only, so concurrent
-// Jammed queries within a slot (RunParallel workers) are safe.
+// run. Between ObserveActivity calls it is read-only.
 type ReactiveAdversary struct {
 	// T is the per-slot jamming budget: the maximum number of channels
 	// jammed in any one slot.

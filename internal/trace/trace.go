@@ -25,8 +25,8 @@ type Event struct {
 	Channel int32 `json:"channel"`
 }
 
-// Recorder accumulates delivery events from an engine run.
-// Attach with Attach; not safe for RunParallel (use Run).
+// Recorder accumulates delivery events from an engine run in delivery
+// order. Attach with Attach.
 type Recorder struct {
 	events []Event
 }
