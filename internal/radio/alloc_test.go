@@ -74,7 +74,7 @@ func newHotEngine(t testing.TB, nw *Network, n, c int) *Engine {
 	return e
 }
 
-// TestEngineRunZeroAllocsPerSlot asserts the sequential engine's
+// TestEngineRunZeroAllocsPerSlot asserts a per-node protocol set's
 // steady state allocates nothing per slot, across delivery, collision,
 // silence and jammed paths.
 func TestEngineRunZeroAllocsPerSlot(t *testing.T) {
@@ -95,7 +95,7 @@ func TestEngineRunZeroAllocsPerSlot(t *testing.T) {
 			}
 			step() // warm up scratch growth
 			if avg := testing.AllocsPerRun(20, step); avg != 0 {
-				t.Errorf("sequential engine allocates %.2f/50 slots in steady state, want 0", avg)
+				t.Errorf("per-node engine allocates %.2f/50 slots in steady state, want 0", avg)
 			}
 			if st := e.Stats(); st.Deliveries == 0 || st.Collisions == 0 {
 				t.Fatalf("workload did not exercise delivery+collision paths: %+v", st)

@@ -12,7 +12,7 @@ import (
 // This file locks down the batch engine's one guarantee: every replica
 // of a BatchEngine produces byte-identical outcomes — deliveries,
 // traces, stats, protocol end states — to running that replica alone
-// on a sequential Engine. The sweep facade's batched path is sound
+// on an Engine. The sweep facade's batched path is sound
 // exactly as far as this holds.
 
 // reactiveTestJammer is a stateful ActivitySink jammer: it jams the
@@ -236,9 +236,8 @@ func TestBatchEngineValidation(t *testing.T) {
 	}
 }
 
-// TestBatchEngineSteadyStateAllocs asserts the fused slot loop
-// allocates nothing once running (mirroring the sequential engine's
-// zero-alloc guarantee).
+// TestBatchEngineSteadyStateAllocs asserts a multi-replica slot loop
+// allocates nothing once running, like a single run.
 func TestBatchEngineSteadyStateAllocs(t *testing.T) {
 	const b = 4
 	g, a, _, _ := batchFixture(t, b, false)

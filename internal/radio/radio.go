@@ -292,12 +292,6 @@ type Engine struct {
 // (idempotent) so adjacency queries can use the sorted or bit-matrix
 // fast paths.
 func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
-	if err := nw.Validate(); err != nil {
-		return nil, err
-	}
-	if len(protocols) != nw.Graph.N() {
-		return nil, fmt.Errorf("radio: %d protocols for %d nodes", len(protocols), nw.Graph.N())
-	}
 	be, err := NewBatchEngine(nw.Graph, nw.Assign, []Replica{{
 		Protocols: protocols,
 		Jammer:    nw.Jammer,

@@ -323,7 +323,7 @@ func TestEngineRangeDispatchZeroAllocsPerSlot(t *testing.T) {
 // static and dynamic replicas (per-replica churn + flap feeds, one
 // replica jammed) must produce byte-identical stats — including the
 // topology counters — traces and protocol outcomes to running each
-// replica alone on a sequential Engine with the same feed script.
+// replica alone on an Engine with the same feed script.
 func TestBatchEngineDynamicMatchesSoloEngines(t *testing.T) {
 	g, a := rangedFixture(t)
 	const n, c, b, slots = 24, 5, 4, 400
