@@ -292,3 +292,51 @@ func pinSanity(t *testing.T, cs, set string, st Stats, slots int64) {
 		t.Errorf("%s/%s: run did not use its whole budget: %+v", cs, set, st)
 	}
 }
+
+// pinnedSteadyDigests holds the same digests for untraced static runs
+// with no jammer — the runs the resolve phase's steady-state loop
+// serves (TestEnginePinned installs a trace on every run, which
+// selects the general loop).
+var pinnedSteadyDigests = map[string][4]string{
+	"node":    {"63c6d8e9e332ea37", "9d79242b5d983d8b", "d2b23c2537c282b6", "96d2d1e7ec354985"},
+	"bank":    {"90a556f533d70037", "6a615c75eafce05f", "1135a4e218b0ae1c", "cdc5751713ef0bfa"},
+	"delayed": {"2ea8a66ccdcd0e84", "d2e6b60ae42d3ce6", "5bc7094f20212c25", "cb7c40e993cba2b3"},
+}
+
+// TestEnginePinnedSteadyState pins the steady-state resolve loop: each
+// set runs untraced on a static, unjammed network, through a single
+// Engine (seed 1) and a 3-replica BatchEngine (seeds 2..4).
+func TestEnginePinnedSteadyState(t *testing.T) {
+	g, a := rangedFixture(t)
+	const n, c, slots = 24, 5, 300
+	for _, set := range []string{"node", "bank", "delayed"} {
+		t.Run(set, func(t *testing.T) {
+			var got [4]string
+			protos, views := pinSet(set, n, c, 1)
+			e, err := NewEngine(&Network{Graph: g, Assign: a}, protos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := e.Run(slots)
+			pinSanity(t, "static", set, st, slots)
+			got[0] = pinDigest(st, nil, views)
+
+			reps := make([]Replica, 3)
+			repViews := make([][]*pinProto, 3)
+			for r := range reps {
+				reps[r].Protocols, repViews[r] = pinSet(set, n, c, uint64(2+r))
+			}
+			be, err := NewBatchEngine(g, a, reps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, st := range be.Run(slots) {
+				pinSanity(t, "static", set, st, slots)
+				got[1+r] = pinDigest(st, nil, repViews[r])
+			}
+			if want, ok := pinnedSteadyDigests[set]; !ok || got != want {
+				t.Errorf("digests changed:\n got  %q\n want %q", got, want)
+			}
+		})
+	}
+}

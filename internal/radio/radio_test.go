@@ -249,6 +249,34 @@ func TestTraceCallback(t *testing.T) {
 	}
 }
 
+// TestTraceFiresBeforeObserves: within a slot, all of a run's trace
+// callbacks fire before any of its observes — for a per-node set
+// through the adapter exactly as for a banked set — so when slot s is
+// traced, every node has observed exactly s slots.
+func TestTraceFiresBeforeObserves(t *testing.T) {
+	g, a := rangedFixture(t)
+	for _, set := range []string{"node", "bank"} {
+		// 80 slots: no node of either set finishes before 90.
+		protos, views := pinSet(set, 24, 5, 7)
+		traced := 0
+		e, err := NewEngine(&Network{Graph: g, Assign: a, Trace: func(slot int64, listener NodeID, _ int32, _ *Message) {
+			traced++
+			for u, v := range views {
+				if v.observed != slot {
+					t.Fatalf("%s: trace of slot %d (listener %d) ran after node %d observed %d slots", set, slot, listener, u, v.observed)
+				}
+			}
+		}}, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(80)
+		if traced == 0 {
+			t.Fatalf("%s: no deliveries traced", set)
+		}
+	}
+}
+
 // randomProto takes uniformly random actions; used for engine
 // equivalence testing.
 type randomProto struct {
