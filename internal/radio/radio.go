@@ -196,13 +196,14 @@ type Jammer interface {
 // ActivitySink is optionally implemented by Jammers that react to
 // secondary-user activity (adversarial models). After every slot
 // resolves, the engine calls ObserveActivity exactly once with the
-// number of broadcasts per global channel for that slot. The slice is a read-only scratch buffer the engine
-// reuses — implementations must copy what they keep and must not
-// write into it (the engine only re-zeroes the entries it set, so a
-// stray write would persist as phantom activity). Because the engine only
-// queries Jammed for slots after the latest ObserveActivity call's
-// slot, reactive jammers see activity with at least a one-slot delay —
-// the adversary can sense, but not react within a slot.
+// number of broadcasts per global channel for that slot. The slice is
+// a read-only scratch buffer the engine reuses — implementations must
+// copy what they keep and must not write into it (the engine only
+// re-zeroes the entries it set, so a stray write would persist as
+// phantom activity). Because the engine only queries Jammed for slots
+// after the latest ObserveActivity call's slot, reactive jammers see
+// activity with at least a one-slot delay — the adversary can sense,
+// but not react within a slot.
 type ActivitySink interface {
 	ObserveActivity(slot int64, broadcastsByChannel []int)
 }
