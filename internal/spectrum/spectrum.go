@@ -12,6 +12,7 @@ package spectrum
 
 import (
 	"fmt"
+	"math"
 
 	"crn/internal/bitset"
 	"crn/internal/rng"
@@ -102,7 +103,7 @@ func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (
 	if horizon < 1 {
 		return nil, fmt.Errorf("spectrum: horizon must be >= 1, got %d", horizon)
 	}
-	if pBusy < 0 || pBusy > 1 || pFree < 0 || pFree > 1 {
+	if math.IsNaN(pBusy) || math.IsNaN(pFree) || pBusy < 0 || pBusy > 1 || pFree < 0 || pFree > 1 {
 		return nil, fmt.Errorf("spectrum: probabilities must be in [0,1], got %v and %v", pBusy, pFree)
 	}
 	if horizon > maxHorizon {

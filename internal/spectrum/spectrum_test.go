@@ -92,6 +92,12 @@ func TestMarkovValidation(t *testing.T) {
 	if _, err := NewMarkov(2, 1<<30, 0.1, 0.1, 1); err == nil {
 		t.Error("huge horizon accepted")
 	}
+	if _, err := NewMarkov(2, 10, math.NaN(), 0.1, 1); err == nil {
+		t.Error("NaN pBusy accepted")
+	}
+	if _, err := NewMarkov(2, 10, 0.1, math.NaN(), 1); err == nil {
+		t.Error("NaN pFree accepted")
+	}
 }
 
 func TestMarkovDeterminism(t *testing.T) {

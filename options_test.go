@@ -180,3 +180,19 @@ func TestOptionValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestParseSpectrumNaNRejectedAtNew: ParseFloat accepts "nan", so a
+// NaN probability parses, and crn.New must reject it when it builds
+// the model instead of installing channels that never turn busy.
+func TestParseSpectrumNaNRejectedAtNew(t *testing.T) {
+	for _, spec := range []string{"markov:nan,0.2", "markov:0.05,nan", "poisson:nan,25", "poisson:0.01,nan"} {
+		opts, err := crn.ParseSpectrum(spec, 1)
+		if err != nil {
+			t.Fatalf("ParseSpectrum(%q): %v", spec, err)
+		}
+		opts = append([]crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(2, 1, 0)}, opts...)
+		if _, err := crn.New(opts...); err == nil {
+			t.Errorf("crn.New accepted spectrum %q", spec)
+		}
+	}
+}
