@@ -56,8 +56,8 @@ func (s *Scenario) SetPeriodicPrimaryUsers(period, onSlots int64) error {
 // SetMarkovPrimaryUsers installs bursty primary users: each global
 // channel flips between idle and occupied with the given per-slot
 // transition probabilities (idle→busy pBusy, busy→idle pFree), over a
-// precomputed horizon of `horizon` slots (0 picks a horizon generous
-// enough for a CSEEK run).
+// horizon of `horizon` slots, idle beyond it (0 picks a horizon
+// generous enough for a CSEEK run).
 //
 // Deprecated: pass WithMarkovPrimaryUsers to New.
 func (s *Scenario) SetMarkovPrimaryUsers(pBusy, pFree float64, horizon int64, seed uint64) error {

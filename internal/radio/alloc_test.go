@@ -6,6 +6,7 @@ import (
 	"crn/internal/chanassign"
 	"crn/internal/graph"
 	"crn/internal/rng"
+	"crn/internal/spectrum"
 )
 
 // This file enforces the engine's performance contract: once a run is
@@ -78,12 +79,18 @@ func newHotEngine(t testing.TB, nw *Network, n, c int) *Engine {
 // steady state allocates nothing per slot, across delivery, collision,
 // silence and jammed paths.
 func TestEngineRunZeroAllocsPerSlot(t *testing.T) {
+	// Drawn on its first read, inside the warm-up step.
+	poisson, err := spectrum.NewPoisson(3, 1<<12, 0.05, 4, spectrum.HoldGeometric, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		jam  Jammer
 	}{
 		{"clear", nil},
 		{"jammed", parityJammer{}},
+		{"poisson", poisson},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, c = 24, 3
@@ -97,8 +104,12 @@ func TestEngineRunZeroAllocsPerSlot(t *testing.T) {
 			if avg := testing.AllocsPerRun(20, step); avg != 0 {
 				t.Errorf("per-node engine allocates %.2f/50 slots in steady state, want 0", avg)
 			}
-			if st := e.Stats(); st.Deliveries == 0 || st.Collisions == 0 {
+			st := e.Stats()
+			if st.Deliveries == 0 || st.Collisions == 0 {
 				t.Fatalf("workload did not exercise delivery+collision paths: %+v", st)
+			}
+			if tc.jam != nil && st.JammedListens == 0 {
+				t.Fatalf("workload did not exercise the jammed path: %+v", st)
 			}
 		})
 	}

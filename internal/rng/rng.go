@@ -42,10 +42,38 @@ func (r *Source) Reseed(seed uint64) {
 // Streams produced with distinct ids are statistically independent;
 // Split does not perturb r's own state.
 func (r *Source) Split(id uint64) *Source {
-	// Mix the parent state with the id through SplitMix64 so sibling
-	// streams decorrelate even for adjacent ids.
-	h := r.s[0] ^ bits.RotateLeft64(r.s[2], 17) ^ (id * 0xD1342543DE82EF95)
-	return New(h)
+	return New(r.splitSeed(id))
+}
+
+// splitSeed is the seed of Split(id)'s stream. It mixes the parent
+// state with the id, and Reseed runs the result through SplitMix64, so
+// sibling streams decorrelate even for adjacent ids.
+func (r *Source) splitSeed(id uint64) uint64 {
+	return r.s[0] ^ bits.RotateLeft64(r.s[2], 17) ^ (id * 0xD1342543DE82EF95)
+}
+
+// Stream is a generator state held by value, for draw loops too hot
+// for a *Source: a Stream in a local variable stays in registers,
+// while Uint64 loads and stores its state through the pointer on every
+// call. Step it with `u, st = st.Next()`.
+type Stream struct{ s0, s1, s2, s3 uint64 }
+
+// SplitStream returns the state Split(id) starts from, without
+// allocating a Source: its Next calls yield exactly the sequence of
+// Split(id).Uint64 calls.
+func (r *Source) SplitStream(id uint64) Stream {
+	var src Source
+	src.Reseed(r.splitSeed(id))
+	return Stream{src.s[0], src.s[1], src.s[2], src.s[3]}
+}
+
+// Next returns the next 64 random bits and the stream after them: the
+// xoshiro256★★ step of Uint64.
+func (st Stream) Next() (uint64, Stream) {
+	s2 := st.s2 ^ st.s0
+	s3 := st.s3 ^ st.s1
+	return bits.RotateLeft64(st.s1*5, 7) * 9,
+		Stream{st.s0 ^ s3, st.s1 ^ s2, s2 ^ st.s1<<17, bits.RotateLeft64(s3, 45)}
 }
 
 // Uint64 returns the next 64 random bits.

@@ -77,6 +77,29 @@ func TestSplitDoesNotPerturbParent(t *testing.T) {
 	}
 }
 
+// TestSplitStreamMatchesSplit: a SplitStream stepped with Next yields
+// exactly the sequence of the Source Split returns, for ids that
+// include 0 and the extremes, and leaves the parent untouched.
+func TestSplitStreamMatchesSplit(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 0xFACADE, ^uint64(0)} {
+		parent, twin := New(seed), New(seed)
+		for _, id := range []uint64{0, 1, 129, 1 << 40, ^uint64(0)} {
+			src, st := parent.Split(id), parent.SplitStream(id)
+			for i := 0; i < 1000; i++ {
+				var u uint64
+				if u, st = st.Next(); u != src.Uint64() {
+					t.Fatalf("seed %d id %d: draw %d of SplitStream differs from Split's", seed, id, i)
+				}
+			}
+		}
+		for i := 0; i < 10; i++ {
+			if parent.Uint64() != twin.Uint64() {
+				t.Fatalf("seed %d: SplitStream perturbed the parent stream", seed)
+			}
+		}
+	}
+}
+
 func TestIntnBounds(t *testing.T) {
 	r := New(5)
 	for _, n := range []int{1, 2, 3, 7, 64, 1000} {

@@ -18,7 +18,7 @@ func FuzzJammer(f *testing.F) {
 	f.Add(uint64(7), math.Inf(1), -0.5, math.NaN(), int64(0), int64(0), int32(0), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, pa, pb, hold float64, horizon, slot int64, ch int32, budget uint8) {
 		if horizon > 1<<16 {
-			horizon %= 1 << 16 // keep precompute cheap; range checks are covered by the huge-horizon validation cases
+			horizon %= 1 << 16 // keep the fill cheap; range checks are covered by the huge-horizon validation cases
 		}
 		build := func() []Jammer {
 			var js []Jammer

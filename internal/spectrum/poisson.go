@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"crn/internal/bitset"
 	"crn/internal/rng"
 )
 
@@ -27,24 +26,18 @@ const (
 // process per channel: in every slot an arrival occurs with
 // probability 1-exp(-rate), and each arrival holds the channel for a
 // geometric or fixed number of slots. Overlapping transmissions merge
-// into one busy period. Schedules are precomputed deterministically per
-// (seed, channel) via rng.Split, so the same parameters always yield
-// the same occupancy trajectory. Beyond the horizon channels are
-// reported idle.
+// into one busy period. A channel's trajectory is a deterministic
+// function of (seed, channel), drawn on first read (see schedule).
+// Beyond the horizon channels are reported idle.
 type Poisson struct {
-	horizon int64
-	sched   []*bitset.Set // per channel, bit s = occupied in slot s
+	schedule
 }
 
-// maxHorizon bounds precomputed schedules (64 Mi slots ≈ 8 MiB of
-// bitset per channel universe); shared by Markov and Poisson.
-const maxHorizon = 1 << 26
-
-// NewPoisson precomputes a Poisson on/off occupancy schedule for the
-// given number of global channels over horizon slots. rate is the
-// expected number of arrivals per slot (≥ 0); meanHold the mean
-// holding time in slots (≥ 1); hold selects the holding distribution
-// (zero value means HoldGeometric).
+// NewPoisson returns a Poisson on/off occupancy model for the given
+// number of global channels over horizon slots. rate is the expected
+// number of arrivals per slot (≥ 0); meanHold the mean holding time in
+// slots (≥ 1); hold selects the holding distribution (zero value means
+// HoldGeometric). It validates its arguments and draws nothing.
 func NewPoisson(channels int, horizon int64, rate, meanHold float64, hold HoldKind, seed uint64) (*Poisson, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("spectrum: need at least one channel, got %d", channels)
@@ -53,7 +46,7 @@ func NewPoisson(channels int, horizon int64, rate, meanHold float64, hold HoldKi
 		return nil, fmt.Errorf("spectrum: horizon must be >= 1, got %d", horizon)
 	}
 	if horizon > maxHorizon {
-		return nil, fmt.Errorf("spectrum: horizon %d too large to precompute", horizon)
+		return nil, fmt.Errorf("spectrum: horizon %d exceeds the %d-slot limit", horizon, maxHorizon)
 	}
 	if math.IsNaN(rate) || rate < 0 {
 		return nil, fmt.Errorf("spectrum: arrival rate must be >= 0, got %v", rate)
@@ -61,71 +54,56 @@ func NewPoisson(channels int, horizon int64, rate, meanHold float64, hold HoldKi
 	if math.IsNaN(meanHold) || meanHold < 1 {
 		return nil, fmt.Errorf("spectrum: mean holding time must be >= 1 slot, got %v", meanHold)
 	}
+	// fixedHold is HoldFixed's holding time, capped at the horizon;
+	// 0 draws each holding time geometrically, keeping the channel one
+	// more slot with probability 1 - 1/meanHold.
+	var fixedHold int64
 	switch hold {
-	case HoldGeometric, HoldFixed:
-	case 0:
-		hold = HoldGeometric
+	case HoldGeometric, 0:
+	case HoldFixed:
+		fixedHold = min(int64(math.Ceil(meanHold)), horizon)
 	default:
 		return nil, fmt.Errorf("spectrum: unknown holding kind %d", hold)
 	}
-	pArrive := 1 - math.Exp(-rate)
-	master := rng.New(seed)
-	p := &Poisson{horizon: horizon, sched: make([]*bitset.Set, channels)}
-	for ch := 0; ch < channels; ch++ {
-		r := master.Split(uint64(ch))
-		sched := bitset.New(int(horizon))
-		busyUntil := int64(0) // busy while slot < busyUntil
-		for slot := int64(0); slot < horizon; slot++ {
-			if busyUntil >= horizon {
-				// Busy through the horizon: every remaining bit is
-				// already determined and further arrival/holding draws
-				// could only extend busyUntil past slots we never
-				// report, so skip them. The schedule is identical to
-				// drawing it out, but construction stays O(horizon)
-				// even for extreme rate/hold parameters.
-				for ; slot < horizon; slot++ {
-					sched.Add(int(slot))
-				}
-				break
-			}
-			if r.Bernoulli(pArrive) {
-				if end := slot + holdingTime(r, meanHold, hold, horizon); end > busyUntil {
-					busyUntil = end
-				}
-			}
-			if slot < busyUntil {
-				sched.Add(int(slot))
-			}
-		}
-		p.sched[ch] = sched
-	}
-	return p, nil
+	arrive, stay := newCoin(1-math.Exp(-rate)), newCoin(1-1/meanHold)
+	return &Poisson{newSchedule(channels, horizon, seed, func(row []uint64, st rng.Stream) {
+		drawPoisson(row, horizon, arrive, stay, fixedHold, st)
+	})}, nil
 }
 
-// holdingTime draws one holding time in slots (≥ 1), capped at horizon
-// so degenerate means cannot spin the precompute loop.
-func holdingTime(r *rng.Source, mean float64, kind HoldKind, horizon int64) int64 {
-	if kind == HoldFixed {
-		h := int64(math.Ceil(mean))
-		if h > horizon {
-			h = horizon
+// drawPoisson draws one channel's arrivals and holds into row. Every
+// slot tosses the arrival coin; an arrival in slot s holds the channel
+// through slot s+h-1, with h capped at the horizon so degenerate means
+// cannot spin the loop.
+func drawPoisson(row []uint64, horizon int64, arrive, stay coin, fixedHold int64, st rng.Stream) {
+	busyUntil := int64(0) // busy while slot < busyUntil
+	for slot := int64(0); slot < horizon; slot++ {
+		var arrived bool
+		if arrived, st = arrive.flip(st); !arrived {
+			continue
 		}
-		return h
+		h := fixedHold
+		if h == 0 {
+			h = 1
+			for h < horizon {
+				var stayed bool
+				if stayed, st = stay.flip(st); !stayed {
+					break
+				}
+				h++
+			}
+		}
+		if end := slot + h; end > busyUntil {
+			setRun(row, max(slot, busyUntil), min(end, horizon))
+			busyUntil = end
+		}
+		if busyUntil >= horizon {
+			// Busy through the horizon: further draws could only
+			// extend busyUntil past slots nobody reads, so skip them.
+			// The schedule is identical to drawing it out, but the
+			// fill stays O(horizon) even for extreme rate/hold
+			// parameters.
+			return
+		}
 	}
-	// Geometric with mean `mean`: keep holding with probability
-	// 1 - 1/mean each slot.
-	pStay := 1 - 1/mean
-	h := int64(1)
-	for h < horizon && r.Bernoulli(pStay) {
-		h++
-	}
-	return h
-}
-
-// Jammed implements Jammer.
-func (p *Poisson) Jammed(slot int64, ch int32) bool {
-	if slot < 0 || slot >= p.horizon || int(ch) < 0 || int(ch) >= len(p.sched) {
-		return false
-	}
-	return p.sched[ch].Contains(int(slot))
 }

@@ -14,16 +14,17 @@ import (
 	"fmt"
 	"math"
 
-	"crn/internal/bitset"
 	"crn/internal/rng"
 )
 
 // Jammer reports primary-user occupancy. Implementations must be
-// deterministic — either pure functions of (slot, channel) like
+// deterministic: either pure functions of (slot, channel) like
 // Periodic, Markov and Poisson, or deterministic functions of the
-// activity the engine reported so far like ReactiveAdversary (stateful
-// models must also implement RunScoped so each run gets its own
-// instance) — and safe for concurrent readers within a slot.
+// activity the engine reported so far like ReactiveAdversary. A
+// stateless Jammer must also be safe for concurrent readers, because
+// sweep workers share one instance across runs on different
+// goroutines; stateful models implement RunScoped instead, so each run
+// gets its own instance.
 type Jammer interface {
 	// Jammed reports whether the given global channel is occupied by a
 	// primary user in the given slot.
@@ -85,17 +86,18 @@ func (p *Periodic) Jammed(slot int64, ch int32) bool {
 }
 
 // Markov models bursty primary users: each channel flips between idle
-// and occupied with per-slot transition probabilities, precomputed
-// deterministically over a horizon.
+// and occupied with per-slot transition probabilities, starting idle.
+// A channel's trajectory is a deterministic function of (seed,
+// channel), drawn on first read (see schedule). Beyond the horizon
+// channels are reported idle.
 type Markov struct {
-	horizon int64
-	sched   []*bitset.Set // per channel, bit s = occupied in slot s... bits indexed by slot
+	schedule
 }
 
-// NewMarkov precomputes a Markov on/off occupancy schedule for the
-// given number of global channels over horizon slots. pBusy is the
+// NewMarkov returns a Markov on/off occupancy model for the given
+// number of global channels over horizon slots. pBusy is the
 // idle→occupied probability per slot, pFree the occupied→idle
-// probability. Beyond the horizon channels are reported idle.
+// probability. It validates its arguments and draws nothing.
 func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (*Markov, error) {
 	if channels < 1 {
 		return nil, fmt.Errorf("spectrum: need at least one channel, got %d", channels)
@@ -107,37 +109,33 @@ func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (
 		return nil, fmt.Errorf("spectrum: probabilities must be in [0,1], got %v and %v", pBusy, pFree)
 	}
 	if horizon > maxHorizon {
-		return nil, fmt.Errorf("spectrum: horizon %d too large to precompute", horizon)
+		return nil, fmt.Errorf("spectrum: horizon %d exceeds the %d-slot limit", horizon, maxHorizon)
 	}
-	master := rng.New(seed)
-	m := &Markov{horizon: horizon, sched: make([]*bitset.Set, channels)}
-	for ch := 0; ch < channels; ch++ {
-		r := master.Split(uint64(ch))
-		s := bitset.New(int(horizon))
-		busy := false
-		for slot := int64(0); slot < horizon; slot++ {
-			if busy {
-				if r.Bernoulli(pFree) {
-					busy = false
-				}
-			} else if r.Bernoulli(pBusy) {
-				busy = true
-			}
-			if busy {
-				s.Add(int(slot))
-			}
-		}
-		m.sched[ch] = s
-	}
-	return m, nil
+	toBusy, toFree := newCoin(pBusy), newCoin(pFree)
+	return &Markov{newSchedule(channels, horizon, seed, func(row []uint64, st rng.Stream) {
+		drawMarkov(row, horizon, toBusy, toFree, st)
+	})}, nil
 }
 
-// Jammed implements Jammer.
-func (m *Markov) Jammed(slot int64, ch int32) bool {
-	if slot < 0 || slot >= m.horizon || int(ch) < 0 || int(ch) >= len(m.sched) {
-		return false
+// drawMarkov draws one channel's on/off chain into row. Each slot the
+// chain tosses the coin of its current state and flips on heads, so an
+// idle run ends at the first toBusy heads, which starts a busy run in
+// that slot, and a busy run ends at the first toFree heads, whose slot
+// is idle again.
+func drawMarkov(row []uint64, horizon int64, toBusy, toFree coin, st rng.Stream) {
+	var heads bool
+	for slot := int64(0); slot < horizon; slot++ {
+		if heads, st = toBusy.flip(st); !heads {
+			continue
+		}
+		start := slot
+		for slot++; slot < horizon; slot++ {
+			if heads, st = toFree.flip(st); heads {
+				break
+			}
+		}
+		setRun(row, start, slot)
 	}
-	return m.sched[ch].Contains(int(slot))
 }
 
 // OccupancyFraction returns the fraction of (slot, channel) pairs the

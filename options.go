@@ -99,9 +99,9 @@ func WithPeriodicPrimaryUsers(period, onSlots int64) ScenarioOption {
 // WithMarkovPrimaryUsers installs bursty primary users: each global
 // channel flips between idle and occupied with the given per-slot
 // transition probabilities (idle→busy pBusy, busy→idle pFree), over a
-// precomputed horizon of `horizon` slots (0 picks a horizon generous
-// enough for a CSEEK run). The seed drives the occupancy trajectory;
-// the stationary occupancy is pBusy/(pBusy+pFree).
+// horizon of `horizon` slots, idle beyond it (0 picks a horizon
+// generous enough for a CSEEK run). The seed drives the occupancy
+// trajectory; the stationary occupancy is pBusy/(pBusy+pFree).
 func WithMarkovPrimaryUsers(pBusy, pFree float64, horizon int64, seed uint64) ScenarioOption {
 	return func(b *scenarioBuilder) {
 		b.post = append(b.post, func(s *Scenario) error {
@@ -118,8 +118,8 @@ func WithMarkovPrimaryUsers(pBusy, pFree float64, horizon int64, seed uint64) Sc
 // WithPoissonPrimaryUsers installs Poisson primary users: on each
 // global channel transmissions arrive at `rate` per slot and hold the
 // channel for a geometrically distributed time with mean meanHold
-// slots, over a precomputed horizon of `horizon` slots (0 picks a
-// horizon generous enough for a CSEEK run). The seed drives the
+// slots, over a horizon of `horizon` slots, idle beyond it (0 picks
+// a horizon generous enough for a CSEEK run). The seed drives the
 // arrival trajectory.
 func WithPoissonPrimaryUsers(rate, meanHold float64, horizon int64, seed uint64) ScenarioOption {
 	return func(b *scenarioBuilder) {

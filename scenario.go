@@ -363,7 +363,7 @@ func (s *Scenario) newPeriodicJammer(period, onSlots int64) (spectrum.Jammer, er
 	return j, nil
 }
 
-// autoHorizon is the precompute horizon stochastic primary-user models
+// autoHorizon is the horizon stochastic primary-user models
 // default to: twice a CSEEK schedule, generous enough for any
 // primitive whose slot budget is CSEEK-dominated.
 func (s *Scenario) autoHorizon() (int64, error) {
