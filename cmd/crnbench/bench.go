@@ -11,7 +11,8 @@ package main
 // comparable: the raw engine slot loop (BenchmarkEngineSlot), CSEEK
 // discovery and CGCAST broadcast end-to-end through the public
 // Primitive API (BenchmarkDiscoverCSeek / BenchmarkBroadcastCGCast),
-// and the sweep engine at 1/2/4/8 workers (BenchmarkSweep).
+// and the sweep engine at 1/2/4/8 workers (BenchmarkSweep). One entry,
+// spectrum/schedule-fill, times the draw of a primary-user schedule.
 
 import (
 	"context"
@@ -31,6 +32,7 @@ import (
 	"crn/internal/graph"
 	"crn/internal/radio"
 	"crn/internal/rng"
+	"crn/internal/spectrum"
 )
 
 // BenchResult is one benchmark measurement in the JSON report.
@@ -294,6 +296,23 @@ func benchSuite() ([]benchSpec, error) {
 		e.Run(int64(b.N))
 	}
 
+	// The first read of a mobile-sized bursty Poisson primary user
+	// (perfbench's dynamic-service mobile variant: 130 channels over
+	// 175 680 slots): the read that draws the whole schedule into its
+	// bitmap. Construction, which draws nothing, stays off the clock.
+	scheduleFillBench := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, err := spectrum.NewPoisson(130, 175680, 0.012, 25, spectrum.HoldGeometric, uint64(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			p.Jammed(0, 0)
+		}
+	}
+
 	specs := []benchSpec{
 		{
 			name:        "engine/slot",
@@ -330,6 +349,10 @@ func benchSuite() ([]benchSpec, error) {
 			reps:        3,
 			nodeSlotsOp: batchReplicas * 64,
 			fn:          batchDynBench,
+		},
+		{
+			name: "spectrum/schedule-fill",
+			fn:   scheduleFillBench,
 		},
 		{
 			name:        "primitive/cseek",
