@@ -11,8 +11,10 @@ package main
 // comparable: the raw engine slot loop (BenchmarkEngineSlot), CSEEK
 // discovery and CGCAST broadcast end-to-end through the public
 // Primitive API (BenchmarkDiscoverCSeek / BenchmarkBroadcastCGCast),
-// and the sweep engine at 1/2/4/8 workers (BenchmarkSweep). One entry,
-// spectrum/schedule-fill, times the draw of a primary-user schedule.
+// and the sweep engine at 1/2/4/8 workers (BenchmarkSweep). Two
+// entries time one layer alone: protocol/cseek-bank steps the CSEEK
+// machines without the engine, and spectrum/schedule-fill times the
+// draw of a primary-user schedule.
 
 import (
 	"context"
@@ -28,6 +30,7 @@ import (
 
 	"crn"
 	"crn/internal/chanassign"
+	"crn/internal/core"
 	"crn/internal/dynamics"
 	"crn/internal/graph"
 	"crn/internal/radio"
@@ -296,6 +299,48 @@ func benchSuite() ([]benchSpec, error) {
 		e.Run(int64(b.N))
 	}
 
+	// The CSEEK bank alone: 64 machines stepped through their whole
+	// schedule by ActRange/ObserveRange, with no engine. A listener
+	// hears a fixed pattern over Δ neighbors instead of a resolved
+	// channel, so the time is the protocol's own: schedule stepping, rng
+	// draws and the first-heard records. One op is one node-slot; a new
+	// set of machines is built whenever the schedule ends.
+	cseekBankBench := func(b *testing.B) {
+		const n, delta = 64, 16
+		p := core.Params{N: n, C: 4, K: 2, KMax: 2, Delta: delta}
+		acts := make([]radio.Action, n)
+		dels := make([]radio.Delivery, n)
+		var bank *core.SeekBank
+		var slot, total int64
+		runs := uint64(0)
+		b.ReportAllocs()
+		for done := 0; done < b.N; done += n {
+			if slot == total {
+				master := rng.New(runs)
+				runs++
+				seeks := make([]*core.CSeek, n)
+				for u := range seeks {
+					s, err := core.NewCSeek(p, core.Env{ID: radio.NodeID(u), C: p.C, Rand: master.Split(uint64(u))})
+					if err != nil {
+						b.Fatal(err)
+					}
+					seeks[u] = s
+				}
+				bank = core.NewSeekBank(seeks)
+				slot, total = 0, seeks[0].TotalSlots()
+			}
+			bank.ActRange(slot, 0, n, acts)
+			for u := range dels {
+				dels[u].From = -1
+				if k := int((slot*131 + int64(u)*29) % (2 * delta)); acts[u].Kind == radio.Listen && k < delta {
+					dels[u].From = radio.NodeID((u + 1 + k) % n)
+				}
+			}
+			bank.ObserveRange(slot, 0, n, dels)
+			slot++
+		}
+	}
+
 	// The first read of a mobile-sized bursty Poisson primary user
 	// (perfbench's dynamic-service mobile variant: 130 channels over
 	// 175 680 slots): the read that draws the whole schedule into its
@@ -349,6 +394,11 @@ func benchSuite() ([]benchSpec, error) {
 			reps:        3,
 			nodeSlotsOp: batchReplicas * 64,
 			fn:          batchDynBench,
+		},
+		{
+			name:        "protocol/cseek-bank",
+			nodeSlotsOp: 1,
+			fn:          cseekBankBench,
 		},
 		{
 			name: "spectrum/schedule-fill",

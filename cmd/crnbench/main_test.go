@@ -39,16 +39,16 @@ func TestRunSingleQuickExperiment(t *testing.T) {
 	}
 }
 
-// TestBenchSuiteNodeSlotVolumes checks that every engine and primitive
-// entry declares the node-slot volume one operation simulates, so the
-// report prints node-slots/s for each of them.
+// TestBenchSuiteNodeSlotVolumes checks that every engine, protocol and
+// primitive entry declares the node-slot volume one operation
+// simulates, so the report prints node-slots/s for each of them.
 func TestBenchSuiteNodeSlotVolumes(t *testing.T) {
 	specs, err := benchSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range specs {
-		if strings.HasPrefix(spec.name, "engine/") || strings.HasPrefix(spec.name, "primitive/") {
+		if strings.HasPrefix(spec.name, "engine/") || strings.HasPrefix(spec.name, "protocol/") || strings.HasPrefix(spec.name, "primitive/") {
 			if spec.nodeSlotsOp <= 0 {
 				t.Errorf("%s declares no node-slot volume", spec.name)
 			}
