@@ -11,7 +11,10 @@
 // math/rand's locked global source.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256★★ pseudo-random generator.
 // It is not safe for concurrent use; give each goroutine its own stream.
@@ -42,7 +45,16 @@ func (r *Source) Reseed(seed uint64) {
 // Streams produced with distinct ids are statistically independent;
 // Split does not perturb r's own state.
 func (r *Source) Split(id uint64) *Source {
-	return New(r.splitSeed(id))
+	src := r.SplitValue(id)
+	return &src
+}
+
+// SplitValue is Split returning the stream by value, so a caller can
+// lay many streams out in one slice instead of allocating each.
+func (r *Source) SplitValue(id uint64) Source {
+	var src Source
+	src.Reseed(r.splitSeed(id))
+	return src
 }
 
 // splitSeed is the seed of Split(id)'s stream. It mixes the parent
@@ -62,8 +74,7 @@ type Stream struct{ s0, s1, s2, s3 uint64 }
 // allocating a Source: its Next calls yield exactly the sequence of
 // Split(id).Uint64 calls.
 func (r *Source) SplitStream(id uint64) Stream {
-	var src Source
-	src.Reseed(r.splitSeed(id))
+	src := r.SplitValue(id)
 	return Stream{src.s[0], src.s[1], src.s[2], src.s[3]}
 }
 
@@ -140,6 +151,47 @@ func (r *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Coin is Bernoulli(p) for one fixed p, in integers. For 0 < p < 1 a
+// toss draws u and lands heads iff u>>11 < ⌈p·2⁵³⌉, which is
+// Bernoulli's test Float64() < p with both sides scaled by 2⁵³ (exact:
+// u>>11 is an integer below 2⁵³, and scaling by a power of two is
+// exact). For p ≤ 0 or p ≥ 1 a toss draws nothing, as Bernoulli does,
+// and always lands tails or heads. So a coin consumes a stream exactly
+// as Bernoulli(p) does, and lands the same way on every draw.
+type Coin struct {
+	thresh uint64 // heads iff the draw's top 53 bits fall below it
+	draws  bool   // if false, heads iff thresh != 0, and nothing is drawn
+}
+
+// NewCoin returns the coin of Bernoulli(p).
+func NewCoin(p float64) Coin {
+	switch {
+	case p <= 0:
+		return Coin{}
+	case p >= 1:
+		return Coin{thresh: 1 << 53}
+	}
+	return Coin{thresh: uint64(math.Ceil(p * (1 << 53))), draws: true}
+}
+
+// Flip tosses c on st and returns the outcome and the stream after it.
+func (c Coin) Flip(st Stream) (bool, Stream) {
+	if !c.draws {
+		return c.thresh != 0, st
+	}
+	u, st := st.Next()
+	return u>>11 < c.thresh, st
+}
+
+// Toss tosses c on r: the outcome of r.Bernoulli(p), from the same
+// draws.
+func (r *Source) Toss(c Coin) bool {
+	if !c.draws {
+		return c.thresh != 0
+	}
+	return r.Uint64()>>11 < c.thresh
 }
 
 // OneIn returns true with probability 1/n. It panics if n <= 0.

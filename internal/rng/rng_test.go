@@ -173,6 +173,47 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestSplitValueMatchesSplit: SplitValue yields Split's stream and
+// leaves the parent alone.
+func TestSplitValueMatchesSplit(t *testing.T) {
+	parent, twin := New(5), New(5)
+	for _, id := range []uint64{0, 1, 1 << 32, ^uint64(0)} {
+		src, val := parent.Split(id), parent.SplitValue(id)
+		for i := 0; i < 100; i++ {
+			if src.Uint64() != val.Uint64() {
+				t.Fatalf("id %d: draw %d of SplitValue differs from Split's", id, i)
+			}
+		}
+	}
+	if parent.Uint64() != twin.Uint64() {
+		t.Fatal("SplitValue perturbed the parent stream")
+	}
+}
+
+// TestCoinMatchesBernoulli: a coin lands as Bernoulli(p) does and
+// consumes the same draws, on a Source and on a Stream alike, for
+// probabilities inside (0, 1), at its edges and outside it.
+func TestCoinMatchesBernoulli(t *testing.T) {
+	probs := []float64{-1, 0, 1e-300, 0x1p-60, 0x1p-53, 1.0 / 3, 0.5, 0.75, 1 - 0x1p-53, 1, 2}
+	for _, p := range probs {
+		want, got, st := New(9), New(9), New(9).SplitStream(0)
+		ref := New(9).Split(0)
+		c := NewCoin(p)
+		for i := 0; i < 2000; i++ {
+			if w, g := want.Bernoulli(p), got.Toss(c); w != g {
+				t.Fatalf("p=%v draw %d: Toss %v, Bernoulli %v", p, i, g, w)
+			}
+			var f bool
+			if f, st = c.Flip(st); f != ref.Bernoulli(p) {
+				t.Fatalf("p=%v draw %d: Flip %v differs from Bernoulli", p, i, f)
+			}
+		}
+		if want.Uint64() != got.Uint64() {
+			t.Fatalf("p=%v: Toss consumed a different number of draws", p)
+		}
+	}
+}
+
 func TestBernoulli(t *testing.T) {
 	r := New(11)
 	if r.Bernoulli(0) {

@@ -65,7 +65,7 @@ func NewPoisson(channels int, horizon int64, rate, meanHold float64, hold HoldKi
 	default:
 		return nil, fmt.Errorf("spectrum: unknown holding kind %d", hold)
 	}
-	arrive, stay := newCoin(1-math.Exp(-rate)), newCoin(1-1/meanHold)
+	arrive, stay := rng.NewCoin(1-math.Exp(-rate)), rng.NewCoin(1-1/meanHold)
 	return &Poisson{newSchedule(channels, horizon, seed, func(row []uint64, st rng.Stream) {
 		drawPoisson(row, horizon, arrive, stay, fixedHold, st)
 	})}, nil
@@ -75,11 +75,11 @@ func NewPoisson(channels int, horizon int64, rate, meanHold float64, hold HoldKi
 // slot tosses the arrival coin; an arrival in slot s holds the channel
 // through slot s+h-1, with h capped at the horizon so degenerate means
 // cannot spin the loop.
-func drawPoisson(row []uint64, horizon int64, arrive, stay coin, fixedHold int64, st rng.Stream) {
+func drawPoisson(row []uint64, horizon int64, arrive, stay rng.Coin, fixedHold int64, st rng.Stream) {
 	busyUntil := int64(0) // busy while slot < busyUntil
 	for slot := int64(0); slot < horizon; slot++ {
 		var arrived bool
-		if arrived, st = arrive.flip(st); !arrived {
+		if arrived, st = arrive.Flip(st); !arrived {
 			continue
 		}
 		h := fixedHold
@@ -87,7 +87,7 @@ func drawPoisson(row []uint64, horizon int64, arrive, stay coin, fixedHold int64
 			h = 1
 			for h < horizon {
 				var stayed bool
-				if stayed, st = stay.flip(st); !stayed {
+				if stayed, st = stay.Flip(st); !stayed {
 					break
 				}
 				h++

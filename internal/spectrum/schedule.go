@@ -1,7 +1,6 @@
 package spectrum
 
 import (
-	"math"
 	"sync"
 
 	"crn/internal/rng"
@@ -65,33 +64,4 @@ func setRun(row []uint64, lo, hi int64) {
 		row[w] = ^uint64(0)
 	}
 	row[last] |= tail
-}
-
-// coin is rng.Source.Bernoulli(p) for one fixed p, in integers. For
-// 0 < p < 1 it draws u and lands heads iff u>>11 < ⌈p·2⁵³⌉, which is
-// Bernoulli's test Float64() < p with both sides scaled by 2⁵³ (exact:
-// u>>11 is an integer below 2⁵³). For p ≤ 0 or p ≥ 1 it draws nothing,
-// as Bernoulli does, and always lands tails or heads.
-type coin struct {
-	thresh uint64 // heads iff the draw's top 53 bits fall below it
-	draws  bool   // if false, heads iff thresh != 0, and nothing is drawn
-}
-
-func newCoin(p float64) coin {
-	switch {
-	case p <= 0:
-		return coin{}
-	case p >= 1:
-		return coin{thresh: 1 << 53}
-	}
-	return coin{thresh: uint64(math.Ceil(p * (1 << 53))), draws: true}
-}
-
-// flip tosses c on st and returns the outcome and the stream after it.
-func (c coin) flip(st rng.Stream) (bool, rng.Stream) {
-	if !c.draws {
-		return c.thresh != 0, st
-	}
-	u, st := st.Next()
-	return u>>11 < c.thresh, st
 }

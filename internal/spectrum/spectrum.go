@@ -111,7 +111,7 @@ func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (
 	if horizon > maxHorizon {
 		return nil, fmt.Errorf("spectrum: horizon %d exceeds the %d-slot limit", horizon, maxHorizon)
 	}
-	toBusy, toFree := newCoin(pBusy), newCoin(pFree)
+	toBusy, toFree := rng.NewCoin(pBusy), rng.NewCoin(pFree)
 	return &Markov{newSchedule(channels, horizon, seed, func(row []uint64, st rng.Stream) {
 		drawMarkov(row, horizon, toBusy, toFree, st)
 	})}, nil
@@ -122,15 +122,15 @@ func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (
 // idle run ends at the first toBusy heads, which starts a busy run in
 // that slot, and a busy run ends at the first toFree heads, whose slot
 // is idle again.
-func drawMarkov(row []uint64, horizon int64, toBusy, toFree coin, st rng.Stream) {
+func drawMarkov(row []uint64, horizon int64, toBusy, toFree rng.Coin, st rng.Stream) {
 	var heads bool
 	for slot := int64(0); slot < horizon; slot++ {
-		if heads, st = toBusy.flip(st); !heads {
+		if heads, st = toBusy.Flip(st); !heads {
 			continue
 		}
 		start := slot
 		for slot++; slot < horizon; slot++ {
-			if heads, st = toFree.flip(st); heads {
+			if heads, st = toFree.Flip(st); heads {
 				break
 			}
 		}
