@@ -10,13 +10,14 @@ import (
 )
 
 // TestCSeekEngineZeroAllocsSteadyState is the end-to-end allocation
-// regression for the hot path the ISSUE targets: a real CSEEK
-// discovery workload stepped by radio.Engine.Run must allocate nothing
-// per slot once warmed up — in part one (COUNT sampling) and in part
-// two (density-guided back-off) alike, on per-node and range dispatch
-// (the facade attaches a SeekBank, so the range path is the production
-// path). Warm-up covers the transient allocators: discovery records
-// (SeekObservation), map growth, and the part-two back-off buffer.
+// regression for the CSEEK hot path: a real discovery workload stepped
+// by radio.Engine.Run must allocate nothing per slot once warmed up —
+// in part one (COUNT sampling) and in part two (density-guided
+// back-off) alike, on per-node and range dispatch (the facade's
+// machines come banked, so the range path is the production path).
+// Construction allocates every table and count a machine needs, and a
+// table only grows past Δ identities, which a static graph never
+// delivers; the warm-up covers the engine's own first slots.
 func TestCSeekEngineZeroAllocsSteadyState(t *testing.T) {
 	for _, banked := range []bool{false, true} {
 		name := "per-node"
@@ -69,8 +70,8 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 	}
 
 	// Part-one steady state: warm up past the (seed-deterministic)
-	// last discovery; every node must have found all neighbors by
-	// then, so no discovery records allocate during measurement.
+	// last discovery, so every node's table is full when the
+	// measurement starts.
 	target := p1 - 1600
 	e.Run(target)
 	for u, s := range seeks {
@@ -86,8 +87,7 @@ func testCSeekZeroAllocs(t *testing.T, banked bool) {
 		t.Errorf("part-one steady state allocates %.2f/100 slots, want 0", avg)
 	}
 
-	// Part-two steady state: cross into part two (the first back-off
-	// steps allocate the reusable decision buffer), then measure.
+	// Part-two steady state: cross into part two, then measure.
 	target = p1 + 60
 	e.Run(target)
 	stepP2 := func() {

@@ -18,12 +18,13 @@ import "crn/internal/radio"
 // behaves exactly like the per-node calls in ascending order.
 //
 // Attachment is explicit and happens at construction sites
-// (prepareDiscovery, CGCAST's stages, RunFloodCtx, tests): the bank
+// (NewSeekRun, CGCAST's dissemination, RunFloodCtx, tests): the bank
 // back-pointer makes every member protocol report the bank via
 // RangeBank, which radio's detectRangeBank verifies per run.
 
 // SeekBank fuses the CSEEK/CKSEEK machines of one run for range
-// dispatch (discovery, and CGCAST's exchange stages).
+// dispatch (discovery, and CGCAST's exchange stages). NewSeekRun and
+// NewCKSeekRun attach one to the machines they build.
 type SeekBank struct{ nodes []*CSeek }
 
 var _ radio.RangeProtocol = (*SeekBank)(nil)
@@ -52,7 +53,7 @@ func (b *SeekBank) ObserveRange(_ int64, lo, hi int, deliveries []radio.Delivery
 	nodes := b.nodes
 	for u := lo; u < hi; u++ {
 		d := deliveries[u]
-		nodes[u].observeOutcome(d.From >= 0, d.From, d.Data)
+		nodes[u].observeOutcome(d.From >= 0, d.From)
 	}
 }
 
@@ -62,22 +63,6 @@ func (s *CSeek) RangeBank() (radio.RangeProtocol, int) {
 		return nil, 0
 	}
 	return s.bank, s.bankIdx
-}
-
-// BankDiscoverers attaches a SeekBank when every discoverer in ds is a
-// CSEEK/CKSEEK machine, reporting whether it did. Baselines (naive,
-// uniform) stay on per-node dispatch.
-func BankDiscoverers(ds []Discoverer) bool {
-	seeks := make([]*CSeek, len(ds))
-	for i, d := range ds {
-		s, ok := d.(*CSeek)
-		if !ok {
-			return false
-		}
-		seeks[i] = s
-	}
-	NewSeekBank(seeks)
-	return true
 }
 
 // dissemBank fuses one dissemination run's stage-5 protocols.

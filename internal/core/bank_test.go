@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -97,12 +96,19 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			ds[u] = dv
 			protos[u] = dv
 		}
-		return stack{protos: protos, slots: ds[0].TotalSlots(), attach: func() bool { return BankDiscoverers(ds) }, outcome: func() string {
+		attach := func() bool {
+			seeks := make([]*CSeek, n)
+			for u, dv := range ds {
+				seeks[u] = dv.(*CSeek)
+			}
+			NewSeekBank(seeks)
+			return true
+		}
+		return stack{protos: protos, slots: ds[0].TotalSlots(), attach: attach, outcome: func() string {
 			out := ""
 			for u := 0; u < n; u++ {
-				ids := ds[u].Discovered()
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				out += fmt.Sprintf("%d:%v;", u, ids)
+				ids, slots := ds[u].Heard()
+				out += fmt.Sprintf("%d:%v@%v;", u, ids, slots)
 			}
 			return out
 		}}
@@ -187,9 +193,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 				protos[u] = cb
 			}
 			return stack{protos: protos, slots: int64(p.countSchedule().TotalSlots()), attach: func() bool { return NewCountBank(protos) != nil }, outcome: func() string {
-				heard := cl.Heard()
-				sort.Slice(heard, func(i, j int) bool { return heard[i] < heard[j] })
-				out := fmt.Sprintf("count=%d heard=%v;", cl.Count(), heard)
+				out := fmt.Sprintf("count=%d heard=%v;", cl.Count(), cl.Heard())
 				for u := 1; u < n; u++ {
 					out += fmt.Sprintf("%d:%d/%d;", u, bcs[u].slot, bcs[u].round)
 				}

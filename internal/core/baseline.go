@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"crn/internal/radio"
+	"crn/internal/rng"
 )
 
 // Baseline neighbor-discovery strategies the paper compares against.
@@ -23,10 +24,13 @@ import (
 
 // Discoverer is the interface shared by all neighbor-discovery
 // protocols; harnesses use it to measure time-to-discovery uniformly.
+// Every discoverer records whom it heard in the same sorted first-heard
+// table (heardTable).
 type Discoverer interface {
 	radio.Protocol
-	// Discovered returns the identities heard so far.
-	Discovered() []radio.NodeID
+	// Heard returns the identities heard so far in ascending order, and
+	// the slot each was first heard in (views of the table).
+	Heard() ([]radio.NodeID, []int64)
 	// DiscoveredCount returns the number of distinct identities heard.
 	DiscoveredCount() int
 	// TotalSlots returns the protocol's fixed schedule length.
@@ -47,8 +51,8 @@ type NaiveSeek struct {
 	delta    int
 	slots    int64
 	maxSlots int64
-	observed map[radio.NodeID]int64 // id -> first-heard slot
 	listen   bool
+	heardTable
 }
 
 // NewNaiveSeek returns the naive baseline with the schedule
@@ -62,10 +66,10 @@ func NewNaiveSeek(p Params, env Env) (*NaiveSeek, error) {
 	}
 	slots := int64(scaledSteps(p.Tuning.NaiveSlots, ceilDiv(p.C*p.C, p.K)*p.Delta, p.LgN()))
 	return &NaiveSeek{
-		env:      env,
-		delta:    p.Delta,
-		maxSlots: slots,
-		observed: make(map[radio.NodeID]int64),
+		env:        env,
+		delta:      p.Delta,
+		maxSlots:   slots,
+		heardTable: newHeardTable(p.Delta),
 	}, nil
 }
 
@@ -85,21 +89,13 @@ func (s *NaiveSeek) Act(_ int64) radio.Action {
 // Observe implements radio.Protocol.
 func (s *NaiveSeek) Observe(_ int64, msg *radio.Message) {
 	if s.listen && msg != nil {
-		if _, ok := s.observed[msg.From]; !ok {
-			s.observed[msg.From] = s.slots
-		}
+		s.hear(msg.From, s.slots, 0)
 	}
 	s.slots++
 }
 
 // Done implements radio.Protocol.
 func (s *NaiveSeek) Done() bool { return s.slots >= s.maxSlots }
-
-// Discovered implements Discoverer.
-func (s *NaiveSeek) Discovered() []radio.NodeID { return keys(s.observed) }
-
-// DiscoveredCount implements Discoverer.
-func (s *NaiveSeek) DiscoveredCount() int { return len(s.observed) }
 
 // TotalSlots implements Discoverer.
 func (s *NaiveSeek) TotalSlots() int64 { return s.maxSlots }
@@ -121,8 +117,9 @@ type UniformSeek struct {
 	slot      int64
 	listener  bool
 	ch        int
-	bcast     []bool
-	observed  map[radio.NodeID]int64
+	backoff   []rng.Coin // CSEEK's part-two coins
+	bcast     uint64     // back-off decisions of this step, bit i for slot i
+	heardTable
 }
 
 // NewUniformSeek returns the uniform-listen baseline with schedule
@@ -137,10 +134,11 @@ func NewUniformSeek(p Params, env Env) (*UniformSeek, error) {
 	}
 	base := ceilDiv(p.C*p.C+p.C*p.Delta, p.K)
 	return &UniformSeek{
-		env:       env,
-		slotsStep: p.LgDelta(),
-		steps:     scaledSteps(p.Tuning.P2Steps, base, p.LgN()),
-		observed:  make(map[radio.NodeID]int64),
+		env:        env,
+		slotsStep:  p.LgDelta(),
+		steps:      scaledSteps(p.Tuning.P2Steps, base, p.LgN()),
+		backoff:    p.backoffCoins(),
+		heardTable: newHeardTable(p.Delta),
 	}, nil
 }
 
@@ -152,7 +150,7 @@ func (s *UniformSeek) Act(_ int64) radio.Action {
 	if s.listener {
 		return radio.Action{Kind: radio.Listen, Ch: s.ch}
 	}
-	if s.bcast[s.stepSlot] {
+	if s.bcast>>uint(s.stepSlot)&1 != 0 {
 		return radio.Action{Kind: radio.Broadcast, Ch: s.ch}
 	}
 	return radio.Action{Kind: radio.Idle, Ch: s.ch}
@@ -164,22 +162,18 @@ func (s *UniformSeek) beginStep() {
 	if s.listener {
 		return
 	}
-	if cap(s.bcast) < s.slotsStep {
-		s.bcast = make([]bool, s.slotsStep)
-	}
-	s.bcast = s.bcast[:s.slotsStep]
-	denom := int64(1) << uint(s.slotsStep)
-	for i := range s.bcast {
-		s.bcast[i] = s.env.Rand.Bernoulli(float64(int64(1)<<uint(i)) / float64(denom))
+	s.bcast = 0
+	for i, c := range s.backoff {
+		if s.env.Rand.Toss(c) {
+			s.bcast |= 1 << uint(i)
+		}
 	}
 }
 
 // Observe implements radio.Protocol.
 func (s *UniformSeek) Observe(_ int64, msg *radio.Message) {
 	if s.listener && msg != nil {
-		if _, ok := s.observed[msg.From]; !ok {
-			s.observed[msg.From] = s.slot
-		}
+		s.hear(msg.From, s.slot, 0)
 	}
 	s.slot++
 	s.stepSlot++
@@ -192,23 +186,9 @@ func (s *UniformSeek) Observe(_ int64, msg *radio.Message) {
 // Done implements radio.Protocol.
 func (s *UniformSeek) Done() bool { return s.step >= s.steps }
 
-// Discovered implements Discoverer.
-func (s *UniformSeek) Discovered() []radio.NodeID { return keys(s.observed) }
-
-// DiscoveredCount implements Discoverer.
-func (s *UniformSeek) DiscoveredCount() int { return len(s.observed) }
-
 // TotalSlots implements Discoverer.
 func (s *UniformSeek) TotalSlots() int64 { return int64(s.steps) * int64(s.slotsStep) }
 
 // MinDoneSlots implements radio.FixedSchedule: the step counter only
 // reaches its bound when the whole fixed schedule has been observed.
 func (s *UniformSeek) MinDoneSlots() int64 { return s.TotalSlots() }
-
-func keys(m map[radio.NodeID]int64) []radio.NodeID {
-	out := make([]radio.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
-}

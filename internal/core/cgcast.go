@@ -420,7 +420,7 @@ func (d *cgcastDriver) establishEdges() error {
 
 	// Full mode, stage 1: CSEEK with channel logging. Stage 2: CSEEK
 	// again, each frame standing for the sender's stage-1 first-heard
-	// map.
+	// table.
 	stage1, err := d.runSeeks(true)
 	if err != nil {
 		return err
@@ -433,19 +433,21 @@ func (d *cgcastDriver) establishEdges() error {
 	d.nextStage()
 
 	// Fix dedicated channels: u establishes (u,v) iff it heard v in
-	// stage 1 and received v's map naming u in stage 2 — that is, u
+	// stage 1 and received v's table naming u in stage 2 — that is, u
 	// heard v in stage 2 and v heard u in stage 1, at the slot v's
-	// stage-1 record holds, so the maps need not ride the frames. Both
+	// stage-1 table holds, so the tables need not ride the frames. Both
 	// endpoints use the channel they were tuned to in the earlier of
 	// the two first-heard slots.
 	for e, ed := range d.edges {
 		u, v := ed.U, ed.V
-		uv, vu := stage1[u].Observation(radio.NodeID(v)), stage1[v].Observation(radio.NodeID(u))
-		if uv == nil || vu == nil ||
-			stage2[u].Observation(radio.NodeID(v)) == nil || stage2[v].Observation(radio.NodeID(u)) == nil {
+		uv, okUV := stage1[u].FirstHeard(radio.NodeID(v))
+		vu, okVU := stage1[v].FirstHeard(radio.NodeID(u))
+		_, okUV2 := stage2[u].FirstHeard(radio.NodeID(v))
+		_, okVU2 := stage2[v].FirstHeard(radio.NodeID(u))
+		if !okUV || !okVU || !okUV2 || !okVU2 {
 			continue
 		}
-		t := min(uv.Slot, vu.Slot)
+		t := min(uv, vu)
 		chU, okU := stage1[u].ChannelAt(t)
 		chV, okV := stage1[v].ChannelAt(t)
 		if okU && okV {
@@ -588,7 +590,8 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 	}
 	heard := make([][]int32, d.n)
 	for u, s := range seeks {
-		for _, v := range s.Discovered() {
+		ids, _ := s.Heard()
+		for _, v := range ids {
 			heard[u] = append(heard[u], int32(v))
 		}
 	}
@@ -596,22 +599,21 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 }
 
 // runSeeks runs one full-schedule CSEEK execution, every node drawing
-// from its stream of the current stage, and charges its slots to
-// setup. record enables the per-slot channel log stage 1 needs.
+// from its stream of the current stage (nodeRand's), and charges its
+// slots to setup. record enables the per-slot channel log stage 1
+// needs.
 func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
-	seeks := make([]*CSeek, d.n)
+	seeks, err := NewSeekRun(d.p, d.n, d.master, uint64(d.stage)<<32)
+	if err != nil {
+		return nil, err
+	}
 	protos := make([]radio.Protocol, d.n)
-	for u := range seeks {
-		s, err := NewCSeek(d.p, Env{ID: radio.NodeID(u), C: d.p.C, Rand: d.nodeRand(u)})
-		if err != nil {
-			return nil, err
-		}
+	for u, s := range seeks {
 		if record {
 			s.RecordChannels()
 		}
-		seeks[u], protos[u] = s, s
+		protos[u] = s
 	}
-	NewSeekBank(seeks)
 	e, err := radio.NewEngine(d.nw, protos)
 	if err != nil {
 		return nil, err

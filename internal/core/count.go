@@ -1,6 +1,11 @@
 package core
 
-import "crn/internal/radio"
+import (
+	"slices"
+
+	"crn/internal/radio"
+	"crn/internal/rng"
+)
 
 // COUNT (Section 4.1, Appendix A): one listener and an unknown number
 // m ≤ Δ of broadcasters share a channel; the listener wants an estimate
@@ -23,10 +28,10 @@ type countSchedule struct {
 	rounds        int
 	slotsPerRound int
 	threshold     float64
-	// probs[r] is the per-slot broadcast probability of round r,
-	// precomputed so the per-slot hot path does a load instead of a
-	// float division.
-	probs []float64
+	// coins[r] is the per-slot broadcast coin of round r, probability
+	// 1/2^r, so the per-slot hot path compares integers instead of
+	// drawing a float.
+	coins []rng.Coin
 }
 
 func (p Params) countSchedule() countSchedule {
@@ -36,15 +41,15 @@ func (p Params) countSchedule() countSchedule {
 	}
 	// Estimates go 1, 2, 4, … and must reach Δ: lgΔ+1 rounds.
 	rounds := p.LgDelta() + 1
-	probs := make([]float64, rounds)
-	for r := range probs {
-		probs[r] = 1 / float64(int64(1)<<uint(r))
+	coins := make([]rng.Coin, rounds)
+	for r := range coins {
+		coins[r] = rng.NewCoin(1 / float64(int64(1)<<uint(r)))
 	}
 	return countSchedule{
 		rounds:        rounds,
 		slotsPerRound: slots,
 		threshold:     p.Tuning.CountThreshold,
-		probs:         probs,
+		coins:         coins,
 	}
 }
 
@@ -54,73 +59,38 @@ func (s countSchedule) TotalSlots() int { return s.rounds * s.slotsPerRound }
 // round returns the round index (0-based) of a slot within COUNT.
 func (s countSchedule) round(slot int) int { return slot / s.slotsPerRound }
 
-// broadcastProb returns the per-slot broadcast probability in round r:
-// 1/2^r (round 0 has estimate 1, probability 1).
-func (s countSchedule) broadcastProb(r int) float64 { return s.probs[r] }
-
-// countListener accumulates the listener side of one COUNT execution.
-// It is embedded in CSEEK part-one steps and in the standalone
-// CountListen protocol. It tracks its own position in the schedule
-// with incremental counters (no per-slot division); callers must feed
-// it exactly one observe per slot from the start of an execution.
+// countListener is the state of one COUNT execution: its position in
+// the schedule, which it tracks with incremental counters (no per-slot
+// division), and the listener's tallies. It is embedded in CSEEK
+// part-one steps and in the standalone CountListen protocol. Callers
+// feed it exactly one outcome per slot from the start of an execution;
+// they keep the record of whom they heard, and report a sender heard
+// for the first time in this execution as fresh.
 type countListener struct {
-	sched       countSchedule
 	heardIn     int  // messages heard in the current round
 	slotInRound int  // slots consumed in the current round
 	round       int  // current round index
 	triggered   bool // an estimate has been adopted
 	estimate    int64
-	distinct    map[radio.NodeID]struct{}
+	distinct    int64 // identities first heard in this execution
 }
 
-func newCountListener(sched countSchedule) countListener {
-	return countListener{
-		sched:    sched,
-		distinct: make(map[radio.NodeID]struct{}, 4),
-	}
-}
-
-// reset prepares the listener for a fresh COUNT execution, reusing the
-// allocation.
-func (l *countListener) reset() {
-	l.heardIn = 0
-	l.slotInRound = 0
-	l.round = 0
-	l.triggered = false
-	l.estimate = 0
-	clear(l.distinct)
-}
-
-// observe processes the outcome of one slot (msg nil on silence or
-// collision).
-func (l *countListener) observe(msg *radio.Message) {
-	if msg == nil {
-		l.observeOutcome(false, 0)
-		return
-	}
-	l.observeOutcome(true, msg.From)
-}
-
-// observeOutcome is observe with the delivery already unpacked — the
-// range-dispatch banks feed outcomes here directly, so both dispatch
-// modes share one state machine and no Message value is ever built.
-func (l *countListener) observeOutcome(heard bool, from radio.NodeID) {
+// observeOutcome processes the outcome of one slot.
+func (l *countListener) observeOutcome(sched *countSchedule, heard, fresh bool) {
 	if heard {
 		l.heardIn++
-		// Access-before-assign: in steady state the sender is already
-		// known and a map read is cheaper than a rewrite.
-		if _, ok := l.distinct[from]; !ok {
-			l.distinct[from] = struct{}{}
+		if fresh {
+			l.distinct++
 		}
 	}
 	l.slotInRound++
-	if l.slotInRound < l.sched.slotsPerRound {
+	if l.slotInRound < sched.slotsPerRound {
 		return
 	}
 	// Round boundary: apply the trigger rule.
 	if !l.triggered {
-		frac := float64(l.heardIn) / float64(l.sched.slotsPerRound)
-		if frac > l.sched.threshold {
+		frac := float64(l.heardIn) / float64(sched.slotsPerRound)
+		if frac > sched.threshold {
 			l.triggered = true
 			// Estimate 2^(i+1) with i the 1-based round index round+1.
 			l.estimate = int64(1) << uint(l.round+2)
@@ -137,7 +107,7 @@ func (l *countListener) count() int64 {
 	if l.triggered {
 		return l.estimate
 	}
-	return int64(len(l.distinct))
+	return l.distinct
 }
 
 // CountListen is the standalone listener protocol for COUNT on a fixed
@@ -147,6 +117,7 @@ type CountListen struct {
 	ch    int
 	slot  int
 	l     countListener
+	heard heardTable
 
 	// bank/bankIdx back-reference the CountBank (range dispatch).
 	bank    *CountBank
@@ -161,11 +132,10 @@ func NewCountListen(p Params, ch int) (*CountListen, error) {
 	if err := p.Normalize(); err != nil {
 		return nil, err
 	}
-	sched := p.countSchedule()
 	return &CountListen{
-		sched: sched,
+		sched: p.countSchedule(),
 		ch:    ch,
-		l:     newCountListener(sched),
+		heard: newHeardTable(p.Delta),
 	}, nil
 }
 
@@ -176,14 +146,19 @@ func (c *CountListen) Act(_ int64) radio.Action {
 
 // Observe implements radio.Protocol.
 func (c *CountListen) Observe(_ int64, msg *radio.Message) {
-	c.l.observe(msg)
-	c.slot++
+	if msg == nil {
+		c.observeOutcome(false, 0)
+		return
+	}
+	c.observeOutcome(true, msg.From)
 }
 
 // observeOutcome is Observe with the delivery already unpacked (the
-// CountBank feeds outcomes here).
+// CountBank feeds outcomes here). The whole execution is one step, so
+// every entry carries stamp 0 and only a new identity is fresh.
 func (c *CountListen) observeOutcome(heard bool, from radio.NodeID) {
-	c.l.observeOutcome(heard, from)
+	fresh := heard && c.heard.hear(from, int64(c.slot), 0)
+	c.l.observeOutcome(&c.sched, heard, fresh)
 	c.slot++
 }
 
@@ -193,14 +168,9 @@ func (c *CountListen) Done() bool { return c.slot >= c.sched.TotalSlots() }
 // Count returns the estimate; meaningful once Done.
 func (c *CountListen) Count() int64 { return c.l.count() }
 
-// Heard returns the identities of all broadcasters heard at least once.
-func (c *CountListen) Heard() []radio.NodeID {
-	out := make([]radio.NodeID, 0, len(c.l.distinct))
-	for id := range c.l.distinct {
-		out = append(out, id)
-	}
-	return out
-}
+// Heard returns the identities of all broadcasters heard at least once,
+// in ascending order. The caller owns the returned slice.
+func (c *CountListen) Heard() []radio.NodeID { return slices.Clone(c.heard.ids) }
 
 // CountBroadcast is the standalone broadcaster protocol for COUNT.
 type CountBroadcast struct {
@@ -229,7 +199,7 @@ func NewCountBroadcast(p Params, env Env, ch int) (*CountBroadcast, error) {
 
 // Act implements radio.Protocol.
 func (c *CountBroadcast) Act(_ int64) radio.Action {
-	if c.env.Rand.Bernoulli(c.sched.broadcastProb(c.round)) {
+	if c.env.Rand.Toss(c.sched.coins[c.round]) {
 		return radio.Action{Kind: radio.Broadcast, Ch: c.ch}
 	}
 	return radio.Action{Kind: radio.Idle}

@@ -76,17 +76,28 @@ func TestCountLemma1(t *testing.T) {
 	}
 }
 
+// newTestListener returns a COUNT listener for the unit tests below,
+// which feed it outcomes directly.
+func newTestListener(t *testing.T, p Params) *CountListen {
+	t.Helper()
+	l, err := NewCountListen(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestCountZeroBroadcasters(t *testing.T) {
 	// Direct listener unit: silence in every slot yields count 0.
 	p := Params{N: 8, C: 1, K: 1, KMax: 1, Delta: 4}
 	if err := p.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	l := newCountListener(p.countSchedule())
+	l := newTestListener(t, p)
 	for s := 0; s < p.countSchedule().TotalSlots(); s++ {
-		l.observe(nil)
+		l.Observe(int64(s), nil)
 	}
-	if got := l.count(); got != 0 {
+	if got := l.Count(); got != 0 {
 		t.Errorf("count = %d for pure silence, want 0", got)
 	}
 }
@@ -99,16 +110,16 @@ func TestCountListenerTriggerRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := p.countSchedule()
-	l := newCountListener(sched)
+	l := newTestListener(t, p)
 	msg := &radio.Message{From: 7}
 	for s := 0; s < sched.TotalSlots(); s++ {
 		if sched.round(s) == 0 {
-			l.observe(msg)
+			l.Observe(int64(s), msg)
 		} else {
-			l.observe(nil)
+			l.Observe(int64(s), nil)
 		}
 	}
-	if got := l.count(); got != 4 {
+	if got := l.Count(); got != 4 {
 		t.Errorf("count = %d, want 4", got)
 	}
 }
@@ -120,16 +131,16 @@ func TestCountListenerLaterRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := p.countSchedule()
-	l := newCountListener(sched)
+	l := newTestListener(t, p)
 	msg := &radio.Message{From: 3}
 	for s := 0; s < sched.TotalSlots(); s++ {
 		if sched.round(s) == 2 {
-			l.observe(msg)
+			l.Observe(int64(s), msg)
 		} else {
-			l.observe(nil)
+			l.Observe(int64(s), nil)
 		}
 	}
-	if got := l.count(); got != 16 {
+	if got := l.Count(); got != 16 {
 		t.Errorf("count = %d, want 16", got)
 	}
 }
@@ -145,15 +156,15 @@ func TestCountListenerBelowThresholdFallback(t *testing.T) {
 	if sched.slotsPerRound < 10 {
 		t.Skip("round too short for a sub-threshold test")
 	}
-	l := newCountListener(sched)
+	l := newTestListener(t, p)
 	for s := 0; s < sched.TotalSlots(); s++ {
 		if s == 1 {
-			l.observe(&radio.Message{From: 9})
+			l.Observe(int64(s), &radio.Message{From: 9})
 		} else {
-			l.observe(nil)
+			l.Observe(int64(s), nil)
 		}
 	}
-	if got := l.count(); got != 1 {
+	if got := l.Count(); got != 1 {
 		t.Errorf("count = %d, want fallback distinct count 1", got)
 	}
 }
@@ -205,11 +216,11 @@ func TestCountScheduleShape(t *testing.T) {
 	if s.TotalSlots() != s.rounds*s.slotsPerRound {
 		t.Error("TotalSlots inconsistent")
 	}
-	if got := s.broadcastProb(0); got != 1 {
-		t.Errorf("broadcastProb(0) = %v, want 1", got)
+	if got := s.coins[0]; got != rng.NewCoin(1) {
+		t.Errorf("round 0 coin = %+v, want the p = 1 coin", got)
 	}
-	if got := s.broadcastProb(3); got != 0.125 {
-		t.Errorf("broadcastProb(3) = %v, want 0.125", got)
+	if got := s.coins[3]; got != rng.NewCoin(0.125) {
+		t.Errorf("round 3 coin = %+v, want the p = 0.125 coin", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -59,7 +61,8 @@ func assertFullDiscovery(t *testing.T, in *discoveryInstance, ds []Discoverer) {
 	missing := 0
 	for u := 0; u < in.g.N(); u++ {
 		found := make(map[radio.NodeID]bool)
-		for _, id := range ds[u].Discovered() {
+		ids, _ := ds[u].Heard()
+		for _, id := range ids {
 			found[id] = true
 		}
 		for _, v := range in.g.Neighbors(u) {
@@ -155,7 +158,7 @@ func TestCSeekDeterminism(t *testing.T) {
 			}
 			return s
 		})
-		out := ds[0].Discovered()
+		out, _ := ds[0].Heard()
 		return out
 	}
 	a1 := run()
@@ -174,7 +177,9 @@ func TestCSeekDeterminism(t *testing.T) {
 	}
 }
 
-func TestCSeekObservationPayloadAndSlot(t *testing.T) {
+// TestCSeekFirstHeardSlot: the table answers FirstHeard with the slot
+// Heard reports, inside the run, and nothing for an unknown identity.
+func TestCSeekFirstHeardSlot(t *testing.T) {
 	r := rng.New(2)
 	a, err := chanassign.Matching(3, [][2]int{{0, 0}}, r)
 	if err != nil {
@@ -188,7 +193,6 @@ func TestCSeekObservationPayloadAndSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetPayload(100 + u)
 		return s
 	}
 	s0, s1 := mk(0), mk(1)
@@ -199,18 +203,99 @@ func TestCSeekObservationPayloadAndSlot(t *testing.T) {
 	if st := e.Run(s0.TotalSlots() + 1); !st.Completed {
 		t.Fatal("did not complete")
 	}
-	obs := s0.Observation(1)
-	if obs == nil {
+	slot, ok := s0.FirstHeard(1)
+	if !ok {
 		t.Fatal("node 0 never heard node 1")
 	}
-	if obs.Payload != 101 {
-		t.Errorf("payload = %v, want 101", obs.Payload)
+	if slot < 0 || slot >= s0.TotalSlots() {
+		t.Errorf("first-heard slot %d outside run", slot)
 	}
-	if obs.Slot < 0 || obs.Slot >= s0.TotalSlots() {
-		t.Errorf("first-heard slot %d outside run", obs.Slot)
+	ids, slots := s0.Heard()
+	if len(ids) != 1 || ids[0] != 1 || slots[0] != slot {
+		t.Errorf("Heard() = %v, %v; want [1], [%d]", ids, slots, slot)
 	}
-	if s0.Observation(99) != nil {
-		t.Error("Observation for unknown id should be nil")
+	if _, ok := s0.FirstHeard(99); ok {
+		t.Error("FirstHeard found an unknown id")
+	}
+}
+
+// TestSeekRunMatchesPerNodeMachines: the machines NewSeekRun and
+// NewCKSeekRun build in one pass, on range dispatch, end a run exactly
+// as NewCSeek/NewCKSeek machines built one at a time end it on per-node
+// dispatch: same stats, same tables, same counts. A Δ below the graph's
+// real degree makes the tables outgrow their windows.
+func TestSeekRunMatchesPerNodeMachines(t *testing.T) {
+	const n, seed, stream = 12, 41, 7 << 32
+	g, err := graph.GNP(n, 0.5, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(n, 3, 2, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := &radio.Network{Graph: g, Assign: a}
+	run := func(protos []radio.Protocol, seeks []*CSeek) string {
+		e, err := radio.NewEngine(nw, protos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Run(seeks[0].TotalSlots() + 1)
+		out := fmt.Sprintf("range=%v %+v;", e.RangeDispatch(), st)
+		for u, s := range seeks {
+			ids, slots := s.Heard()
+			out += fmt.Sprintf("%d:%v@%v counts=%v;", u, ids, slots, s.Counts())
+		}
+		return out
+	}
+	for _, delta := range []int{g.MaxDegree(), 2} {
+		p := Params{N: n, C: 3, K: 2, KMax: 2, Delta: delta}
+		for _, khat := range []int{0, 2} {
+			master := rng.New(seed)
+			one := make([]*CSeek, n)
+			protos := make([]radio.Protocol, n)
+			for u := range one {
+				env := Env{ID: radio.NodeID(u), C: p.C, Rand: master.Split(stream | uint64(u))}
+				var err error
+				if khat == 0 {
+					one[u], err = NewCSeek(p, env)
+				} else {
+					one[u], err = NewCKSeek(p, env, khat, delta)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				protos[u] = one[u]
+			}
+			want := run(protos, one)
+
+			var all []*CSeek
+			if khat == 0 {
+				all, err = NewSeekRun(p, n, rng.New(seed), stream)
+			} else {
+				all, err = NewCKSeekRun(p, n, khat, delta, rng.New(seed), stream)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, s := range all {
+				protos[u] = s
+			}
+			got := run(protos, all)
+			want = strings.Replace(want, "range=false", "range=true", 1)
+			if got != want {
+				t.Errorf("Δ=%d k̂=%d: one-pass run diverged:\n run      %s\n per-node %s", delta, khat, got, want)
+			}
+			if delta == 2 {
+				most := 0
+				for _, s := range all {
+					most = max(most, s.DiscoveredCount())
+				}
+				if most <= delta {
+					t.Errorf("Δ=%d k̂=%d: no table outgrew its window (most heard: %d)", delta, khat, most)
+				}
+			}
+		}
 	}
 }
 
@@ -256,12 +341,12 @@ func TestCSeekChannelLog(t *testing.T) {
 
 	// Cross-check the meeting invariant: when 0 first heard 1, both
 	// were on the same global channel according to their own logs.
-	obs := s0.Observation(1)
-	if obs == nil {
+	slot, ok := s0.FirstHeard(1)
+	if !ok {
 		t.Fatal("node 0 never heard node 1")
 	}
-	ch0, _ := s0.ChannelAt(obs.Slot)
-	ch1, _ := s1.ChannelAt(obs.Slot)
+	ch0, _ := s0.ChannelAt(slot)
+	ch1, _ := s1.ChannelAt(slot)
 	g0 := in.a.Global(0, int(ch0))
 	g1 := in.a.Global(1, int(ch1))
 	if g0 != g1 {
@@ -388,7 +473,8 @@ func TestCKSeekFindsGoodNeighbors(t *testing.T) {
 	missing := 0
 	for u := 0; u < g.N(); u++ {
 		found := make(map[radio.NodeID]bool)
-		for _, id := range ds[u].Discovered() {
+		ids, _ := ds[u].Heard()
+		for _, id := range ids {
 			found[id] = true
 		}
 		for _, v := range g.Neighbors(u) {

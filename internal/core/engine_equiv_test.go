@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -83,9 +82,8 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 		return stack{protos: protos, slots: ds[0].TotalSlots(), outcome: func() string {
 			out := ""
 			for u := 0; u < n; u++ {
-				ids := ds[u].Discovered()
-				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-				out += fmt.Sprintf("%d:%v;", u, ids)
+				ids, slots := ds[u].Heard()
+				out += fmt.Sprintf("%d:%v@%v;", u, ids, slots)
 			}
 			return out
 		}}

@@ -42,12 +42,12 @@ func TestLemma2PartOneSuffices(t *testing.T) {
 	for u := 0; u < g.N(); u++ {
 		s := ds[u].(*CSeek)
 		for _, v := range g.Neighbors(u) {
-			obs := s.Observation(radio.NodeID(v))
-			if obs == nil {
+			slot, ok := s.FirstHeard(radio.NodeID(v))
+			if !ok {
 				t.Errorf("node %d never heard neighbor %d", u, v)
 				continue
 			}
-			if obs.Slot >= s.PartOneSlots() {
+			if slot >= s.PartOneSlots() {
 				late++
 			}
 		}

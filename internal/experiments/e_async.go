@@ -108,12 +108,8 @@ func runStaggered(in *instance, spread float64, seed uint64) (int, error) {
 
 	found := 0
 	for u := 0; u < n; u++ {
-		seen := make(map[radio.NodeID]bool)
-		for _, id := range seeks[u].Discovered() {
-			seen[id] = true
-		}
 		for _, v := range in.g.Neighbors(u) {
-			if seen[radio.NodeID(v)] {
+			if _, ok := seeks[u].FirstHeard(radio.NodeID(v)); ok {
 				found++
 			}
 		}

@@ -3,8 +3,8 @@ package crn
 import (
 	"context"
 	"fmt"
-	"sort"
 
+	"crn/internal/bitset"
 	"crn/internal/core"
 	"crn/internal/dynamics"
 	"crn/internal/radio"
@@ -42,18 +42,19 @@ func (p discoveryPrimitive) Name() string {
 	return string(p.algo)
 }
 
-func (p discoveryPrimitive) mk(s *Scenario) func(core.Env) (core.Discoverer, error) {
-	return func(env core.Env) (core.Discoverer, error) {
-		switch p.algo {
-		case CSeek, "":
-			return core.NewCSeek(s.p, env)
-		case Naive:
-			return core.NewNaiveSeek(s.p, env)
-		case Uniform:
-			return core.NewUniformSeek(s.p, env)
-		default:
-			return nil, fmt.Errorf("crn: unknown algorithm %q", p.algo)
+func (p discoveryPrimitive) mk(s *Scenario) runBuilder {
+	switch p.algo {
+	case CSeek, "":
+		return func(master *rng.Source) ([]core.Discoverer, error) {
+			return discoverers(core.NewSeekRun(s.p, s.g.N(), master, 0))
 		}
+	case Naive:
+		return eachNode(s, func(env core.Env) (core.Discoverer, error) { return core.NewNaiveSeek(s.p, env) })
+	case Uniform:
+		return eachNode(s, func(env core.Env) (core.Discoverer, error) { return core.NewUniformSeek(s.p, env) })
+	}
+	return func(*rng.Source) ([]core.Discoverer, error) {
+		return nil, fmt.Errorf("crn: unknown algorithm %q", p.algo)
 	}
 }
 
@@ -67,6 +68,39 @@ func (p discoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []u
 	return runDiscoveryBatch(ctx, s, p.Name(), p.mk(s), nil, seeds)
 }
 
+// runBuilder builds the discoverers of one run, node u drawing from
+// master.Split(u).
+type runBuilder func(master *rng.Source) ([]core.Discoverer, error)
+
+// discoverers adapts a CSEEK/CKSEEK run, built in one pass and banked,
+// to the Discoverer slice a run holds.
+func discoverers(seeks []*core.CSeek, err error) ([]core.Discoverer, error) {
+	if err != nil {
+		return nil, err
+	}
+	ds := make([]core.Discoverer, len(seeks))
+	for u, sk := range seeks {
+		ds[u] = sk
+	}
+	return ds, nil
+}
+
+// eachNode builds a baseline's run one node at a time; baselines stay
+// on per-node dispatch.
+func eachNode(s *Scenario, mk func(core.Env) (core.Discoverer, error)) runBuilder {
+	return func(master *rng.Source) ([]core.Discoverer, error) {
+		ds := make([]core.Discoverer, s.g.N())
+		for u := range ds {
+			d, err := mk(core.Env{ID: radio.NodeID(u), C: s.p.C, Rand: master.Split(uint64(u))})
+			if err != nil {
+				return nil, err
+			}
+			ds[u] = d
+		}
+		return ds, nil
+	}
+}
+
 // KDiscovery returns the k̂-neighbor-discovery primitive (CKSEEK,
 // Theorem 6): every node finds (at least) all neighbors sharing at
 // least khat channels with it. The result counts only those "good"
@@ -77,28 +111,39 @@ type kDiscoveryPrimitive struct{ khat int }
 
 func (p kDiscoveryPrimitive) Name() string { return "ckseek" }
 
-// khatTargets computes the per-node "good pair" target sets (neighbors
-// sharing at least k̂ channels) and the realized Δ_k̂ bound CKSEEK's
-// schedule is sized from.
-func (p kDiscoveryPrimitive) khatTargets(s *Scenario) ([]map[radio.NodeID]bool, int, error) {
+// khatTargets computes the per-node "good pair" target lists
+// (neighbors sharing at least k̂ channels, ascending, as views of one
+// array) and the realized Δ_k̂ bound CKSEEK's schedule is sized from.
+func (p kDiscoveryPrimitive) khatTargets(s *Scenario) ([][]int32, int, error) {
 	if p.khat < s.p.K || p.khat > s.p.KMax {
 		return nil, 0, fmt.Errorf("crn: k̂ must be in [k,kmax] = [%d,%d], got %d", s.p.K, s.p.KMax, p.khat)
 	}
 	n := s.g.N()
-	targets := make([]map[radio.NodeID]bool, n)
+	degrees := 0
+	for u := 0; u < n; u++ {
+		degrees += s.g.Degree(u)
+	}
+	flat := make([]int32, 0, degrees)
+	targets := make([][]int32, n)
 	deltaKhat := 0
 	for u := 0; u < n; u++ {
-		targets[u] = make(map[radio.NodeID]bool)
+		lo := len(flat)
 		for _, v := range s.g.Neighbors(u) {
 			if s.a.SharedCount(u, int(v)) >= p.khat {
-				targets[u][radio.NodeID(v)] = true
+				flat = append(flat, v)
 			}
 		}
-		if len(targets[u]) > deltaKhat {
-			deltaKhat = len(targets[u])
-		}
+		targets[u] = flat[lo:len(flat):len(flat)]
+		deltaKhat = max(deltaKhat, len(targets[u]))
 	}
 	return targets, deltaKhat, nil
+}
+
+// mk builds CKSEEK runs sized for Δ_k̂.
+func (p kDiscoveryPrimitive) mk(s *Scenario, deltaKhat int) runBuilder {
+	return func(master *rng.Source) ([]core.Discoverer, error) {
+		return discoverers(core.NewCKSeekRun(s.p, s.g.N(), p.khat, deltaKhat, master, 0))
+	}
 }
 
 func (p kDiscoveryPrimitive) Run(ctx context.Context, s *Scenario, seed uint64) (*Result, error) {
@@ -106,23 +151,17 @@ func (p kDiscoveryPrimitive) Run(ctx context.Context, s *Scenario, seed uint64) 
 	if err != nil {
 		return nil, err
 	}
-	mk := func(env core.Env) (core.Discoverer, error) {
-		return core.NewCKSeek(s.p, env, p.khat, deltaKhat)
-	}
-	return runDiscovery(ctx, s, p.Name(), mk, targets, seed)
+	return runDiscovery(ctx, s, p.Name(), p.mk(s, deltaKhat), targets, seed)
 }
 
-// RunBatch implements batchRunner, computing the target sets once for
+// RunBatch implements batchRunner, computing the target lists once for
 // the whole batch.
 func (p kDiscoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []uint64) ([]*Result, error) {
 	targets, deltaKhat, err := p.khatTargets(s)
 	if err != nil {
 		return nil, err
 	}
-	mk := func(env core.Env) (core.Discoverer, error) {
-		return core.NewCKSeek(s.p, env, p.khat, deltaKhat)
-	}
-	return runDiscoveryBatch(ctx, s, p.Name(), mk, targets, seeds)
+	return runDiscoveryBatch(ctx, s, p.Name(), p.mk(s, deltaKhat), targets, seeds)
 }
 
 // discoveryRun is one prepared discovery run: protocols built, network
@@ -131,7 +170,7 @@ func (p kDiscoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []
 type discoveryRun struct {
 	s       *Scenario
 	name    string
-	targets []map[radio.NodeID]bool
+	targets [][]int32
 
 	ds     []core.Discoverer
 	protos []radio.Protocol
@@ -140,43 +179,30 @@ type discoveryRun struct {
 	rediscovered       int64
 	rediscoveryLatency int64
 
-	observers   []observer
 	completedAt int64
 	unsat       int
 }
 
-// prepareDiscovery builds one run: a discoverer per node seeded from
-// the run seed, the run-scoped network, and — under a dynamic topology
-// with a join log — the delivery-trace tap for re-discovery accounting.
-func prepareDiscovery(s *Scenario, name string, mk func(core.Env) (core.Discoverer, error), targets []map[radio.NodeID]bool, seed uint64) (*discoveryRun, error) {
-	n := s.g.N()
-	master := rng.New(seed)
+// prepareDiscovery builds one run: the discoverers, seeded from the run
+// seed, the run-scoped network, and — under a dynamic topology with a
+// join log — the delivery-trace tap for re-discovery accounting.
+func prepareDiscovery(s *Scenario, name string, build runBuilder, targets [][]int32, seed uint64) (*discoveryRun, error) {
+	ds, err := build(rng.New(seed))
+	if err != nil {
+		return nil, err
+	}
+	n := len(ds)
 	dr := &discoveryRun{
 		s:           s,
 		name:        name,
 		targets:     targets,
-		ds:          make([]core.Discoverer, n),
+		ds:          ds,
 		protos:      make([]radio.Protocol, n),
-		observers:   make([]observer, n),
 		completedAt: -1,
 	}
-	for u := 0; u < n; u++ {
-		d, err := mk(core.Env{ID: radio.NodeID(u), C: s.p.C, Rand: master.Split(uint64(u))})
-		if err != nil {
-			return nil, err
-		}
-		dr.ds[u] = d
+	for u, d := range ds {
 		dr.protos[u] = d
-		// Per-node observation lookups for the target predicate,
-		// asserted once: probing Observation(id) in the stop callback
-		// avoids the per-slot slice Discovered() would allocate in the
-		// engine's hot loop.
-		dr.observers[u], _ = d.(observer)
 	}
-	// Range dispatch: CSEEK/CKSEEK node sets get a SeekBank so the
-	// engines drive them over whole node ranges (see radio's
-	// RangeProtocol); baselines stay on per-node dispatch.
-	core.BankDiscoverers(dr.ds)
 	dr.nw = s.runNetwork()
 	// Re-discovery accounting under a dynamic topology: protocols
 	// record observations on their local clocks (frozen while down),
@@ -191,15 +217,11 @@ func prepareDiscovery(s *Scenario, name string, mk func(core.Env) (core.Discover
 	// without a join log (pure mobility/flapping) have nothing to
 	// measure against — skip the tap and its per-delivery cost.
 	if joinLog, ok := dr.nw.Topology.(dynamics.JoinLog); ok {
-		heardPairs := make([]map[radio.NodeID]bool, n)
-		for u := range heardPairs {
-			heardPairs[u] = make(map[radio.NodeID]bool)
-		}
+		heard := bitset.NewMatrix(n, n)
 		prev := dr.nw.Trace
 		dr.nw.Trace = func(slot int64, listener radio.NodeID, ch int32, msg *radio.Message) {
-			heard := heardPairs[listener]
-			if !heard[msg.From] {
-				heard[msg.From] = true
+			if !heard.Get(int(listener), int(msg.From)) {
+				heard.Set(int(listener), int(msg.From))
 				// A pair is re-discovered when the neighbor had already
 				// gone down and rejoined by the time it was first heard;
 				// the latency runs from its latest rejoin.
@@ -221,24 +243,35 @@ func prepareDiscovery(s *Scenario, name string, mk func(core.Env) (core.Discover
 func (dr *discoveryRun) maxSlots() int64 { return dr.ds[0].TotalSlots() + 1 }
 
 func (dr *discoveryRun) satisfied(u int) bool {
+	d := dr.ds[u]
 	if dr.targets == nil {
-		return dr.ds[u].DiscoveredCount() >= dr.s.g.Degree(u)
+		return d.DiscoveredCount() >= dr.s.g.Degree(u)
 	}
-	if dr.observers[u] != nil {
-		for id := range dr.targets[u] {
-			if dr.observers[u].Observation(id) == nil {
-				return false
-			}
+	want := dr.targets[u]
+	if d.DiscoveredCount() < len(want) {
+		return false
+	}
+	ids, _ := d.Heard()
+	return countShared(want, ids) == len(want)
+}
+
+// countShared counts the identities in both ascending lists with one
+// merge walk.
+func countShared(want []int32, ids []radio.NodeID) int {
+	shared, i := 0, 0
+	for _, v := range want {
+		for i < len(ids) && ids[i] < radio.NodeID(v) {
+			i++
 		}
-		return true
-	}
-	found := 0
-	for _, id := range dr.ds[u].Discovered() {
-		if dr.targets[u][id] {
-			found++
+		if i == len(ids) {
+			break
+		}
+		if ids[i] == radio.NodeID(v) {
+			shared++
+			i++
 		}
 	}
-	return found >= len(dr.targets[u])
+	return shared
 }
 
 // stop is the engine stop predicate. Discovery is monotone (a found
@@ -257,44 +290,39 @@ func (dr *discoveryRun) stop(slot int64) bool {
 }
 
 // finish assembles the Result envelope from the run's end state and
-// the engine's stats.
+// the engine's stats. Node u's Neighbors and FirstHeard are views into
+// two arrays sized to the identities heard, filled straight from its
+// sorted table (nil when it heard nobody), and its pairs are counted
+// with one merge walk against its sorted neighbors or targets.
 func (dr *discoveryRun) finish(st radio.Stats) *Result {
 	s, n := dr.s, len(dr.ds)
+	heard := 0
+	for _, d := range dr.ds {
+		heard += d.DiscoveredCount()
+	}
+	neighbors, firstHeard := make([]int, heard), make([]int64, heard)
 	det := &DiscoveryDetail{
 		Algorithm:  dr.name,
 		Neighbors:  make([][]int, n),
 		FirstHeard: make([][]int64, n),
 	}
-	for u := 0; u < n; u++ {
-		found := make(map[radio.NodeID]bool)
-		discovered := dr.ds[u].Discovered()
-		// Discovered() carries no order guarantee (it drains a map);
-		// sort so Results — and therefore sweep runs — are reproducible
-		// byte for byte.
-		sort.Slice(discovered, func(i, j int) bool { return discovered[i] < discovered[j] })
-		for _, id := range discovered {
-			found[id] = true
-			det.Neighbors[u] = append(det.Neighbors[u], int(id))
-			det.FirstHeard[u] = append(det.FirstHeard[u], firstHeardSlot(dr.ds[u], id))
-		}
-		if dr.targets == nil {
-			det.PairsTotal += s.g.Degree(u)
-			for _, v := range s.g.Neighbors(u) {
-				if found[radio.NodeID(v)] {
-					det.PairsDiscovered++
-				}
+	lo := 0
+	for u, d := range dr.ds {
+		ids, slots := d.Heard()
+		if hi := lo + len(ids); hi > lo {
+			det.Neighbors[u], det.FirstHeard[u] = neighbors[lo:hi:hi], firstHeard[lo:hi:hi]
+			for i, id := range ids {
+				det.Neighbors[u][i] = int(id)
 			}
-			continue
+			copy(det.FirstHeard[u], slots)
+			lo = hi
 		}
-		for _, v := range s.g.Neighbors(u) {
-			if !dr.targets[u][radio.NodeID(v)] {
-				continue
-			}
-			det.PairsTotal++
-			if found[radio.NodeID(v)] {
-				det.PairsDiscovered++
-			}
+		want := s.g.Neighbors(u)
+		if dr.targets != nil {
+			want = dr.targets[u]
 		}
+		det.PairsTotal += len(want)
+		det.PairsDiscovered += countShared(want, ids)
 	}
 	res := &Result{
 		Primitive:       dr.name,
@@ -317,10 +345,10 @@ func (dr *discoveryRun) finish(st radio.Stats) *Result {
 // the goal predicate holds or the schedule ends: runDiscoveryBatch with
 // a single seed. When targets is nil the goal is "every node knows all
 // its graph neighbors" and pairs are counted against the full neighbor
-// universe; otherwise targets[u] is the set node u must find, and pairs
-// are counted against it.
-func runDiscovery(ctx context.Context, s *Scenario, name string, mk func(core.Env) (core.Discoverer, error), targets []map[radio.NodeID]bool, seed uint64) (*Result, error) {
-	res, err := runDiscoveryBatch(ctx, s, name, mk, targets, []uint64{seed})
+// universe; otherwise targets[u] lists, in ascending order, the
+// identities node u must find, and pairs are counted against it.
+func runDiscovery(ctx context.Context, s *Scenario, name string, build runBuilder, targets [][]int32, seed uint64) (*Result, error) {
+	res, err := runDiscoveryBatch(ctx, s, name, build, targets, []uint64{seed})
 	if err != nil {
 		return nil, err
 	}
@@ -336,11 +364,11 @@ func runDiscovery(ctx context.Context, s *Scenario, name string, mk func(core.En
 // Dynamic topologies batch too: prepareDiscovery installs a fresh
 // run-scoped TopologyFeed per run (Scenario.runNetwork), and the batch
 // engine gives each such replica a private mutable graph clone.
-func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, mk func(core.Env) (core.Discoverer, error), targets []map[radio.NodeID]bool, seeds []uint64) ([]*Result, error) {
+func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, build runBuilder, targets [][]int32, seeds []uint64) ([]*Result, error) {
 	drs := make([]*discoveryRun, len(seeds))
 	reps := make([]radio.Replica, len(seeds))
 	for i, seed := range seeds {
-		dr, err := prepareDiscovery(s, name, mk, targets, seed)
+		dr, err := prepareDiscovery(s, name, build, targets, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -386,21 +414,6 @@ func spectrumDetail(st radio.Stats) *SpectrumDetail {
 		Collisions:    st.Collisions,
 		JammedListens: st.JammedListens,
 	}
-}
-
-// observer is the optional per-neighbor observation interface some
-// discoverers (CSEEK and variants) expose.
-type observer interface {
-	Observation(radio.NodeID) *core.SeekObservation
-}
-
-func firstHeardSlot(d core.Discoverer, id radio.NodeID) int64 {
-	if o, ok := d.(observer); ok {
-		if obs := o.Observation(id); obs != nil {
-			return obs.Slot
-		}
-	}
-	return -1
 }
 
 // BroadcastOption configures the GlobalBroadcast primitive and

@@ -101,8 +101,8 @@ type DiscoveryDetail struct {
 	PairsTotal int `json:"pairsTotal"`
 	// Neighbors[u] lists the identities node u discovered.
 	Neighbors [][]int `json:"neighbors"`
-	// FirstHeard[u][i] is the slot node u first heard Neighbors[u][i],
-	// or -1 when the protocol does not expose observation times.
+	// FirstHeard[u][i] is the slot node u first heard Neighbors[u][i]
+	// in, counted on u's own clock, which stops while u is down.
 	FirstHeard [][]int64 `json:"firstHeard,omitempty"`
 }
 
