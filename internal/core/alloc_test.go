@@ -128,7 +128,7 @@ func TestCGCastSetupAllocs(t *testing.T) {
 		})
 		return allocs, phases
 	}
-	// 1,199 allocations here, nearly all of them one coloring state per
+	// 1,198 allocations here, nearly all of them one coloring state per
 	// edge; the ceiling leaves headroom but not a per-phase buffer.
 	const ceiling = 1600
 	base, phases := prepare(p)

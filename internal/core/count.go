@@ -60,12 +60,13 @@ func (s countSchedule) TotalSlots() int { return s.rounds * s.slotsPerRound }
 func (s countSchedule) round(slot int) int { return slot / s.slotsPerRound }
 
 // countListener is the state of one COUNT execution: its position in
-// the schedule, which it tracks with incremental counters (no per-slot
-// division), and the listener's tallies. It is embedded in CSEEK
-// part-one steps and in the standalone CountListen protocol. Callers
-// feed it exactly one outcome per slot from the start of an execution;
-// they keep the record of whom they heard, and report a sender heard
-// for the first time in this execution as fresh.
+// the schedule, tracked with incremental counters (no per-slot
+// division), and the listener's tallies. A CSEEK part-one step keeps
+// one in either role (a broadcaster reads its round from it), and so
+// does the standalone CountListen protocol. Callers feed it exactly one
+// outcome per slot from the start of an execution; they keep the
+// record of whom they heard, and report a sender first heard in this
+// execution as fresh.
 type countListener struct {
 	heardIn     int  // messages heard in the current round
 	slotInRound int  // slots consumed in the current round

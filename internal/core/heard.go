@@ -13,7 +13,7 @@ import (
 // set of its own.
 //
 // The three slices usually start as windows of capacity Δ into arrays
-// shared by a whole run (see buildSeeks), which holds every static
+// shared by a whole run (see buildSeeks), large enough for any static
 // neighborhood. A node that hears more than Δ identities — possible
 // under mobility, which brings non-neighbors into range — outgrows its
 // window, and the insert reallocates that node's slices alone.
