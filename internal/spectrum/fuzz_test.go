@@ -10,7 +10,9 @@ import (
 // construction either fails cleanly or yields a jammer that (1) never
 // panics on any (slot, channel) query — including negative and
 // out-of-range ones — and (2) is deterministic: rebuilding with the
-// same inputs answers every probe identically.
+// same inputs answers every probe identically, whether the probes are
+// read forwards or backwards (the schedules draw as far as the reads
+// reach, so the first read decides how much a fresh one draws).
 func FuzzJammer(f *testing.F) {
 	f.Add(uint64(1), 0.1, 0.2, 5.0, int64(100), int64(7), int32(2), uint8(1))
 	f.Add(uint64(9), 0.0, 1.0, 1.0, int64(1), int64(-3), int32(-1), uint8(3))
@@ -40,27 +42,39 @@ func FuzzJammer(f *testing.F) {
 			js = append(js, Compose(js...))
 			return js
 		}
-		probe := func(js []Jammer) []bool {
+		probe := func(js []Jammer, backwards bool) []bool {
 			var out []bool
 			for _, j := range js {
 				// Must not panic, whatever the query.
-				out = append(out,
-					j.Jammed(slot, ch),
-					j.Jammed(-slot, -ch),
-					j.Jammed(slot%maxI64(horizon, 1), ch%4),
-					j.Jammed(0, 0),
-				)
+				queries := [][2]int64{
+					{slot, int64(ch)},
+					{-slot, -int64(ch)},
+					{slot % maxI64(horizon, 1), int64(ch % 4)},
+					{horizon - 1, 3},
+					{0, 0},
+				}
+				answers := make([]bool, len(queries))
+				for k := range queries {
+					if backwards {
+						k = len(queries) - 1 - k
+					}
+					answers[k] = j.Jammed(queries[k][0], int32(queries[k][1]))
+				}
+				out = append(out, answers...)
 			}
 			return out
 		}
-		a, b := build(), build()
-		if len(a) != len(b) {
-			t.Fatalf("construction not deterministic: %d vs %d jammers", len(a), len(b))
+		a, b, c := build(), build(), build()
+		if len(a) != len(b) || len(a) != len(c) {
+			t.Fatalf("construction not deterministic: %d, %d and %d jammers", len(a), len(b), len(c))
 		}
-		pa1, pb1 := probe(a), probe(b)
+		pa1, pb1, pc1 := probe(a, false), probe(b, false), probe(c, true)
 		for i := range pa1 {
 			if pa1[i] != pb1[i] {
 				t.Fatalf("probe %d not deterministic: %v vs %v", i, pa1[i], pb1[i])
+			}
+			if pa1[i] != pc1[i] {
+				t.Fatalf("probe %d read forwards %v, backwards %v", i, pa1[i], pc1[i])
 			}
 		}
 	})
