@@ -27,8 +27,8 @@ const (
 // probability 1-exp(-rate), and each arrival holds the channel for a
 // geometric or fixed number of slots. Overlapping transmissions merge
 // into one busy period. A channel's trajectory is a deterministic
-// function of (seed, channel), drawn on first read (see schedule).
-// Beyond the horizon channels are reported idle.
+// function of (seed, channel), drawn as far as it is read (see
+// schedule). Beyond the horizon channels are reported idle.
 type Poisson struct {
 	schedule
 }
@@ -66,18 +66,27 @@ func NewPoisson(channels int, horizon int64, rate, meanHold float64, hold HoldKi
 		return nil, fmt.Errorf("spectrum: unknown holding kind %d", hold)
 	}
 	arrive, stay := rng.NewCoin(1-math.Exp(-rate)), rng.NewCoin(1-1/meanHold)
-	return &Poisson{newSchedule(channels, horizon, seed, func(row []uint64, st rng.Stream) {
-		drawPoisson(row, horizon, arrive, stay, fixedHold, st)
+	return &Poisson{newSchedule(channels, horizon, seed, func(row []uint64, lo, hi int64, c *cursor) {
+		drawPoisson(row, lo, hi, horizon, arrive, stay, fixedHold, c)
 	})}, nil
 }
 
-// drawPoisson draws one channel's arrivals and holds into row. Every
-// slot tosses the arrival coin; an arrival in slot s holds the channel
-// through slot s+h-1, with h capped at the horizon so degenerate means
-// cannot spin the loop.
-func drawPoisson(row []uint64, horizon int64, arrive, stay rng.Coin, fixedHold int64, st rng.Stream) {
-	busyUntil := int64(0) // busy while slot < busyUntil
-	for slot := int64(0); slot < horizon; slot++ {
+// drawPoisson draws one channel's slots [lo, hi) into row, bit 0 being
+// slot lo, resuming from c. Every slot tosses the arrival coin; an
+// arrival in slot s holds the channel through slot s+h-1, with h
+// capped at the horizon so degenerate means cannot spin the loop. A
+// hold that outlasts the block carries into the next one through
+// c.busyUntil.
+func drawPoisson(row []uint64, lo, hi, horizon int64, arrive, stay rng.Coin, fixedHold int64, c *cursor) {
+	st, busyUntil := c.st, c.busyUntil
+	if busyUntil > lo {
+		setRun(row, 0, min(busyUntil, hi)-lo)
+	}
+	// The loop stops tossing once the channel is busy through the
+	// horizon: further draws could only extend busyUntil past slots
+	// nobody reads. The schedule is identical to drawing it out, but
+	// the draw stays O(horizon) even for extreme rate/hold parameters.
+	for slot := lo; slot < hi && busyUntil < horizon; slot++ {
 		var arrived bool
 		if arrived, st = arrive.Flip(st); !arrived {
 			continue
@@ -94,16 +103,11 @@ func drawPoisson(row []uint64, horizon int64, arrive, stay rng.Coin, fixedHold i
 			}
 		}
 		if end := slot + h; end > busyUntil {
-			setRun(row, max(slot, busyUntil), min(end, horizon))
+			if from := max(slot, busyUntil); from < hi {
+				setRun(row, from-lo, min(end, hi)-lo)
+			}
 			busyUntil = end
 		}
-		if busyUntil >= horizon {
-			// Busy through the horizon: further draws could only
-			// extend busyUntil past slots nobody reads, so skip them.
-			// The schedule is identical to drawing it out, but the
-			// fill stays O(horizon) even for extreme rate/hold
-			// parameters.
-			return
-		}
 	}
+	c.st, c.busyUntil = st, busyUntil
 }

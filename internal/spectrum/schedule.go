@@ -2,6 +2,7 @@ package spectrum
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"crn/internal/rng"
 )
@@ -10,26 +11,53 @@ import (
 // per channel. Shared by Markov and Poisson.
 const maxHorizon = 1 << 26
 
-// schedule is the occupancy bitmap Markov and Poisson share: one row of
-// ⌈horizon/64⌉ words per channel in a single slice, where bit s%64 of
-// word s/64 is set iff a primary user holds the channel in slot s.
-// Construction only records the parameters. The first in-range Jammed
-// call draws every row, exactly once, row ch from the seed's
-// rng.Split(ch) stream; concurrent first readers wait for it, and
-// later calls test one word.
+// A schedule is drawn in blocks of blockSlots slots: blockWords words
+// per channel.
+const (
+	blockShift = 12
+	blockSlots = 1 << blockShift
+	blockWords = blockSlots / 64
+)
+
+// schedule is the occupancy bitmap Markov and Poisson share, drawn in
+// blocks as far as the furthest slot read. Block b holds, for every
+// channel in turn, the blockWords words of slots [b·blockSlots,
+// (b+1)·blockSlots): bit s%64 of a word is set iff a primary user
+// holds the channel in slot s.
+//
+// Construction only records the parameters. A read inside the drawn
+// prefix loads it atomically and tests one word, with no lock. A read
+// past it draws the missing blocks under mu, each channel resuming
+// from its cursor, so channel ch consumes the seed's rng.Split(ch)
+// stream in slot order however the reads arrive, and the bits do not
+// depend on who reads first or where.
 type schedule struct {
 	channels int
 	horizon  int64
-	stride   int64 // words per row
 	seed     uint64
-	drawRow  func(row []uint64, st rng.Stream) // draws one channel
+	draw     func(row []uint64, lo, hi int64, c *cursor) // one channel's slots [lo, hi) into row
 
-	once  sync.Once
-	words []uint64
+	// drawn is the published prefix of blocks. It only grows, under
+	// mu, and every block in it is complete.
+	drawn   atomic.Pointer[[][]uint64]
+	mu      sync.Mutex
+	cursors []cursor // one per channel; nil until the first draw
 }
 
-func newSchedule(channels int, horizon int64, seed uint64, drawRow func(row []uint64, st rng.Stream)) schedule {
-	return schedule{channels: channels, horizon: horizon, stride: (horizon + 63) / 64, seed: seed, drawRow: drawRow}
+// cursor is where one channel's draw stopped: its stream, and the
+// state a busy run carries into the next block.
+type cursor struct {
+	st rng.Stream
+	// busyUntil (Poisson) is the end of the latest hold: the channel
+	// is busy while slot < busyUntil, and through the horizon once
+	// busyUntil ≥ horizon.
+	busyUntil int64
+	// busy (Markov) is the chain's state at the next slot.
+	busy bool
+}
+
+func newSchedule(channels int, horizon int64, seed uint64, draw func(row []uint64, lo, hi int64, c *cursor)) schedule {
+	return schedule{channels: channels, horizon: horizon, seed: seed, draw: draw}
 }
 
 // Jammed implements Jammer.
@@ -37,18 +65,56 @@ func (s *schedule) Jammed(slot int64, ch int32) bool {
 	if slot < 0 || slot >= s.horizon || ch < 0 || int(ch) >= s.channels {
 		return false
 	}
-	s.once.Do(s.fill)
-	return s.words[int64(ch)*s.stride+slot>>6]>>(slot&63)&1 != 0
+	b := int(slot >> blockShift)
+	var blocks [][]uint64
+	if p := s.drawn.Load(); p != nil {
+		blocks = *p
+	}
+	if b >= len(blocks) {
+		blocks = s.drawThrough(b)
+	}
+	return blocks[b][int(ch)*blockWords+int(slot>>6)&(blockWords-1)]>>(slot&63)&1 != 0
 }
 
-// fill draws every row into one allocation.
-func (s *schedule) fill() {
-	words := make([]uint64, int64(s.channels)*s.stride)
-	master := rng.New(s.seed)
-	for ch := 0; ch < s.channels; ch++ {
-		s.drawRow(words[int64(ch)*s.stride:][:s.stride], master.SplitStream(uint64(ch)))
+// drawThrough draws every block up to and including block b, unless a
+// concurrent reader already has, and returns the published blocks.
+// The new blocks share one allocation and are published together.
+func (s *schedule) drawThrough(b int) [][]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var blocks [][]uint64
+	if p := s.drawn.Load(); p != nil {
+		blocks = *p
 	}
-	s.words = words
+	if b < len(blocks) {
+		return blocks
+	}
+	if s.cursors == nil {
+		s.cursors = make([]cursor, s.channels)
+		master := rng.New(s.seed)
+		for ch := range s.cursors {
+			s.cursors[ch].st = master.SplitStream(uint64(ch))
+		}
+	}
+	if cap(blocks) <= b {
+		blocks = append(make([][]uint64, 0, max(b+1, 2*cap(blocks))), blocks...)
+	}
+	size := s.channels * blockWords
+	words := make([]uint64, (b+1-len(blocks))*size)
+	for len(blocks) <= b {
+		block := words[:size:size]
+		words = words[size:]
+		lo := int64(len(blocks)) << blockShift
+		hi := min(lo+blockSlots, s.horizon)
+		for ch := range s.cursors {
+			s.draw(block[ch*blockWords:][:blockWords], lo, hi, &s.cursors[ch])
+		}
+		blocks = append(blocks, block)
+	}
+	// Appending never writes below the published length, so readers of
+	// the old prefix are undisturbed.
+	s.drawn.Store(&blocks)
+	return blocks
 }
 
 // setRun sets bits [lo, hi) of row, lo < hi, a word at a time.

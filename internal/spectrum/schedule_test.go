@@ -6,56 +6,95 @@ import (
 	"testing"
 )
 
-// TestScheduleDrawsOnFirstRead: construction validates and draws
-// nothing, out-of-range reads leave the schedule undrawn, the first
-// in-range read draws every channel into one allocation, and later
-// reads allocate nothing. A slide back to an eager fill fails the
-// first check: the mobile-sized bitmap alone is ~2.7 MiB.
-func TestScheduleDrawsOnFirstRead(t *testing.T) {
-	var before, built, read runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p, err := NewPoisson(mobileChannels, mobileHorizon, 0.012, 25, HoldGeometric, 7)
+// drawnBlocks returns how many blocks s has published.
+func drawnBlocks(s *schedule) int {
+	if p := s.drawn.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}
+
+// TestScheduleDrawsOnlyWhatIsRead: construction and out-of-range reads
+// draw nothing, a read at slot s draws only the blocks through s, reads
+// inside the drawn prefix allocate nothing, and a read of the last slot
+// draws the rest. A slide back to drawing the whole bitmap on the first
+// read fails the second check: the mobile-sized bitmap alone is
+// ~2.7 MiB, one of its blocks 65 KiB.
+func TestScheduleDrawsOnlyWhatIsRead(t *testing.T) {
+	const blockBytes = mobileChannels * blockWords * 8
+	allocated := func(read func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var p *Poisson
+	if got := allocated(func() {
+		var err error
+		if p, err = NewPoisson(mobileChannels, mobileHorizon, 0.012, 25, HoldGeometric, 7); err != nil {
+			t.Fatal(err)
+		}
+		if p.Jammed(-1, 0) || p.Jammed(mobileHorizon, 0) || p.Jammed(0, -1) || p.Jammed(0, mobileChannels) {
+			t.Error("out-of-range read reported jammed")
+		}
+	}); got >= blockBytes || drawnBlocks(&p.schedule) != 0 {
+		t.Errorf("construction and out-of-range reads allocated %d bytes and drew %d blocks, want < %d bytes and none", got, drawnBlocks(&p.schedule), blockBytes)
+	}
+	if got := allocated(func() { p.Jammed(0, 0) }); got < blockBytes || got >= 128<<10 || drawnBlocks(&p.schedule) != 1 {
+		t.Errorf("a read at slot 0 allocated %d bytes and drew %d blocks, want one %d-byte block, < 128 KiB", got, drawnBlocks(&p.schedule), blockBytes)
+	}
+	const slot = 5*blockSlots + 7
+	if got := allocated(func() { p.Jammed(slot, 3) }); got < 5*blockBytes || got >= 6*blockBytes || drawnBlocks(&p.schedule) != 6 {
+		t.Errorf("a read at slot %d allocated %d bytes and drew through block %d, want blocks 1–5 (%d bytes)", slot, got, drawnBlocks(&p.schedule)-1, 5*blockBytes)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		p.Jammed(0, 0)
+		p.Jammed(slot, mobileChannels-1)
+		p.Jammed(6*blockSlots-1, 0)
+	}); avg != 0 {
+		t.Errorf("reads inside the drawn prefix allocate %.1f times, want 0", avg)
+	}
+	// The index grows with the prefix: slot 0 of the longest schedule
+	// costs one block too, not an index over 16 Ki blocks.
+	m, err := NewMarkov(mobileChannels, maxHorizon, 0.05, 0.15, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Jammed(-1, 0) || p.Jammed(mobileHorizon, 0) || p.Jammed(0, -1) || p.Jammed(0, mobileChannels) {
-		t.Error("out-of-range read reported jammed")
+	if got := allocated(func() { m.Jammed(0, 0) }); got >= 128<<10 {
+		t.Errorf("a read at slot 0 of a %d-slot schedule allocated %d bytes, want < 128 KiB", maxHorizon, got)
 	}
-	runtime.ReadMemStats(&built)
-	if got := built.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Errorf("construction and out-of-range reads allocated %d bytes, want < 64 KiB", got)
-	}
-	p.Jammed(0, 0)
-	runtime.ReadMemStats(&read)
-	if got, bitmap := read.TotalAlloc-built.TotalAlloc, uint64(mobileChannels*(mobileHorizon+63)/64*8); got < bitmap {
-		t.Errorf("first read allocated %d bytes, want the %d-byte bitmap", got, bitmap)
-	}
-	if avg := testing.AllocsPerRun(100, func() { p.Jammed(mobileHorizon-1, mobileChannels-1) }); avg != 0 {
-		t.Errorf("later reads allocate %.1f times each, want 0", avg)
+	const blocks = (mobileHorizon + blockSlots - 1) / blockSlots
+	if got := allocated(func() { p.Jammed(mobileHorizon-1, mobileChannels-1) }); got < (blocks-6)*blockBytes || drawnBlocks(&p.schedule) != blocks {
+		t.Errorf("a read of the last slot allocated %d bytes and drew %d of %d blocks, want all", got, drawnBlocks(&p.schedule), blocks)
 	}
 
-	// The fill's allocation count does not depend on the size, so a
-	// small schedule counts it; averaging over runs keeps allocations
-	// of the runtime's own goroutines out of the count.
+	// One draw makes a fixed number of allocations however many blocks
+	// it draws: the cursors (first draw only), the blocks' words, the
+	// grown index and its published header. Averaging over runs keeps
+	// allocations of the runtime's own goroutines out of the count.
 	build := func() *Poisson {
-		p, err := NewPoisson(12, 5000, 0.012, 25, HoldGeometric, 7)
+		p, err := NewPoisson(12, 9*blockSlots, 0.012, 25, HoldGeometric, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 	constructs := testing.AllocsPerRun(20, func() { build() })
-	fills := testing.AllocsPerRun(20, func() { build().Jammed(0, 0) })
-	if fills-constructs != 1 {
-		t.Errorf("first read makes %.0f allocations, want 1 (the bitmap)", fills-constructs)
+	for _, read := range []int64{0, 9*blockSlots - 1} {
+		if draws := testing.AllocsPerRun(20, func() { build().Jammed(read, 0) }) - constructs; draws > 4 {
+			t.Errorf("a first read at slot %d makes %.0f allocations, want at most 4", read, draws)
+		}
 	}
 }
 
-// TestScheduleConcurrentFirstRead: eight goroutines make the first read
-// of a fresh schedule at once. Every one must wait for the single fill
-// and answer exactly like a twin read on one goroutine.
+// TestScheduleConcurrentFirstRead: eight goroutines read a fresh
+// schedule at once, each starting in its own undrawn block of an
+// eight-block horizon, so draws race for the lock while readers of
+// published blocks go on without it. Every answer must equal a twin
+// read on one goroutine.
 func TestScheduleConcurrentFirstRead(t *testing.T) {
-	const channels, horizon, readers = 12, 5000, 8
+	const channels, horizon, readers = 12, 8*blockSlots + 100, 8
 	builds := map[string]func() Jammer{
 		"markov": func() Jammer {
 			m, err := NewMarkov(channels, horizon, 0.05, 0.15, 21)
@@ -74,10 +113,12 @@ func TestScheduleConcurrentFirstRead(t *testing.T) {
 	}
 	for name, build := range builds {
 		t.Run(name, func(t *testing.T) {
+			// want is slot-major: entry i is slot i/channels, channel
+			// i%channels, so reader r starts in block r.
 			twin := build()
 			want := make([]bool, channels*horizon)
 			for i := range want {
-				want[i] = twin.Jammed(int64(i%horizon), int32(i/horizon))
+				want[i] = twin.Jammed(int64(i/channels), int32(i%channels))
 			}
 			j := build()
 			start := make(chan struct{})
@@ -87,12 +128,10 @@ func TestScheduleConcurrentFirstRead(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					<-start
-					// Each reader starts at its own offset, so the
-					// first reads hit different words.
 					for k := range want {
 						i := (k + r*len(want)/readers) % len(want)
-						if got := j.Jammed(int64(i%horizon), int32(i/horizon)); got != want[i] {
-							t.Errorf("reader %d: Jammed(%d, %d) = %v, twin read %v", r, i%horizon, i/horizon, got, want[i])
+						if got := j.Jammed(int64(i/channels), int32(i%channels)); got != want[i] {
+							t.Errorf("reader %d: Jammed(%d, %d) = %v, twin read %v", r, i/channels, i%channels, got, want[i])
 							return
 						}
 					}

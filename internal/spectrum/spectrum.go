@@ -88,8 +88,8 @@ func (p *Periodic) Jammed(slot int64, ch int32) bool {
 // Markov models bursty primary users: each channel flips between idle
 // and occupied with per-slot transition probabilities, starting idle.
 // A channel's trajectory is a deterministic function of (seed,
-// channel), drawn on first read (see schedule). Beyond the horizon
-// channels are reported idle.
+// channel), drawn as far as it is read (see schedule). Beyond the
+// horizon channels are reported idle.
 type Markov struct {
 	schedule
 }
@@ -112,30 +112,40 @@ func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (
 		return nil, fmt.Errorf("spectrum: horizon %d exceeds the %d-slot limit", horizon, maxHorizon)
 	}
 	toBusy, toFree := rng.NewCoin(pBusy), rng.NewCoin(pFree)
-	return &Markov{newSchedule(channels, horizon, seed, func(row []uint64, st rng.Stream) {
-		drawMarkov(row, horizon, toBusy, toFree, st)
+	return &Markov{newSchedule(channels, horizon, seed, func(row []uint64, lo, hi int64, c *cursor) {
+		drawMarkov(row, lo, hi, toBusy, toFree, c)
 	})}, nil
 }
 
-// drawMarkov draws one channel's on/off chain into row. Each slot the
-// chain tosses the coin of its current state and flips on heads, so an
-// idle run ends at the first toBusy heads, which starts a busy run in
-// that slot, and a busy run ends at the first toFree heads, whose slot
-// is idle again.
-func drawMarkov(row []uint64, horizon int64, toBusy, toFree rng.Coin, st rng.Stream) {
+// drawMarkov draws one channel's on/off chain over slots [lo, hi) into
+// row, bit 0 being slot lo, resuming from c. Each slot the chain
+// tosses the coin of its current state and flips on heads, so an idle
+// run ends at the first toBusy heads, which starts a busy run in that
+// slot, and a busy run ends at the first toFree heads, whose slot is
+// idle again. A busy run still open at hi carries into the next block
+// through c.busy.
+func drawMarkov(row []uint64, lo, hi int64, toBusy, toFree rng.Coin, c *cursor) {
+	st, busy := c.st, c.busy
 	var heads bool
-	for slot := int64(0); slot < horizon; slot++ {
-		if heads, st = toBusy.Flip(st); !heads {
-			continue
-		}
+	for slot := lo; slot < hi; slot++ {
 		start := slot
-		for slot++; slot < horizon; slot++ {
+		if !busy {
+			if heads, st = toBusy.Flip(st); !heads {
+				continue
+			}
+			slot++
+		}
+		for ; slot < hi; slot++ {
 			if heads, st = toFree.Flip(st); heads {
 				break
 			}
 		}
-		setRun(row, start, slot)
+		busy = slot == hi
+		if start < slot {
+			setRun(row, start-lo, slot-lo)
+		}
 	}
+	c.st, c.busy = st, busy
 }
 
 // OccupancyFraction returns the fraction of (slot, channel) pairs the
