@@ -62,6 +62,11 @@ func PlanShards(spec SweepSpec, shards int) (*ShardPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Planning builds every variant, though it runs none, so a spec
+	// that would fail in some shard is rejected here.
+	if err := rs.build(0, len(spec.Variants)); err != nil {
+		return nil, err
+	}
 	plan := &ShardPlan{
 		Primitive: spec.Primitive.Name(),
 		Variants:  rs.names,
@@ -135,7 +140,10 @@ func (rs *resolvedSweep) checkPlan(plan *ShardPlan) error {
 // with the identical per-run seeds, worker-pool semantics and error
 // handling as Sweep (spec.Workers bounds parallelism; run errors are
 // recorded, only ctx cancellation aborts). spec must be the sweep the
-// plan was made from — RunShard re-resolves and cross-checks it.
+// plan was made from — RunShard re-resolves and cross-checks it. It
+// builds the scenarios of only the variants with a job in the shard's
+// range (none for an empty shard); PlanShards has already built every
+// variant once, so a spec that plans cleanly builds cleanly.
 func RunShard(ctx context.Context, spec SweepSpec, plan *ShardPlan, shard int) (*ShardResult, error) {
 	rs, err := resolveSweep(spec)
 	if err != nil {
@@ -147,10 +155,15 @@ func RunShard(ctx context.Context, spec SweepSpec, plan *ShardPlan, shard int) (
 	if shard < 0 || shard >= len(plan.Shards) {
 		return nil, fmt.Errorf("crn: shard %d out of range (plan has %d)", shard, len(plan.Shards))
 	}
+	r := plan.Shards[shard]
+	if r.Lo < r.Hi {
+		if err := rs.build(r.Lo/rs.seeds, (r.Hi-1)/rs.seeds+1); err != nil {
+			return nil, err
+		}
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := plan.Shards[shard]
 	runs := make([]Run, 0, r.Hi-r.Lo)
 	for job := r.Lo; job < r.Hi; job++ {
 		runs = append(runs, rs.runFor(job))

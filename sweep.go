@@ -67,18 +67,19 @@ type batchRunner interface {
 	RunBatch(ctx context.Context, s *Scenario, seeds []uint64) ([]*Result, error)
 }
 
-// resolvedSweep is a validated SweepSpec: variant names and scenarios
-// resolved, the seed count defaulted, and the master rng fixed. It is
-// the common ground under Sweep, PlanShards and RunShard — all three
-// must agree on the job grid (job = variant*seeds + index) and the
-// per-run seed derivation, or sharded execution would diverge from
-// in-process execution.
+// resolvedSweep is a validated SweepSpec: variant names resolved, the
+// seed count defaulted, and the master rng fixed. It is the common
+// ground under Sweep, PlanShards and RunShard — all three must agree
+// on the job grid (job = variant*seeds + index) and the per-run seed
+// derivation, or sharded execution would diverge from in-process
+// execution. Scenarios are built separately, per variant range
+// (build), so a shard builds only the variants it runs.
 type resolvedSweep struct {
 	spec      SweepSpec
 	seeds     int
 	total     int
 	names     []string
-	scenarios []*Scenario
+	scenarios []*Scenario // variant v's, once built
 	master    *rng.Source
 }
 
@@ -101,8 +102,6 @@ func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {
 	}
 	rs.total = len(spec.Variants) * rs.seeds
 
-	// Resolve scenarios up front so configuration errors surface before
-	// any worker starts.
 	for v, variant := range spec.Variants {
 		rs.names[v] = variant.Name
 		if rs.names[v] == "" {
@@ -111,19 +110,29 @@ func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {
 		switch {
 		case variant.Scenario != nil && variant.Options != nil:
 			return nil, fmt.Errorf("crn: variant %q sets both Scenario and Options", rs.names[v])
-		case variant.Scenario != nil:
-			rs.scenarios[v] = variant.Scenario
-		case variant.Options != nil:
-			s, err := New(variant.Options...)
-			if err != nil {
-				return nil, fmt.Errorf("crn: variant %q: %w", rs.names[v], err)
-			}
-			rs.scenarios[v] = s
-		default:
+		case variant.Scenario == nil && variant.Options == nil:
 			return nil, fmt.Errorf("crn: variant %q has neither Scenario nor Options", rs.names[v])
 		}
 	}
 	return rs, nil
+}
+
+// build resolves the scenarios of variants [lo, hi): a prebuilt one as
+// given, otherwise New of the variant's Options.
+func (rs *resolvedSweep) build(lo, hi int) error {
+	for v := lo; v < hi; v++ {
+		variant := rs.spec.Variants[v]
+		if variant.Scenario != nil {
+			rs.scenarios[v] = variant.Scenario
+			continue
+		}
+		s, err := New(variant.Options...)
+		if err != nil {
+			return fmt.Errorf("crn: variant %q: %w", rs.names[v], err)
+		}
+		rs.scenarios[v] = s
+	}
+	return nil
 }
 
 // deriveSeed is the one per-run seed derivation: Split reads (does
@@ -348,6 +357,11 @@ func aggregateRuns(primitive string, names []string, seeds int, runs []Run) []Ag
 func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	rs, err := resolveSweep(spec)
 	if err != nil {
+		return nil, err
+	}
+	// Build every variant up front so configuration errors surface
+	// before any worker starts.
+	if err := rs.build(0, len(spec.Variants)); err != nil {
 		return nil, err
 	}
 	if ctx == nil {

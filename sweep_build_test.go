@@ -1,0 +1,72 @@
+package crn
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestShardBuildsOnlyItsVariants: RunShard builds the scenarios of only
+// the variants with a job in its range: one, two when the range
+// straddles a variant boundary, none for an empty shard. PlanShards and
+// Sweep build every variant, so a broken variant is still rejected
+// before any run.
+func TestShardBuildsOnlyItsVariants(t *testing.T) {
+	const variants, seeds = 4, 3
+	var builds []int // builds[v]: times variant v's options were applied
+	spec := func(broken bool) SweepSpec {
+		spec := SweepSpec{Primitive: Discovery(CSeek), Seeds: seeds, BaseSeed: 5, Workers: 1}
+		for v := 0; v < variants; v++ {
+			nodes := 4
+			if broken && v == variants-1 {
+				nodes = 1
+			}
+			spec.Variants = append(spec.Variants, Variant{Name: fmt.Sprintf("path-%d", v), Options: []ScenarioOption{
+				WithTopology(Path), WithNodes(nodes), WithChannels(2, 1, 0), WithSeed(uint64(v)),
+				func(*scenarioBuilder) { builds[v]++ },
+			}})
+		}
+		return spec
+	}
+	count := func(step func() error) []int {
+		t.Helper()
+		builds = make([]int, variants)
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		return builds
+	}
+
+	var plan *ShardPlan
+	if got := count(func() (err error) { plan, err = PlanShards(spec(false), 5); return err }); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
+		t.Errorf("PlanShards built variants %v times, want each once", got)
+	}
+	if got := count(func() error { _, err := Sweep(context.Background(), spec(false)); return err }); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
+		t.Errorf("Sweep built variants %v times, want each once", got)
+	}
+	// 12 jobs over 5 shards: [0,3) [3,6) [6,8) [8,10) [10,12).
+	for shard, want := range map[int][]int{0: {1, 0, 0, 0}, 1: {0, 1, 0, 0}, 3: {0, 0, 1, 1}, 4: {0, 0, 0, 1}} {
+		got := count(func() error { _, err := RunShard(context.Background(), spec(false), plan, shard); return err })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RunShard of shard %d %v built variants %v times, want %v", shard, plan.Shards[shard], got, want)
+		}
+	}
+	wide, err := PlanShards(spec(false), variants*seeds+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := len(wide.Shards) - 1
+	if got := count(func() error { _, err := RunShard(context.Background(), spec(false), wide, empty); return err }); !reflect.DeepEqual(got, []int{0, 0, 0, 0}) {
+		t.Errorf("RunShard of the empty shard %v built variants %v times, want none", wide.Shards[empty], got)
+	}
+
+	builds = make([]int, variants)
+	if _, err := PlanShards(spec(true), 5); err == nil || !strings.Contains(err.Error(), "path-3") {
+		t.Errorf("PlanShards of a spec with a broken variant: err %v, want one naming path-3", err)
+	}
+	if _, err := Sweep(context.Background(), spec(true)); err == nil || !strings.Contains(err.Error(), "path-3") {
+		t.Errorf("Sweep of a spec with a broken variant: err %v, want one naming path-3", err)
+	}
+}
