@@ -82,11 +82,10 @@ func drawPoisson(row []uint64, lo, hi, horizon int64, arrive, stay rng.Coin, fix
 	if busyUntil > lo {
 		setRun(row, 0, min(busyUntil, hi)-lo)
 	}
-	// The loop stops tossing once the channel is busy through the
-	// horizon: further draws could only extend busyUntil past slots
-	// nobody reads. The schedule is identical to drawing it out, but
-	// the draw stays O(horizon) even for extreme rate/hold parameters.
-	for slot := lo; slot < hi && busyUntil < horizon; slot++ {
+	if busyUntil >= horizon {
+		return // busy through the horizon: nothing left to toss
+	}
+	for slot := lo; slot < hi; slot++ {
 		var arrived bool
 		if arrived, st = arrive.Flip(st); !arrived {
 			continue
@@ -107,6 +106,14 @@ func drawPoisson(row []uint64, lo, hi, horizon int64, arrive, stay rng.Coin, fix
 				setRun(row, from-lo, min(end, hi)-lo)
 			}
 			busyUntil = end
+		}
+		if busyUntil >= horizon {
+			// Busy through the horizon: further draws could only
+			// extend busyUntil past slots nobody reads, so stop
+			// tossing. The schedule is identical to drawing it out,
+			// but the draw stays O(horizon) even for extreme
+			// rate/hold parameters.
+			break
 		}
 	}
 	c.st, c.busyUntil = st, busyUntil

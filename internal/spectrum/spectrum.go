@@ -113,39 +113,45 @@ func NewMarkov(channels int, horizon int64, pBusy, pFree float64, seed uint64) (
 	}
 	toBusy, toFree := rng.NewCoin(pBusy), rng.NewCoin(pFree)
 	return &Markov{newSchedule(channels, horizon, seed, func(row []uint64, lo, hi int64, c *cursor) {
-		drawMarkov(row, lo, hi, toBusy, toFree, c)
+		drawMarkov(row, hi-lo, toBusy, toFree, c)
 	})}, nil
 }
 
-// drawMarkov draws one channel's on/off chain over slots [lo, hi) into
-// row, bit 0 being slot lo, resuming from c. Each slot the chain
-// tosses the coin of its current state and flips on heads, so an idle
-// run ends at the first toBusy heads, which starts a busy run in that
-// slot, and a busy run ends at the first toFree heads, whose slot is
-// idle again. A busy run still open at hi carries into the next block
-// through c.busy.
-func drawMarkov(row []uint64, lo, hi int64, toBusy, toFree rng.Coin, c *cursor) {
-	st, busy := c.st, c.busy
+// drawMarkov draws the next n slots of one channel's on/off chain
+// into row, bit 0 being the first, resuming from c. Each slot the
+// chain tosses the coin of its current state and flips on heads, so an
+// idle run ends at the first toBusy heads, which starts a busy run in
+// that slot, and a busy run ends at the first toFree heads, whose slot
+// is idle again. A busy run still open after n slots carries into the
+// next block through c.busy.
+func drawMarkov(row []uint64, n int64, toBusy, toFree rng.Coin, c *cursor) {
+	st, slot := c.st, int64(0)
 	var heads bool
-	for slot := lo; slot < hi; slot++ {
-		start := slot
-		if !busy {
-			if heads, st = toBusy.Flip(st); !heads {
-				continue
-			}
-			slot++
-		}
-		for ; slot < hi; slot++ {
+	if c.busy {
+		for ; slot < n; slot++ {
 			if heads, st = toFree.Flip(st); heads {
 				break
 			}
 		}
-		busy = slot == hi
-		if start < slot {
-			setRun(row, start-lo, slot-lo)
+		if slot > 0 {
+			setRun(row, 0, slot)
 		}
+		slot++
 	}
-	c.st, c.busy = st, busy
+	for ; slot < n; slot++ {
+		if heads, st = toBusy.Flip(st); !heads {
+			continue
+		}
+		start := slot
+		for slot++; slot < n; slot++ {
+			if heads, st = toFree.Flip(st); heads {
+				break
+			}
+		}
+		setRun(row, start, slot)
+	}
+	// A busy run still open after n slots leaves slot one past n.
+	c.st, c.busy = st, slot > n
 }
 
 // OccupancyFraction returns the fraction of (slot, channel) pairs the
