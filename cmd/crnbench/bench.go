@@ -11,10 +11,12 @@ package main
 // comparable: the raw engine slot loop (BenchmarkEngineSlot), CSEEK
 // discovery and CGCAST broadcast end-to-end through the public
 // Primitive API (BenchmarkDiscoverCSeek / BenchmarkBroadcastCGCast),
-// and the sweep engine at 1/2/4/8 workers (BenchmarkSweep). Two
+// and the sweep engine at 1/2/4/8 workers (BenchmarkSweep). Three
 // entries time one layer alone: protocol/cseek-bank steps the CSEEK
-// machines without the engine, and spectrum/schedule-fill times the
-// draw of a primary-user schedule.
+// machines without the engine, spectrum/schedule-fill times the draw
+// of a primary-user schedule, and scenario/assemble times building a
+// scenario's channel assignment and structural parameters over a
+// prebuilt graph.
 
 import (
 	"context"
@@ -360,6 +362,30 @@ func benchSuite() ([]benchSpec, error) {
 		}
 	}
 
+	// Scenario assembly over a prebuilt 1024-node, 8-regular-ish graph:
+	// the SharedCore assignment (c = 8, k = 2) and NewScenarioFromParts,
+	// which measures the realized overlap, Δ and the diameter D. Every
+	// sweep variant and every shard pays this once; the graph's own
+	// generation stays off the clock.
+	assembleBench := func(b *testing.B) {
+		const n, c, k = 1024, 8, 2
+		g, err := graph.RandomRegularish(n, 8, rng.New(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a, err := chanassign.SharedCore(n, c, k, rng.New(uint64(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := crn.NewScenarioFromParts(g, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
 	specs := []benchSpec{
 		{
 			name:        "engine/slot",
@@ -405,6 +431,10 @@ func benchSuite() ([]benchSpec, error) {
 		{
 			name: "spectrum/schedule-fill",
 			fn:   scheduleFillBench,
+		},
+		{
+			name: "scenario/assemble",
+			fn:   assembleBench,
 		},
 		{
 			name:        "primitive/cseek",

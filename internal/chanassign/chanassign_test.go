@@ -1,6 +1,9 @@
 package chanassign
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -313,5 +316,96 @@ func TestValidateDetectsMismatch(t *testing.T) {
 	}
 	if err := a.Validate(graph.Complete(4), 1, 1); err == nil {
 		t.Error("overlap above kmax not detected")
+	}
+}
+
+// labelDigest is one sha256 over every Global(u, l) in node and label
+// order, followed by every Local(u, g) for g in [0, Universe).
+func labelDigest(a *Assignment) string {
+	h := sha256.New()
+	var buf [4]byte
+	put := func(x int32) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(x))
+		h.Write(buf[:])
+	}
+	for u := 0; u < a.N(); u++ {
+		for l := 0; l < a.C; l++ {
+			put(a.Global(u, l))
+		}
+	}
+	for u := 0; u < a.N(); u++ {
+		for g := 0; g < a.Universe; g++ {
+			put(a.Local(u, int32(g)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAssignmentLabelsPinned pins every constructor's labeling at
+// fixed seeds: the global channel behind each local label and the
+// local label (or -1) of each global channel. The digests were
+// recorded on the universe-wide table representation; any change to
+// the order in which a constructor lists a node's channels or draws
+// its label permutation moves them, and with them every run.
+func TestAssignmentLabelsPinned(t *testing.T) {
+	regular, err := graph.RandomRegularish(40, 5, rng.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Explicit sets listed out of order, so FromSets must sort them.
+	setsRand := rng.New(22)
+	const fromUniverse, fromC = 30, 7
+	fromSets := make([][]int, 12)
+	for u := range fromSets {
+		fromSets[u] = setsRand.SampleK(fromUniverse, fromC)
+		for i := len(fromSets[u]) - 1; i > 0; i-- {
+			j := setsRand.Intn(i + 1)
+			fromSets[u][i], fromSets[u][j] = fromSets[u][j], fromSets[u][i]
+		}
+	}
+	tests := []struct {
+		name  string
+		build func() (*Assignment, error)
+		want  string
+	}{
+		{
+			"SharedCore",
+			func() (*Assignment, error) { return SharedCore(50, 8, 2, rng.New(11)) },
+			"78f30a385feeadca8cd01e53851ab24859c98db2d89dc8eba5ccff5ef6ac3d2c",
+		},
+		{
+			"SharedPool",
+			func() (*Assignment, error) { return SharedPool(30, 9, 3, 25, rng.New(12)) },
+			"db700587448d70ff7fbe288e9471787ebf287217aa41243b0d4146b5b568de44",
+		},
+		{
+			"Heterogeneous",
+			func() (*Assignment, error) { return Heterogeneous(regular, 10, 2, 4, 0.5, rng.New(13)) },
+			"478a89c677b7eef350d7a44b5f155e1b5a04a32b4d057992e6c05751e2f16217",
+		},
+		{
+			"Identical",
+			func() (*Assignment, error) { return Identical(9, 6, rng.New(14)) },
+			"702a860f49d59e8477e2e225c5a08d63e66beeae66dee75e34af2f495983842c",
+		},
+		{
+			"FromSets",
+			func() (*Assignment, error) { return FromSets(fromUniverse, fromSets, rng.New(15)) },
+			"3a0b6a99440b3aa228c8c4b45b97463b1153a76708fb2de16c9ad6b0e0b51321",
+		},
+		{
+			"Matching",
+			func() (*Assignment, error) { return Matching(6, [][2]int{{0, 3}, {2, 1}, {4, 4}}, rng.New(16)) },
+			"e000b3280a17730e1c29e1f8fcf463dab0fa3ee1cd13515b8d5bfb21461dc868",
+		},
+	}
+	for _, tt := range tests {
+		a, err := tt.build()
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if got := labelDigest(a); got != tt.want {
+			t.Errorf("%s: label digest %s, want %s", tt.name, got, tt.want)
+		}
 	}
 }

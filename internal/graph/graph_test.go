@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -361,8 +362,53 @@ func TestLineGraphProperties(t *testing.T) {
 	}
 }
 
-// TestDiameterMatchesFloydWarshall cross-checks BFS-based diameter
-// against a Floyd–Warshall reference on small random graphs.
+// floydWarshallDiameter is the all-pairs reference: the greatest
+// finite distance, -1 when some pair is unreachable, 0 below two
+// vertices.
+func floydWarshallDiameter(g *Graph) int {
+	n := g.N()
+	const inf = 1 << 29
+	d := make([][]int, n)
+	for i := range d {
+		d[i] = make([]int, n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = inf
+			}
+		}
+	}
+	for _, e := range g.Edges() {
+		d[e.U][e.V] = 1
+		d[e.V][e.U] = 1
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if d[i][k]+d[k][j] < d[i][j] {
+					d[i][j] = d[i][k] + d[k][j]
+				}
+			}
+		}
+	}
+	want := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if d[i][j] == inf {
+				return -1
+			}
+			if d[i][j] > want {
+				want = d[i][j]
+			}
+		}
+	}
+	return want
+}
+
+// TestDiameterMatchesFloydWarshall cross-checks Diameter against an
+// independent all-pairs computation: random dense graphs, sparse
+// graphs whose sizes fall on either side of a 64-source batch, a path
+// longer than two batches, a disconnected graph and the 0- and
+// 1-vertex graphs.
 func TestDiameterMatchesFloydWarshall(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -370,42 +416,37 @@ func TestDiameterMatchesFloydWarshall(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		n := g.N()
-		const inf = 1 << 29
-		d := make([][]int, n)
-		for i := range d {
-			d[i] = make([]int, n)
-			for j := range d[i] {
-				if i != j {
-					d[i][j] = inf
-				}
-			}
-		}
-		for _, e := range g.Edges() {
-			d[e.U][e.V] = 1
-			d[e.V][e.U] = 1
-		}
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if d[i][k]+d[k][j] < d[i][j] {
-						d[i][j] = d[i][k] + d[k][j]
-					}
-				}
-			}
-		}
-		want := 0
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if d[i][j] > want {
-					want = d[i][j]
-				}
-			}
-		}
-		return g.Diameter() == want
+		return g.Diameter() == floydWarshallDiameter(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+
+	cases := map[string]*Graph{"path130": Path(130), "empty": New(0), "single": New(1)}
+	for _, n := range []int{63, 64, 65, 130} {
+		g, err := RandomRegularish(n, 3, rng.New(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("sparse%d", n)] = g
+	}
+	split := New(70) // two paths, 0..39 and 40..69
+	for u := 0; u+1 < 70; u++ {
+		if u != 39 {
+			split.MustAddEdge(u, u+1)
+		}
+	}
+	split.Finalize()
+	cases["disconnected"] = split
+	want := map[string]int{"path130": 129, "empty": 0, "single": 0, "disconnected": -1}
+	for name, g := range cases {
+		got, fw := g.Diameter(), floydWarshallDiameter(g)
+		if got != fw {
+			t.Errorf("%s: Diameter() = %d, Floyd-Warshall %d", name, got, fw)
+		}
+		if w, ok := want[name]; ok && got != w {
+			t.Errorf("%s: Diameter() = %d, want %d", name, got, w)
+		}
 	}
 }
 

@@ -421,6 +421,34 @@ func TestInvalidActionKindPanics(t *testing.T) {
 	e.Run(1)
 }
 
+// TestInvalidChannelLabelPanics: a node that listens or broadcasts on
+// a local label outside [0, C) must panic, not resolve a neighbor's
+// channel. The middle node of a path has rows on both sides of its own
+// in the row-major label table, so an unchecked index u·C+l would read
+// node u+1's first label (l = C) or node u-1's last (l = -1).
+func TestInvalidChannelLabelPanics(t *testing.T) {
+	const c = 3
+	for kindName, kind := range map[string]Kind{"listen": Listen, "broadcast": Broadcast} {
+		for _, ch := range []int{c, -1} {
+			t.Run(fmt.Sprintf("%s/label%d", kindName, ch), func(t *testing.T) {
+				nw := newTestNetwork(t, graph.Path(3), c, 97)
+				idle := func() Protocol { return &scriptProto{script: []Action{{Kind: Idle}}} }
+				bad := &scriptProto{script: []Action{{Kind: kind, Ch: ch}}}
+				e, err := NewEngine(nw, []Protocol{idle(), bad, idle()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					if recover() == nil {
+						t.Errorf("label %d did not panic", ch)
+					}
+				}()
+				e.Run(1)
+			})
+		}
+	}
+}
+
 func TestEngineAccessors(t *testing.T) {
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 1, 98)
