@@ -1,7 +1,12 @@
 package crn
 
 import (
+	"runtime"
 	"testing"
+
+	"crn/internal/chanassign"
+	"crn/internal/graph"
+	"crn/internal/rng"
 )
 
 func TestNewScenarioValidation(t *testing.T) {
@@ -276,5 +281,43 @@ func TestSharedChannelCountAndEdges(t *testing.T) {
 		if got := s.SharedChannelCount(e[0], e[1]); got != 2 {
 			t.Errorf("SharedChannelCount(%d,%d) = %d, want 2", e[0], e[1], got)
 		}
+	}
+}
+
+// TestScenarioAssemblyAllocs is the allocation regression for scenario
+// assembly: over a prebuilt 2048-node graph, the SharedCore assignment
+// and NewScenarioFromParts allocate O(n·c + m) bytes. Label tables as
+// wide as SharedCore's whole universe (k + n(c−k) channels) and one
+// BFS per vertex for the diameter made it 172 MB. The diameter must
+// still be the largest eccentricity.
+func TestScenarioAssemblyAllocs(t *testing.T) {
+	const n, c, k = 2048, 8, 2
+	const ceiling = 1 << 20
+	g, err := graph.RandomRegularish(n, 8, rng.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := chanassign.SharedCore(n, c, k, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScenarioFromParts(g, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("n=%d: assembly allocated %d bytes in %d allocations", n, allocated, after.Mallocs-before.Mallocs)
+	if allocated >= ceiling {
+		t.Errorf("assembly allocated %d bytes, ceiling %d", allocated, ceiling)
+	}
+	want := 0
+	for u := 0; u < n; u++ {
+		want = max(want, g.Eccentricity(u))
+	}
+	if s.Diameter() != want {
+		t.Errorf("Diameter() = %d, largest eccentricity %d", s.Diameter(), want)
 	}
 }

@@ -11,126 +11,101 @@ package chanassign
 
 import (
 	"fmt"
+	"slices"
 
-	"crn/internal/bitset"
 	"crn/internal/graph"
 	"crn/internal/rng"
 )
 
 // Assignment is a complete channel assignment for an n-node network.
+//
+// Every node has exactly C channels, so the assignment is three n×C
+// row-major tables whatever the size of the universe (SharedCore's is
+// k + n(c−k)): storage is O(n·C), and a node's lookups touch only its
+// own row.
 type Assignment struct {
 	// Universe is the number of global channels.
 	Universe int
 	// C is the number of channels each node can access.
 	C int
-	// sets[u] is node u's global channel set (cardinality C).
-	sets []*bitset.Set
-	// localToGlobal[u][l] is the global channel behind node u's local
-	// label l.
-	localToGlobal [][]int32
-	// l2gFlat is localToGlobal flattened to one row-major array
-	// (stride C): the radio engine resolves a global channel per
-	// non-idle node per slot, and the flat layout turns that into a
-	// single indexed load.
-	l2gFlat []int32
-	// globalToLocal[u][g] is node u's local label for global channel g,
-	// or -1 if u cannot access g.
-	globalToLocal [][]int32
+	// l2g[u*C+l] is the global channel behind node u's local label l.
+	// The radio engine resolves a global channel per non-idle node per
+	// slot through it (Flat), as one indexed load.
+	l2g []int32
+	// chans[u*C:(u+1)*C] is node u's channel set in ascending order.
+	chans []int32
+	// labels[u*C+i] is node u's local label for chans[u*C+i].
+	labels []int32
 }
 
-// newAssignment wires the label tables for the given global sets.
-// Local labels are a random permutation of each node's set, modeling
-// the absence of a global channel labeling.
-func newAssignment(universe, c int, sets []*bitset.Set, r *rng.Source) *Assignment {
+// newAssignment labels the ascending channel rows in chans (n rows of
+// c). Local labels are a random permutation of each node's row, drawn
+// in node order, modeling the absence of a global channel labeling.
+func newAssignment(universe, c int, chans []int32, r *rng.Source) *Assignment {
 	a := &Assignment{
-		Universe:      universe,
-		C:             c,
-		sets:          sets,
-		localToGlobal: make([][]int32, len(sets)),
-		globalToLocal: make([][]int32, len(sets)),
+		Universe: universe,
+		C:        c,
+		l2g:      make([]int32, len(chans)),
+		chans:    chans,
+		labels:   make([]int32, len(chans)),
 	}
-	for u, s := range sets {
-		elems := s.Elems(nil)
-		perm := r.Perm(len(elems))
-		l2g := make([]int32, len(elems))
-		g2l := make([]int32, universe)
-		for i := range g2l {
-			g2l[i] = -1
+	for row := 0; row < len(chans); row += c {
+		for local, i := range r.Perm(c) {
+			a.l2g[row+local] = chans[row+i]
+			a.labels[row+i] = int32(local)
 		}
-		for local, pi := range perm {
-			g := int32(elems[pi])
-			l2g[local] = g
-			g2l[g] = int32(local)
-		}
-		a.localToGlobal[u] = l2g
-		a.globalToLocal[u] = g2l
 	}
-	a.buildFlat()
 	return a
 }
 
-// buildFlat derives the flattened label table from localToGlobal. A
-// malformed assignment (some row shorter than C) keeps the flat table
-// nil so Global falls back to the indexed path and label misuse still
-// panics loudly instead of silently reading padding.
-func (a *Assignment) buildFlat() {
-	flat := make([]int32, len(a.localToGlobal)*a.C)
-	for u, l2g := range a.localToGlobal {
-		if len(l2g) != a.C {
-			a.l2gFlat = nil
-			return
-		}
-		copy(flat[u*a.C:], l2g)
-	}
-	a.l2gFlat = flat
-}
-
 // N returns the number of nodes.
-func (a *Assignment) N() int { return len(a.sets) }
+func (a *Assignment) N() int { return len(a.l2g) / a.C }
 
-// Set returns node u's global channel set. Callers must not modify it.
-func (a *Assignment) Set(u int) *bitset.Set { return a.sets[u] }
+// row returns node u's ascending channel set.
+func (a *Assignment) row(u int) []int32 { return a.chans[u*a.C : (u+1)*a.C] }
 
-// Global maps node u's local label to a global channel.
+// Global maps node u's local label to a global channel. It panics when
+// local is outside [0, C).
 func (a *Assignment) Global(u, local int) int32 {
-	if a.l2gFlat == nil || local < 0 || local >= a.C {
-		// Preserve the out-of-range panic shape protocols relied on.
-		return a.localToGlobal[u][local]
+	if uint(local) >= uint(a.C) {
+		panic(fmt.Sprintf("chanassign: node %d has no local label %d (C = %d)", u, local, a.C))
 	}
-	return a.l2gFlat[u*a.C+local]
+	return a.l2g[u*a.C+local]
 }
 
-// Flat exposes the flattened local→global label table (row stride C):
-// Flat()[u*C+local] == Global(u, local). Returns (nil, 0) when the
-// assignment is malformed and no flat table exists. Hot engine loops
-// that validate the local label themselves use it to skip Global's
-// per-call guards; callers must not modify the slice.
-func (a *Assignment) Flat() ([]int32, int) {
-	if a.l2gFlat == nil {
-		return nil, 0
-	}
-	return a.l2gFlat, a.C
-}
+// Flat exposes the row-major local→global label table (row stride C):
+// Flat()[u*C+local] == Global(u, local). Hot engine loops that
+// validate the local label themselves use it to skip Global's per-call
+// guard; callers must not modify the slice.
+func (a *Assignment) Flat() ([]int32, int) { return a.l2g, a.C }
 
 // Local maps a global channel to node u's local label, or -1 if node u
-// cannot access that channel.
-func (a *Assignment) Local(u int, global int32) int32 { return a.globalToLocal[u][global] }
-
-// SharedCount returns the number of channels nodes u and v share.
-func (a *Assignment) SharedCount(u, v int) int {
-	return a.sets[u].IntersectionCount(a.sets[v])
+// cannot access that channel: a binary search of u's row, O(log C).
+func (a *Assignment) Local(u int, global int32) int32 {
+	if i, ok := slices.BinarySearch(a.row(u), global); ok {
+		return a.labels[u*a.C+i]
+	}
+	return -1
 }
 
-// SharedChannels returns the global channels u and v share.
-func (a *Assignment) SharedChannels(u, v int) []int32 {
-	inter := a.sets[u].Clone()
-	inter.Intersect(a.sets[v])
-	var out []int32
-	inter.ForEach(func(g int) bool {
-		out = append(out, int32(g))
-		return true
-	})
-	return out
+// SharedCount returns the number of channels nodes u and v share: one
+// merge of their two ascending rows, O(C).
+func (a *Assignment) SharedCount(u, v int) int {
+	ru, rv := a.row(u), a.row(v)
+	shared := 0
+	for i, j := 0, 0; i < len(ru) && j < len(rv); {
+		switch {
+		case ru[i] < rv[j]:
+			i++
+		case ru[i] > rv[j]:
+			j++
+		default:
+			shared++
+			i++
+			j++
+		}
+	}
+	return shared
 }
 
 // OverlapRange returns the minimum and maximum pairwise overlap over
@@ -155,26 +130,31 @@ func (a *Assignment) OverlapRange(g *graph.Graph) (kMin, kMax int) {
 	return kMin, kMax
 }
 
-// Validate checks structural invariants: every node has exactly C
-// channels, label tables are consistent bijections, and every edge of g
-// shares between k and kmax channels.
+// Validate checks structural invariants: every node's row holds C
+// distinct channels of the universe in ascending order, its labels are
+// a permutation of [0, C) that the label table inverts, and every edge
+// of g shares between k and kmax channels.
 func (a *Assignment) Validate(g *graph.Graph, k, kmax int) error {
 	if g.N() != a.N() {
 		return fmt.Errorf("chanassign: graph has %d nodes, assignment %d", g.N(), a.N())
 	}
+	seen := make([]bool, a.C)
 	for u := 0; u < a.N(); u++ {
-		if got := a.sets[u].Count(); got != a.C {
-			return fmt.Errorf("chanassign: node %d has %d channels, want %d", u, got, a.C)
-		}
-		if len(a.localToGlobal[u]) != a.C {
-			return fmt.Errorf("chanassign: node %d has %d local labels, want %d", u, len(a.localToGlobal[u]), a.C)
-		}
-		for l, gch := range a.localToGlobal[u] {
-			if !a.sets[u].Contains(int(gch)) {
-				return fmt.Errorf("chanassign: node %d label %d maps to %d outside its set", u, l, gch)
+		clear(seen)
+		for i, gch := range a.row(u) {
+			if gch < 0 || int(gch) >= a.Universe {
+				return fmt.Errorf("chanassign: node %d channel %d outside [0,%d)", u, gch, a.Universe)
 			}
-			if back := a.globalToLocal[u][gch]; int(back) != l {
-				return fmt.Errorf("chanassign: node %d label %d->%d->%d roundtrip mismatch", u, l, gch, back)
+			if i > 0 && gch <= a.chans[u*a.C+i-1] {
+				return fmt.Errorf("chanassign: node %d channels not strictly ascending at %d", u, gch)
+			}
+			l := a.labels[u*a.C+i]
+			if l < 0 || int(l) >= a.C || seen[l] {
+				return fmt.Errorf("chanassign: node %d label %d of channel %d is out of range or repeated", u, l, gch)
+			}
+			seen[l] = true
+			if back := a.l2g[u*a.C+int(l)]; back != gch {
+				return fmt.Errorf("chanassign: node %d channel %d->label %d->%d roundtrip mismatch", u, gch, l, back)
 			}
 		}
 	}
@@ -195,20 +175,18 @@ func SharedCore(n, c, k int, r *rng.Source) (*Assignment, error) {
 	if err := checkParams(n, c, k, k); err != nil {
 		return nil, err
 	}
-	universe := k + n*(c-k)
-	sets := make([]*bitset.Set, n)
+	chans := make([]int32, n*c)
 	for u := 0; u < n; u++ {
-		s := bitset.New(universe)
-		for g := 0; g < k; g++ {
-			s.Add(g)
+		row := chans[u*c : (u+1)*c]
+		for i := range row {
+			row[i] = int32(i)
 		}
 		base := k + u*(c-k)
-		for i := 0; i < c-k; i++ {
-			s.Add(base + i)
+		for i := k; i < c; i++ {
+			row[i] = int32(base + i - k)
 		}
-		sets[u] = s
 	}
-	return newAssignment(universe, c, sets, r), nil
+	return newAssignment(k+n*(c-k), c, chans, r), nil
 }
 
 // SharedPool assigns every node k core channels plus c-k channels
@@ -223,19 +201,18 @@ func SharedPool(n, c, k, poolSize int, r *rng.Source) (*Assignment, error) {
 	if poolSize < c-k {
 		return nil, fmt.Errorf("chanassign: pool size %d < c-k = %d", poolSize, c-k)
 	}
-	universe := k + poolSize
-	sets := make([]*bitset.Set, n)
+	chans := make([]int32, n*c)
 	for u := 0; u < n; u++ {
-		s := bitset.New(universe)
+		row := chans[u*c : (u+1)*c]
 		for g := 0; g < k; g++ {
-			s.Add(g)
+			row[g] = int32(g)
 		}
-		for _, p := range r.SampleK(poolSize, c-k) {
-			s.Add(k + p)
+		for i, p := range r.SampleK(poolSize, c-k) {
+			row[k+i] = int32(k + p)
 		}
-		sets[u] = s
+		slices.Sort(row[k:])
 	}
-	return newAssignment(universe, c, sets, r), nil
+	return newAssignment(k+poolSize, c, chans, r), nil
 }
 
 // Heterogeneous assigns channels so that a chosen fraction of edges
@@ -287,49 +264,45 @@ func Heterogeneous(g *graph.Graph, c, k, kmax int, heavyFrac float64, r *rng.Sou
 	}
 
 	// Universe layout: k core channels, then one fresh block of `extra`
-	// channels per heavy edge, then per-node private filler.
-	universe := k + nHeavy*extra + n*(c-k)
-	sets := make([]*bitset.Set, n)
-	used := make([]int, n) // non-core channels consumed per node
-	for u := 0; u < n; u++ {
-		s := bitset.New(universe)
-		for gch := 0; gch < k; gch++ {
-			s.Add(gch)
-		}
-		sets[u] = s
+	// channels per heavy edge, then per-node private filler. Channels
+	// are handed out in increasing order, so appending each to its
+	// nodes' rows keeps every row ascending.
+	chans := make([]int32, n*c)
+	used := make([]int, n) // channels in each row so far
+	add := func(u int, gch int32) {
+		chans[u*c+used[u]] = gch
+		used[u]++
 	}
-	next := k
+	for u := 0; u < n; u++ {
+		for gch := 0; gch < k; gch++ {
+			add(u, int32(gch))
+		}
+	}
+	next := int32(k)
 	for i, e := range edges {
 		if !heavy[i] {
 			continue
 		}
 		for j := 0; j < extra; j++ {
-			sets[e.U].Add(next)
-			sets[e.V].Add(next)
+			add(int(e.U), next)
+			add(int(e.V), next)
 			next++
 		}
-		used[e.U] += extra
-		used[e.V] += extra
 	}
 	// Private filler to reach exactly c channels per node.
 	for u := 0; u < n; u++ {
-		for used[u] < c-k {
-			sets[u].Add(next)
+		for used[u] < c {
+			add(u, next)
 			next++
-			used[u]++
 		}
 	}
-	a := newAssignment(universe, c, sets, r)
-	if extra == 0 {
-		return a, nil
-	}
-	return a, nil
+	return newAssignment(k+nHeavy*extra+n*(c-k), c, chans, r), nil
 }
 
 // FromSets builds an assignment from explicit per-node global channel
 // sets. Every set must have the same cardinality c (the model gives
-// every transceiver exactly c channels); local labels are random
-// permutations.
+// every transceiver exactly c channels) and list distinct channels of
+// [0, universe), in any order; local labels are random permutations.
 func FromSets(universe int, nodeSets [][]int, r *rng.Source) (*Assignment, error) {
 	if len(nodeSets) == 0 {
 		return nil, fmt.Errorf("chanassign: need at least one node")
@@ -341,24 +314,26 @@ func FromSets(universe int, nodeSets [][]int, r *rng.Source) (*Assignment, error
 	if c < 1 {
 		return nil, fmt.Errorf("chanassign: node 0 has no channels")
 	}
-	sets := make([]*bitset.Set, len(nodeSets))
-	for u, chans := range nodeSets {
-		if len(chans) != c {
-			return nil, fmt.Errorf("chanassign: node %d has %d channels, node 0 has %d", u, len(chans), c)
+	chans := make([]int32, len(nodeSets)*c)
+	for u, set := range nodeSets {
+		if len(set) != c {
+			return nil, fmt.Errorf("chanassign: node %d has %d channels, node 0 has %d", u, len(set), c)
 		}
-		s := bitset.New(universe)
-		for _, g := range chans {
+		row := chans[u*c : (u+1)*c]
+		for i, g := range set {
 			if g < 0 || g >= universe {
 				return nil, fmt.Errorf("chanassign: node %d channel %d outside [0,%d)", u, g, universe)
 			}
-			if s.Contains(g) {
-				return nil, fmt.Errorf("chanassign: node %d lists channel %d twice", u, g)
-			}
-			s.Add(g)
+			row[i] = int32(g)
 		}
-		sets[u] = s
+		slices.Sort(row)
+		for i := 1; i < c; i++ {
+			if row[i] == row[i-1] {
+				return nil, fmt.Errorf("chanassign: node %d lists channel %d twice", u, row[i])
+			}
+		}
 	}
-	return newAssignment(universe, c, sets, r), nil
+	return newAssignment(universe, c, chans, r), nil
 }
 
 // Identical assigns every node the same c channels (the classic
@@ -369,15 +344,11 @@ func Identical(n, c int, r *rng.Source) (*Assignment, error) {
 	if err := checkParams(n, c, c, c); err != nil {
 		return nil, err
 	}
-	sets := make([]*bitset.Set, n)
-	for u := 0; u < n; u++ {
-		s := bitset.New(c)
-		for g := 0; g < c; g++ {
-			s.Add(g)
-		}
-		sets[u] = s
+	chans := make([]int32, n*c)
+	for i := range chans {
+		chans[i] = int32(i % c)
 	}
-	return newAssignment(c, c, sets, r), nil
+	return newAssignment(c, c, chans, r), nil
 }
 
 // Matching builds the two-node assignment used by the Lemma 11
@@ -406,18 +377,19 @@ func Matching(c int, pairs [][2]int, r *rng.Source) (*Assignment, error) {
 	}
 
 	// Global layout: channels 0..len(pairs)-1 are the shared ones;
-	// the rest are private to one side.
-	universe := 2*c - len(pairs)
-	s0 := bitset.New(universe)
-	s1 := bitset.New(universe)
-	// l2g built explicitly here (not via newAssignment's random perm)
-	// because the game fixes which local label maps to which shared
-	// channel.
-	l2g0 := make([]int32, c)
-	l2g1 := make([]int32, c)
-	for i := range l2g0 {
-		l2g0[i] = -1
-		l2g1[i] = -1
+	// the rest are private to one side. The label table is built
+	// explicitly here (not via newAssignment's random perm) because the
+	// game fixes which local label maps to which shared channel.
+	a := &Assignment{
+		Universe: 2*c - len(pairs),
+		C:        c,
+		l2g:      make([]int32, 2*c),
+		chans:    make([]int32, 2*c),
+		labels:   make([]int32, 2*c),
+	}
+	l2g0, l2g1 := a.l2g[:c], a.l2g[c:]
+	for i := range a.l2g {
+		a.l2g[i] = -1
 	}
 	for i, p := range pairs {
 		l2g0[p[0]] = int32(i)
@@ -434,31 +406,18 @@ func Matching(c int, pairs [][2]int, r *rng.Source) (*Assignment, error) {
 			next++
 		}
 	}
-	for _, g := range l2g0 {
-		s0.Add(int(g))
-	}
-	for _, g := range l2g1 {
-		s1.Add(int(g))
-	}
-
-	a := &Assignment{
-		Universe:      universe,
-		C:             c,
-		sets:          []*bitset.Set{s0, s1},
-		localToGlobal: [][]int32{l2g0, l2g1},
-		globalToLocal: make([][]int32, 2),
-	}
-	for u, l2g := range a.localToGlobal {
-		g2l := make([]int32, universe)
-		for i := range g2l {
-			g2l[i] = -1
+	// Each row lists its channels in ascending order, each beside the
+	// label that names it.
+	for u := 0; u < 2; u++ {
+		row, labels := a.chans[u*c:(u+1)*c], a.labels[u*c:(u+1)*c]
+		for l := range labels {
+			labels[l] = int32(l)
 		}
-		for l, gch := range l2g {
-			g2l[gch] = int32(l)
+		slices.SortFunc(labels, func(x, y int32) int { return int(a.l2g[u*c+int(x)] - a.l2g[u*c+int(y)]) })
+		for i, l := range labels {
+			row[i] = a.l2g[u*c+int(l)]
 		}
-		a.globalToLocal[u] = g2l
 	}
-	a.buildFlat()
 	return a, nil
 }
 

@@ -163,22 +163,32 @@ func TestLabelRoundTrip(t *testing.T) {
 
 func TestLocalUnknownChannel(t *testing.T) {
 	r := rng.New(8)
-	a, err := SharedCore(3, 4, 1, r)
+	const k = 1
+	a, err := SharedCore(3, 4, k, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 0 cannot access node 1's private channels.
-	private1 := a.Global(1, 0)
+	// Node 0 shares only the core (global channels below k) with node
+	// 1, so it cannot access any of node 1's other channels.
+	private := 0
 	for l := 0; l < a.C; l++ {
-		if a.Global(1, l) >= int32(1) { // non-core channel of node 1
-			private1 = a.Global(1, l)
+		g := a.Global(1, l)
+		if g < k {
+			continue
+		}
+		private++
+		if got := a.Local(0, g); got != -1 {
+			t.Errorf("Local(0, %d) = %d, want -1", g, got)
 		}
 	}
-	if a.Set(0).Contains(int(private1)) {
-		t.Skip("picked a shared channel; construction guarantees one private exists")
+	if private != a.C-k {
+		t.Errorf("node 1 has %d private channels, want %d", private, a.C-k)
 	}
-	if got := a.Local(0, private1); got != -1 {
-		t.Errorf("Local(0, %d) = %d, want -1", private1, got)
+	// Channels past either end of node 0's row are unknown as well.
+	for _, g := range []int32{-1, int32(a.Universe)} {
+		if got := a.Local(0, g); got != -1 {
+			t.Errorf("Local(0, %d) = %d, want -1", g, got)
+		}
 	}
 }
 
@@ -188,13 +198,44 @@ func TestSharedChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := a.SharedChannels(0, 1)
-	if len(shared) != 3 {
-		t.Fatalf("SharedChannels(0,1) = %v, want 3 channels", shared)
+	if got := a.SharedCount(0, 1); got != 3 {
+		t.Fatalf("SharedCount(0,1) = %d, want 3", got)
 	}
-	for _, g := range shared {
-		if !a.Set(0).Contains(int(g)) || !a.Set(1).Contains(int(g)) {
-			t.Errorf("channel %d not in both sets", g)
+	// SharedCount agrees with the channels both nodes can name.
+	for u := 0; u < a.N(); u++ {
+		for v := 0; v < a.N(); v++ {
+			both := 0
+			for g := int32(0); g < int32(a.Universe); g++ {
+				if a.Local(u, g) >= 0 && a.Local(v, g) >= 0 {
+					both++
+				}
+			}
+			if got := a.SharedCount(u, v); got != both {
+				t.Errorf("SharedCount(%d,%d) = %d, %d channels have a label at both", u, v, got, both)
+			}
+		}
+	}
+}
+
+func TestFromSetsErrors(t *testing.T) {
+	r := rng.New(17)
+	tests := []struct {
+		name     string
+		universe int
+		sets     [][]int
+	}{
+		{name: "no nodes", universe: 4},
+		{name: "empty universe", universe: 0, sets: [][]int{{0}}},
+		{name: "no channels", universe: 4, sets: [][]int{{}}},
+		{name: "unequal sets", universe: 4, sets: [][]int{{0, 1}, {2}}},
+		{name: "out of range", universe: 4, sets: [][]int{{0, 1}, {2, 4}}},
+		{name: "negative", universe: 4, sets: [][]int{{0, 1}, {-1, 2}}},
+		// The repeat is not adjacent until the set is sorted.
+		{name: "repeated channel", universe: 4, sets: [][]int{{0, 1, 2}, {3, 1, 3}}},
+	}
+	for _, tt := range tests {
+		if _, err := FromSets(tt.universe, tt.sets, r); err == nil {
+			t.Errorf("%s: FromSets(%d, %v) succeeded, want error", tt.name, tt.universe, tt.sets)
 		}
 	}
 }

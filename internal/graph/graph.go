@@ -11,8 +11,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crn/internal/bitset"
 )
@@ -183,14 +184,11 @@ func (g *Graph) Finalize() {
 	if g.final {
 		return
 	}
-	for u := range g.adj {
-		sort.Slice(g.adj[u], func(i, j int) bool { return g.adj[u][i] < g.adj[u][j] })
+	for _, nbrs := range g.adj {
+		slices.Sort(nbrs)
 	}
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
-		}
-		return g.edges[i].V < g.edges[j].V
+	slices.SortFunc(g.edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	g.final = true
 }
@@ -237,20 +235,53 @@ func (g *Graph) Connected() bool {
 
 // Diameter returns the diameter D (longest shortest path). It returns
 // -1 for disconnected graphs and 0 for graphs with fewer than two
-// vertices. Cost is O(n·m): one BFS per vertex.
+// vertices.
+//
+// After one connectivity BFS it runs a multi-source BFS (Then et al.,
+// "The More the Merrier: Efficient Multi-Source Graph Traversal",
+// PVLDB 2014) from the sources in batches of 64. Bit i of a vertex's
+// seen, frontier and next words stands for source i of the batch, so
+// one round advances all 64 searches in a single pass over the
+// adjacency lists; D is the last round in which any search reached a
+// new vertex. Cost is O(⌈n/64⌉·(D+1)·m) word operations, and besides
+// the connectivity BFS the call allocates three n-word slices.
 func (g *Graph) Diameter() int {
 	if g.n <= 1 {
 		return 0
 	}
+	if !g.Connected() {
+		return -1
+	}
+	seen := make([]uint64, g.n)
+	frontier := make([]uint64, g.n)
+	next := make([]uint64, g.n)
 	d := 0
-	for u := 0; u < g.n; u++ {
-		for _, dv := range g.BFS(u) {
-			if dv == -1 {
-				return -1
+	for lo := 0; lo < g.n; lo += 64 {
+		clear(seen)
+		clear(frontier)
+		for s := lo; s < min(lo+64, g.n); s++ {
+			seen[s] = 1 << (s - lo)
+			frontier[s] = seen[s]
+		}
+		for round := 1; ; round++ {
+			advanced := false
+			for v, nbrs := range g.adj {
+				var reached uint64
+				for _, w := range nbrs {
+					reached |= frontier[w]
+				}
+				reached &^= seen[v]
+				next[v] = reached
+				if reached != 0 {
+					seen[v] |= reached
+					advanced = true
+				}
 			}
-			if dv > d {
-				d = dv
+			if !advanced {
+				break
 			}
+			d = max(d, round)
+			frontier, next = next, frontier
 		}
 	}
 	return d

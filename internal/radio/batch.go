@@ -58,8 +58,8 @@ type BatchEngine struct {
 	assign *chanassign.Assignment
 	nbr    *bitset.Matrix
 	n      int
-	// flat/flatC is the assignment's flattened label table (nil/0 when
-	// it has none; the collect then falls back to Global).
+	// flat/flatC is the assignment's row-major label table and its
+	// stride C.
 	flat  []int32
 	flatC int
 
@@ -481,9 +481,10 @@ func (e *BatchEngine) collect(rp *replica) {
 // fold copies the actions of live nodes [lo, hi) into the hot state,
 // classifying each node: idles and broadcasts are counted, broadcasters
 // appended to e.bcasters (the index phase's input) and listeners to
-// e.listeners. The flat label table replaces Global's per-call guards
-// with one validity compare, falling back to Global for its loud
-// out-of-range panic. An invalid action kind panics here.
+// e.listeners. The flat label table replaces Global's per-call guard
+// with one validity compare; a label outside [0, C) falls back to
+// Global for its loud panic, since an unchecked index would read a
+// neighboring node's row. An invalid action kind panics here.
 func (e *BatchEngine) fold(lo, hi int) {
 	// Window every per-node slice to [lo, hi) with a common length so
 	// the loop runs without bounds checks.
