@@ -3,6 +3,7 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -739,5 +740,50 @@ func TestJanitorRetriesDeferredMerge(t *testing.T) {
 	}
 	if st.State != JobDone {
 		t.Fatalf("job state %s, want done", st.State)
+	}
+}
+
+// TestSubmitRefusesHugeCounts: a submit asking for 1<<40 shards, or
+// carrying a spec of 1<<40 seeds, is answered 400 instead of planning
+// one shard range per requested shard (which took the daemon down with
+// an out-of-memory fatal error); the same daemon then completes a
+// normal job.
+func TestSubmitRefusesHugeCounts(t *testing.T) {
+	ctx := context.Background()
+	_, ts, c := startServer(t, t.TempDir(), time.Minute)
+	hugeSeeds := testSpec()
+	hugeSeeds.Seeds = 1 << 40
+	for name, req := range map[string]SubmitRequest{
+		"shards": {Spec: testSpec(), Shards: 1 << 40},
+		"seeds":  {Spec: hugeSeeds, Shards: 2},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("huge %s: submit answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	id, err := c.Submit(ctx, testSpec(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk := &Worker{Client: c, Name: "w1", Workers: 2, Poll: 10 * time.Millisecond, MaxShards: 2, Log: quietLog()}
+	if err := wk.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, id, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone || st.Done != 2 {
+		t.Fatalf("normal job after the refusals did not finish: %+v", st)
 	}
 }

@@ -51,12 +51,13 @@ type ShardResult struct {
 
 // PlanShards validates spec and splits its job grid into shards
 // balanced contiguous ranges (the first total%shards ranges take one
-// extra job; ranges are empty when shards exceeds the job count).
+// extra job; ranges are empty when shards exceeds the job count). It
+// refuses more than maxShards shards before allocating any.
 // Planning is pure bookkeeping — no simulation runs — so the same
 // spec and shard count always produce the same plan, on any machine.
 func PlanShards(spec SweepSpec, shards int) (*ShardPlan, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("crn: shard count %d, want ≥ 1", shards)
+	if shards < 1 || shards > maxShards {
+		return nil, fmt.Errorf("crn: shard count %d, want 1 to %d", shards, maxShards)
 	}
 	rs, err := resolveSweep(spec)
 	if err != nil {

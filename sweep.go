@@ -31,10 +31,10 @@ type SweepSpec struct {
 	// Variants are the scenario configurations to sweep over; at least
 	// one is required.
 	Variants []Variant
-	// Seeds is the number of runs per variant (default 1). Per-run
-	// seeds are derived deterministically from BaseSeed via rng.Split,
-	// so run (variant, i) sees the same seed regardless of Workers —
-	// or of which shard of a ShardPlan executes it.
+	// Seeds is the number of runs per variant (default 1, at most
+	// 2^20). Per-run seeds are derived deterministically from BaseSeed
+	// via rng.Split, so run (variant, i) sees the same seed regardless
+	// of Workers — or of which shard of a ShardPlan executes it.
 	Seeds int
 	// BaseSeed is the master seed of the sweep.
 	BaseSeed uint64
@@ -83,12 +83,26 @@ type resolvedSweep struct {
 	master    *rng.Source
 }
 
+// maxSeeds bounds a sweep's runs per variant and maxShards the shards
+// a plan splits it into. Both sit far above any sweep in this
+// repository (tens of seeds, a handful of shards); they exist so that
+// one spec or submit request cannot make Sweep, PlanShards or RunShard
+// allocate without limit: each refuses a larger count before
+// allocating anything in proportion to it.
+const (
+	maxSeeds  = 1 << 20
+	maxShards = 1 << 16
+)
+
 func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {
 	if spec.Primitive == nil {
 		return nil, fmt.Errorf("crn: sweep needs a primitive")
 	}
 	if len(spec.Variants) == 0 {
 		return nil, fmt.Errorf("crn: sweep needs at least one variant")
+	}
+	if spec.Seeds > maxSeeds {
+		return nil, fmt.Errorf("crn: %d seeds per variant, at most %d", spec.Seeds, maxSeeds)
 	}
 	rs := &resolvedSweep{
 		spec:      spec,

@@ -3,6 +3,7 @@ package crn_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,6 +49,38 @@ func TestPlanShardsPartition(t *testing.T) {
 	}
 	if _, err := crn.PlanShards(crn.SweepSpec{}, 2); err == nil {
 		t.Error("PlanShards of an invalid spec accepted")
+	}
+}
+
+// TestSweepRefusesHugeCounts: 1<<40 shards, or a spec of 1<<40 seeds,
+// are refused by PlanShards, Sweep and RunShard before anything is
+// allocated in proportion to the count (one ShardRange per requested
+// shard once took the process down).
+func TestSweepRefusesHugeCounts(t *testing.T) {
+	ctx := context.Background()
+	plan, err := crn.PlanShards(discoverySpec(1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := discoverySpec(1)
+	huge.Seeds = 1 << 40
+	calls := map[string]func() error{
+		"PlanShards of 1<<40 shards": func() error { _, err := crn.PlanShards(discoverySpec(1), 1<<40); return err },
+		"PlanShards of 1<<40 seeds":  func() error { _, err := crn.PlanShards(huge, 2); return err },
+		"Sweep of 1<<40 seeds":       func() error { _, err := crn.Sweep(ctx, huge); return err },
+		"RunShard of 1<<40 seeds":    func() error { _, err := crn.RunShard(ctx, huge, plan, 0); return err },
+	}
+	for name, call := range calls {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := call()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Errorf("%s allocated %d bytes before refusing", name, grown)
+		}
 	}
 }
 
