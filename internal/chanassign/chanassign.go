@@ -141,11 +141,12 @@ func (a *Assignment) Validate(g *graph.Graph, k, kmax int) error {
 	seen := make([]bool, a.C)
 	for u := 0; u < a.N(); u++ {
 		clear(seen)
-		for i, gch := range a.row(u) {
+		row := a.row(u)
+		for i, gch := range row {
 			if gch < 0 || int(gch) >= a.Universe {
 				return fmt.Errorf("chanassign: node %d channel %d outside [0,%d)", u, gch, a.Universe)
 			}
-			if i > 0 && gch <= a.chans[u*a.C+i-1] {
+			if i > 0 && gch <= row[i-1] {
 				return fmt.Errorf("chanassign: node %d channels not strictly ascending at %d", u, gch)
 			}
 			l := a.labels[u*a.C+i]
@@ -178,12 +179,12 @@ func SharedCore(n, c, k int, r *rng.Source) (*Assignment, error) {
 	chans := make([]int32, n*c)
 	for u := 0; u < n; u++ {
 		row := chans[u*c : (u+1)*c]
-		for i := range row {
-			row[i] = int32(i)
+		for g := 0; g < k; g++ {
+			row[g] = int32(g)
 		}
-		base := k + u*(c-k)
+		// Node u's private channels start at k + u(c-k).
 		for i := k; i < c; i++ {
-			row[i] = int32(base + i - k)
+			row[i] = int32(i + u*(c-k))
 		}
 	}
 	return newAssignment(k+n*(c-k), c, chans, r), nil
@@ -406,16 +407,13 @@ func Matching(c int, pairs [][2]int, r *rng.Source) (*Assignment, error) {
 			next++
 		}
 	}
-	// Each row lists its channels in ascending order, each beside the
-	// label that names it.
 	for u := 0; u < 2; u++ {
-		row, labels := a.chans[u*c:(u+1)*c], a.labels[u*c:(u+1)*c]
-		for l := range labels {
-			labels[l] = int32(l)
-		}
-		slices.SortFunc(labels, func(x, y int32) int { return int(a.l2g[u*c+int(x)] - a.l2g[u*c+int(y)]) })
-		for i, l := range labels {
-			row[i] = a.l2g[u*c+int(l)]
+		l2g, row, labels := a.l2g[u*c:(u+1)*c], a.chans[u*c:(u+1)*c], a.labels[u*c:(u+1)*c]
+		copy(row, l2g)
+		slices.Sort(row)
+		for l, gch := range l2g {
+			i, _ := slices.BinarySearch(row, gch)
+			labels[i] = int32(l)
 		}
 	}
 	return a, nil
