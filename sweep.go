@@ -84,8 +84,8 @@ type resolvedSweep struct {
 }
 
 // maxSeeds bounds a sweep's runs per variant and maxShards the shards
-// a plan splits it into. Both sit far above any sweep in this
-// repository (tens of seeds, a handful of shards); they exist so that
+// a plan splits it into. Both sit far above every spec and test in
+// this repository (at most 40 seeds and 20 shards); they exist so that
 // one spec or submit request cannot make Sweep, PlanShards or RunShard
 // allocate without limit: each refuses a larger count before
 // allocating anything in proportion to it.
