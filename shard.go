@@ -52,7 +52,7 @@ type ShardResult struct {
 // PlanShards validates spec and splits its job grid into shards
 // balanced contiguous ranges (the first total%shards ranges take one
 // extra job; ranges are empty when shards exceeds the job count). It
-// refuses more than maxShards shards before allocating any.
+// refuses more than 2^16 shards (maxShards) before allocating any.
 // Planning is pure bookkeeping — no simulation runs — so the same
 // spec and shard count always produce the same plan, on any machine.
 func PlanShards(spec SweepSpec, shards int) (*ShardPlan, error) {

@@ -84,11 +84,12 @@ type resolvedSweep struct {
 }
 
 // maxSeeds bounds a sweep's runs per variant and maxShards the shards
-// a plan splits it into. Both sit far above every spec and test in
-// this repository (at most 40 seeds and 20 shards); they exist so that
-// one spec or submit request cannot make Sweep, PlanShards or RunShard
-// allocate without limit: each refuses a larger count before
-// allocating anything in proportion to it.
+// a plan splits it into. Both sit far above every spec, example and
+// test in this repository (the largest has 1024 seeds; none plans more
+// than 20 shards); they exist so that one spec or submit request
+// cannot make Sweep, PlanShards or RunShard allocate without limit:
+// each refuses a larger count before allocating anything in proportion
+// to it.
 const (
 	maxSeeds  = 1 << 20
 	maxShards = 1 << 16
