@@ -16,7 +16,8 @@ package main
 // machines without the engine, spectrum/schedule-fill times the draw
 // of a primary-user schedule, and scenario/assemble times building a
 // scenario's channel assignment and structural parameters over a
-// prebuilt graph.
+// prebuilt graph. One entry times the service layer: service/roundtrip
+// runs a small job through an in-process crnsweepd (roundtrip.go).
 
 import (
 	"context"
@@ -435,6 +436,10 @@ func benchSuite() ([]benchSpec, error) {
 		{
 			name: "scenario/assemble",
 			fn:   assembleBench,
+		},
+		{
+			name: "service/roundtrip",
+			fn:   roundtripBench,
 		},
 		{
 			name:        "primitive/cseek",

@@ -2,8 +2,12 @@ package main
 
 import (
 	"io"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"crn/internal/sweepfile"
 )
 
 func TestRunList(t *testing.T) {
@@ -182,5 +186,34 @@ func TestCompareReportsSkipped(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "exceeds GOMAXPROCS") {
 		t.Errorf("SKIP lines do not carry the skip note:\n%s", out.String())
+	}
+}
+
+// TestRoundtripSpecIsTestdata: the service/roundtrip rung submits
+// cmd/crnsweep/testdata/spec.json, written out in roundtripSpec.
+func TestRoundtripSpecIsTestdata(t *testing.T) {
+	want, err := sweepfile.LoadSpec(filepath.Join("..", "crnsweep", "testdata", "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := roundtripSpec(); !reflect.DeepEqual(got, want) {
+		t.Errorf("roundtripSpec() = %+v, testdata spec %+v", got, want)
+	}
+}
+
+// TestRoundtripJob runs one op of the service/roundtrip rung: the
+// daemon starts, the workers run the job's shards, and the merged
+// result comes back.
+func TestRoundtripJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a job through an in-process daemon")
+	}
+	svc, err := startRoundtrip()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.stop()
+	if err := svc.job(roundtripSpec()); err != nil {
+		t.Fatal(err)
 	}
 }
