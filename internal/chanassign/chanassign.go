@@ -297,7 +297,9 @@ func Heterogeneous(g *graph.Graph, c, k, kmax int, heavyFrac float64, r *rng.Sou
 			next++
 		}
 	}
-	return newAssignment(k+nHeavy*extra+n*(c-k), c, chans, r), nil
+	// Each heavy block stands in for 2·extra filler channels, so the
+	// universe is exactly the ids dealt, [0, next).
+	return newAssignment(int(next), c, chans, r), nil
 }
 
 // FromSets builds an assignment from explicit per-node global channel

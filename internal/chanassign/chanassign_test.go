@@ -388,6 +388,9 @@ func labelDigest(a *Assignment) string {
 // recorded on the universe-wide table representation; any change to
 // the order in which a constructor lists a node's channels or draws
 // its label permutation moves them, and with them every run.
+// Heterogeneous's was re-recorded when its universe shrank to the ids
+// it deals: the Local sweep runs over [0, Universe), while its Global
+// labels did not change.
 func TestAssignmentLabelsPinned(t *testing.T) {
 	regular, err := graph.RandomRegularish(40, 5, rng.New(21))
 	if err != nil {
@@ -404,40 +407,49 @@ func TestAssignmentLabelsPinned(t *testing.T) {
 			fromSets[u][i], fromSets[u][j] = fromSets[u][j], fromSets[u][i]
 		}
 	}
+	// dense marks the constructors whose universe is exactly the ids
+	// they deal: every id in [0, Universe) is in some node's row.
 	tests := []struct {
 		name  string
 		build func() (*Assignment, error)
 		want  string
+		dense bool
 	}{
 		{
 			"SharedCore",
 			func() (*Assignment, error) { return SharedCore(50, 8, 2, rng.New(11)) },
 			"78f30a385feeadca8cd01e53851ab24859c98db2d89dc8eba5ccff5ef6ac3d2c",
+			true,
 		},
 		{
 			"SharedPool",
 			func() (*Assignment, error) { return SharedPool(30, 9, 3, 25, rng.New(12)) },
 			"db700587448d70ff7fbe288e9471787ebf287217aa41243b0d4146b5b568de44",
+			false,
 		},
 		{
 			"Heterogeneous",
 			func() (*Assignment, error) { return Heterogeneous(regular, 10, 2, 4, 0.5, rng.New(13)) },
-			"478a89c677b7eef350d7a44b5f155e1b5a04a32b4d057992e6c05751e2f16217",
+			"0a68cd7b9c60edeaf7ceb9aad01e1ad8ea13184c4aba4a1631c8d31f2b5d0de1",
+			true,
 		},
 		{
 			"Identical",
 			func() (*Assignment, error) { return Identical(9, 6, rng.New(14)) },
 			"702a860f49d59e8477e2e225c5a08d63e66beeae66dee75e34af2f495983842c",
+			true,
 		},
 		{
 			"FromSets",
 			func() (*Assignment, error) { return FromSets(fromUniverse, fromSets, rng.New(15)) },
 			"3a0b6a99440b3aa228c8c4b45b97463b1153a76708fb2de16c9ad6b0e0b51321",
+			false,
 		},
 		{
 			"Matching",
 			func() (*Assignment, error) { return Matching(6, [][2]int{{0, 3}, {2, 1}, {4, 4}}, rng.New(16)) },
 			"e000b3280a17730e1c29e1f8fcf463dab0fa3ee1cd13515b8d5bfb21461dc868",
+			false,
 		},
 	}
 	for _, tt := range tests {
@@ -447,6 +459,22 @@ func TestAssignmentLabelsPinned(t *testing.T) {
 		}
 		if got := labelDigest(a); got != tt.want {
 			t.Errorf("%s: label digest %s, want %s", tt.name, got, tt.want)
+		}
+		if !tt.dense {
+			continue
+		}
+		inUse := make([]bool, a.Universe)
+		for _, g := range a.chans {
+			inUse[g] = true
+		}
+		unused := 0
+		for _, used := range inUse {
+			if !used {
+				unused++
+			}
+		}
+		if unused > 0 {
+			t.Errorf("%s: %d of the %d ids in [0, Universe) are in no node's row", tt.name, unused, a.Universe)
 		}
 	}
 }
