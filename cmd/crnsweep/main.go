@@ -28,7 +28,7 @@
 // The formats live in internal/sweepfile, shared with crnsweepd.
 //
 // SIGINT/SIGTERM cancel in-flight runs cleanly: the context reaches
-// every crn.RunShard / crn.Sweep, and output files are written via
+// every shard run and crn.Sweep, and output files are written via
 // temp-file-plus-rename, so an interrupted invocation never leaves a
 // half-written artifact for resume to trip over.
 //
@@ -259,6 +259,12 @@ func cmdResume(ctx context.Context, args []string, w io.Writer) error {
 	} else if len(removed) > 0 {
 		fmt.Fprintf(w, "swept %d stale temp file(s) from %s\n", len(removed), dir)
 	}
+	// One runner for every shard re-run: consecutive missing shards of
+	// one variant share its scenario.
+	runner, err := crn.NewShardRunner(spec, m.Plan)
+	if err != nil {
+		return fmt.Errorf("resume: %w", err)
+	}
 	results := make([]*crn.ShardResult, len(m.Plan.Shards))
 	for k := range results {
 		if res, err := sweepfile.LoadArtifact(m, dir, k); err == nil {
@@ -270,7 +276,7 @@ func cmdResume(ctx context.Context, args []string, w io.Writer) error {
 		} else {
 			fmt.Fprintf(w, "shard %d: no artifact, running\n", k)
 		}
-		res, err := crn.RunShard(ctx, spec, m.Plan, k)
+		res, err := runner.Run(ctx, k)
 		if err != nil {
 			return fmt.Errorf("resume: shard %d: %w", k, err)
 		}

@@ -144,9 +144,13 @@ func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	}
 	// Graceful drain: http.Server.Shutdown stops accepting and waits
 	// for in-flight requests — artifact uploads mid-POST included — so
-	// a SIGTERM never drops a shard a worker already finished. The
-	// bound keeps a wedged connection from holding the process hostage.
+	// a SIGTERM never drops a shard a worker already finished. Closing
+	// the sweepd server first ends every held status wait, which would
+	// otherwise hold the drain for its whole hold; an upload in flight
+	// still merges its job. The bound keeps a wedged connection from
+	// holding the process hostage.
 	logger.Printf("sweepd: signal received, draining in-flight uploads (up to %v)", *drain)
+	srv.Close()
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
@@ -442,7 +446,7 @@ func cmdWait(ctx context.Context, args []string, w io.Writer) error {
 		connect = fs.String("connect", "", "daemon address (required)")
 		jobID   = fs.String("job", "", "job id (required)")
 		out     = fs.String("out", "", "result output file (default: print to stdout)")
-		poll    = fs.Duration("poll", 500*time.Millisecond, "status poll interval")
+		poll    = fs.Duration("poll", 500*time.Millisecond, "least time between status requests; each is held until the job ends, so wait returns when the merge lands")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

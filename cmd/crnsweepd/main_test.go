@@ -92,6 +92,9 @@ func (s *syncBuf) String() string {
 // artifact upload is mid-POST must not lose the shard — serve's drain
 // (-draintimeout) holds the door until the in-flight Complete is
 // processed and acked, and the acked artifact is on disk afterwards.
+// A status wait held on a job nobody works does not hold the drain:
+// serve ends it before draining, so it exits cleanly well inside the
+// drain timeout.
 func TestServeDrainLosesNoAckedShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -132,6 +135,20 @@ func TestServeDrainLosesNoAckedShard(t *testing.T) {
 	if err != nil || grant == nil {
 		t.Fatalf("acquire: grant=%v err=%v", grant, err)
 	}
+	idle, err := c.Submit(ctx, sf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldc := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/api/v1/jobs/" + idle + "?wait=30s")
+		if err != nil {
+			heldc <- 0
+			return
+		}
+		resp.Body.Close()
+		heldc <- resp.StatusCode
+	}()
 	spec, err := sweepfile.BuildSweepSpec(grant.Manifest.Spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +209,14 @@ func TestServeDrainLosesNoAckedShard(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("serve: %v\n%s", err, out.String())
+	}
+	select {
+	case code := <-heldc:
+		if code != http.StatusOK {
+			t.Errorf("held status wait ended by the drain with http %d, want 200", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a status wait still held after serve exited")
 	}
 	if !strings.Contains(out.String(), "stopped cleanly") {
 		t.Errorf("serve output missing graceful-shutdown marker:\n%s", out.String())

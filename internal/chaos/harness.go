@@ -247,18 +247,21 @@ func runSeed(ctx context.Context, cfg MatrixConfig, seed uint64, reference []byt
 		go h.Serve(l)
 		return nil
 	}
+	// stopDaemon drains as crnsweepd serve does: closing the sweepd
+	// server first ends held status waits, so Shutdown waits only for
+	// the requests that do work.
 	stopDaemon := func(drain time.Duration) {
 		daemonMu.Lock()
 		s, h := srv, hs
 		srv, hs = nil, nil
 		daemonMu.Unlock()
+		if s != nil {
+			s.Close()
+		}
 		if h != nil {
 			sctx, scancel := context.WithTimeout(context.Background(), drain)
 			h.Shutdown(sctx)
 			scancel()
-		}
-		if s != nil {
-			s.Close()
 		}
 	}
 	if err := startDaemon(ln); err != nil {

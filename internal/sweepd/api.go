@@ -2,8 +2,8 @@
 // cmd/crnsweepd: a long-running HTTP/JSON daemon that accepts sweep
 // specs (the cmd/crnsweep format, via internal/sweepfile), plans them
 // into shards with crn.PlanShards, queues the shards as jobs, and
-// leases them to pull-based worker processes that execute
-// crn.RunShard and stream the artifacts back. Leases expire unless
+// leases them to pull-based worker processes that execute them through
+// a crn.ShardRunner and stream the artifacts back. Leases expire unless
 // heartbeaten, so shards held by stragglers or dead workers are
 // re-dispatched; artifacts are validated with the same planHash and
 // per-run identity checks the offline pipeline uses; completed jobs
@@ -38,12 +38,24 @@ import (
 //	POST /api/v1/jobs                   SubmitRequest   → SubmitResponse
 //	GET  /api/v1/jobs                   —               → JobList
 //	GET  /api/v1/jobs/{id}              —               → JobStatus
+//	GET  /api/v1/jobs/{id}?wait=<d>     —               → JobStatus, held until the job ends (see below)
 //	GET  /api/v1/jobs/{id}/result       —               → merged SweepResult bytes (409 until done)
 //	POST /api/v1/lease                  LeaseRequest    → LeaseGrant, or 204 when no work
 //	POST /api/v1/leases/{id}/heartbeat  —               → 204
 //	POST /api/v1/leases/{id}/complete   CompleteRequest → 204
 //	POST /api/v1/leases/{id}/fail       FailRequest     → 204
 //	GET  /api/v1/healthz                —               → 200 "ok"
+//
+// A status request with wait=<d> (a Go duration, such as 2.5s) is a
+// long poll: the daemon holds it until the job is merged or failed,
+// d elapses (at most maxStatusHold), the request is cancelled, or the
+// Server closes, then replies with the job's status at that moment. A
+// malformed or negative d gets 400; an unknown job gets 404 at once.
+// A held request is exempt from MaxInflight shedding, as healthz is:
+// it does no work until its job ends.
+
+// maxStatusHold caps how long a status request's wait may hold it.
+const maxStatusHold = 30 * time.Second
 
 // Shard states, as reported in ShardStatus.State.
 const (

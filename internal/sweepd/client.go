@@ -351,24 +351,36 @@ func (c *Client) Result(ctx context.Context, id string) (*crn.SweepResult, []byt
 	return res, doc, nil
 }
 
-// Wait polls a job until it is done (returning its final status) or
-// failed (returning an error), at the given poll interval.
+// Wait blocks until a job is done (returning its final status) or
+// failed (returning an error). Each status request asks the daemon to
+// hold it until the job ends, for half the per-request timeout (or
+// maxStatusHold when timeouts are off), so Wait returns as soon as the
+// merge lands and the request deadline never fires on a healthy hold.
+// poll (default 500ms) is the least time between the starts of two
+// status requests: a held reply is followed at once, and a daemon that
+// does not hold is not hammered.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
+	hold := maxStatusHold
+	if c.timeout > 0 {
+		hold = c.timeout / 2
+	}
+	path := "/api/v1/jobs/" + id + "?wait=" + hold.String()
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		start := time.Now()
+		var st JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &st, true); err != nil {
 			return nil, err
 		}
 		switch st.State {
 		case JobDone:
-			return st, nil
+			return &st, nil
 		case JobFailed:
-			return st, fmt.Errorf("job %s failed: %s", id, st.Error)
+			return &st, fmt.Errorf("job %s failed: %s", id, st.Error)
 		}
-		if err := c.sleep(ctx, poll); err != nil {
+		if err := c.sleep(ctx, poll-time.Since(start)); err != nil {
 			return nil, err
 		}
 	}

@@ -183,7 +183,9 @@ func TestDuplicateCompleteIsNoOp(t *testing.T) {
 }
 
 // TestOverloadShedding: beyond MaxInflight the daemon sheds with 429
-// + Retry-After instead of queueing; healthz stays exempt.
+// + Retry-After instead of queueing; healthz stays exempt, and so does
+// a held status wait: with one slot and a wait held, a worker's
+// acquire still gets its grant.
 func TestOverloadShedding(t *testing.T) {
 	srv, err := New(Config{Spool: t.TempDir(), MaxInflight: 1, Log: quietLog()})
 	if err != nil {
@@ -239,6 +241,25 @@ func TestOverloadShedding(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+
+	direct := httptest.NewServer(srv.Handler())
+	defer direct.Close()
+	c := NewClient(direct.URL, WithRetries(0, time.Millisecond)) // a 429 surfaces at once
+	ctx := context.Background()
+	id, err := c.Submit(ctx, testSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := getStatus(direct.URL, id, "?wait=20s")
+	stillHeld(t, held, "the job ended")
+	grant, err := c.Acquire(ctx, "w1")
+	if err != nil || grant == nil {
+		t.Fatalf("acquire beside a held wait at MaxInflight 1: grant=%v err=%v, want a grant", grant, err)
+	}
+	srv.Close() // ends the held wait
+	if r := <-held; r.err != nil || r.code != http.StatusOK || r.st.State != JobRunning {
+		t.Fatalf("held wait ended by Close: http %d, state %q, err %v; want 200 running", r.code, r.st.State, r.err)
+	}
 }
 
 // TestBackoffJitteredExponential: delays grow toward the cap, stay in
@@ -744,18 +765,26 @@ func TestJanitorRetriesDeferredMerge(t *testing.T) {
 }
 
 // TestSubmitRefusesHugeCounts: a submit asking for 1<<40 shards, or
-// carrying a spec of 1<<40 seeds, is answered 400 instead of planning
-// one shard range per requested shard (which took the daemon down with
-// an out-of-memory fatal error); the same daemon then completes a
-// normal job.
+// carrying a spec of 1<<40 seeds or of 4097 variants (one more than
+// crn's maxVariants), is answered 400 instead of planning one shard
+// range per requested shard (which took the daemon down with an
+// out-of-memory fatal error) or building every variant; the same
+// daemon then completes a normal job.
 func TestSubmitRefusesHugeCounts(t *testing.T) {
 	ctx := context.Background()
 	_, ts, c := startServer(t, t.TempDir(), time.Minute)
 	hugeSeeds := testSpec()
 	hugeSeeds.Seeds = 1 << 40
+	wide := testSpec()
+	for v := len(wide.Variants); v < 1<<12+1; v++ {
+		variant := wide.Variants[v%2]
+		variant.Name = fmt.Sprintf("%s-%d", variant.Name, v)
+		wide.Variants = append(wide.Variants, variant)
+	}
 	for name, req := range map[string]SubmitRequest{
-		"shards": {Spec: testSpec(), Shards: 1 << 40},
-		"seeds":  {Spec: hugeSeeds, Shards: 2},
+		"shards":   {Spec: testSpec(), Shards: 1 << 40},
+		"seeds":    {Spec: hugeSeeds, Shards: 2},
+		"variants": {Spec: wide, Shards: 2},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {

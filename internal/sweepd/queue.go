@@ -45,6 +45,9 @@ type job struct {
 	// serving the result can detect a read that went bad on disk.
 	mergedSum string
 	failerr   string // non-empty: job failed
+	// ended is closed, exactly once, when the job is merged or failed;
+	// held status requests wait on it. Set at creation, never replaced.
+	ended chan struct{}
 }
 
 type shardState struct {
@@ -88,6 +91,10 @@ func (q *queue) add(id, dir string, m *sweepfile.Manifest, created time.Time, do
 		shards:    make([]shardState, len(m.Plan.Shards)),
 		merged:    merged,
 		mergedSum: mergedSum,
+		ended:     make(chan struct{}),
+	}
+	if merged {
+		close(j.ended)
 	}
 	for k := range j.shards {
 		j.shards[k].state = ShardPending
@@ -232,6 +239,7 @@ func (q *queue) markMerged(j *job, sum string) {
 			delete(q.doneLeases, id)
 		}
 	}
+	j.endLocked()
 }
 
 // mergedSumOf reads a job's merged-result checksum under the lock.
@@ -285,9 +293,22 @@ func (q *queue) markFailed(j *job, reason string) {
 	j.failErrLocked(reason)
 }
 
+// failErrLocked fails the job with its first reason. Every failure —
+// lease expiry, fail, invalidateShard, markFailed — goes through it.
 func (j *job) failErrLocked(reason string) {
 	if j.failerr == "" {
 		j.failerr = reason
+		j.endLocked()
+	}
+}
+
+// endLocked wakes the job's held status requests: it closes ended the
+// first time the job is merged or failed and does nothing after.
+func (j *job) endLocked() {
+	select {
+	case <-j.ended:
+	default:
+		close(j.ended)
 	}
 }
 

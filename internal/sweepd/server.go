@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,7 +31,8 @@ type Config struct {
 	// MaxInflight bounds concurrently-served API requests (overload
 	// shedding): excess requests are refused with 429 + Retry-After
 	// instead of queueing without bound. 0 disables shedding. The
-	// health endpoint is exempt — a shedding daemon is alive.
+	// health endpoint is exempt — a shedding daemon is alive — and so
+	// is a held status wait, which does no work until its job ends.
 	MaxInflight int
 	// FS is the spool filesystem (default sweepfile.OS). internal/chaos
 	// injects faults here.
@@ -180,8 +182,10 @@ func (s *Server) janitor() {
 	}
 }
 
-// Close stops the background janitor (idempotent). In-memory queue
-// state is discarded; the spool carries everything a restart needs.
+// Close stops the background janitor and ends every held status
+// request (idempotent). Requests in flight still complete: an upload
+// that finishes a job still merges it. In-memory queue state is
+// discarded; the spool carries everything a restart needs.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	return nil
@@ -216,7 +220,7 @@ func (s *Server) shed(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/v1/healthz" {
+		if exemptFromShedding(r) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -229,6 +233,18 @@ func (s *Server) shed(next http.Handler) http.Handler {
 			s.error(w, http.StatusTooManyRequests, fmt.Errorf("daemon overloaded (%d requests in flight), retry later", cap(s.inflight)))
 		}
 	})
+}
+
+// exemptFromShedding reports the requests that take no MaxInflight
+// slot: the health check (a shedding daemon is alive) and a held job
+// status wait, which does no work until its job ends.
+func exemptFromShedding(r *http.Request) bool {
+	p := r.URL.Path
+	if p == "/api/v1/healthz" {
+		return true
+	}
+	return r.Method == http.MethodGet && strings.HasPrefix(p, "/api/v1/jobs/") &&
+		!strings.HasSuffix(p, "/result") && r.URL.Query().Has("wait")
 }
 
 // maxBody bounds request bodies; shard artifacts dominate and are
@@ -312,11 +328,32 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.queue.status(r.PathValue("id"))
+	id := r.PathValue("id")
+	var hold time.Duration
+	if q := r.URL.Query(); q.Has("wait") {
+		d, err := time.ParseDuration(q.Get("wait"))
+		if err != nil || d < 0 {
+			s.error(w, http.StatusBadRequest, fmt.Errorf("status: wait %q is not a duration ≥ 0", q.Get("wait")))
+			return
+		}
+		hold = min(d, maxStatusHold)
+	}
+	j, ok := s.queue.get(id)
 	if !ok {
-		s.error(w, http.StatusNotFound, fmt.Errorf("job %s not found", r.PathValue("id")))
+		s.error(w, http.StatusNotFound, fmt.Errorf("job %s not found", id))
 		return
 	}
+	if hold > 0 {
+		t := time.NewTimer(hold)
+		select {
+		case <-j.ended:
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.stop:
+		}
+		t.Stop()
+	}
+	st, _ := s.queue.status(id)
 	s.reply(w, http.StatusOK, st)
 }
 

@@ -13,11 +13,13 @@ import (
 )
 
 // Worker is the pull side of the service: it polls the daemon for
-// leases, executes each leased shard with crn.RunShard (the same call
-// `crnsweep run -shard k` makes), heartbeats while it works, and
-// uploads the artifact. Run as many workers as you have machines —
-// the daemon's validation and the facade's position-derived seeds
-// make the fleet's output independent of who ran what.
+// leases, executes each leased shard through a crn.ShardRunner (the
+// path `crnsweep run -shard k` takes), heartbeats while it works, and
+// uploads the artifact. It keeps one runner for the job it is working
+// on, so consecutive shards of one variant share its scenario. Run as
+// many workers as you have machines — the daemon's validation and the
+// facade's position-derived seeds make the fleet's output independent
+// of who ran what.
 type Worker struct {
 	// Client connects to the daemon (required).
 	Client *Client
@@ -71,6 +73,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	h := fnv.New64a()
 	io.WriteString(h, w.Name)
 	idle := newBackoff(poll, pollMax, h.Sum64())
+	var cur jobRunner
 	leased, completed := 0, 0
 	for {
 		if ctx.Err() != nil {
@@ -84,6 +87,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			logf("worker %s: acquire: %v (retrying)", w.Name, err)
 		}
 		if grant == nil {
+			cur = jobRunner{} // idle: hold no scenarios
 			select {
 			case <-ctx.Done():
 				return nil
@@ -97,7 +101,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			logf("worker %s: abandoning lease %s (shard %d of job %s) and exiting", w.Name, grant.Lease, grant.Shard, grant.Job)
 			return nil
 		}
-		if err := w.executeLease(ctx, grant, logf); err != nil {
+		if err := w.executeLease(ctx, grant, &cur, logf); err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
@@ -112,12 +116,39 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
+// jobRunner is the shard runner a worker keeps for the job it is
+// working on, keyed by job id and plan hash.
+type jobRunner struct {
+	job, planHash string
+	runner        *crn.ShardRunner
+}
+
+// runnerFor returns cur's runner when grant is a lease of the same
+// job, and otherwise replaces it with a new one for grant's manifest,
+// dropping the old job's scenarios.
+func (w *Worker) runnerFor(grant *LeaseGrant, cur *jobRunner) (*crn.ShardRunner, error) {
+	if cur.runner != nil && cur.job == grant.Job && cur.planHash == grant.Manifest.PlanHash {
+		return cur.runner, nil
+	}
+	*cur = jobRunner{}
+	spec, err := sweepfile.BuildSweepSpec(grant.Manifest.Spec, w.Workers)
+	if err != nil {
+		return nil, err
+	}
+	runner, err := crn.NewShardRunner(spec, grant.Manifest.Plan)
+	if err != nil {
+		return nil, err
+	}
+	*cur = jobRunner{job: grant.Job, planHash: grant.Manifest.PlanHash, runner: runner}
+	return runner, nil
+}
+
 // executeLease runs one leased shard end to end. The shard's context
 // is cancelled as soon as a heartbeat is rejected (lease lost to
 // expiry), so a worker that was presumed dead stops burning CPU on
 // work the daemon has already re-dispatched.
-func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, logf func(string, ...any)) error {
-	spec, err := sweepfile.BuildSweepSpec(grant.Manifest.Spec, w.Workers)
+func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, cur *jobRunner, logf func(string, ...any)) error {
+	runner, err := w.runnerFor(grant, cur)
 	if err != nil {
 		// The manifest is unexecutable; tell the daemon rather than
 		// silently re-polling the same poisoned shard.
@@ -153,7 +184,7 @@ func (w *Worker) executeLease(ctx context.Context, grant *LeaseGrant, logf func(
 	}()
 
 	logf("worker %s: running shard %d of job %s (lease %s)", w.Name, grant.Shard, grant.Job, grant.Lease)
-	res, err := crn.RunShard(shardCtx, spec, grant.Manifest.Plan, grant.Shard)
+	res, err := runner.Run(shardCtx, grant.Shard)
 	cancel() // stop heartbeating before the upload settles the lease
 	<-hbDone
 	if err != nil {

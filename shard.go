@@ -141,11 +141,35 @@ func (rs *resolvedSweep) checkPlan(plan *ShardPlan) error {
 // with the identical per-run seeds, worker-pool semantics and error
 // handling as Sweep (spec.Workers bounds parallelism; run errors are
 // recorded, only ctx cancellation aborts). spec must be the sweep the
-// plan was made from — RunShard re-resolves and cross-checks it. It
-// builds the scenarios of only the variants with a job in the shard's
-// range (none for an empty shard); PlanShards has already built every
-// variant once, so a spec that plans cleanly builds cleanly.
+// plan was made from — RunShard re-resolves and cross-checks it. It is
+// NewShardRunner followed by one Run.
 func RunShard(ctx context.Context, spec SweepSpec, plan *ShardPlan, shard int) (*ShardResult, error) {
+	sr, err := NewShardRunner(spec, plan)
+	if err != nil {
+		return nil, err
+	}
+	return sr.Run(ctx, shard)
+}
+
+// ShardRunner executes shards of one plan in turn, keeping the
+// scenarios it built between them: a shard builds the scenario of
+// each variant with a job in its range (none for an empty shard),
+// unless the runner already holds it from the shard before, and the
+// runner then drops the scenarios of every other variant. So shards of
+// one variant run back to back share its scenario — and what the
+// scenario draws lazily, such as a primary-user schedule — while a
+// runner never holds more scenarios than one shard needs. A
+// ShardRunner is not safe for concurrent use; the plan must not change
+// while it is in use.
+type ShardRunner struct {
+	rs   *resolvedSweep
+	plan *ShardPlan
+}
+
+// NewShardRunner resolves spec and checks it against plan, once for
+// every shard the runner then runs. PlanShards has already built every
+// variant once, so a spec that plans cleanly builds cleanly.
+func NewShardRunner(spec SweepSpec, plan *ShardPlan) (*ShardRunner, error) {
 	rs, err := resolveSweep(spec)
 	if err != nil {
 		return nil, err
@@ -153,14 +177,27 @@ func RunShard(ctx context.Context, spec SweepSpec, plan *ShardPlan, shard int) (
 	if err := rs.checkPlan(plan); err != nil {
 		return nil, err
 	}
+	return &ShardRunner{rs: rs, plan: plan}, nil
+}
+
+// Run executes shard exactly as RunShard does.
+func (sr *ShardRunner) Run(ctx context.Context, shard int) (*ShardResult, error) {
+	rs, plan := sr.rs, sr.plan
 	if shard < 0 || shard >= len(plan.Shards) {
 		return nil, fmt.Errorf("crn: shard %d out of range (plan has %d)", shard, len(plan.Shards))
 	}
 	r := plan.Shards[shard]
+	lo, hi := 0, 0 // the variants with a job in the shard
 	if r.Lo < r.Hi {
-		if err := rs.build(r.Lo/rs.seeds, (r.Hi-1)/rs.seeds+1); err != nil {
-			return nil, err
+		lo, hi = r.Lo/rs.seeds, (r.Hi-1)/rs.seeds+1
+	}
+	for v := range rs.scenarios {
+		if v < lo || v >= hi {
+			rs.scenarios[v] = nil
 		}
+	}
+	if err := rs.build(lo, hi); err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -83,16 +83,18 @@ type resolvedSweep struct {
 	master    *rng.Source
 }
 
-// maxSeeds bounds a sweep's runs per variant and maxShards the shards
-// a plan splits it into. Both sit far above every spec, example and
-// test in this repository (the largest has 1024 seeds; none plans more
-// than 20 shards); they exist so that one spec or submit request
-// cannot make Sweep, PlanShards or RunShard allocate without limit:
-// each refuses a larger count before allocating anything in proportion
-// to it.
+// maxSeeds bounds a sweep's runs per variant, maxVariants its variants
+// and maxShards the shards a plan splits it into. All three sit far
+// above every spec, example and test in this repository (the largest
+// has 1024 seeds and 24 variants; none plans more than 20 shards);
+// they exist so that one spec or submit request cannot make Sweep,
+// PlanShards or RunShard allocate — or build scenarios — without
+// limit: each refuses a larger count before allocating anything in
+// proportion to it.
 const (
-	maxSeeds  = 1 << 20
-	maxShards = 1 << 16
+	maxSeeds    = 1 << 20
+	maxVariants = 1 << 12
+	maxShards   = 1 << 16
 )
 
 func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {
@@ -101,6 +103,9 @@ func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {
 	}
 	if len(spec.Variants) == 0 {
 		return nil, fmt.Errorf("crn: sweep needs at least one variant")
+	}
+	if len(spec.Variants) > maxVariants {
+		return nil, fmt.Errorf("crn: %d variants, at most %d", len(spec.Variants), maxVariants)
 	}
 	if spec.Seeds > maxSeeds {
 		return nil, fmt.Errorf("crn: %d seeds per variant, at most %d", spec.Seeds, maxSeeds)
@@ -132,10 +137,13 @@ func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {
 	return rs, nil
 }
 
-// build resolves the scenarios of variants [lo, hi): a prebuilt one as
-// given, otherwise New of the variant's Options.
+// build resolves the scenarios of variants [lo, hi) not already built:
+// a prebuilt one as given, otherwise New of the variant's Options.
 func (rs *resolvedSweep) build(lo, hi int) error {
 	for v := lo; v < hi; v++ {
+		if rs.scenarios[v] != nil {
+			continue
+		}
 		variant := rs.spec.Variants[v]
 		if variant.Scenario != nil {
 			rs.scenarios[v] = variant.Scenario

@@ -2,17 +2,20 @@ package crn
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestShardBuildsOnlyItsVariants: RunShard builds the scenarios of only
 // the variants with a job in its range: one, two when the range
-// straddles a variant boundary, none for an empty shard. PlanShards and
-// Sweep build every variant, so a broken variant is still rejected
-// before any run.
+// straddles a variant boundary, none for an empty shard. A ShardRunner
+// builds the same ones, less those it still holds from the shard
+// before. PlanShards and Sweep build every variant, so a broken variant
+// is still rejected before any run.
 func TestShardBuildsOnlyItsVariants(t *testing.T) {
 	const variants, seeds = 4, 3
 	var builds []int // builds[v]: times variant v's options were applied
@@ -62,6 +65,43 @@ func TestShardBuildsOnlyItsVariants(t *testing.T) {
 		t.Errorf("RunShard of the empty shard %v built variants %v times, want none", wide.Shards[empty], got)
 	}
 
+	// A runner builds a variant only when it does not hold it from the
+	// shard before, and keeps only the last shard's variants: in order,
+	// shards 0–4 build each variant once; shard 4 then shard 0 rebuild
+	// only variant 0. Every result is RunShard's, byte for byte.
+	sr, err := NewShardRunner(spec(false), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runnerPass := func(shards ...int) []int {
+		t.Helper()
+		results := make([]*ShardResult, len(shards))
+		got := slices.Clone(count(func() (err error) {
+			for i, shard := range shards {
+				if results[i], err = sr.Run(context.Background(), shard); err != nil {
+					return err
+				}
+			}
+			return nil
+		}))
+		for i, shard := range shards {
+			want, err := RunShard(context.Background(), spec(false), plan, shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := mustJSON(t, results[i]), mustJSON(t, want); g != w {
+				t.Errorf("runner result of shard %d differs from RunShard's:\n%s\nvs\n%s", shard, g, w)
+			}
+		}
+		return got
+	}
+	if got := runnerPass(0, 1, 2, 3, 4); !reflect.DeepEqual(got, []int{1, 1, 1, 1}) {
+		t.Errorf("a runner over shards 0-4 built variants %v times, want each once", got)
+	}
+	if got := runnerPass(4, 0); !reflect.DeepEqual(got, []int{1, 0, 0, 0}) {
+		t.Errorf("the runner then over shards 4 and 0 built variants %v times, want only variant 0, once", got)
+	}
+
 	builds = make([]int, variants)
 	if _, err := PlanShards(spec(true), 5); err == nil || !strings.Contains(err.Error(), "path-3") {
 		t.Errorf("PlanShards of a spec with a broken variant: err %v, want one naming path-3", err)
@@ -69,4 +109,13 @@ func TestShardBuildsOnlyItsVariants(t *testing.T) {
 	if _, err := Sweep(context.Background(), spec(true)); err == nil || !strings.Contains(err.Error(), "path-3") {
 		t.Errorf("Sweep of a spec with a broken variant: err %v, want one naming path-3", err)
 	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	doc, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(doc)
 }

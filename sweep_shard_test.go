@@ -52,10 +52,12 @@ func TestPlanShardsPartition(t *testing.T) {
 	}
 }
 
-// TestSweepRefusesHugeCounts: 1<<40 shards, or a spec of 1<<40 seeds,
-// are refused by PlanShards, Sweep and RunShard before anything is
-// allocated in proportion to the count (one ShardRange per requested
-// shard once took the process down).
+// TestSweepRefusesHugeCounts: 1<<40 shards, a spec of 1<<40 seeds, or
+// one of MaxVariants+1 variants, are refused by PlanShards, Sweep and
+// RunShard before anything is allocated in proportion to the count
+// (one ShardRange per requested shard once took the process down; a
+// scenario built per variant at planning is far larger than 1 MB over
+// that many variants).
 func TestSweepRefusesHugeCounts(t *testing.T) {
 	ctx := context.Background()
 	plan, err := crn.PlanShards(discoverySpec(1), 2)
@@ -64,11 +66,19 @@ func TestSweepRefusesHugeCounts(t *testing.T) {
 	}
 	huge := discoverySpec(1)
 	huge.Seeds = 1 << 40
+	wide := discoverySpec(1)
+	wide.Variants = make([]crn.Variant, crn.MaxVariants+1)
+	for v := range wide.Variants {
+		wide.Variants[v] = discoverySpec(1).Variants[v%2]
+	}
 	calls := map[string]func() error{
-		"PlanShards of 1<<40 shards": func() error { _, err := crn.PlanShards(discoverySpec(1), 1<<40); return err },
-		"PlanShards of 1<<40 seeds":  func() error { _, err := crn.PlanShards(huge, 2); return err },
-		"Sweep of 1<<40 seeds":       func() error { _, err := crn.Sweep(ctx, huge); return err },
-		"RunShard of 1<<40 seeds":    func() error { _, err := crn.RunShard(ctx, huge, plan, 0); return err },
+		"PlanShards of 1<<40 shards":           func() error { _, err := crn.PlanShards(discoverySpec(1), 1<<40); return err },
+		"PlanShards of 1<<40 seeds":            func() error { _, err := crn.PlanShards(huge, 2); return err },
+		"Sweep of 1<<40 seeds":                 func() error { _, err := crn.Sweep(ctx, huge); return err },
+		"RunShard of 1<<40 seeds":              func() error { _, err := crn.RunShard(ctx, huge, plan, 0); return err },
+		"PlanShards of MaxVariants+1 variants": func() error { _, err := crn.PlanShards(wide, 2); return err },
+		"Sweep of MaxVariants+1 variants":      func() error { _, err := crn.Sweep(ctx, wide); return err },
+		"RunShard of MaxVariants+1 variants":   func() error { _, err := crn.RunShard(ctx, wide, plan, 0); return err },
 	}
 	for name, call := range calls {
 		var before, after runtime.MemStats
