@@ -388,9 +388,8 @@ func labelDigest(a *Assignment) string {
 // recorded on the universe-wide table representation; any change to
 // the order in which a constructor lists a node's channels or draws
 // its label permutation moves them, and with them every run.
-// Heterogeneous's was re-recorded when its universe shrank to the ids
-// it deals: the Local sweep runs over [0, Universe), while its Global
-// labels did not change.
+// The Local sweep runs over [0, Universe), so each digest also pins
+// the constructor's universe.
 func TestAssignmentLabelsPinned(t *testing.T) {
 	regular, err := graph.RandomRegularish(40, 5, rng.New(21))
 	if err != nil {
