@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -185,72 +185,77 @@ func TestDuplicateCompleteIsNoOp(t *testing.T) {
 // TestOverloadShedding: beyond MaxInflight the daemon sheds with 429
 // + Retry-After instead of queueing; healthz stays exempt, and so does
 // a held status wait: with one slot and a wait held, a worker's
-// acquire still gets its grant.
+// acquire still gets its grant. The slot is held by a real request, a
+// submit whose body stalls, through the daemon's own handler.
 func TestOverloadShedding(t *testing.T) {
 	srv, err := New(Config{Spool: t.TempDir(), MaxInflight: 1, Log: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocking := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/v1/block" {
-			close(started)
-			<-release
-			return
-		}
-		srv.Handler().ServeHTTP(w, r)
-	})
-	// Wrap the blocking route through the same shedder.
-	h := srv.shed(blocking)
-	ts := httptest.NewServer(h)
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer srv.Close() // first: ends a held wait, so ts.Close does not wait it out
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if code := get("/api/v1/jobs").StatusCode; code != http.StatusOK {
+		t.Fatalf("idle daemon replied %d, want 200", code)
+	}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
+	body, err := json.Marshal(&SubmitRequest{Spec: testSpec(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close() // a failed check must not leave the submit stalled
+	submitted := make(chan SubmitResponse, 1)
 	go func() {
-		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/api/v1/block")
-		if err == nil {
+		var sr SubmitResponse
+		if resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", pr); err == nil {
+			json.NewDecoder(resp.Body).Decode(&sr)
 			resp.Body.Close()
 		}
+		submitted <- sr
 	}()
-	<-started
-
-	resp, err := http.Get(ts.URL + "/api/v1/jobs")
-	if err != nil {
+	if _, err := pw.Write(body[:len(body)/2]); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated daemon replied %d, want 429", resp.StatusCode)
+	// The stalled submit takes the slot once the daemon starts reading
+	// it; from then on every request but the exempt ones is shed.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp := get("/api/v1/jobs")
+		if resp.StatusCode == http.StatusTooManyRequests {
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("429 reply missing Retry-After")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon with its one slot held replied %d, want 429", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 reply missing Retry-After")
+	if code := get("/api/v1/healthz").StatusCode; code != http.StatusOK {
+		t.Fatalf("healthz shed with %d — a shedding daemon must still report alive", code)
 	}
-
-	resp, err = http.Get(ts.URL + "/api/v1/healthz")
-	if err != nil {
+	if _, err := pw.Write(body[len(body)/2:]); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz shed with %d — a shedding daemon must still report alive", resp.StatusCode)
+	pw.Close()
+	id := (<-submitted).ID
+	if id == "" {
+		t.Fatal("the stalled submit did not queue its job")
 	}
-	close(release)
-	wg.Wait()
 
-	direct := httptest.NewServer(srv.Handler())
-	defer direct.Close()
-	c := NewClient(direct.URL, WithRetries(0, time.Millisecond)) // a 429 surfaces at once
+	c := NewClient(ts.URL, WithRetries(0, time.Millisecond)) // a 429 surfaces at once
 	ctx := context.Background()
-	id, err := c.Submit(ctx, testSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := getStatus(direct.URL, id, "?wait=20s")
+	held := getStatus(ts.URL, id, "?wait=20s")
 	stillHeld(t, held, "the job ended")
 	grant, err := c.Acquire(ctx, "w1")
 	if err != nil || grant == nil {
