@@ -28,8 +28,8 @@ type Variant struct {
 type SweepSpec struct {
 	// Primitive is the primitive every run executes.
 	Primitive Primitive
-	// Variants are the scenario configurations to sweep over; at least
-	// one is required.
+	// Variants are the scenario configurations to sweep over: at least
+	// one, and at most 4096.
 	Variants []Variant
 	// Seeds is the number of runs per variant (default 1, at most
 	// 2^20). Per-run seeds are derived deterministically from BaseSeed
