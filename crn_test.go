@@ -1,6 +1,7 @@
 package crn
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -9,21 +10,23 @@ import (
 	"crn/internal/rng"
 )
 
+// TestNewScenarioValidation: the generator behind New refuses each
+// malformed config before it builds anything.
 func TestNewScenarioValidation(t *testing.T) {
 	tests := []struct {
 		name string
-		cfg  ScenarioConfig
+		cfg  scenarioConfig
 	}{
-		{name: "too few nodes", cfg: ScenarioConfig{N: 1, C: 3, K: 1}},
-		{name: "no channels", cfg: ScenarioConfig{N: 4, C: 0, K: 0}},
-		{name: "k over c", cfg: ScenarioConfig{N: 4, C: 2, K: 3}},
-		{name: "kmax under k", cfg: ScenarioConfig{N: 4, C: 4, K: 3, KMax: 2}},
-		{name: "bad topology", cfg: ScenarioConfig{Topology: "donut", N: 4, C: 2, K: 1}},
+		{name: "too few nodes", cfg: scenarioConfig{N: 1, C: 3, K: 1}},
+		{name: "no channels", cfg: scenarioConfig{N: 4, C: 0, K: 0}},
+		{name: "k over c", cfg: scenarioConfig{N: 4, C: 2, K: 3}},
+		{name: "kmax under k", cfg: scenarioConfig{N: 4, C: 4, K: 3, KMax: 2}},
+		{name: "bad topology", cfg: scenarioConfig{Topology: "donut", N: 4, C: 2, K: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewScenario(tt.cfg); err == nil {
-				t.Errorf("NewScenario(%+v) succeeded, want error", tt.cfg)
+			if _, err := newGeneratedScenario(tt.cfg); err == nil {
+				t.Errorf("newGeneratedScenario(%+v) succeeded, want error", tt.cfg)
 			}
 		})
 	}
@@ -32,7 +35,7 @@ func TestNewScenarioValidation(t *testing.T) {
 func TestNewScenarioTopologies(t *testing.T) {
 	for _, topo := range []Topology{GNP, Star, Path, Grid, Chain, Tree, UnitDisk} {
 		t.Run(string(topo), func(t *testing.T) {
-			s, err := NewScenario(ScenarioConfig{Topology: topo, N: 12, C: 4, K: 2, Seed: 3})
+			s, err := New(WithTopology(topo), WithNodes(12), WithChannels(4, 2, 0), WithSeed(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,59 +55,49 @@ func TestNewScenarioTopologies(t *testing.T) {
 	}
 }
 
-func TestScenarioHeterogeneous(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 8, C: 8, K: 2, KMax: 5, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.KMax() <= s.K() {
-		t.Errorf("kmax = %d not above k = %d in heterogeneous scenario", s.KMax(), s.K())
-	}
-}
-
 func TestDiscoverCSeek(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: GNP, N: 14, C: 5, K: 2, Seed: 5})
+	s, err := New(WithTopology(GNP), WithNodes(14), WithChannels(5, 2, 0), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Discover(CSeek, 7)
+	res, err := Discovery(CSeek).Run(context.Background(), s, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllDiscovered() {
-		t.Errorf("discovered %d/%d pairs", res.PairsDiscovered, res.PairsTotal)
+	if d := res.Discovery; !d.AllDiscovered() {
+		t.Errorf("discovered %d/%d pairs", d.PairsDiscovered, d.PairsTotal)
 	}
 	if res.CompletedAtSlot < 0 || res.CompletedAtSlot > res.ScheduleSlots {
 		t.Errorf("CompletedAtSlot = %d outside [0,%d]", res.CompletedAtSlot, res.ScheduleSlots)
 	}
-	if res.Algorithm != "cseek" {
-		t.Errorf("Algorithm = %q", res.Algorithm)
+	if res.Discovery.Algorithm != "cseek" {
+		t.Errorf("Algorithm = %q", res.Discovery.Algorithm)
 	}
 }
 
 func TestDiscoverDefaultsToCSeek(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 6})
+	s, err := New(WithTopology(Path), WithNodes(6), WithChannels(3, 2, 0), WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Discover("", 7)
+	res, err := Discovery("").Run(context.Background(), s, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != "cseek" {
-		t.Errorf("Algorithm = %q, want cseek", res.Algorithm)
+	if res.Discovery.Algorithm != "cseek" {
+		t.Errorf("Algorithm = %q, want cseek", res.Discovery.Algorithm)
 	}
 }
 
 func TestDiscoverUnknownAlgorithm(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 8})
+	s, err := New(WithTopology(Path), WithNodes(6), WithChannels(3, 2, 0), WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Discover("magic", 1); err == nil {
+	if _, err := Discovery("magic").Run(context.Background(), s, 1); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -113,17 +106,17 @@ func TestDiscoverBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: Star, N: 8, C: 4, K: 2, Seed: 9})
+	s, err := New(WithTopology(Star), WithNodes(8), WithChannels(4, 2, 0), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{Naive, Uniform} {
-		res, err := s.Discover(algo, 11)
+		res, err := Discovery(algo).Run(context.Background(), s, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.AllDiscovered() {
-			t.Errorf("%s: discovered %d/%d", algo, res.PairsDiscovered, res.PairsTotal)
+		if d := res.Discovery; !d.AllDiscovered() {
+			t.Errorf("%s: discovered %d/%d", algo, d.PairsDiscovered, d.PairsTotal)
 		}
 	}
 }
@@ -132,24 +125,26 @@ func TestDiscoverK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: GNP, N: 14, C: 10, K: 2, KMax: 6, Seed: 10})
+	s, err := New(WithTopology(GNP), WithNodes(14), WithChannels(10, 2, 6), WithSeed(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.DiscoverK(s.KMax(), 13)
+	ctx := context.Background()
+	res, err := KDiscovery(s.KMax()).Run(ctx, s, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PairsTotal == 0 {
+	d := res.Discovery
+	if d.PairsTotal == 0 {
 		t.Fatal("no good pairs in heterogeneous scenario")
 	}
-	if !res.AllDiscovered() {
-		t.Errorf("found %d/%d good pairs", res.PairsDiscovered, res.PairsTotal)
+	if !d.AllDiscovered() {
+		t.Errorf("found %d/%d good pairs", d.PairsDiscovered, d.PairsTotal)
 	}
-	if _, err := s.DiscoverK(1, 13); err == nil {
+	if _, err := KDiscovery(1).Run(ctx, s, 13); err == nil {
 		t.Error("k̂ below k accepted")
 	}
-	if _, err := s.DiscoverK(s.C()+1, 13); err == nil {
+	if _, err := KDiscovery(s.C()+1).Run(ctx, s, 13); err == nil {
 		t.Error("k̂ above kmax accepted")
 	}
 }
@@ -158,42 +153,45 @@ func TestBroadcastAndFlood(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: Chain, N: 16, C: 4, K: 2, Seed: 11})
+	s, err := New(WithTopology(Chain), WithNodes(16), WithChannels(4, 2, 0), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Broadcast(0, "hello", 17)
+	ctx := context.Background()
+	res, err := GlobalBroadcast(0, "hello").Run(ctx, s, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := res.Broadcast
 	if !b.AllInformed {
 		t.Error("CGCAST left nodes uninformed")
 	}
 	if !b.ColoringValid {
 		t.Error("coloring invalid")
 	}
-	if b.TotalSlots != b.SetupSlots+b.DissemScheduleSlots {
+	if res.ScheduleSlots != b.SetupSlots+b.DissemScheduleSlots {
 		t.Error("slot accounting inconsistent")
 	}
 
-	f, err := s.Flood(0, "hello", 19)
+	f, err := Flooding(0, "hello").Run(ctx, s, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.AllInformed {
+	if !f.Broadcast.AllInformed {
 		t.Error("flooding left nodes uninformed")
 	}
 }
 
 func TestBroadcastSourceValidation(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 12})
+	s, err := New(WithTopology(Path), WithNodes(6), WithChannels(3, 2, 0), WithSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Broadcast(99, "x", 1); err == nil {
+	ctx := context.Background()
+	if _, err := GlobalBroadcast(99, "x").Run(ctx, s, 1); err == nil {
 		t.Error("out-of-range source accepted")
 	}
-	if _, err := s.Flood(-1, "x", 1); err == nil {
+	if _, err := Flooding(-1, "x").Run(ctx, s, 1); err == nil {
 		t.Error("negative source accepted")
 	}
 }
@@ -222,12 +220,12 @@ func TestCustomScenario(t *testing.T) {
 	if s.K() != 2 || s.KMax() != 2 {
 		t.Errorf("overlap = [%d,%d], want [2,2]", s.K(), s.KMax())
 	}
-	res, err := s.Discover(CSeek, 15)
+	res, err := Discovery(CSeek).Run(context.Background(), s, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AllDiscovered() {
-		t.Errorf("discovered %d/%d", res.PairsDiscovered, res.PairsTotal)
+	if d := res.Discovery; !d.AllDiscovered() {
+		t.Errorf("discovered %d/%d", d.PairsDiscovered, d.PairsTotal)
 	}
 }
 
@@ -269,7 +267,7 @@ func TestCustomScenarioValidation(t *testing.T) {
 }
 
 func TestSharedChannelCountAndEdges(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 4, C: 3, K: 2, Seed: 14})
+	s, err := New(WithTopology(Path), WithNodes(4), WithChannels(3, 2, 0), WithSeed(14))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,7 @@
 //     are byte-identical to the single-process sweep (cmd/crnsweep
 //     drives this over a resumable JSON manifest).
 //
-// See DESIGN.md for the architecture and README.md for a quickstart
-// plus the table mapping deprecated entry points (Scenario.Discover,
-// Scenario.SetJammer, ...) to their replacements. The experiment
-// harness behind cmd/crnbench regenerates the reproduction tables for
-// every claim in the paper.
+// See DESIGN.md for the architecture and README.md for a quickstart.
+// The experiment harness behind cmd/crnbench regenerates the
+// reproduction tables for every claim in the paper.
 package crn

@@ -1,22 +1,22 @@
 package crn_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"crn"
 )
 
-// ExampleNewScenario generates a deterministic scenario and prints its
+// ExampleNew generates a deterministic scenario and prints its
 // derived model parameters.
-func ExampleNewScenario() {
-	scenario, err := crn.NewScenario(crn.ScenarioConfig{
-		Topology: crn.Path,
-		N:        6,
-		C:        4,
-		K:        2,
-		Seed:     1,
-	})
+func ExampleNew() {
+	scenario, err := crn.New(
+		crn.WithTopology(crn.Path),
+		crn.WithNodes(6),
+		crn.WithChannels(4, 2, 0),
+		crn.WithSeed(1),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,38 +24,37 @@ func ExampleNewScenario() {
 	// Output: n=6 c=4 k=2 kmax=2 Δ=2 D=5 edges=5
 }
 
-// ExampleScenario_Discover runs CSEEK on a tiny path network; the
-// simulation is deterministic for a fixed seed.
-func ExampleScenario_Discover() {
-	scenario, err := crn.NewScenario(crn.ScenarioConfig{
-		Topology: crn.Path,
-		N:        4,
-		C:        3,
-		K:        2,
-		Seed:     2,
-	})
+// ExampleDiscovery runs CSEEK on a tiny path network; the simulation
+// is deterministic for a fixed seed.
+func ExampleDiscovery() {
+	scenario, err := crn.New(
+		crn.WithTopology(crn.Path),
+		crn.WithNodes(4),
+		crn.WithChannels(3, 2, 0),
+		crn.WithSeed(2),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := scenario.Discover(crn.CSeek, 3)
+	res, err := crn.Discovery(crn.CSeek).Run(context.Background(), scenario, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
+	d := res.Discovery
 	fmt.Printf("all discovered: %v (%d/%d pairs)\n",
-		res.AllDiscovered(), res.PairsDiscovered, res.PairsTotal)
+		d.AllDiscovered(), d.PairsDiscovered, d.PairsTotal)
 	// Output: all discovered: true (6/6 pairs)
 }
 
 // ExampleScenario_NewBroadcastSession sets CGCAST up once and sends
 // two messages from different sources.
 func ExampleScenario_NewBroadcastSession() {
-	scenario, err := crn.NewScenario(crn.ScenarioConfig{
-		Topology: crn.Path,
-		N:        5,
-		C:        3,
-		K:        2,
-		Seed:     4,
-	})
+	scenario, err := crn.New(
+		crn.WithTopology(crn.Path),
+		crn.WithNodes(5),
+		crn.WithChannels(3, 2, 0),
+		crn.WithSeed(4),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

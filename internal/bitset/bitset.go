@@ -1,21 +1,17 @@
 // Package bitset provides dense bitsets sized at construction time.
 //
-// Bitsets represent channel sets and neighbor sets throughout the
-// simulator. The hot operations are membership tests and intersection
-// counts (computing how many channels two nodes share), so both are
-// implemented without allocation.
+// Set is the per-node color plate of the edge coloring; Matrix holds
+// the adjacency the radio engine probes on its hot path. The hot
+// operations are membership tests and AndCountSole over matrix rows,
+// so both are implemented without allocation.
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 const wordBits = 64
 
-// Set is a fixed-capacity bitset over the universe [0, Len()).
-// The zero value is unusable; construct with New.
+// Set is a fixed-capacity bitset over the universe [0, n) given to
+// New. The zero value is unusable; construct with New.
 type Set struct {
 	words []uint64
 	n     int
@@ -31,21 +27,6 @@ func New(n int) *Set {
 		n:     n,
 	}
 }
-
-// FromSlice returns a set over [0, n) containing every element of elems.
-// Elements outside [0, n) are ignored.
-func FromSlice(n int, elems []int) *Set {
-	s := New(n)
-	for _, e := range elems {
-		if e >= 0 && e < n {
-			s.Add(e)
-		}
-	}
-	return s
-}
-
-// Len returns the size of the universe.
-func (s *Set) Len() int { return s.n }
 
 // Add inserts i into the set. Out-of-range values are ignored.
 func (s *Set) Add(i int) {
@@ -80,117 +61,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// IntersectionCount returns |s ∩ o| without allocating.
-// The sets may have different universe sizes; the intersection is over
-// the common prefix.
-func (s *Set) IntersectionCount(o *Set) int {
-	m := len(s.words)
-	if len(o.words) < m {
-		m = len(o.words)
-	}
-	c := 0
-	for i := 0; i < m; i++ {
-		c += bits.OnesCount64(s.words[i] & o.words[i])
-	}
-	return c
-}
-
-// Intersects reports whether s and o share at least one element.
-func (s *Set) Intersects(o *Set) bool {
-	m := len(s.words)
-	if len(o.words) < m {
-		m = len(o.words)
-	}
-	for i := 0; i < m; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Union replaces s with s ∪ o. Panics if universes differ.
-func (s *Set) Union(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersect replaces s with s ∩ o. Panics if universes differ.
-func (s *Set) Intersect(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// Difference replaces s with s \ o. Panics if universes differ.
-func (s *Set) Difference(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
-// Clone returns a deep copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{
-		words: make([]uint64, len(s.words)),
-		n:     s.n,
-	}
-	copy(c.words, s.words)
-	return c
-}
-
-// Clear removes all elements.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Equal reports whether s and o contain the same elements over the same
-// universe.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Elems appends the elements of s to dst in increasing order and
-// returns the extended slice. Pass nil to allocate fresh.
-func (s *Set) Elems(dst []int) []int {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			dst = append(dst, wi*wordBits+b)
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// ForEach calls fn for each element in increasing order. Iteration
-// stops early if fn returns false.
-func (s *Set) ForEach(fn func(i int) bool) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
 // NthElem returns the n-th smallest element (0-indexed) and true, or
 // (0, false) if the set has fewer than n+1 elements.
 func (s *Set) NthElem(n int) (int, bool) {
@@ -213,29 +83,6 @@ func (s *Set) NthElem(n int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// String renders the set as "{a, b, c}" for debugging.
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) bool {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%d", i)
-		return true
-	})
-	b.WriteByte('}')
-	return b.String()
-}
-
-func (s *Set) mustMatch(o *Set) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: universe mismatch %d != %d", s.n, o.n))
-	}
 }
 
 // Matrix is a dense rows×cols bit matrix backed by a single allocation.
@@ -266,12 +113,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		stride: stride,
 	}
 }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // Set sets bit (r, c). Out-of-range coordinates are ignored.
 func (m *Matrix) Set(r, c int) {
@@ -322,10 +163,6 @@ func (m *Matrix) EqualMatrix(o *Matrix) bool {
 	}
 	return true
 }
-
-// Bytes returns the backing storage size in bytes, for capacity
-// gating by callers deciding whether a dense matrix is affordable.
-func (m *Matrix) Bytes() int { return len(m.words) * 8 }
 
 // Stride returns the number of words backing one row. Rows returned by
 // Row have exactly this length.

@@ -11,9 +11,6 @@ func TestNewEmpty(t *testing.T) {
 	if got := s.Count(); got != 0 {
 		t.Errorf("Count() = %d, want 0", got)
 	}
-	if s.Len() != 100 {
-		t.Errorf("Len() = %d, want 100", s.Len())
-	}
 	for i := 0; i < 100; i++ {
 		if s.Contains(i) {
 			t.Fatalf("empty set Contains(%d) = true", i)
@@ -68,126 +65,11 @@ func TestAddIdempotent(t *testing.T) {
 	}
 }
 
-func TestFromSliceAndElems(t *testing.T) {
-	in := []int{5, 1, 99, 1, 64, -3, 200}
-	s := FromSlice(100, in)
-	want := []int{1, 5, 64, 99}
-	got := s.Elems(nil)
-	if len(got) != len(want) {
-		t.Fatalf("Elems = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Elems = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestIntersectionCount(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b []int
-		want int
-	}{
-		{name: "disjoint", a: []int{1, 2, 3}, b: []int{4, 5, 6}, want: 0},
-		{name: "identical", a: []int{1, 64, 120}, b: []int{1, 64, 120}, want: 3},
-		{name: "partial", a: []int{0, 63, 64}, b: []int{63, 64, 65}, want: 2},
-		{name: "empty", a: nil, b: []int{1}, want: 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			a := FromSlice(128, tt.a)
-			b := FromSlice(128, tt.b)
-			if got := a.IntersectionCount(b); got != tt.want {
-				t.Errorf("IntersectionCount = %d, want %d", got, tt.want)
-			}
-			if got := b.IntersectionCount(a); got != tt.want {
-				t.Errorf("IntersectionCount (reversed) = %d, want %d", got, tt.want)
-			}
-			if got, want := a.Intersects(b), tt.want > 0; got != want {
-				t.Errorf("Intersects = %v, want %v", got, want)
-			}
-		})
-	}
-}
-
-func TestIntersectionCountDifferentUniverses(t *testing.T) {
-	a := FromSlice(64, []int{1, 2, 63})
-	b := FromSlice(200, []int{2, 63, 150})
-	if got := a.IntersectionCount(b); got != 2 {
-		t.Errorf("IntersectionCount = %d, want 2", got)
-	}
-}
-
-func TestSetOperations(t *testing.T) {
-	a := FromSlice(100, []int{1, 2, 3, 70})
-	b := FromSlice(100, []int{3, 4, 70, 99})
-
-	u := a.Clone()
-	u.Union(b)
-	wantU := FromSlice(100, []int{1, 2, 3, 4, 70, 99})
-	if !u.Equal(wantU) {
-		t.Errorf("Union = %v, want %v", u, wantU)
-	}
-
-	i := a.Clone()
-	i.Intersect(b)
-	wantI := FromSlice(100, []int{3, 70})
-	if !i.Equal(wantI) {
-		t.Errorf("Intersect = %v, want %v", i, wantI)
-	}
-
-	d := a.Clone()
-	d.Difference(b)
-	wantD := FromSlice(100, []int{1, 2})
-	if !d.Equal(wantD) {
-		t.Errorf("Difference = %v, want %v", d, wantD)
-	}
-}
-
-func TestUnionPanicsOnUniverseMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Union with mismatched universes did not panic")
-		}
-	}()
-	New(10).Union(New(20))
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	a := FromSlice(100, []int{1, 2})
-	b := a.Clone()
-	b.Add(50)
-	if a.Contains(50) {
-		t.Error("mutating clone affected original")
-	}
-	if !b.Contains(1) || !b.Contains(2) {
-		t.Error("clone missing original elements")
-	}
-}
-
-func TestClear(t *testing.T) {
-	s := FromSlice(100, []int{1, 2, 3})
-	s.Clear()
-	if s.Count() != 0 {
-		t.Errorf("Count after Clear = %d, want 0", s.Count())
-	}
-}
-
-func TestForEachEarlyStop(t *testing.T) {
-	s := FromSlice(100, []int{1, 2, 3, 4, 5})
-	var seen []int
-	s.ForEach(func(i int) bool {
-		seen = append(seen, i)
-		return len(seen) < 3
-	})
-	if len(seen) != 3 {
-		t.Errorf("ForEach visited %d elements, want 3", len(seen))
-	}
-}
-
 func TestNthElem(t *testing.T) {
-	s := FromSlice(200, []int{3, 64, 65, 190})
+	s := New(200)
+	for _, e := range []int{3, 64, 65, 190} {
+		s.Add(e)
+	}
 	tests := []struct {
 		n      int
 		want   int
@@ -205,16 +87,6 @@ func TestNthElem(t *testing.T) {
 		if ok != tt.wantOK || (ok && got != tt.want) {
 			t.Errorf("NthElem(%d) = (%d, %v), want (%d, %v)", tt.n, got, ok, tt.want, tt.wantOK)
 		}
-	}
-}
-
-func TestString(t *testing.T) {
-	s := FromSlice(10, []int{1, 3})
-	if got, want := s.String(), "{1, 3}"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-	if got, want := New(4).String(), "{}"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -247,7 +119,8 @@ type opRecord struct {
 }
 
 // TestQuickAgainstModel checks that arbitrary Add/Remove sequences agree
-// with a map-based model on Count, Contains, and Elems.
+// with a map-based model on Count and Contains, and that NthElem walks
+// the elements a Contains scan finds, in order.
 func TestQuickAgainstModel(t *testing.T) {
 	f := func(ops []opRecord) bool {
 		const n = 150
@@ -255,83 +128,22 @@ func TestQuickAgainstModel(t *testing.T) {
 		if s.Count() != len(m) {
 			return false
 		}
+		k := 0
 		for i := 0; i < n; i++ {
 			if s.Contains(i) != m[i] {
 				return false
 			}
-		}
-		elems := s.Elems(nil)
-		if len(elems) != len(m) {
-			return false
-		}
-		for _, e := range elems {
-			if !m[e] {
-				return false
+			if m[i] {
+				if e, ok := s.NthElem(k); !ok || e != i {
+					return false
+				}
+				k++
 			}
 		}
-		return true
+		_, ok := s.NthElem(k)
+		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickIntersectionCount checks |a ∩ b| against a model for random
-// element sets.
-func TestQuickIntersectionCount(t *testing.T) {
-	f := func(aIn, bIn []uint8) bool {
-		const n = 256
-		a, b := New(n), New(n)
-		am, bm := make(model), make(model)
-		for _, e := range aIn {
-			a.Add(int(e))
-			am[int(e)] = true
-		}
-		for _, e := range bIn {
-			b.Add(int(e))
-			bm[int(e)] = true
-		}
-		want := 0
-		for e := range am {
-			if bm[e] {
-				want++
-			}
-		}
-		return a.IntersectionCount(b) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickUnionIntersectDifferenceLaws verifies algebraic identities:
-// |A∪B| + |A∩B| == |A| + |B|, and A\B ∪ A∩B == A.
-func TestQuickSetAlgebra(t *testing.T) {
-	f := func(aIn, bIn []uint8) bool {
-		const n = 256
-		a := New(n)
-		b := New(n)
-		for _, e := range aIn {
-			a.Add(int(e))
-		}
-		for _, e := range bIn {
-			b.Add(int(e))
-		}
-		union := a.Clone()
-		union.Union(b)
-		inter := a.Clone()
-		inter.Intersect(b)
-		diff := a.Clone()
-		diff.Difference(b)
-
-		if union.Count()+inter.Count() != a.Count()+b.Count() {
-			return false
-		}
-		recon := diff.Clone()
-		recon.Union(inter)
-		return recon.Equal(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -343,7 +155,12 @@ func TestNthElemMatchesElems(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			s.Add(rnd.Intn(300))
 		}
-		elems := s.Elems(nil)
+		var elems []int
+		for i := 0; i < 300; i++ {
+			if s.Contains(i) {
+				elems = append(elems, i)
+			}
+		}
 		for i, e := range elems {
 			got, ok := s.NthElem(i)
 			if !ok || got != e {
@@ -356,26 +173,171 @@ func TestNthElemMatchesElems(t *testing.T) {
 	}
 }
 
-func BenchmarkIntersectionCount(b *testing.B) {
-	a := New(1024)
-	c := New(1024)
-	for i := 0; i < 1024; i += 3 {
-		a.Add(i)
+// rows returns a two-row matrix of the given width holding a in row 0
+// and b in row 1.
+func rows(cols int, a, b []int) *Matrix {
+	m := NewMatrix(2, cols)
+	for _, c := range a {
+		m.Set(0, c)
 	}
-	for i := 0; i < 1024; i += 5 {
-		c.Add(i)
+	for _, c := range b {
+		m.Set(1, c)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = a.IntersectionCount(c)
+	return m
+}
+
+// TestIntersectionCount: AndCountSole counts the intersection of two
+// rows capped at 2, and names its element only when the count is 1.
+func TestIntersectionCount(t *testing.T) {
+	tests := []struct {
+		name      string
+		a, b      []int
+		wantCount int
+		wantSole  int
+	}{
+		{name: "disjoint", a: []int{1, 2, 3}, b: []int{4, 5, 6}, wantCount: 0, wantSole: -1},
+		{name: "identical", a: []int{1, 64, 120}, b: []int{1, 64, 120}, wantCount: 2, wantSole: -1},
+		{name: "partial", a: []int{0, 63, 64}, b: []int{63, 64, 65}, wantCount: 2, wantSole: -1},
+		{name: "empty", a: nil, b: []int{1}, wantCount: 0, wantSole: -1},
+		{name: "sole in first word", a: []int{5, 63}, b: []int{63, 64}, wantCount: 1, wantSole: 63},
+		{name: "sole in last word", a: []int{0, 127}, b: []int{1, 127}, wantCount: 1, wantSole: 127},
+		{name: "two in one word", a: []int{7, 9}, b: []int{7, 9, 100}, wantCount: 2, wantSole: -1},
+		{name: "two across words", a: []int{3, 100}, b: []int{3, 100}, wantCount: 2, wantSole: -1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			m := rows(128, tt.a, tt.b)
+			if c, sole := AndCountSole(m.Row(0), m.Row(1)); c != tt.wantCount || sole != tt.wantSole {
+				t.Errorf("AndCountSole = (%d, %d), want (%d, %d)", c, sole, tt.wantCount, tt.wantSole)
+			}
+			if c, sole := AndCountSole(m.Row(1), m.Row(0)); c != tt.wantCount || sole != tt.wantSole {
+				t.Errorf("AndCountSole (reversed) = (%d, %d), want (%d, %d)", c, sole, tt.wantCount, tt.wantSole)
+			}
+		})
+	}
+}
+
+// TestQuickIntersectionCount checks AndCountSole against a map model
+// for random rows whose width ends inside, at, and just past a word
+// boundary, and spans three words.
+func TestQuickIntersectionCount(t *testing.T) {
+	for _, cols := range []int{63, 64, 65, 130} {
+		f := func(aIn, bIn []uint8) bool {
+			var a, b []int
+			am := make(model)
+			for _, e := range aIn {
+				a = append(a, int(e)%cols)
+				am[int(e)%cols] = true
+			}
+			common, sole := 0, -1
+			seen := make(model)
+			for _, e := range bIn {
+				c := int(e) % cols
+				b = append(b, c)
+				if am[c] && !seen[c] {
+					seen[c] = true
+					common++
+					sole = c
+				}
+			}
+			wantCount, wantSole := min(common, 2), -1
+			if common == 1 {
+				wantSole = sole
+			}
+			m := rows(cols, a, b)
+			c, s := AndCountSole(m.Row(0), m.Row(1))
+			return c == wantCount && s == wantSole
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("cols=%d: %v", cols, err)
+		}
+	}
+}
+
+// TestMatrixAgainstModel drives Set and Unset on rows that cross word
+// boundaries and checks Get, Row, Stride, EqualWords and Clone against
+// a map model after every step.
+func TestMatrixAgainstModel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	for _, cols := range []int{63, 64, 65, 130} {
+		const nrows = 3
+		m := NewMatrix(nrows, cols)
+		want := make([]model, nrows)
+		for r := range want {
+			want[r] = make(model)
+		}
+		if got := m.Stride(); got != (cols+63)/64 {
+			t.Fatalf("cols=%d: Stride() = %d", cols, got)
+		}
+		for step := 0; step < 400; step++ {
+			r, c := rnd.Intn(nrows), rnd.Intn(cols)
+			if rnd.Intn(3) == 0 {
+				m.Unset(r, c)
+				delete(want[r], c)
+			} else {
+				m.Set(r, c)
+				want[r][c] = true
+			}
+			for r := 0; r < nrows; r++ {
+				row := m.Row(r)
+				if len(row) != m.Stride() {
+					t.Fatalf("cols=%d: len(Row(%d)) = %d, Stride() = %d", cols, r, len(row), m.Stride())
+				}
+				for c := 0; c < cols; c++ {
+					inRow := row[c/64]&(1<<(uint(c)%64)) != 0
+					if m.Get(r, c) != want[r][c] || inRow != want[r][c] {
+						t.Fatalf("cols=%d step %d: bit (%d,%d) Get %v, Row %v, model %v",
+							cols, step, r, c, m.Get(r, c), inRow, want[r][c])
+					}
+				}
+			}
+			for a := 0; a < nrows; a++ {
+				for b := 0; b < nrows; b++ {
+					same := len(want[a]) == len(want[b])
+					for c := range want[a] {
+						same = same && want[b][c]
+					}
+					if got := EqualWords(m.Row(a), m.Row(b)); got != same {
+						t.Fatalf("cols=%d step %d: EqualWords(row %d, row %d) = %v, model %v", cols, step, a, b, got, same)
+					}
+				}
+			}
+		}
+		c := m.Clone()
+		if !c.EqualMatrix(m) {
+			t.Fatalf("cols=%d: clone differs from its source", cols)
+		}
+		for r := 0; r < nrows; r++ {
+			for col := 0; col < cols; col++ {
+				if c.Get(r, col) != want[r][col] {
+					t.Fatalf("cols=%d: clone bit (%d,%d) = %v, model %v", cols, r, col, c.Get(r, col), want[r][col])
+				}
+			}
+		}
+	}
+}
+
+// TestCloneIsDeep: a Matrix clone shares no words with its source.
+func TestCloneIsDeep(t *testing.T) {
+	m := NewMatrix(2, 130)
+	m.Set(0, 1)
+	m.Set(1, 129)
+	c := m.Clone()
+	c.Set(0, 64)
+	c.Unset(1, 129)
+	if m.Get(0, 64) || !m.Get(1, 129) {
+		t.Error("mutating the clone changed the original")
+	}
+	if !c.Get(0, 1) || !c.Get(0, 64) || c.Get(1, 129) {
+		t.Error("clone lost or kept the wrong bits")
+	}
+	if c.EqualMatrix(m) {
+		t.Error("EqualMatrix reports a mutated clone equal to its source")
 	}
 }
 
 func TestMatrixSetGet(t *testing.T) {
 	m := NewMatrix(5, 130) // cols span multiple words
-	if m.Rows() != 5 || m.Cols() != 130 {
-		t.Fatalf("dims = %dx%d, want 5x130", m.Rows(), m.Cols())
-	}
 	pairs := [][2]int{{0, 0}, {0, 129}, {4, 63}, {4, 64}, {2, 65}}
 	for _, p := range pairs {
 		m.Set(p[0], p[1])
@@ -387,6 +349,10 @@ func TestMatrixSetGet(t *testing.T) {
 	}
 	if m.Get(1, 0) || m.Get(0, 1) || m.Get(3, 64) {
 		t.Error("unset bits read true")
+	}
+	m.Unset(4, 64)
+	if m.Get(4, 64) || !m.Get(4, 63) {
+		t.Error("Unset(4,64) did not clear exactly that bit")
 	}
 }
 
@@ -406,7 +372,16 @@ func TestMatrixOutOfRange(t *testing.T) {
 	if m.Get(-1, 0) || m.Get(0, 3) {
 		t.Error("out-of-range Get returned true")
 	}
-	if NewMatrix(-1, -1).Bytes() != 0 {
+	m.Set(1, 1)
+	m.Unset(1, 3) // must not panic or clear a neighbor
+	m.Unset(-1, 1)
+	if !m.Get(1, 1) {
+		t.Error("out-of-range Unset cleared an in-range bit")
+	}
+	if m.Row(-1) != nil || m.Row(3) != nil {
+		t.Error("out-of-range Row returned words")
+	}
+	if e := NewMatrix(-1, -1); e.Stride() != 0 || e.Row(0) != nil {
 		t.Error("negative dims should yield an empty matrix")
 	}
 }

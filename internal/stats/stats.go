@@ -36,11 +36,10 @@ func Summarize(xs []float64) Summary {
 }
 
 // summarizeSorted computes the Summary of an ascending-sorted,
-// non-empty sample. Every Summary construction — Summarize and
-// Accumulator.Summary — funnels through here, with the moment sums
-// taken in sorted order. Sorting first makes the result a pure
-// function of the sample *multiset*: any two accumulation orders, or
-// any partition of the sample across shards, yield bit-identical
+// non-empty sample, with the moment sums taken in sorted order.
+// Sorting first makes Summarize a pure function of the sample
+// *multiset*: any two accumulation orders, or any partition of the
+// sample across shards concatenated in any order, yield bit-identical
 // Summaries. That is the invariant the distributed sweep's
 // merge-equals-union guarantee rests on.
 func summarizeSorted(s []float64) Summary {

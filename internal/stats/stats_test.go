@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"crn/internal/rng"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -154,6 +156,61 @@ func TestQuickSummaryInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomSample draws n samples shaped like sweep metrics: mostly small
+// non-negative counts, some zeros (indicator metrics), occasional
+// large values.
+func randomSample(r *rng.Source, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		switch r.Intn(4) {
+		case 0:
+			xs[i] = 0
+		case 1:
+			xs[i] = float64(r.Intn(2))
+		case 2:
+			xs[i] = float64(r.Intn(1000))
+		default:
+			xs[i] = r.Float64() * 1e6
+		}
+	}
+	return xs
+}
+
+// TestSummarizeMergeEqualsUnion is the distributed sweep's core stats
+// invariant: Summarize is a pure function of the sample multiset. A
+// permutation of a random sample, and a random partition of it with
+// the parts concatenated in a random order, must each summarize bit
+// for bit — not within epsilon — like the whole sample.
+func TestSummarizeMergeEqualsUnion(t *testing.T) {
+	r := rng.New(1)
+	for trial := 0; trial < 300; trial++ {
+		xs := randomSample(r, 1+r.Intn(64))
+		want := Summarize(xs)
+
+		perm := make([]float64, len(xs))
+		for i, j := range r.Perm(len(xs)) {
+			perm[i] = xs[j]
+		}
+		if got := Summarize(perm); got != want {
+			t.Fatalf("trial %d: permuted %+v != whole sample %+v", trial, got, want)
+		}
+
+		k := 1 + r.Intn(6)
+		parts := make([][]float64, k)
+		for _, x := range xs {
+			p := r.Intn(k)
+			parts[p] = append(parts[p], x)
+		}
+		var merged []float64
+		for _, p := range r.Perm(k) {
+			merged = append(merged, parts[p]...)
+		}
+		if got := Summarize(merged); got != want {
+			t.Fatalf("trial %d: %d parts concatenated %+v != whole sample %+v", trial, k, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -573,6 +574,78 @@ func (f *failingReadFS) ReadFile(path string) ([]byte, error) {
 	return f.FS.ReadFile(path)
 }
 
+// TestRestartSurvivesBadManifestRead: across a restart, the first
+// read of a job's manifest.json fails or comes back with a flipped
+// bit. The file on disk is intact, so the job must be recovered (not
+// skipped), and its result must byte-match the in-process sweep.
+func TestRestartSurvivesBadManifestRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	failing := &failingReadFS{FS: sweepfile.OS, substr: "manifest.json"}
+	failing.left.Store(1)
+	corrupt := &corruptReadFS{FS: sweepfile.OS, substr: "manifest.json"}
+	corrupt.flips.Store(1)
+	cases := []struct {
+		name     string
+		fs       sweepfile.FS
+		consumed func() bool
+	}{
+		{"read error", failing, func() bool { return failing.left.Load() <= 0 }},
+		{"corrupt read", corrupt, func() bool { return corrupt.flips.Load() <= 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			spool := t.TempDir()
+			srv1, ts1, c1 := startServer(t, spool, time.Minute)
+			id, err := c1.Submit(ctx, testSpec(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wk := &Worker{Client: c1, Name: "w1", Workers: 2, Poll: 10 * time.Millisecond, MaxShards: 1, Log: quietLog()}
+			if err := <-runWorker(ctx, wk); err != nil {
+				t.Fatal(err)
+			}
+			ts1.Close()
+			srv1.Close()
+
+			srv2, err := New(Config{Spool: spool, LeaseTTL: time.Minute, FS: tc.fs, Log: quietLog()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Close()
+			ts2 := httptest.NewServer(srv2.Handler())
+			defer ts2.Close()
+			c2 := NewClient(ts2.URL)
+			if !tc.consumed() {
+				t.Fatal("recovery never met the injected fault — the test exercised nothing")
+			}
+			st, err := c2.Status(ctx, id)
+			if err != nil {
+				t.Fatalf("job lost across the restart: %v", err)
+			}
+			if st.Done != 1 {
+				t.Fatalf("recovered %d done shards, want 1", st.Done)
+			}
+			wk2 := &Worker{Client: c2, Name: "w2", Workers: 2, Poll: 10 * time.Millisecond, MaxShards: 1, Log: quietLog()}
+			if err := <-runWorker(ctx, wk2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c2.Wait(ctx, id, 10*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := c2.Result(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := directBytes(t, testSpec()); !bytes.Equal(got, want) {
+				t.Error("recovered job's result diverged from in-process crn.Sweep")
+			}
+		})
+	}
+}
+
 // TestRestartResumeCorruptionTable: a daemon restarted on a spool
 // where one done shard's artifact was damaged — truncated, bit-
 // flipped, wrong plan hash, or replaced by a crashed writer's
@@ -769,23 +842,34 @@ func TestJanitorRetriesDeferredMerge(t *testing.T) {
 	}
 }
 
+// variants returns n distinctly named variants cycling through
+// testSpec's two.
+func variants(n int) []sweepfile.Variant {
+	base := testSpec().Variants
+	vs := make([]sweepfile.Variant, n)
+	for v := range vs {
+		vs[v] = base[v%len(base)]
+		vs[v].Name = fmt.Sprintf("%s-%d", vs[v].Name, v)
+	}
+	return vs
+}
+
 // TestSubmitRefusesHugeCounts: a submit asking for 1<<40 shards, or
 // carrying a spec of 1<<40 seeds or of 4097 variants (one more than
 // crn's maxVariants), is answered 400 instead of planning one shard
 // range per requested shard (which took the daemon down with an
-// out-of-memory fatal error) or building every variant; the same
-// daemon then completes a normal job.
+// out-of-memory fatal error) or building every variant. A spec of
+// 100 000 variants is refused by the submit body bound before it is
+// decoded (decoding it allocated about 140 MB). The same daemon then
+// completes a normal job and accepts a spec of exactly 4096 variants.
 func TestSubmitRefusesHugeCounts(t *testing.T) {
 	ctx := context.Background()
-	_, ts, c := startServer(t, t.TempDir(), time.Minute)
+	const maxVariants = 1 << 12 // crn's variant bound
+	srv, ts, c := startServer(t, t.TempDir(), time.Minute)
 	hugeSeeds := testSpec()
 	hugeSeeds.Seeds = 1 << 40
 	wide := testSpec()
-	for v := len(wide.Variants); v < 1<<12+1; v++ {
-		variant := wide.Variants[v%2]
-		variant.Name = fmt.Sprintf("%s-%d", variant.Name, v)
-		wide.Variants = append(wide.Variants, variant)
-	}
+	wide.Variants = variants(maxVariants + 1)
 	for name, req := range map[string]SubmitRequest{
 		"shards":   {Spec: testSpec(), Shards: 1 << 40},
 		"seeds":    {Spec: hugeSeeds, Shards: 2},
@@ -805,6 +889,26 @@ func TestSubmitRefusesHugeCounts(t *testing.T) {
 		}
 	}
 
+	flood := testSpec()
+	flood.Variants = variants(100_000)
+	body, err := json.Marshal(SubmitRequest{Spec: flood, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("100 000 variants: submit answered %d, want 400", rec.Code)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("refusing a %d-byte submit of 100 000 variants allocated %d bytes", len(body), alloc)
+	if alloc >= 16<<20 {
+		t.Errorf("refusing a %d-byte submit allocated %d bytes, want under 16 MB", len(body), alloc)
+	}
+
 	id, err := c.Submit(ctx, testSpec(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -819,5 +923,11 @@ func TestSubmitRefusesHugeCounts(t *testing.T) {
 	}
 	if st.State != JobDone || st.Done != 2 {
 		t.Fatalf("normal job after the refusals did not finish: %+v", st)
+	}
+
+	widest := testSpec()
+	widest.Variants = variants(maxVariants)
+	if _, err := c.Submit(ctx, widest, 2); err != nil {
+		t.Errorf("a spec of exactly %d variants was refused: %v", maxVariants, err)
 	}
 }

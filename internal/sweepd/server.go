@@ -251,8 +251,13 @@ func exemptFromShedding(r *http.Request) bool {
 // JSON run lists, far below this.
 const maxBody = 128 << 20
 
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+// maxSubmitBody bounds a submit's body: 4096 variants (the most
+// crn.PlanShards accepts) at 256 bytes each. A spec with far more
+// variants is refused before it is decoded, not after.
+const maxSubmitBody = 1 << 20
+
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		s.error(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return false
@@ -290,7 +295,7 @@ func newJobID() (string, error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(w, r, maxSubmitBody, &req) {
 		return
 	}
 	if req.Spec == nil {
@@ -386,7 +391,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(w, r, maxBody, &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -413,7 +418,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("id")
 	var req CompleteRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(w, r, maxBody, &req) {
 		return
 	}
 	if req.Artifact == nil {
@@ -465,7 +470,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("id")
 	var req FailRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.readJSON(w, r, maxBody, &req) {
 		return
 	}
 	if err := s.queue.fail(leaseID, req.Reason); err != nil {

@@ -194,12 +194,17 @@ type recoveredJob struct {
 	mergedSum string
 }
 
+// manifestReads is how many times recovery reads a job's manifest
+// before it skips the job: one failed or corrupted read of an intact
+// file must not drop the job for good.
+const manifestReads = 3
+
 // recover scans the spool and classifies every job the way `crnsweep
 // resume` would: shards with valid artifacts are done, everything
 // else is pending again. Stale atomic-write temp files — the debris
 // of a writer crashed between temp-write and rename — are swept out
-// first. Corrupt job directories are skipped (and reported) rather
-// than taking the daemon down.
+// first. A job whose manifest fails manifestReads reads in a row is
+// skipped (and reported) rather than taking the daemon down.
 func (st *store) recover() (jobs []*recoveredJob, skipped []error, err error) {
 	entries, err := st.fs.ReadDir(filepath.Join(st.root, "jobs"))
 	if err != nil {
@@ -215,6 +220,9 @@ func (st *store) recover() (jobs []*recoveredJob, skipped []error, err error) {
 			skipped = append(skipped, fmt.Errorf("job %s: sweeping temp files: %w", id, terr))
 		}
 		m, lerr := st.loadManifest(dir)
+		for read := 1; lerr != nil && read < manifestReads; read++ {
+			m, lerr = st.loadManifest(dir)
+		}
 		if lerr != nil {
 			skipped = append(skipped, fmt.Errorf("job %s: %w", id, lerr))
 			continue

@@ -1,75 +1,44 @@
 package crn
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// totalJammer occupies every channel in every slot.
-type totalJammer struct{}
-
-func (totalJammer) Jammed(int64, int32) bool { return true }
-
-func TestSetJammerBlocksDiscovery(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetJammer(totalJammer{})
-	res, err := s.Discover(CSeek, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PairsDiscovered != 0 {
-		t.Errorf("discovered %d pairs under total jamming, want 0", res.PairsDiscovered)
-	}
-	// Clearing the jammer restores discovery.
-	s.SetJammer(nil)
-	res, err = s.Discover(CSeek, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllDiscovered() {
-		t.Errorf("discovered %d/%d pairs on clear spectrum", res.PairsDiscovered, res.PairsTotal)
-	}
-}
-
+// TestSetPeriodicPrimaryUsers: duty-cycled primary users set through
+// WithPeriodicPrimaryUsers leave discovery complete at a 30% duty
+// cycle, and a zero period is refused.
 func TestSetPeriodicPrimaryUsers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: GNP, N: 12, C: 5, K: 2, Seed: 33})
+	s, err := New(WithTopology(GNP), WithNodes(12), WithChannels(5, 2, 0), WithSeed(33),
+		WithPeriodicPrimaryUsers(40, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetPeriodicPrimaryUsers(40, 12); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Discover(CSeek, 5)
+	res, err := Discovery(CSeek).Run(context.Background(), s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 30% duty with sub-step bursts: discovery should still complete
 	// (E13's robustness finding).
-	if !res.AllDiscovered() {
-		t.Errorf("discovered %d/%d under 30%% duty", res.PairsDiscovered, res.PairsTotal)
+	if d := res.Discovery; !d.AllDiscovered() {
+		t.Errorf("discovered %d/%d under 30%% duty", d.PairsDiscovered, d.PairsTotal)
 	}
-	// onSlots = 0 clears.
-	if err := s.SetPeriodicPrimaryUsers(40, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetPeriodicPrimaryUsers(0, 5); err == nil {
+	if _, err := New(WithTopology(GNP), WithNodes(12), WithChannels(5, 2, 0), WithSeed(33),
+		WithPeriodicPrimaryUsers(0, 5)); err == nil {
 		t.Error("zero period accepted")
 	}
 }
 
+// TestSetMarkovPrimaryUsers: Markov primary users set through
+// WithMarkovPrimaryUsers span a channel universe of at least c.
 func TestSetMarkovPrimaryUsers(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 35})
+	s, err := New(WithTopology(Path), WithNodes(6), WithChannels(3, 2, 0), WithSeed(35),
+		WithMarkovPrimaryUsers(0.01, 0.2, 0, 9))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := s.SetMarkovPrimaryUsers(0.01, 0.2, 0, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMarkovPrimaryUsers(2.0, 0.2, 100, 9); err == nil {
-		t.Error("pBusy > 1 accepted")
 	}
 	if s.Universe() < s.C() {
 		t.Errorf("Universe() = %d below c = %d", s.Universe(), s.C())

@@ -12,11 +12,35 @@ import (
 // Zero-valued fields fall back to defaults.
 type Tuning = core.Tuning
 
+// scenarioConfig describes a generated scenario; the generator
+// options fill it and New hands it to newGeneratedScenario.
+type scenarioConfig struct {
+	// Topology selects the graph generator.
+	Topology Topology
+	// N is the number of nodes.
+	N int
+	// C is the number of channels per node.
+	C int
+	// K is the guaranteed number of shared channels per neighbor pair.
+	K int
+	// KMax, when > K, produces a heterogeneous assignment in which
+	// roughly half the edges share KMax channels. Zero means KMax = K.
+	KMax int
+	// Density is the edge probability for GNP and the radius for
+	// UnitDisk; zero picks a sensible default.
+	Density float64
+	// Seed drives scenario generation.
+	Seed uint64
+	// Tuning overrides the algorithms' constant multipliers; nil uses
+	// defaults.
+	Tuning *core.Tuning
+}
+
 // scenarioBuilder accumulates the effect of ScenarioOptions before a
 // Scenario is generated. Options that depend on the realized network
 // (primary-user models) register post hooks that run after generation.
 type scenarioBuilder struct {
-	cfg  ScenarioConfig
+	cfg  scenarioConfig
 	post []func(*Scenario) error
 	err  error
 }
@@ -72,8 +96,6 @@ func WithTuning(t Tuning) ScenarioOption {
 // so Markov primary traffic plus a bounded adversary is simply
 //
 //	crn.WithMarkovPrimaryUsers(0.05, 0.15, 0, 7), crn.WithAdversary(2)
-//
-// The deprecated Scenario.Set* mutators keep their replace semantics.
 
 // WithPeriodicPrimaryUsers installs duty-cycled primary users: every
 // global channel is occupied for onSlots out of every period slots,

@@ -2,104 +2,10 @@ package crn_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"crn"
 )
-
-// TestNewMatchesNewScenario: the functional-option constructor and the
-// deprecated positional config must generate the identical scenario —
-// same realized parameters and the same deterministic simulation.
-func TestNewMatchesNewScenario(t *testing.T) {
-	viaOptions, err := crn.New(
-		crn.WithTopology(crn.Path),
-		crn.WithNodes(6),
-		crn.WithChannels(4, 2, 0),
-		crn.WithSeed(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaConfig, err := crn.NewScenario(crn.ScenarioConfig{
-		Topology: crn.Path, N: 6, C: 4, K: 2, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaOptions.String() != viaConfig.String() {
-		t.Errorf("scenarios differ: %q vs %q", viaOptions, viaConfig)
-	}
-	a, err := crn.Discovery(crn.CSeek).Run(context.Background(), viaOptions, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := crn.Discovery(crn.CSeek).Run(context.Background(), viaConfig, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("runs differ:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestDeprecatedShimsMatchPrimitives: the deprecated entry points are
-// thin wrappers — their results must agree field-by-field with the
-// Primitive Results they shim.
-func TestDeprecatedShimsMatchPrimitives(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	s, err := crn.New(crn.WithTopology(crn.Chain), crn.WithNodes(16), crn.WithChannels(4, 2, 0), crn.WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	old, err := s.Discover(crn.CSeek, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := crn.Discovery(crn.CSeek).Run(ctx, s, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.ScheduleSlots != res.ScheduleSlots ||
-		old.CompletedAtSlot != res.CompletedAtSlot ||
-		old.PairsDiscovered != res.Discovery.PairsDiscovered ||
-		old.PairsTotal != res.Discovery.PairsTotal ||
-		!reflect.DeepEqual(old.Neighbors, res.Discovery.Neighbors) {
-		t.Errorf("Discover shim drifted: %+v vs %+v", old, res)
-	}
-
-	oldB, err := s.Broadcast(0, "m", 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := crn.GlobalBroadcast(0, "m").Run(ctx, s, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldB.TotalSlots != resB.ScheduleSlots ||
-		oldB.AllInformedAtSlot != resB.CompletedAtSlot ||
-		oldB.AllInformed != resB.Completed ||
-		oldB.SetupSlots != resB.Broadcast.SetupSlots ||
-		oldB.DissemScheduleSlots != resB.Broadcast.DissemScheduleSlots {
-		t.Errorf("Broadcast shim drifted: %+v vs %+v", oldB, resB)
-	}
-
-	oldF, err := s.Flood(0, "m", 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resF, err := crn.Flooding(0, "m").Run(ctx, s, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldF.AllInformedAtSlot != resF.CompletedAtSlot || oldF.AllInformed != resF.Completed {
-		t.Errorf("Flood shim drifted: %+v vs %+v", oldF, resF)
-	}
-}
 
 func TestWithChannelsHeterogeneous(t *testing.T) {
 	s, err := crn.New(crn.WithTopology(crn.Path), crn.WithNodes(8), crn.WithChannels(8, 2, 5), crn.WithSeed(4))
@@ -141,7 +47,7 @@ type totalJammer struct{}
 func (totalJammer) Jammed(int64, int32) bool { return true }
 
 // TestWithJammer: a total jammer installed as an option blocks all
-// discovery, exactly like the deprecated SetJammer path.
+// discovery.
 func TestWithJammer(t *testing.T) {
 	s, err := crn.New(
 		crn.WithTopology(crn.Path), crn.WithNodes(6), crn.WithChannels(3, 2, 0), crn.WithSeed(31),
@@ -166,6 +72,7 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{name: "no nodes", opts: []crn.ScenarioOption{crn.WithChannels(3, 1, 0)}},
 		{name: "too few nodes", opts: []crn.ScenarioOption{crn.WithNodes(1), crn.WithChannels(3, 1, 0)}},
+		{name: "no channels", opts: []crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(0, 0, 0)}},
 		{name: "k over c", opts: []crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(2, 3, 0)}},
 		{name: "kmax under k", opts: []crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(4, 3, 2)}},
 		{name: "bad topology", opts: []crn.ScenarioOption{crn.WithTopology("donut"), crn.WithNodes(4), crn.WithChannels(2, 1, 0)}},

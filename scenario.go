@@ -59,9 +59,8 @@ const (
 
 // Scenario is an instantiated network: topology, channel assignment,
 // and derived model parameters. A Scenario is immutable once built
-// (the deprecated Set* mutators aside) and safe for concurrent
-// Primitive runs — the sweep engine shares one Scenario across its
-// workers.
+// and safe for concurrent Primitive runs — the sweep engine shares
+// one Scenario across its workers.
 type Scenario struct {
 	g  *graph.Graph
 	a  *chanassign.Assignment
@@ -122,7 +121,7 @@ func New(opts ...ScenarioOption) (*Scenario, error) {
 }
 
 // newGeneratedScenario validates config and generates the network.
-func newGeneratedScenario(cfg ScenarioConfig) (*Scenario, error) {
+func newGeneratedScenario(cfg scenarioConfig) (*Scenario, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("crn: need at least 2 nodes, got %d", cfg.N)
 	}
@@ -271,7 +270,7 @@ func newScenario(g *graph.Graph, a *chanassign.Assignment, tuning *core.Tuning) 
 	return &Scenario{g: g, a: a, p: p, nw: &radio.Network{Graph: g, Assign: a}, d: d}, nil
 }
 
-func buildTopology(cfg ScenarioConfig, r *rng.Source) (*graph.Graph, *graph.Geometry, error) {
+func buildTopology(cfg scenarioConfig, r *rng.Source) (*graph.Graph, *graph.Geometry, error) {
 	switch cfg.Topology {
 	case GNP, "":
 		p := cfg.Density
@@ -466,44 +465,6 @@ func (s *Scenario) newMobility(speed float64, every int64, seed uint64) (radio.T
 // options). The composed prototype is instantiated per run.
 func (s *Scenario) addTopologyFeed(f radio.TopologyFeed) {
 	s.topo = dynamics.Compose(s.topo, f)
-}
-
-// setPeriodicPrimaryUsers installs duty-cycled primary users,
-// replacing any installed model (the deprecated
-// SetPeriodicPrimaryUsers contract).
-func (s *Scenario) setPeriodicPrimaryUsers(period, onSlots int64) error {
-	if onSlots == 0 {
-		s.nw.Jammer = nil
-		return nil
-	}
-	j, err := s.newPeriodicJammer(period, onSlots)
-	if err != nil {
-		return err
-	}
-	s.nw.Jammer = j
-	return nil
-}
-
-// setMarkovPrimaryUsers installs bursty Markov primary users,
-// replacing any installed model (the deprecated SetMarkovPrimaryUsers
-// contract).
-func (s *Scenario) setMarkovPrimaryUsers(pBusy, pFree float64, horizon int64, seed uint64) error {
-	j, err := s.newMarkovJammer(pBusy, pFree, horizon, seed)
-	if err != nil {
-		return err
-	}
-	s.nw.Jammer = j
-	return nil
-}
-
-// setJammer installs a custom primary-user model (nil to clear),
-// replacing any installed model (the deprecated SetJammer contract).
-func (s *Scenario) setJammer(j Jammer) {
-	if j == nil {
-		s.nw.Jammer = nil
-		return
-	}
-	s.nw.Jammer = j
 }
 
 // runNetwork returns the network a single simulation run should use.

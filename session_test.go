@@ -1,6 +1,9 @@
 package crn
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestBroadcastSessionReuse is the amortization property: one setup
 // serves many broadcasts, from different sources, each only paying the
@@ -9,7 +12,7 @@ func TestBroadcastSessionReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: Chain, N: 16, C: 4, K: 2, Seed: 51})
+	s, err := New(WithTopology(Chain), WithNodes(16), WithChannels(4, 2, 0), WithSeed(51))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestLocalBroadcast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 8, C: 3, K: 2, Seed: 61})
+	s, err := New(WithTopology(Path), WithNodes(8), WithChannels(3, 2, 0), WithSeed(61))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestLocalBroadcast(t *testing.T) {
 }
 
 func TestBroadcastSessionSourceValidation(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 6, C: 3, K: 2, Seed: 53})
+	s, err := New(WithTopology(Path), WithNodes(6), WithChannels(3, 2, 0), WithSeed(53))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +94,14 @@ func TestBroadcastSessionSourceValidation(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesOneShot: RunCGCast (one-shot) and session setup +
+// TestSessionMatchesOneShot: GlobalBroadcast (one-shot) and session setup +
 // one dissemination must agree on the slot accounting.
 func TestSessionMatchesOneShot(t *testing.T) {
-	s, err := NewScenario(ScenarioConfig{Topology: Path, N: 8, C: 3, K: 2, Seed: 55})
+	s, err := New(WithTopology(Path), WithNodes(8), WithChannels(3, 2, 0), WithSeed(55))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := s.Broadcast(0, "m", 56)
+	oneShot, err := GlobalBroadcast(0, "m").Run(context.Background(), s, 56)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +113,11 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs.SetupSlots() != oneShot.SetupSlots {
-		t.Errorf("setup slots differ: session %d vs one-shot %d", bs.SetupSlots(), oneShot.SetupSlots)
+	if bs.SetupSlots() != oneShot.Broadcast.SetupSlots {
+		t.Errorf("setup slots differ: session %d vs one-shot %d", bs.SetupSlots(), oneShot.Broadcast.SetupSlots)
 	}
-	if res.ScheduleSlots != oneShot.DissemScheduleSlots {
+	if res.ScheduleSlots != oneShot.Broadcast.DissemScheduleSlots {
 		t.Errorf("dissemination slots differ: session %d vs one-shot %d",
-			res.ScheduleSlots, oneShot.DissemScheduleSlots)
+			res.ScheduleSlots, oneShot.Broadcast.DissemScheduleSlots)
 	}
 }

@@ -215,7 +215,7 @@ func (sr *ShardRunner) Run(ctx context.Context, shard int) (*ShardResult, error)
 // MergeShards reassembles a complete sweep from shard results: every
 // shard of the plan present exactly once, each run slotted back into
 // its job-grid position, and the aggregates computed by the same path
-// Sweep uses (aggregateRuns over stats accumulators). For results
+// Sweep uses (aggregateRuns). For results
 // produced by RunShard from the plan's spec, the returned SweepResult
 // is byte-identical (as JSON) to Sweep of that spec — merge equals
 // union, exactly.

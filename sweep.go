@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 
 	"crn/internal/rng"
 	"crn/internal/stats"
@@ -318,10 +317,10 @@ loop:
 
 // aggregateRuns is the single aggregation path shared by in-process
 // sweeps (Sweep) and shard merges (MergeShards): runs must be the
-// complete job grid in (variant, index) order. Each metric funnels
-// through a stats.Accumulator, whose Summary is a pure function of the
-// sample multiset — which is why merged shards reproduce the
-// single-process aggregates byte for byte.
+// complete job grid in (variant, index) order. Each metric's samples
+// go through stats.Summarize, a pure function of the sample multiset
+// — which is why merged shards reproduce the single-process
+// aggregates byte for byte.
 func aggregateRuns(primitive string, names []string, seeds int, runs []Run) []Aggregate {
 	aggs := make([]Aggregate, len(names))
 	for v := range names {
@@ -330,7 +329,7 @@ func aggregateRuns(primitive string, names []string, seeds int, runs []Run) []Ag
 			Primitive: primitive,
 			Metrics:   make(map[string]Summary),
 		}
-		accs := make(map[string]*stats.Accumulator)
+		samples := make(map[string][]float64)
 		for i := 0; i < seeds; i++ {
 			run := runs[v*seeds+i]
 			agg.Runs++
@@ -342,21 +341,11 @@ func aggregateRuns(primitive string, names []string, seeds int, runs []Run) []Ag
 				agg.Completed++
 			}
 			for name, value := range run.Metrics {
-				acc := accs[name]
-				if acc == nil {
-					acc = &stats.Accumulator{}
-					accs[name] = acc
-				}
-				acc.Add(value)
+				samples[name] = append(samples[name], value)
 			}
 		}
-		keys := make([]string, 0, len(accs))
-		for name := range accs {
-			keys = append(keys, name)
-		}
-		sort.Strings(keys)
-		for _, name := range keys {
-			agg.Metrics[name] = accs[name].Summary()
+		for name, xs := range samples {
+			agg.Metrics[name] = stats.Summarize(xs)
 		}
 		aggs[v] = agg
 	}
