@@ -181,22 +181,14 @@ func randomSample(r *rng.Source, n int) []float64 {
 
 // TestSummarizeMergeEqualsUnion is the distributed sweep's core stats
 // invariant: Summarize is a pure function of the sample multiset. A
-// permutation of a random sample, and a random partition of it with
-// the parts concatenated in a random order, must each summarize bit
-// for bit — not within epsilon — like the whole sample.
+// random partition of a random sample, with the parts concatenated in
+// a random order, must summarize bit for bit — not within epsilon —
+// like the whole sample.
 func TestSummarizeMergeEqualsUnion(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 300; trial++ {
 		xs := randomSample(r, 1+r.Intn(64))
 		want := Summarize(xs)
-
-		perm := make([]float64, len(xs))
-		for i, j := range r.Perm(len(xs)) {
-			perm[i] = xs[j]
-		}
-		if got := Summarize(perm); got != want {
-			t.Fatalf("trial %d: permuted %+v != whole sample %+v", trial, got, want)
-		}
 
 		k := 1 + r.Intn(6)
 		parts := make([][]float64, k)
@@ -210,6 +202,42 @@ func TestSummarizeMergeEqualsUnion(t *testing.T) {
 		}
 		if got := Summarize(merged); got != want {
 			t.Fatalf("trial %d: %d parts concatenated %+v != whole sample %+v", trial, k, got, want)
+		}
+	}
+}
+
+// TestSummarizeOrderIndependent: three random samples summarize alike
+// however they are grouped and ordered — (a‖b)‖c, a‖(b‖c), c‖b‖a and a
+// random permutation of the union all give the same Summary, bit for
+// bit.
+func TestSummarizeOrderIndependent(t *testing.T) {
+	cat := func(parts ...[]float64) []float64 {
+		var out []float64
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	r := rng.New(2)
+	for trial := 0; trial < 300; trial++ {
+		a := randomSample(r, r.Intn(20))
+		b := randomSample(r, r.Intn(20))
+		c := randomSample(r, 1+r.Intn(20))
+		want := Summarize(cat(cat(a, b), c))
+
+		if got := Summarize(cat(a, cat(b, c))); got != want {
+			t.Fatalf("trial %d: association changed the summary: %+v vs %+v", trial, got, want)
+		}
+		if got := Summarize(cat(c, b, a)); got != want {
+			t.Fatalf("trial %d: reversed order changed the summary: %+v vs %+v", trial, got, want)
+		}
+		union := cat(a, b, c)
+		perm := make([]float64, len(union))
+		for i, j := range r.Perm(len(union)) {
+			perm[i] = union[j]
+		}
+		if got := Summarize(perm); got != want {
+			t.Fatalf("trial %d: permuted %+v != whole sample %+v", trial, got, want)
 		}
 	}
 }
