@@ -556,7 +556,7 @@ func (p *randProto) Act(_ int64) radio.Action {
 	}
 }
 
-func (p *randProto) Observe(_ int64, _ *radio.Message) {}
+func (p *randProto) Observe(_ int64, _ radio.Delivery) {}
 func (p *randProto) Done() bool                        { return false }
 
 // RangeBank implements radio.RangeNode.
@@ -620,7 +620,7 @@ func (p *kernelProto) Act(_ int64) radio.Action {
 	}
 }
 
-func (p *kernelProto) Observe(_ int64, _ *radio.Message) {}
+func (p *kernelProto) Observe(_ int64, _ radio.Delivery) {}
 func (p *kernelProto) Done() bool                        { return false }
 func (p *kernelProto) MinDoneSlots() int64               { return 1 << 62 }
 

@@ -79,12 +79,12 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "# CSEEK on a %d-node star, c=%d k=%d, schedule %d slots\n", *n, *c, *k, schedule)
 	fmt.Fprintf(w, "# slot  listener  <-  sender  (global channel)\n")
 	printed := int64(0)
-	e.SetTrace(func(slot int64, listener radio.NodeID, ch int32, msg *radio.Message) {
+	e.SetTrace(func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
 		if printed >= *max {
 			return
 		}
 		printed++
-		fmt.Fprintf(w, "%6d  node %-3d   <-  node %-3d (ch %d)\n", slot, listener, msg.From, ch)
+		fmt.Fprintf(w, "%6d  node %-3d   <-  node %-3d (ch %d)\n", slot, listener, d.From, ch)
 	})
 	st := e.Run(schedule + 1)
 	fmt.Fprintf(w, "# done: %d slots, %d deliveries, %d collisions\n",

@@ -7,11 +7,11 @@ import "crn/internal/radio"
 // engine dispatches Act/Observe over whole node ranges with a single
 // call instead of two interface calls per node per slot. Each bank
 // loops over its nodes with direct (devirtualized) concrete calls into
-// the very same per-node state machines the fallback path steps, and
-// the observe side feeds the protocols' unpacked observeOutcome
-// internals — so both dispatch modes run identical code on identical
-// state and per-node rng draw order is untouched: byte-identity holds
-// by construction, and the equivalence suites pin it.
+// the very same Act and Observe state machines the fallback path
+// steps, handing each node its radio.Delivery — so both dispatch modes
+// run identical code on identical state and per-node rng draw order is
+// untouched: byte-identity holds by construction, and the equivalence
+// suites pin it.
 //
 // Banks hold no mutable bank-wide state, only the nodes slice, and
 // each loop iteration touches node u's state alone, so a range call
@@ -49,11 +49,10 @@ func (b *SeekBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
 }
 
 // ObserveRange implements radio.RangeProtocol.
-func (b *SeekBank) ObserveRange(_ int64, lo, hi int, deliveries []radio.Delivery) {
+func (b *SeekBank) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
 	nodes := b.nodes
 	for u := lo; u < hi; u++ {
-		d := deliveries[u]
-		nodes[u].observeOutcome(d.From >= 0, d.From)
+		nodes[u].Observe(slot, deliveries[u])
 	}
 }
 
@@ -88,11 +87,10 @@ func (b *dissemBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
 }
 
 // ObserveRange implements radio.RangeProtocol.
-func (b *dissemBank) ObserveRange(_ int64, lo, hi int, deliveries []radio.Delivery) {
+func (b *dissemBank) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
 	nodes := b.nodes
 	for u := lo; u < hi; u++ {
-		d := deliveries[u]
-		nodes[u].observeOutcome(d.From >= 0, d.Data)
+		nodes[u].Observe(slot, deliveries[u])
 	}
 }
 
@@ -129,11 +127,10 @@ func (b *FloodBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
 }
 
 // ObserveRange implements radio.RangeProtocol.
-func (b *FloodBank) ObserveRange(_ int64, lo, hi int, deliveries []radio.Delivery) {
+func (b *FloodBank) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
 	nodes := b.nodes
 	for u := lo; u < hi; u++ {
-		d := deliveries[u]
-		nodes[u].observeOutcome(d.From >= 0, d.Data)
+		nodes[u].Observe(slot, deliveries[u])
 	}
 }
 
@@ -143,83 +140,4 @@ func (f *Flood) RangeBank() (radio.RangeProtocol, int) {
 		return nil, 0
 	}
 	return f.bank, f.bankIdx
-}
-
-// CountBank fuses a heterogeneous COUNT node set — listeners and
-// broadcasters — for range dispatch (the Lemma 1 harnesses).
-type CountBank struct {
-	listens []*CountListen // listens[u] or bcasts[u] is set, not both
-	bcasts  []*CountBroadcast
-}
-
-var _ radio.RangeProtocol = (*CountBank)(nil)
-
-// NewCountBank builds a bank over a protocol set of CountListen and
-// CountBroadcast nodes, attaching itself to each; any other protocol
-// type opts the whole set out (returns nil).
-func NewCountBank(protos []radio.Protocol) *CountBank {
-	b := &CountBank{
-		listens: make([]*CountListen, len(protos)),
-		bcasts:  make([]*CountBroadcast, len(protos)),
-	}
-	for i, p := range protos {
-		switch c := p.(type) {
-		case *CountListen:
-			b.listens[i] = c
-		case *CountBroadcast:
-			b.bcasts[i] = c
-		default:
-			return nil
-		}
-	}
-	for i := range protos {
-		if c := b.listens[i]; c != nil {
-			c.bank = b
-			c.bankIdx = i
-		} else {
-			c := b.bcasts[i]
-			c.bank = b
-			c.bankIdx = i
-		}
-	}
-	return b
-}
-
-// ActRange implements radio.RangeProtocol.
-func (b *CountBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
-	for u := lo; u < hi; u++ {
-		if c := b.listens[u]; c != nil {
-			acts[u] = c.Act(slot)
-		} else {
-			acts[u] = b.bcasts[u].Act(slot)
-		}
-	}
-}
-
-// ObserveRange implements radio.RangeProtocol.
-func (b *CountBank) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
-	for u := lo; u < hi; u++ {
-		if c := b.listens[u]; c != nil {
-			d := deliveries[u]
-			c.observeOutcome(d.From >= 0, d.From)
-		} else {
-			b.bcasts[u].Observe(slot, nil)
-		}
-	}
-}
-
-// RangeBank implements radio.RangeNode.
-func (c *CountListen) RangeBank() (radio.RangeProtocol, int) {
-	if c.bank == nil {
-		return nil, 0
-	}
-	return c.bank, c.bankIdx
-}
-
-// RangeBank implements radio.RangeNode.
-func (c *CountBroadcast) RangeBank() (radio.RangeProtocol, int) {
-	if c.bank == nil {
-		return nil, 0
-	}
-	return c.bank, c.bankIdx
 }

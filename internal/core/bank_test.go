@@ -14,8 +14,8 @@ import (
 // primitive's RangeProtocol bank must produce outcomes byte-identical
 // to the same machines on per-node dispatch — same seed, same stats,
 // same per-node end state — across clear, jammed and dynamic (churn +
-// edge-flap) networks. The banks share the protocols' observeOutcome
-// internals, so this should hold by construction; the suite makes the
+// edge-flap) networks. The banks call the protocols' own Act and
+// Observe, so this should hold by construction; the suite makes the
 // construction argument enforceable.
 
 // bankParityJammer jams even global channels on every third slot.
@@ -80,7 +80,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 	type stack struct {
 		protos  []radio.Protocol
 		slots   int64
-		attach  func() bool
+		attach  func()
 		outcome func() string
 	}
 	discoveryStack := func(t *testing.T, mk func(Env) (Discoverer, error)) stack {
@@ -96,13 +96,12 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			ds[u] = dv
 			protos[u] = dv
 		}
-		attach := func() bool {
+		attach := func() {
 			seeks := make([]*CSeek, n)
 			for u, dv := range ds {
 				seeks[u] = dv.(*CSeek)
 			}
 			NewSeekBank(seeks)
-			return true
 		}
 		return stack{protos: protos, slots: ds[0].TotalSlots(), attach: attach, outcome: func() string {
 			out := ""
@@ -147,7 +146,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 				dps[u] = dp
 				protos[u] = dp
 			}
-			return stack{protos: protos, slots: dps[0].totalSlots(), attach: func() bool { newDissemBank(dps); return true }, outcome: func() string {
+			return stack{protos: protos, slots: dps[0].totalSlots(), attach: func() { newDissemBank(dps) }, outcome: func() string {
 				out := ""
 				for u, dp := range dps {
 					out += fmt.Sprintf("%d:%v@%d;", u, dp.informed, dp.informedAt)
@@ -167,35 +166,10 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 				fls[u] = fl
 				protos[u] = fl
 			}
-			return stack{protos: protos, slots: fls[0].TotalSlots(), attach: func() bool { NewFloodBank(fls); return true }, outcome: func() string {
+			return stack{protos: protos, slots: fls[0].TotalSlots(), attach: func() { NewFloodBank(fls) }, outcome: func() string {
 				out := ""
 				for u, fl := range fls {
 					out += fmt.Sprintf("%d:%v@%d;", u, fl.Informed(), fl.InformedAt())
-				}
-				return out
-			}}
-		}},
-		{"count", func(t *testing.T, _ *radio.Network) stack {
-			master := rng.New(seed + 6)
-			cl, err := NewCountListen(p, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bcs := make([]*CountBroadcast, n)
-			protos := make([]radio.Protocol, n)
-			protos[0] = cl
-			for u := 1; u < n; u++ {
-				cb, err := NewCountBroadcast(p, Env{ID: radio.NodeID(u), C: c, Rand: master.Split(uint64(u))}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bcs[u] = cb
-				protos[u] = cb
-			}
-			return stack{protos: protos, slots: int64(p.countSchedule().TotalSlots()), attach: func() bool { return NewCountBank(protos) != nil }, outcome: func() string {
-				out := fmt.Sprintf("count=%d heard=%v;", cl.Count(), cl.Heard())
-				for u := 1; u < n; u++ {
-					out += fmt.Sprintf("%d:%d/%d;", u, bcs[u].slot, bcs[u].round)
 				}
 				return out
 			}}
@@ -222,9 +196,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 					}
 					st := prim.build(t, nw)
 					if banked {
-						if !st.attach() {
-							t.Fatal("bank attachment refused")
-						}
+						st.attach()
 					}
 					e, err := radio.NewEngine(nw, st.protos)
 					if err != nil {

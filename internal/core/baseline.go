@@ -87,9 +87,9 @@ func (s *NaiveSeek) Act(_ int64) radio.Action {
 }
 
 // Observe implements radio.Protocol.
-func (s *NaiveSeek) Observe(_ int64, msg *radio.Message) {
-	if s.listen && msg != nil {
-		s.hear(msg.From, s.slots, 0)
+func (s *NaiveSeek) Observe(_ int64, d radio.Delivery) {
+	if s.listen && d.From >= 0 {
+		s.hear(d.From, s.slots, 0)
 	}
 	s.slots++
 }
@@ -171,9 +171,9 @@ func (s *UniformSeek) beginStep() {
 }
 
 // Observe implements radio.Protocol.
-func (s *UniformSeek) Observe(_ int64, msg *radio.Message) {
-	if s.listener && msg != nil {
-		s.hear(msg.From, s.slot, 0)
+func (s *UniformSeek) Observe(_ int64, d radio.Delivery) {
+	if s.listener && d.From >= 0 {
+		s.hear(d.From, s.slot, 0)
 	}
 	s.slot++
 	s.stepSlot++

@@ -809,20 +809,11 @@ func (dp *dissemProto) Act(_ int64) radio.Action {
 	return radio.Action{Kind: radio.Idle, Ch: int(ch)}
 }
 
-// Observe implements radio.Protocol.
-func (dp *dissemProto) Observe(_ int64, msg *radio.Message) {
-	if msg == nil {
-		dp.observeOutcome(false, nil)
-		return
-	}
-	dp.observeOutcome(true, msg.Data)
-}
-
-// observeOutcome is Observe with the delivery already unpacked, shared
-// by both dispatch modes (the dissemBank feeds outcomes here).
-func (dp *dissemProto) observeOutcome(heard bool, data any) {
-	if heard && !dp.informed {
-		if dm, ok := data.(dissemMessage); ok {
+// Observe implements radio.Protocol, for both dispatch modes (the
+// dissemBank calls it too).
+func (dp *dissemProto) Observe(_ int64, d radio.Delivery) {
+	if d.From >= 0 && !dp.informed {
+		if dm, ok := d.Data.(dissemMessage); ok {
 			dp.informed = true
 			dp.informedAt = dp.slot
 			dp.msg = dm.Body

@@ -327,7 +327,7 @@ func TestDissemProtoStepLatching(t *testing.T) {
 		t.Fatalf("slot 0 kind = %v, want Listen", a.Kind)
 	}
 	// Deliver the message mid-step.
-	dp.Observe(0, &radio.Message{From: 0, Data: dissemMessage{Body: "x"}})
+	dp.Observe(0, radio.Delivery{From: 0, Data: dissemMessage{Body: "x"}})
 	if !dp.informed {
 		t.Fatal("message not absorbed")
 	}
@@ -338,7 +338,7 @@ func TestDissemProtoStepLatching(t *testing.T) {
 		if a.Kind == radio.Broadcast {
 			t.Fatalf("broadcast at slot %d before step boundary", s)
 		}
-		dp.Observe(s, nil)
+		dp.Observe(s, radio.Delivery{From: -1})
 	}
 	// Next step: the node may now broadcast; sample many acts and
 	// require at least one broadcast attempt.
@@ -347,7 +347,7 @@ func TestDissemProtoStepLatching(t *testing.T) {
 		if dp.Act(s).Kind == radio.Broadcast {
 			sawBroadcast = true
 		}
-		dp.Observe(s, nil)
+		dp.Observe(s, radio.Delivery{From: -1})
 	}
 	if !sawBroadcast {
 		t.Error("informed node never attempted broadcast in its step")

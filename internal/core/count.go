@@ -119,10 +119,6 @@ type CountListen struct {
 	slot  int
 	l     countListener
 	heard heardTable
-
-	// bank/bankIdx back-reference the CountBank (range dispatch).
-	bank    *CountBank
-	bankIdx int
 }
 
 var _ radio.Protocol = (*CountListen)(nil)
@@ -145,20 +141,11 @@ func (c *CountListen) Act(_ int64) radio.Action {
 	return radio.Action{Kind: radio.Listen, Ch: c.ch}
 }
 
-// Observe implements radio.Protocol.
-func (c *CountListen) Observe(_ int64, msg *radio.Message) {
-	if msg == nil {
-		c.observeOutcome(false, 0)
-		return
-	}
-	c.observeOutcome(true, msg.From)
-}
-
-// observeOutcome is Observe with the delivery already unpacked (the
-// CountBank feeds outcomes here). The whole execution is one step, so
-// every entry carries stamp 0 and only a new identity is fresh.
-func (c *CountListen) observeOutcome(heard bool, from radio.NodeID) {
-	fresh := heard && c.heard.hear(from, int64(c.slot), 0)
+// Observe implements radio.Protocol. The whole execution is one step,
+// so every entry carries stamp 0 and only a new identity is fresh.
+func (c *CountListen) Observe(_ int64, d radio.Delivery) {
+	heard := d.From >= 0
+	fresh := heard && c.heard.hear(d.From, int64(c.slot), 0)
 	c.l.observeOutcome(&c.sched, heard, fresh)
 	c.slot++
 }
@@ -181,10 +168,6 @@ type CountBroadcast struct {
 	slot        int
 	round       int // current round, tracked incrementally
 	slotInRound int
-
-	// bank/bankIdx back-reference the CountBank (range dispatch).
-	bank    *CountBank
-	bankIdx int
 }
 
 var _ radio.Protocol = (*CountBroadcast)(nil)
@@ -207,7 +190,7 @@ func (c *CountBroadcast) Act(_ int64) radio.Action {
 }
 
 // Observe implements radio.Protocol.
-func (c *CountBroadcast) Observe(_ int64, _ *radio.Message) {
+func (c *CountBroadcast) Observe(_ int64, _ radio.Delivery) {
 	c.slot++
 	c.slotInRound++
 	if c.slotInRound == c.sched.slotsPerRound && c.round+1 < c.sched.rounds {

@@ -95,7 +95,7 @@ func TestCountZeroBroadcasters(t *testing.T) {
 	}
 	l := newTestListener(t, p)
 	for s := 0; s < p.countSchedule().TotalSlots(); s++ {
-		l.Observe(int64(s), nil)
+		l.Observe(int64(s), radio.Delivery{From: -1})
 	}
 	if got := l.Count(); got != 0 {
 		t.Errorf("count = %d for pure silence, want 0", got)
@@ -111,12 +111,12 @@ func TestCountListenerTriggerRule(t *testing.T) {
 	}
 	sched := p.countSchedule()
 	l := newTestListener(t, p)
-	msg := &radio.Message{From: 7}
+	heard := radio.Delivery{From: 7}
 	for s := 0; s < sched.TotalSlots(); s++ {
 		if sched.round(s) == 0 {
-			l.Observe(int64(s), msg)
+			l.Observe(int64(s), heard)
 		} else {
-			l.Observe(int64(s), nil)
+			l.Observe(int64(s), radio.Delivery{From: -1})
 		}
 	}
 	if got := l.Count(); got != 4 {
@@ -132,12 +132,12 @@ func TestCountListenerLaterRound(t *testing.T) {
 	}
 	sched := p.countSchedule()
 	l := newTestListener(t, p)
-	msg := &radio.Message{From: 3}
+	heard := radio.Delivery{From: 3}
 	for s := 0; s < sched.TotalSlots(); s++ {
 		if sched.round(s) == 2 {
-			l.Observe(int64(s), msg)
+			l.Observe(int64(s), heard)
 		} else {
-			l.Observe(int64(s), nil)
+			l.Observe(int64(s), radio.Delivery{From: -1})
 		}
 	}
 	if got := l.Count(); got != 16 {
@@ -159,9 +159,9 @@ func TestCountListenerBelowThresholdFallback(t *testing.T) {
 	l := newTestListener(t, p)
 	for s := 0; s < sched.TotalSlots(); s++ {
 		if s == 1 {
-			l.Observe(int64(s), &radio.Message{From: 9})
+			l.Observe(int64(s), radio.Delivery{From: 9})
 		} else {
-			l.Observe(int64(s), nil)
+			l.Observe(int64(s), radio.Delivery{From: -1})
 		}
 	}
 	if got := l.Count(); got != 1 {

@@ -33,7 +33,7 @@ import (
 // (Section 5.1), and what a frame would carry is a function of its
 // sender's state, so CGCAST decodes each exchange from who heard whom
 // (DESIGN.md "Exchange fidelity"). Frames carry no data; the sender's
-// identity travels as radio.Message.From.
+// identity travels as radio.Delivery.From.
 
 // CSeek is the CSEEK/CKSEEK protocol state machine for one node. Its
 // first-heard table (Heard, FirstHeard, DiscoveredCount) is the only
@@ -342,26 +342,16 @@ func (s *CSeek) Act(_ int64) radio.Action {
 	return a
 }
 
-// Observe implements radio.Protocol.
-func (s *CSeek) Observe(_ int64, msg *radio.Message) {
-	if msg == nil {
-		s.observeOutcome(false, 0)
-		return
-	}
-	s.observeOutcome(true, msg.From)
-}
-
-// observeOutcome is Observe with the delivery already unpacked: the
-// SeekBank's range dispatch feeds outcomes here directly, so both
-// dispatch modes run the identical state machine (byte-identity by
-// construction) and the range path never materializes a Message.
-func (s *CSeek) observeOutcome(heard bool, from radio.NodeID) {
-	heard = heard && s.isListener
+// Observe implements radio.Protocol. The SeekBank's range dispatch
+// calls it too, so both dispatch modes run the identical state machine
+// (byte-identity by construction).
+func (s *CSeek) Observe(_ int64, d radio.Delivery) {
+	heard := d.From >= 0 && s.isListener
 	switch s.stepKind {
 	case partOne:
 		// The table's step stamp tells COUNT whether this sender is new
 		// to the step.
-		fresh := heard && s.hear(from, s.slot, s.step)
+		fresh := heard && s.hear(d.From, s.slot, s.step)
 		s.count.observeOutcome(&s.sched.count, heard, fresh)
 		s.stepSlot++
 		if s.stepSlot == s.sched.countTotal {
@@ -374,7 +364,7 @@ func (s *CSeek) observeOutcome(heard bool, from radio.NodeID) {
 		}
 	case partTwo:
 		if heard {
-			s.hear(from, s.slot, s.step)
+			s.hear(d.From, s.slot, s.step)
 		}
 		s.stepSlot++
 		if s.stepSlot == s.sched.p2SlotsStep {

@@ -74,20 +74,11 @@ func (f *Flood) Act(_ int64) radio.Action {
 	return radio.Action{Kind: radio.Idle, Ch: ch}
 }
 
-// Observe implements radio.Protocol.
-func (f *Flood) Observe(_ int64, msg *radio.Message) {
-	if msg == nil {
-		f.observeOutcome(false, nil)
-		return
-	}
-	f.observeOutcome(true, msg.Data)
-}
-
-// observeOutcome is Observe with the delivery already unpacked, shared
-// by both dispatch modes (the FloodBank feeds outcomes here).
-func (f *Flood) observeOutcome(heard bool, data any) {
-	if f.listening && heard && !f.informed {
-		if dm, ok := data.(dissemMessage); ok {
+// Observe implements radio.Protocol, for both dispatch modes (the
+// FloodBank calls it too).
+func (f *Flood) Observe(_ int64, d radio.Delivery) {
+	if f.listening && d.From >= 0 && !f.informed {
+		if dm, ok := d.Data.(dissemMessage); ok {
 			f.informed = true
 			f.informedAt = f.slot
 			f.msg = dm.Body

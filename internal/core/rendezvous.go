@@ -119,7 +119,7 @@ func (h *HopBroadcaster) Act(_ int64) radio.Action {
 }
 
 // Observe implements radio.Protocol.
-func (h *HopBroadcaster) Observe(_ int64, _ *radio.Message) { h.slot++ }
+func (h *HopBroadcaster) Observe(_ int64, _ radio.Delivery) { h.slot++ }
 
 // Done implements radio.Protocol.
 func (h *HopBroadcaster) Done() bool { return h.slot >= h.maxSlots }
@@ -155,10 +155,10 @@ func (l *ListenRecorder) Act(_ int64) radio.Action {
 }
 
 // Observe implements radio.Protocol.
-func (l *ListenRecorder) Observe(_ int64, msg *radio.Message) {
-	if msg != nil {
-		if _, ok := l.heard[msg.From]; !ok {
-			l.heard[msg.From] = l.slot
+func (l *ListenRecorder) Observe(_ int64, d radio.Delivery) {
+	if d.From >= 0 {
+		if _, ok := l.heard[d.From]; !ok {
+			l.heard[d.From] = l.slot
 		}
 	}
 	l.slot++

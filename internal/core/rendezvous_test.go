@@ -58,7 +58,7 @@ func TestHopAlwaysBroadcastsEverySlot(t *testing.T) {
 		if a.Ch < 0 || a.Ch >= 3 {
 			t.Fatalf("slot %d: channel %d out of range", i, a.Ch)
 		}
-		h.Observe(int64(i), nil)
+		h.Observe(int64(i), radio.Delivery{From: -1})
 	}
 	if !h.Done() {
 		t.Error("not done after budget")
@@ -81,7 +81,7 @@ func TestHopModularSequence(t *testing.T) {
 			t.Fatalf("slot %d: channel %d, want %d", i, a.Ch, want)
 		}
 		seen[a.Ch] = true
-		h.Observe(int64(i), nil)
+		h.Observe(int64(i), radio.Delivery{From: -1})
 	}
 	if len(seen) != 5 {
 		t.Errorf("modular hop visited %d channels, want 5", len(seen))
@@ -101,7 +101,7 @@ func TestHopBackoffSweepsLevels(t *testing.T) {
 		if h.Act(int64(i)).Kind == radio.Broadcast {
 			bcast++
 		}
-		h.Observe(int64(i), nil)
+		h.Observe(int64(i), radio.Delivery{From: -1})
 	}
 	rate := float64(bcast) / 4000
 	if rate < 0.1 || rate > 0.5 {
@@ -176,5 +176,5 @@ type scriptIdle struct {
 }
 
 func (s *scriptIdle) Act(_ int64) radio.Action          { return radio.Action{Kind: radio.Idle} }
-func (s *scriptIdle) Observe(_ int64, _ *radio.Message) { s.used++ }
+func (s *scriptIdle) Observe(_ int64, _ radio.Delivery) { s.used++ }
 func (s *scriptIdle) Done() bool                        { return s.used >= s.budget }

@@ -453,5 +453,5 @@ func (p *chatterProto) Act(_ int64) radio.Action {
 		return radio.Action{Kind: radio.Idle}
 	}
 }
-func (p *chatterProto) Observe(_ int64, _ *radio.Message) {}
+func (p *chatterProto) Observe(_ int64, _ radio.Delivery) {}
 func (p *chatterProto) Done() bool                        { return false }

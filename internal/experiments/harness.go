@@ -1,5 +1,5 @@
 // Package experiments defines one reproducible experiment per claim of
-// the paper (see DESIGN.md's experiment index, E1–E16). Each
+// the paper (see DESIGN.md's experiment index, E1–E17). Each
 // experiment builds its workload, sweeps its parameter, runs the
 // algorithms and baselines, and returns a Table whose rows are the
 // series the theory predicts. cmd/crnbench prints all of them;
@@ -36,7 +36,7 @@ const (
 
 // Definition names one runnable experiment.
 type Definition struct {
-	// ID is the experiment identifier (E1..E12).
+	// ID is the experiment identifier (E1..E17).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -271,8 +271,8 @@ func (p *probeProto) Act(_ int64) radio.Action {
 	p.pos++
 	return radio.Action{Kind: radio.Listen, Ch: ch}
 }
-func (p *probeProto) Observe(_ int64, msg *radio.Message) {
-	if msg != nil {
+func (p *probeProto) Observe(_ int64, d radio.Delivery) {
+	if d.From >= 0 {
 		panic("reduction must deliver silence")
 	}
 	p.observes++
@@ -338,5 +338,5 @@ type finiteProto struct {
 func (p *finiteProto) Act(_ int64) radio.Action {
 	return radio.Action{Kind: radio.Listen, Ch: 0}
 }
-func (p *finiteProto) Observe(_ int64, _ *radio.Message) { p.used++ }
+func (p *finiteProto) Observe(_ int64, _ radio.Delivery) { p.used++ }
 func (p *finiteProto) Done() bool                        { return p.used >= p.budget }

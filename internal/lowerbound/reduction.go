@@ -71,8 +71,8 @@ func (p *ReductionPlayer) ObserveMiss() {
 	if !p.ready {
 		return
 	}
-	p.u.Observe(p.slot, nil)
-	p.v.Observe(p.slot, nil)
+	p.u.Observe(p.slot, radio.Delivery{From: -1})
+	p.v.Observe(p.slot, radio.Delivery{From: -1})
 	p.slot++
 	p.ready = false
 }

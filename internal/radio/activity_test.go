@@ -79,10 +79,10 @@ func TestReactiveAdversaryOneSlotDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if p1.heard[0] == nil || p1.heard[0].Data != "a" {
+	if p1.heard[0].From < 0 || p1.heard[0].Data != "a" {
 		t.Errorf("slot 0 delivery lost: adversary must not react within the slot (%v)", p1.heard[0])
 	}
-	if p1.heard[1] != nil {
+	if p1.heard[1].From >= 0 {
 		t.Errorf("slot 1 delivered %v, want jammed", p1.heard[1])
 	}
 	if st.JammedListens != 1 {
@@ -96,10 +96,10 @@ func TestNetworkTraceFeedsEngine(t *testing.T) {
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 2, 43)
 	var seen int
-	nw.Trace = func(slot int64, listener NodeID, ch int32, msg *Message) {
+	nw.Trace = func(slot int64, listener NodeID, ch int32, d Delivery) {
 		seen++
-		if listener != 1 || msg.From != 0 {
-			t.Errorf("trace saw listener=%d from=%d", listener, msg.From)
+		if listener != 1 || d.From != 0 {
+			t.Errorf("trace saw listener=%d from=%d", listener, d.From)
 		}
 	}
 	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "x"}}}

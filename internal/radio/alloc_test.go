@@ -11,8 +11,8 @@ import (
 
 // This file enforces the engine's performance contract: once a run is
 // warmed up, stepping slots allocates nothing — deliveries ride the
-// reused Delivery and Message scratch, and the channel index lives in
-// pre-sized engine scratch.
+// reused Delivery scratch, and the channel index lives in pre-sized
+// engine scratch.
 
 // hotProto is a zero-allocation protocol for alloc regression tests:
 // its broadcast frame is pre-boxed, and it records only counters.
@@ -38,8 +38,8 @@ func (p *hotProto) Act(_ int64) Action {
 	}
 }
 
-func (p *hotProto) Observe(_ int64, msg *Message) {
-	if msg != nil {
+func (p *hotProto) Observe(_ int64, d Delivery) {
+	if d.From >= 0 {
 		p.heard++
 	} else {
 		p.misses++

@@ -119,9 +119,6 @@ type BatchEngine struct {
 	// activity is the broadcast count per global channel handed to
 	// reactive jammers (nil when no replica has an ActivitySink).
 	activity []int
-	// traceMsg backs every delivery handed to a TraceFunc; reuse is why
-	// the trace contract limits message lifetime to the call.
-	traceMsg Message
 }
 
 // replica is one run's state inside the engine. It doubles as the
@@ -600,8 +597,14 @@ func (e *BatchEngine) resetIndex() {
 // hands every live node its outcome through one ObserveRange per
 // maximal run of live nodes. The channel index is immutable during the
 // phase and protocol state is node-private, so deferring the observes
-// to the end cannot change any resolution. Traces fire per delivery in
-// ascending listener order, before the slot's observes.
+// to the end cannot change any resolution.
+//
+// One loop resolves every replica. A jammer first drops the listeners
+// on jammed channels, which hear silence whatever the broadcasters do;
+// a dynamic replica checks the partition-loss counterfactual per
+// listener behind one predictable branch; and traces fire from the
+// delivery log after the loop, in ascending listener order and before
+// the slot's observes.
 //
 // A listener on a channel with zero broadcasters resolves to silence
 // in O(1); a dense channel with a bitset row resolves with one
@@ -617,8 +620,6 @@ func (e *BatchEngine) resetIndex() {
 func (e *BatchEngine) resolve(rp *replica) {
 	g := rp.g
 	nbr := rp.nbr
-	jam := rp.Jammer
-	trace := rp.Trace
 	dynamic := rp.dyn != nil
 	slot := e.slot
 	kind := e.kind
@@ -634,85 +635,29 @@ func (e *BatchEngine) resolve(rp *replica) {
 	delivIdx := e.delivIdx
 	listeners := e.listeners[:e.nListen]
 	var deliveries, collisions, jammedL, plosses int64
-	// The first loop is the specialized steady-state body — no jammer,
-	// static topology, no trace — so none of those per-listener checks
-	// sit on the hot path; anything else drops to the general loop
-	// below, which is the same resolution with the full checks.
-	if jam == nil && !dynamic && trace == nil {
+	if jam := rp.Jammer; jam != nil {
+		// Compact the listener list in place, keeping ascending order.
+		kept := listeners[:0]
 		for _, l := range listeners {
-			u := int(l)
-			ch := globalCh[u]
-			cnt := chCount[ch]
-			if cnt == 0 {
+			if jam.Jammed(slot, globalCh[l]) {
+				jammedL++
 				continue
 			}
-			talkers := 0
-			var from int32 = -1
-			if ri := rowOf[ch]; ri >= 0 {
-				row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
-				c, sole := bitset.AndCountSole(nbr.Row(u), row)
-				talkers = c
-				from = int32(sole)
-			} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
-				if nbr != nil {
-					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-						if nbr.Get(u, int(v)) {
-							talkers++
-							if talkers > 1 {
-								break
-							}
-							from = v
-						}
-					}
-				} else {
-					for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-						if g.Adjacent(u, int(v)) {
-							talkers++
-							if talkers > 1 {
-								break
-							}
-							from = v
-						}
-					}
-				}
-			} else {
-				for _, v := range nbrs {
-					if kind[v] == Broadcast && globalCh[v] == ch {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
-					}
-				}
-			}
-			switch {
-			case talkers == 1:
-				delivIdx[deliveries] = int32(u)
-				deliveries++
-				deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
-			case talkers > 1:
-				collisions++
-			}
+			kept = append(kept, l)
 		}
-		goto observe
+		listeners = kept
 	}
 	for _, l := range listeners {
 		u := int(l)
 		ch := globalCh[u]
-		if jam != nil && jam.Jammed(slot, ch) {
-			jammedL++
-			continue
-		}
 		cnt := chCount[ch]
 		if cnt == 0 {
 			continue
 		}
 		talkers := 0
 		var from int32 = -1
-		var row []uint64
 		if ri := rowOf[ch]; ri >= 0 {
-			row = rowBuf[int(ri)*stride : (int(ri)+1)*stride]
+			row := rowBuf[int(ri)*stride : (int(ri)+1)*stride]
 			c, sole := bitset.AndCountSole(nbr.Row(u), row)
 			talkers = c
 			from = int32(sole)
@@ -749,48 +694,23 @@ func (e *BatchEngine) resolve(rp *replica) {
 				}
 			}
 		}
-		if dynamic && !e.sameAsBase(nbr, u) {
-			// Partition-loss counterfactual: would the base (static)
-			// topology have delivered a frame this listener-slot does not
-			// deliver? Resolves the same broadcaster set against base
-			// adjacency — dynamics-only cost, early exit at 2, skipped
-			// outright (sameAsBase) when nothing incident to the listener
-			// has churned, since then both resolutions are identical by
-			// construction.
-			baseTalkers := 0
-			var baseFrom int32 = -1
-			if row != nil && e.nbr != nil {
-				c, sole := bitset.AndCountSole(e.nbr.Row(u), row)
-				baseTalkers, baseFrom = c, int32(sole)
-			} else {
-				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-					if e.baseAdjacent(u, v) {
-						baseTalkers++
-						if baseTalkers > 1 {
-							break
-						}
-						baseFrom = v
-					}
-				}
-			}
-			if baseTalkers == 1 && (talkers != 1 || from != baseFrom) {
-				plosses++
-			}
+		if dynamic && e.partitionLoss(nbr, u, ch, talkers, from) {
+			plosses++
 		}
 		switch {
 		case talkers == 1:
 			delivIdx[deliveries] = int32(u)
 			deliveries++
 			deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
-			if trace != nil {
-				e.traceMsg = Message(deliv[u])
-				trace(slot, NodeID(u), ch, &e.traceMsg)
-			}
 		case talkers > 1:
 			collisions++
 		}
 	}
-observe:
+	if trace := rp.Trace; trace != nil {
+		for _, u := range delivIdx[:deliveries] {
+			trace(slot, NodeID(u), globalCh[u], deliv[u])
+		}
+	}
 	n, bank := e.n, rp.bank
 	if rp.allLive() {
 		bank.ObserveRange(slot, 0, n, deliv)
@@ -824,6 +744,41 @@ observe:
 	st.PartitionLosses += plosses
 }
 
+// partitionLoss is a dynamic replica's partition-loss counterfactual
+// for listener u on channel ch, given the current topology's
+// resolution (talkers, from): would the base (static) topology have
+// delivered a frame this listener-slot does not deliver? It resolves
+// the same broadcaster set against base adjacency, stopping at the
+// second talker. When the listener's current adjacency row (nbr)
+// equals its base row, nothing incident to it has churned, both
+// resolutions are identical by construction, and the check returns at
+// once; that skip needs dense matrices on both views, so huge graphs
+// always run the counterfactual. A channel row exists only with the
+// base matrix, so a row is swept against the listener's base row.
+func (e *BatchEngine) partitionLoss(nbr *bitset.Matrix, u int, ch int32, talkers int, from int32) bool {
+	if nbr != nil && e.nbr != nil && bitset.EqualWords(nbr.Row(u), e.nbr.Row(u)) {
+		return false
+	}
+	baseTalkers := 0
+	var baseFrom int32 = -1
+	if ri := e.rowOf[ch]; ri >= 0 {
+		row := e.rowBuf[int(ri)*e.rowStride : (int(ri)+1)*e.rowStride]
+		c, sole := bitset.AndCountSole(e.nbr.Row(u), row)
+		baseTalkers, baseFrom = c, int32(sole)
+	} else {
+		for v := e.chHead[ch]; v >= 0; v = e.bcastNext[v] {
+			if e.baseAdjacent(u, v) {
+				baseTalkers++
+				if baseTalkers > 1 {
+					break
+				}
+				baseFrom = v
+			}
+		}
+	}
+	return baseTalkers == 1 && (talkers != 1 || from != baseFrom)
+}
+
 // baseAdjacent probes adjacency in the shared base topology, the
 // partition-loss counterfactual for dynamic replicas.
 func (e *BatchEngine) baseAdjacent(u int, v int32) bool {
@@ -831,18 +786,6 @@ func (e *BatchEngine) baseAdjacent(u int, v int32) bool {
 		return e.nbr.Get(u, int(v))
 	}
 	return e.g.Adjacent(u, int(v))
-}
-
-// sameAsBase reports whether listener u's current adjacency row equals
-// its base-topology row, in which case the partition-loss
-// counterfactual cannot differ from the real resolution (same
-// broadcasters, same adjacency) and is skipped. Requires dense
-// matrices on both views; huge graphs always run the counterfactual.
-func (e *BatchEngine) sameAsBase(nbr *bitset.Matrix, u int) bool {
-	if nbr == nil || e.nbr == nil {
-		return false
-	}
-	return bitset.EqualWords(nbr.Row(u), e.nbr.Row(u))
 }
 
 // feedActivity reports the slot's broadcast counts per global channel

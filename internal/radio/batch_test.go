@@ -87,8 +87,8 @@ type traceEvent struct {
 }
 
 func traceRecorder(dst *[]traceEvent) TraceFunc {
-	return func(slot int64, listener NodeID, ch int32, msg *Message) {
-		*dst = append(*dst, traceEvent{slot, listener, ch, msg.From})
+	return func(slot int64, listener NodeID, ch int32, d Delivery) {
+		*dst = append(*dst, traceEvent{slot, listener, ch, d.From})
 	}
 }
 

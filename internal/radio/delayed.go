@@ -29,11 +29,11 @@ func (d *Delayed) Act(slot int64) Action {
 }
 
 // Observe implements Protocol.
-func (d *Delayed) Observe(slot int64, msg *Message) {
+func (d *Delayed) Observe(slot int64, dv Delivery) {
 	if slot < d.Start {
 		return
 	}
-	d.Inner.Observe(slot, msg)
+	d.Inner.Observe(slot, dv)
 }
 
 // Done implements Protocol.

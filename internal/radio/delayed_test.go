@@ -17,7 +17,7 @@ func TestDelayedIdlesBeforeStart(t *testing.T) {
 		if a := d.Act(slot); a.Kind != Idle {
 			t.Fatalf("slot %d: kind %v, want Idle", slot, a.Kind)
 		}
-		d.Observe(slot, nil)
+		d.Observe(slot, Delivery{From: -1})
 		if d.Done() {
 			t.Fatal("done before start")
 		}
@@ -28,7 +28,7 @@ func TestDelayedIdlesBeforeStart(t *testing.T) {
 	if a := d.Act(3); a.Kind != Broadcast {
 		t.Fatalf("post-start kind %v, want Broadcast", a.Kind)
 	}
-	d.Observe(3, nil)
+	d.Observe(3, Delivery{From: -1})
 	if !d.Done() {
 		t.Error("not done after inner finished")
 	}
@@ -38,7 +38,7 @@ func TestDelayedPreStartObservationsDropped(t *testing.T) {
 	inner := &scriptProto{script: []Action{{Kind: Listen, Ch: 0}}}
 	d := &Delayed{Start: 2, Inner: inner}
 	// A stray pre-start Observe must not reach the inner protocol.
-	d.Observe(0, &Message{From: 9})
+	d.Observe(0, Delivery{From: 9})
 	if len(inner.heard) != 0 {
 		t.Error("pre-start observation leaked to inner protocol")
 	}
@@ -50,7 +50,7 @@ func TestDelayedZeroStartIsTransparent(t *testing.T) {
 	if a := d.Act(0); a.Kind != Idle {
 		t.Fatalf("kind %v", a.Kind)
 	}
-	d.Observe(0, nil)
+	d.Observe(0, Delivery{From: -1})
 	if !d.Done() {
 		t.Error("zero-start Delayed did not finish with inner")
 	}
@@ -85,14 +85,14 @@ func TestDelayedEndToEnd(t *testing.T) {
 	if len(l.heard) != 3 {
 		t.Fatalf("listener observed %d slots, want 3", len(l.heard))
 	}
-	for i, msg := range l.heard {
-		if msg == nil {
-			t.Fatalf("observation %d: nil", i)
+	for i, d := range l.heard {
+		if d.From < 0 {
+			t.Fatalf("observation %d: heard nothing", i)
 		}
 		// The listener's slot i is engine slot 5+i; the broadcaster sent
 		// payload 5+i there.
-		if msg.Data != 5+i {
-			t.Errorf("observation %d: payload %v, want %d", i, msg.Data, 5+i)
+		if d.Data != 5+i {
+			t.Errorf("observation %d: payload %v, want %d", i, d.Data, 5+i)
 		}
 	}
 }
@@ -116,9 +116,9 @@ func (p *delayedChatter) Act(_ int64) Action {
 	}
 }
 
-func (p *delayedChatter) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		p.heard = append(p.heard, msg.From)
+func (p *delayedChatter) Observe(_ int64, d Delivery) {
+	if d.From >= 0 {
+		p.heard = append(p.heard, d.From)
 	}
 }
 

@@ -38,8 +38,8 @@ func (p *dynHotProto) Act(_ int64) radio.Action {
 	}
 }
 
-func (p *dynHotProto) Observe(_ int64, msg *radio.Message) {
-	if msg != nil {
+func (p *dynHotProto) Observe(_ int64, d radio.Delivery) {
+	if d.From >= 0 {
 		p.heard++
 	}
 	p.slot++

@@ -36,10 +36,10 @@ func TestJammedChannelSilencesListener(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if l.heard[0] != nil {
+	if l.heard[0].From >= 0 {
 		t.Error("heard a frame on a jammed channel")
 	}
-	if l.heard[1] == nil || l.heard[1].Data != "y" {
+	if l.heard[1].From < 0 || l.heard[1].Data != "y" {
 		t.Errorf("clear-channel frame lost: %v", l.heard[1])
 	}
 	if st.JammedListens != 1 {
@@ -64,7 +64,7 @@ func TestJammingOnlyAffectsItsChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if l.heard[0] == nil || l.heard[0].Data != "ok" {
+	if l.heard[0].From < 0 || l.heard[0].Data != "ok" {
 		t.Errorf("delivery on clear channel failed: %v", l.heard[0])
 	}
 	if st.JammedListens != 0 {

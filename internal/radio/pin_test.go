@@ -47,12 +47,8 @@ func (p *pinProto) Act(_ int64) Action {
 	}
 }
 
-func (p *pinProto) Observe(slot int64, msg *Message) {
-	if msg == nil {
-		p.record(slot, -1, nil)
-		return
-	}
-	p.record(slot, msg.From, msg.Data)
+func (p *pinProto) Observe(slot int64, d Delivery) {
+	p.record(slot, d.From, d.Data)
 }
 
 func (p *pinProto) record(slot int64, from NodeID, data any) {
@@ -179,8 +175,8 @@ type pinEvent struct {
 }
 
 func pinRecorder(dst *[]pinEvent) TraceFunc {
-	return func(slot int64, listener NodeID, ch int32, msg *Message) {
-		*dst = append(*dst, pinEvent{slot, listener, ch, msg.From, msg.Data.(int)})
+	return func(slot int64, listener NodeID, ch int32, d Delivery) {
+		*dst = append(*dst, pinEvent{slot, listener, ch, d.From, d.Data.(int)})
 	}
 }
 
@@ -294,18 +290,20 @@ func pinSanity(t *testing.T, cs, set string, st Stats, slots int64) {
 }
 
 // pinnedSteadyDigests holds the same digests for untraced static runs
-// with no jammer — the runs the resolve phase's steady-state loop
-// serves (TestEnginePinned installs a trace on every run, which
-// selects the general loop).
+// with no jammer: the one resolve loop with none of its per-replica
+// passes (jam filter, partition-loss check, trace pass) switched on.
+// TestEnginePinned installs a trace on every run, so it never pins
+// that case.
 var pinnedSteadyDigests = map[string][4]string{
 	"node":    {"63c6d8e9e332ea37", "9d79242b5d983d8b", "d2b23c2537c282b6", "96d2d1e7ec354985"},
 	"bank":    {"90a556f533d70037", "6a615c75eafce05f", "1135a4e218b0ae1c", "cdc5751713ef0bfa"},
 	"delayed": {"2ea8a66ccdcd0e84", "d2e6b60ae42d3ce6", "5bc7094f20212c25", "cb7c40e993cba2b3"},
 }
 
-// TestEnginePinnedSteadyState pins the steady-state resolve loop: each
-// set runs untraced on a static, unjammed network, through a single
-// Engine (seed 1) and a 3-replica BatchEngine (seeds 2..4).
+// TestEnginePinnedSteadyState pins the resolve loop as the static
+// benchmarks run it: each set runs untraced on a static, unjammed
+// network, through a single Engine (seed 1) and a 3-replica
+// BatchEngine (seeds 2..4).
 func TestEnginePinnedSteadyState(t *testing.T) {
 	g, a := rangedFixture(t)
 	const n, c, slots = 24, 5, 300

@@ -34,13 +34,15 @@
 //     compact per-slot index — a count per channel plus an intrusive
 //     per-channel broadcaster list, and a bitset row for dense
 //     channels (O(broadcasters)).
-//  4. Resolve/observe: only the listeners are resolved. A listener on
-//     a channel with zero broadcasters resolves to silence in O(1); a
-//     dense channel with one AND/popcount sweep of the listener's
-//     adjacency row; otherwise the shorter of the channel's broadcaster
-//     list and the listener's neighbor list is walked. Traces fire per
-//     delivery, then one ObserveRange per run of live nodes hands every
-//     live node its outcome.
+//  4. Resolve/observe: only the listeners are resolved, by one loop
+//     for every replica (a jammer first drops the listeners on jammed
+//     channels). A listener on a channel with zero broadcasters
+//     resolves to silence in O(1); a dense channel with one
+//     AND/popcount sweep of the listener's adjacency row; otherwise the
+//     shorter of the channel's broadcaster list and the listener's
+//     neighbor list is walked. Traces then fire per delivery, and one
+//     ObserveRange per run of live nodes hands every live node its
+//     Delivery.
 //  5. Reactive jammers (ActivitySink) are fed the slot's broadcast
 //     counts, the index is reset, and completion flags are refreshed.
 package radio
@@ -66,13 +68,17 @@ const (
 	Broadcast
 )
 
-// Message is a frame delivered by the radio. Data is protocol-defined;
-// the engine treats it opaquely.
+// Delivery is one node's resolved slot outcome, the one value every
+// observer gets: Protocol.Observe, a bank's ObserveRange and a
+// TraceFunc. From is the broadcaster heard (exactly one broadcasting
+// neighbor on the node's channel) and Data its Action.Data, handed on
+// as is; From < 0 means the node heard nothing — silence, collision,
+// jam, or a non-listening action — and Data is then nil.
 //
-// A *Message handed to Observe or a TraceFunc is only valid for the
-// duration of the call: the engine reuses the backing storage for
-// later deliveries. Implementations must copy the fields they keep.
-type Message struct {
+// The zero value Delivery{} means "heard node 0", not silence: code
+// that reports silence must write Delivery{From: -1}, the value the
+// engine keeps in every entry between slots.
+type Delivery struct {
 	From NodeID
 	Data any
 }
@@ -88,14 +94,13 @@ type Action struct {
 // Protocol is a node-local state machine driven by the engine.
 //
 // Each slot the engine calls Act once, resolves the radio, then calls
-// Observe exactly once: msg is non-nil iff the node listened and heard
-// a message (exactly one broadcasting neighbor on its channel). msg and
-// its fields are only valid during the Observe call — the engine
-// reuses the Message storage — so protocols keeping a frame must copy
-// it. The engine never calls Act again after Done reports true.
+// Observe exactly once: d.From >= 0 iff the node listened and heard a
+// frame (exactly one broadcasting neighbor on its channel). d is the
+// protocol's own copy. The engine never calls Act again after Done
+// reports true.
 type Protocol interface {
 	Act(slot int64) Action
-	Observe(slot int64, msg *Message)
+	Observe(slot int64, d Delivery)
 	Done() bool
 }
 
@@ -175,11 +180,11 @@ func (s *Stats) Accumulate(o Stats) {
 }
 
 // TraceFunc observes every delivery the engine resolves, for debugging
-// and the crntrace tool. Within a slot a run's traces fire in ascending
+// and the crntrace tool: d is the Delivery the listener then observes
+// (d.From >= 0). Within a slot a run's traces fire in ascending
 // listener order, all before that run's Observe/ObserveRange calls for
-// the slot. msg is only valid during the call (the engine reuses the
-// storage); copy what you keep.
-type TraceFunc func(slot int64, listener NodeID, globalCh int32, msg *Message)
+// the slot.
+type TraceFunc func(slot int64, listener NodeID, globalCh int32, d Delivery)
 
 // Jammer reports primary-user occupancy per (slot, global channel).
 // A frame broadcast on an occupied channel is lost and a listener

@@ -9,13 +9,12 @@ import (
 	"crn/internal/rng"
 )
 
-// scriptProto replays a fixed list of actions and records everything it
-// observes. Observed messages are copied per the Protocol contract:
-// the engine's *Message is only valid during the Observe call.
+// scriptProto replays a fixed list of actions and records every
+// Delivery it observes (From < 0: heard nothing).
 type scriptProto struct {
 	script []Action
 	pos    int
-	heard  []*Message
+	heard  []Delivery
 }
 
 func (p *scriptProto) Act(_ int64) Action {
@@ -24,13 +23,8 @@ func (p *scriptProto) Act(_ int64) Action {
 	return a
 }
 
-func (p *scriptProto) Observe(_ int64, msg *Message) {
-	if msg == nil {
-		p.heard = append(p.heard, nil)
-		return
-	}
-	cp := *msg
-	p.heard = append(p.heard, &cp)
+func (p *scriptProto) Observe(_ int64, d Delivery) {
+	p.heard = append(p.heard, d)
 }
 
 func (p *scriptProto) Done() bool { return p.pos >= len(p.script) }
@@ -73,7 +67,7 @@ func TestSingleBroadcasterDelivers(t *testing.T) {
 	if st.Slots != 1 {
 		t.Errorf("Slots = %d, want 1", st.Slots)
 	}
-	if len(p1.heard) != 1 || p1.heard[0] == nil {
+	if len(p1.heard) != 1 || p1.heard[0].From < 0 {
 		t.Fatalf("listener heard %v, want one message", p1.heard)
 	}
 	if p1.heard[0].From != 0 || p1.heard[0].Data != "hello" {
@@ -96,8 +90,8 @@ func TestCollisionSilence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if len(center.heard) != 1 || center.heard[0] != nil {
-		t.Fatalf("center heard %v, want one nil observation (collision)", center.heard)
+	if len(center.heard) != 1 || center.heard[0].From >= 0 {
+		t.Fatalf("center heard %v, want one empty observation (collision)", center.heard)
 	}
 	if st.Collisions != 1 || st.Deliveries != 0 {
 		t.Errorf("stats %+v, want 1 collision 0 deliveries", st)
@@ -117,7 +111,7 @@ func TestDifferentChannelsNoInterference(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(10)
-	if len(center.heard) != 1 || center.heard[0] == nil {
+	if len(center.heard) != 1 || center.heard[0].From < 0 {
 		t.Fatalf("center heard %v, want one message", center.heard)
 	}
 	if center.heard[0].Data != 2 {
@@ -140,17 +134,17 @@ func TestNonNeighborsDoNotInterfere(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(10)
-	if p1.heard[0] == nil || p1.heard[0].Data != "a" {
+	if p1.heard[0].From < 0 || p1.heard[0].Data != "a" {
 		t.Errorf("node 1 heard %v, want a", p1.heard[0])
 	}
-	if p2.heard[0] == nil || p2.heard[0].Data != "b" {
+	if p2.heard[0].From < 0 || p2.heard[0].Data != "b" {
 		t.Errorf("node 2 heard %v, want b", p2.heard[0])
 	}
 }
 
 func TestBroadcasterHearsNothing(t *testing.T) {
 	// Two adjacent broadcasters on one channel: broadcasters only
-	// "receive" their own message; Observe reports nil.
+	// "receive" their own message; Observe reports From < 0.
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 1, 5)
 	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: 0}}}
@@ -160,7 +154,7 @@ func TestBroadcasterHearsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(10)
-	if p0.heard[0] != nil || p1.heard[0] != nil {
+	if p0.heard[0].From >= 0 || p1.heard[0].From >= 0 {
 		t.Error("broadcasters observed a message")
 	}
 }
@@ -175,7 +169,7 @@ func TestIdleObservesNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if p0.heard[0] != nil {
+	if p0.heard[0].From >= 0 {
 		t.Error("idle node observed a message")
 	}
 	if st.Idles != 1 {
@@ -237,10 +231,10 @@ func TestTraceCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []NodeID
-	e.SetTrace(func(slot int64, listener NodeID, ch int32, msg *Message) {
+	e.SetTrace(func(slot int64, listener NodeID, ch int32, d Delivery) {
 		got = append(got, listener)
-		if msg.From != 0 {
-			t.Errorf("trace msg.From = %d, want 0", msg.From)
+		if d.From != 0 {
+			t.Errorf("trace d.From = %d, want 0", d.From)
 		}
 	})
 	e.Run(10)
@@ -259,7 +253,7 @@ func TestTraceFiresBeforeObserves(t *testing.T) {
 		// 80 slots: no node of either set finishes before 90.
 		protos, views := pinSet(set, 24, 5, 7)
 		traced := 0
-		e, err := NewEngine(&Network{Graph: g, Assign: a, Trace: func(slot int64, listener NodeID, _ int32, _ *Message) {
+		e, err := NewEngine(&Network{Graph: g, Assign: a, Trace: func(slot int64, listener NodeID, _ int32, _ Delivery) {
 			traced++
 			for u, v := range views {
 				if v.observed != slot {
@@ -298,9 +292,9 @@ func (p *randomProto) Act(_ int64) Action {
 	}
 }
 
-func (p *randomProto) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		p.heard = append(p.heard, msg.From)
+func (p *randomProto) Observe(_ int64, d Delivery) {
+	if d.From >= 0 {
+		p.heard = append(p.heard, d.From)
 	}
 }
 
@@ -513,7 +507,7 @@ func BenchmarkProtocolInterfaceFloor(b *testing.B) {
 			if a := p.Act(int64(i)); a.Kind == Broadcast {
 				sink++
 			}
-			p.Observe(int64(i), nil)
+			p.Observe(int64(i), Delivery{From: -1})
 			if p.Done() {
 				sink++
 			}

@@ -33,21 +33,12 @@ package radio
 // engine calls a bank from one goroutine only; a slot's ObserveRange
 // calls follow all of that slot's resolution, including its traces.
 
-// Delivery is one node's resolved slot outcome on the range ABI: the
-// broadcaster heard (exactly one broadcasting neighbor on the node's
-// channel), or From < 0 for everything a per-node Observe reports as
-// nil — silence, collision, jam, or a non-listening action. Data is
-// only valid during the ObserveRange call (the engine reuses the
-// backing storage across slots), mirroring the Message contract.
-type Delivery struct {
-	From NodeID
-	Data any
-}
-
 // RangeProtocol is the batch-aware protocol ABI. ActRange fills
 // acts[u] for every u in [lo, hi); ObserveRange consumes
 // deliveries[u] for every u in [lo, hi). Both must be equivalent to
 // the per-node calls in ascending node order (see the file comment).
+// Both slices are engine scratch, only valid during the call; a
+// Delivery copied out of deliveries is the bank's own.
 type RangeProtocol interface {
 	ActRange(slot int64, lo, hi int, acts []Action)
 	ObserveRange(slot int64, lo, hi int, deliveries []Delivery)
@@ -101,12 +92,9 @@ func (e *BatchEngine) RangeDispatch(r int) bool { return e.reps[r].ranged }
 
 // protocolBank runs a plain per-node Protocol set on the range ABI:
 // ActRange and ObserveRange call Act and Observe node by node in
-// ascending order, handing every delivery to Observe through one
-// scratch Message — which is why the Observe contract limits a
-// message's lifetime to the call.
+// ascending order.
 type protocolBank struct {
 	protocols []Protocol
-	msg       Message
 }
 
 func (b *protocolBank) ActRange(slot int64, lo, hi int, acts []Action) {
@@ -116,12 +104,7 @@ func (b *protocolBank) ActRange(slot int64, lo, hi int, acts []Action) {
 }
 
 func (b *protocolBank) ObserveRange(slot int64, lo, hi int, deliveries []Delivery) {
-	for u := lo; u < hi; u++ {
-		var msg *Message
-		if d := &deliveries[u]; d.From >= 0 {
-			b.msg = Message(*d)
-			msg = &b.msg
-		}
-		b.protocols[u].Observe(slot, msg)
+	for u, p := range b.protocols[lo:hi] {
+		p.Observe(slot, deliveries[lo+u])
 	}
 }

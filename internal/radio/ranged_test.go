@@ -38,17 +38,9 @@ func (p *bankedProto) Act(_ int64) Action {
 	}
 }
 
-func (p *bankedProto) Observe(_ int64, msg *Message) {
-	if msg == nil {
-		p.observeOutcome(-1)
-		return
-	}
-	p.observeOutcome(msg.From)
-}
-
-func (p *bankedProto) observeOutcome(from NodeID) {
-	if from >= 0 {
-		p.heard = append(p.heard, from)
+func (p *bankedProto) Observe(_ int64, d Delivery) {
+	if d.From >= 0 {
+		p.heard = append(p.heard, d.From)
 	} else {
 		p.nils++
 	}
@@ -75,9 +67,9 @@ func (b *rangedTestBank) ActRange(slot int64, lo, hi int, acts []Action) {
 	}
 }
 
-func (b *rangedTestBank) ObserveRange(_ int64, lo, hi int, deliveries []Delivery) {
+func (b *rangedTestBank) ObserveRange(slot int64, lo, hi int, deliveries []Delivery) {
 	for u := lo; u < hi; u++ {
-		b.nodes[u].observeOutcome(deliveries[u].From)
+		b.nodes[u].Observe(slot, deliveries[u])
 	}
 }
 

@@ -38,7 +38,7 @@ func fastPathNet(t *testing.T, c int) *Network {
 	return newTestNetwork(t, g, c, 77)
 }
 
-func runOneSlot(t *testing.T, nw *Network, actions []Action) ([]*Message, Stats) {
+func runOneSlot(t *testing.T, nw *Network, actions []Action) ([]Delivery, Stats) {
 	t.Helper()
 	protos := make([]Protocol, len(actions))
 	sps := make([]*scriptProto, len(actions))
@@ -52,7 +52,7 @@ func runOneSlot(t *testing.T, nw *Network, actions []Action) ([]*Message, Stats)
 		t.Fatal(err)
 	}
 	st := e.Run(1)
-	heard := make([]*Message, len(actions))
+	heard := make([]Delivery, len(actions))
 	for i, sp := range sps {
 		if len(sp.heard) != 1 {
 			t.Fatalf("node %d observed %d times, want 1", i, len(sp.heard))
@@ -73,7 +73,7 @@ func TestResolveEmptyChannel(t *testing.T) {
 		{Kind: Listen, Ch: localFor(t, nw, 3, 1)},
 		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: "x"},
 	})
-	if heard[3] != nil {
+	if heard[3].From >= 0 {
 		t.Errorf("listener on empty channel heard %+v, want silence", heard[3])
 	}
 	if st.Deliveries != 0 || st.Collisions != 0 {
@@ -90,7 +90,7 @@ func TestResolveSoleTalkerAdjacent(t *testing.T) {
 		{Kind: Idle},
 		{Kind: Idle},
 	})
-	if heard[0] == nil || heard[0].From != 1 || heard[0].Data != "hi" {
+	if heard[0].From != 1 || heard[0].Data != "hi" {
 		t.Errorf("heard %+v, want From=1 Data=hi", heard[0])
 	}
 	if st.Deliveries != 1 {
@@ -110,7 +110,7 @@ func TestResolveSoleTalkerNonAdjacent(t *testing.T) {
 		{Kind: Listen, Ch: localFor(t, nw, 3, 0)},
 		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: "x"},
 	})
-	if heard[3] != nil {
+	if heard[3].From >= 0 {
 		t.Errorf("non-neighbor delivery: heard %+v, want silence", heard[3])
 	}
 	if st.Deliveries != 0 {
@@ -132,10 +132,10 @@ func TestResolveContendedChannel(t *testing.T) {
 		{Kind: Listen, Ch: localFor(t, nw, 3, 0)},
 		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: 4},
 	})
-	if heard[0] != nil {
+	if heard[0].From >= 0 {
 		t.Errorf("center heard %+v through a 3-way collision", heard[0])
 	}
-	if heard[3] != nil {
+	if heard[3].From >= 0 {
 		t.Errorf("leaf heard %+v with no broadcasting neighbor", heard[3])
 	}
 	if st.Collisions != 1 || st.Deliveries != 0 {
@@ -155,7 +155,7 @@ func TestResolveContendedChannelPartialAdjacency(t *testing.T) {
 		{Kind: Broadcast, Ch: localFor(t, nw, 3, 0), Data: "from3"},
 		{Kind: Idle},
 	})
-	if heard[1] == nil || heard[1].From != 2 || heard[1].Data != "from2" {
+	if heard[1].From != 2 || heard[1].Data != "from2" {
 		t.Errorf("heard %+v, want From=2 Data=from2", heard[1])
 	}
 	if st.Deliveries != 1 {
@@ -176,10 +176,10 @@ func TestResolveJammedChannel(t *testing.T) {
 		{Kind: Idle},
 		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: "lost"},
 	})
-	if heard[0] != nil {
+	if heard[0].From >= 0 {
 		t.Errorf("jammed listener heard %+v, want silence", heard[0])
 	}
-	if heard[1] == nil || heard[1].Data != "heard" {
+	if heard[1].From < 0 || heard[1].Data != "heard" {
 		t.Errorf("clear-channel listener heard %+v, want From=2", heard[1])
 	}
 	if st.JammedListens != 1 || st.Deliveries != 1 {
@@ -228,7 +228,7 @@ func scriptSet(scripts [][]Action) ([]Protocol, []*scriptProto) {
 // oracleRun is the naive model's account of one run: every node's
 // observation sequence, the Stats, and the delivery trace.
 type oracleRun struct {
-	heard [][]*Message
+	heard [][]Delivery
 	stats Stats
 	trace []traceEvent
 }
@@ -249,7 +249,7 @@ func (o *oracleRun) check(t *testing.T, label string, st Stats, sps []*scriptPro
 		}
 		for i, w := range o.heard[u] {
 			got := sp.heard[i]
-			if (got == nil) != (w == nil) || got != nil && (got.From != w.From || got.Data != w.Data) {
+			if got != w {
 				t.Fatalf("%s: node %d observe %d: got %+v, oracle %+v", label, u, i, got, w)
 			}
 		}
@@ -264,11 +264,11 @@ func (o *oracleRun) check(t *testing.T, label string, st Stats, sps []*scriptPro
 // index — independently, from the raw action scripts.
 func naiveOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, scripts [][]Action) *oracleRun {
 	n, slots := len(scripts), len(scripts[0])
-	o := &oracleRun{heard: make([][]*Message, n)}
+	o := &oracleRun{heard: make([][]Delivery, n)}
 	for s := 0; s < slots; s++ {
 		for u := 0; u < n; u++ {
 			act := scripts[u][s]
-			var want *Message
+			want := Delivery{From: -1}
 			switch act.Kind {
 			case Idle:
 				o.stats.Idles++
@@ -287,7 +287,7 @@ func naiveOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, scripts [
 					if va.Kind == Broadcast && a.Global(int(v), va.Ch) == ch {
 						talkers++
 						if talkers == 1 {
-							want = &Message{From: NodeID(v), Data: va.Data}
+							want = Delivery{From: NodeID(v), Data: va.Data}
 						}
 					}
 				}
@@ -297,7 +297,7 @@ func naiveOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, scripts [
 					o.trace = append(o.trace, traceEvent{int64(s), NodeID(u), ch, want.From})
 				case talkers > 1:
 					o.stats.Collisions++
-					want = nil
+					want = Delivery{From: -1}
 				}
 			}
 			o.heard[u] = append(o.heard[u], want)
@@ -412,7 +412,7 @@ func TestResolveBinarySearchPathHugeGraph(t *testing.T) {
 		t.Errorf("stats %+v, want %d collisions %d deliveries", st, wantCollisions, wantDeliveries)
 	}
 	last := sps[n-1]
-	if len(last.heard) != 1 || last.heard[0] == nil || last.heard[0].From != NodeID(n-2) {
+	if len(last.heard) != 1 || last.heard[0].From != NodeID(n-2) {
 		t.Errorf("tail listener heard %+v, want From=%d", last.heard, n-2)
 	}
 }
@@ -586,7 +586,7 @@ func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, sc
 	}
 	pos := make([]int, n)
 	acts := make([]Action, n)
-	o := &oracleRun{heard: make([][]*Message, n)}
+	o := &oracleRun{heard: make([][]Delivery, n)}
 	for s := int64(0); s < slots; s++ {
 		for _, ev := range events[s] {
 			switch {
@@ -616,7 +616,7 @@ func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, sc
 			if !up[u] {
 				continue
 			}
-			var heard *Message
+			heard := Delivery{From: -1}
 			switch act := acts[u]; act.Kind {
 			case Idle:
 				o.stats.Idles++
@@ -630,7 +630,7 @@ func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, sc
 					break
 				}
 				talkers, baseTalkers := 0, 0
-				var from, baseFrom *Message
+				from, baseFrom := Delivery{From: -1}, Delivery{From: -1}
 				for v := 0; v < n; v++ {
 					if v == u || !up[v] || acts[v].Kind != Broadcast || a.Global(v, acts[v].Ch) != ch {
 						continue
@@ -638,13 +638,13 @@ func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, sc
 					if cur[mkEdgeKey(u, v)] {
 						talkers++
 						if talkers == 1 {
-							from = &Message{From: NodeID(v), Data: acts[v].Data}
+							from = Delivery{From: NodeID(v), Data: acts[v].Data}
 						}
 					}
 					if base[mkEdgeKey(u, v)] {
 						baseTalkers++
 						if baseTalkers == 1 {
-							baseFrom = &Message{From: NodeID(v), Data: acts[v].Data}
+							baseFrom = Delivery{From: NodeID(v), Data: acts[v].Data}
 						}
 					}
 				}
@@ -671,7 +671,9 @@ func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, sc
 // dynamics arm: node churn and link flapping are scripted on top of
 // randomized action scripts, and the naive model replays the same
 // events. Every heard message, plus the full Stats including the
-// churn/flap/loss counters, must match — on a solo Engine run and on
+// churn/flap/loss counters, must match — on a solo Engine run that is
+// jammed and traced as well, so the resolve phase's jam filter,
+// partition-loss check and trace pass all run on one replica, and on
 // each replica of a 3-replica BatchEngine with distinct scripts and
 // events (replica 0 jammed, replica 2 traced).
 func TestDynamicsResolutionMatchesNaiveOracle(t *testing.T) {
@@ -692,12 +694,20 @@ func TestDynamicsResolutionMatchesNaiveOracle(t *testing.T) {
 	scripts := randomScripts(rng.New(402), n, c, slots, false)
 	events := randomTopoEvents(t, g, rng.New(403), slots)
 	protos, sps := scriptSet(scripts)
-	e, err := NewEngine(&Network{Graph: g, Assign: a, Jammer: parityJammer{}, Topology: eventFeed(t, events)}, protos)
+	var soloTrace []traceEvent
+	e, err := NewEngine(&Network{
+		Graph: g, Assign: a, Jammer: parityJammer{},
+		Topology: eventFeed(t, events), Trace: traceRecorder(&soloTrace),
+	}, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := e.Run(slots)
-	naiveDynamicOracle(g, a, parityJammer{}, scripts, events, slots).check(t, "engine", st, sps, nil, false)
+	if st.JammedListens == 0 || st.PartitionLosses == 0 || len(soloTrace) == 0 {
+		t.Fatalf("solo run left a resolve pass idle: %d jammed listens, %d partition losses, %d traces",
+			st.JammedListens, st.PartitionLosses, len(soloTrace))
+	}
+	naiveDynamicOracle(g, a, parityJammer{}, scripts, events, slots).check(t, "engine", st, sps, soloTrace, true)
 
 	jams := []Jammer{parityJammer{}, nil, nil}
 	reps := make([]Replica, 3)

@@ -30,8 +30,8 @@ func (p *pairProto) Act(_ int64) Action {
 	return Action{Kind: Listen, Ch: 0}
 }
 
-func (p *pairProto) Observe(_ int64, msg *Message) {
-	if msg != nil {
+func (p *pairProto) Observe(_ int64, d Delivery) {
+	if d.From >= 0 {
 		p.heard++
 	}
 }
@@ -128,7 +128,7 @@ func (p *clockProto) Act(_ int64) Action {
 	p.acts++
 	return Action{Kind: Listen, Ch: 0}
 }
-func (p *clockProto) Observe(_ int64, _ *Message) { p.observes++ }
+func (p *clockProto) Observe(_ int64, _ Delivery) { p.observes++ }
 func (p *clockProto) Done() bool                  { return false }
 
 func TestTopologyFeedChurn(t *testing.T) {
@@ -326,9 +326,9 @@ func (s *seekLike) Act(_ int64) Action {
 	}
 }
 
-func (s *seekLike) Observe(_ int64, msg *Message) {
-	if msg != nil {
-		s.heard = append(s.heard, msg.From)
+func (s *seekLike) Observe(_ int64, d Delivery) {
+	if d.From >= 0 {
+		s.heard = append(s.heard, d.From)
 	}
 }
 

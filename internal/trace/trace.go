@@ -34,11 +34,11 @@ type Recorder struct {
 // Attach registers the recorder on an engine. It replaces any
 // previously installed trace callback.
 func (r *Recorder) Attach(e *radio.Engine) {
-	e.SetTrace(func(slot int64, listener radio.NodeID, ch int32, msg *radio.Message) {
+	e.SetTrace(func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
 		r.events = append(r.events, Event{
 			Slot:     slot,
 			Listener: int32(listener),
-			Sender:   int32(msg.From),
+			Sender:   int32(d.From),
 			Channel:  ch,
 		})
 	})

@@ -271,8 +271,8 @@ func WithDeliveryTrace(fn DeliveryTraceFunc) ScenarioOption {
 				s.trace = nil
 				return nil
 			}
-			s.trace = func(slot int64, listener radio.NodeID, ch int32, msg *radio.Message) {
-				fn(slot, int(listener), int(msg.From), int(ch))
+			s.trace = func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
+				fn(slot, int(listener), int(d.From), int(ch))
 			}
 			return nil
 		})

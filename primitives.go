@@ -219,19 +219,19 @@ func prepareDiscovery(s *Scenario, name string, build runBuilder, targets [][]in
 	if joinLog, ok := dr.nw.Topology.(dynamics.JoinLog); ok {
 		heard := bitset.NewMatrix(n, n)
 		prev := dr.nw.Trace
-		dr.nw.Trace = func(slot int64, listener radio.NodeID, ch int32, msg *radio.Message) {
-			if !heard.Get(int(listener), int(msg.From)) {
-				heard.Set(int(listener), int(msg.From))
+		dr.nw.Trace = func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
+			if !heard.Get(int(listener), int(d.From)) {
+				heard.Set(int(listener), int(d.From))
 				// A pair is re-discovered when the neighbor had already
 				// gone down and rejoined by the time it was first heard;
 				// the latency runs from its latest rejoin.
-				if j := joinLog.LastJoin(int(msg.From)); j >= 0 {
+				if j := joinLog.LastJoin(int(d.From)); j >= 0 {
 					dr.rediscovered++
 					dr.rediscoveryLatency += slot - j
 				}
 			}
 			if prev != nil {
-				prev(slot, listener, ch, msg)
+				prev(slot, listener, ch, d)
 			}
 		}
 	}
