@@ -196,3 +196,185 @@ func TestCGCastSetupPinned(t *testing.T) {
 		})
 	}
 }
+
+// pinnedDissem is one dissemination instance pinned by
+// TestCGCastDisseminationPinned. build returns a fresh network (so a
+// stateful jammer or topology feed starts over), its parameters and
+// the diameter. want holds one digest per (seed, source) pair, seeds
+// outermost, in the order of dissemSeeds and the instance's sources.
+type pinnedDissem struct {
+	name    string
+	mode    BroadcastMode
+	sources [2]radio.NodeID
+	build   func(t *testing.T) (*radio.Network, Params, int)
+	want    [4]string
+}
+
+// dissemSeeds are the setup seeds of the pinned disseminations; each
+// dissemination draws from seed+1, as RunCGCast does.
+var dissemSeeds = [2]uint64{3, 11}
+
+func unitDisk48Net(t *testing.T) (*radio.Network, Params, int) {
+	t.Helper()
+	g, err := graph.UnitDisk(48, 0.35, rng.New(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(48, 6, 2, rng.New(49))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildBroadcastNet(t, g, a)
+}
+
+func clusterChainNet(t *testing.T) (*radio.Network, Params, int) {
+	t.Helper()
+	g, err := graph.ClusterChain(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(g.N(), 4, 2, rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildBroadcastNet(t, g, a)
+}
+
+var pinnedDissems = []pinnedDissem{
+	{name: "abstract/unitdisk48", mode: ExchangeAbstract, sources: [2]radio.NodeID{0, 47}, build: unitDisk48Net,
+		want: [4]string{
+			"slots=16560 at=1810 all=true informed=48/48 digest=1e84e14d7a5bccb9",
+			"slots=16560 at=1805 all=true informed=48/48 digest=42ef2b8082285e43",
+			"slots=16560 at=2224 all=true informed=48/48 digest=e58b5bfa748d79e6",
+			"slots=16560 at=1323 all=true informed=48/48 digest=181a1e1c1f70b321",
+		}},
+	{name: "abstract/grid8x8", mode: ExchangeAbstract, sources: [2]radio.NodeID{0, 63},
+		build: func(t *testing.T) (*radio.Network, Params, int) {
+			g, err := graph.Grid(8, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := chanassign.SharedCore(64, 4, 2, rng.New(50))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return buildBroadcastNet(t, g, a)
+		},
+		want: [4]string{
+			"slots=2688 at=824 all=true informed=64/64 digest=ba8a0d03bc2847f2",
+			"slots=2688 at=794 all=true informed=64/64 digest=eb61ca625c4bfb79",
+			"slots=2688 at=845 all=true informed=64/64 digest=2c29569d3f5b90c3",
+			"slots=2688 at=674 all=true informed=64/64 digest=5e98e16d922d5a5a",
+		}},
+	{name: "full/star5", mode: ExchangeFull, sources: [2]radio.NodeID{0, 4},
+		build: func(t *testing.T) (*radio.Network, Params, int) {
+			a, err := chanassign.SharedCore(5, 3, 2, rng.New(23))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return buildBroadcastNet(t, graph.Star(5), a)
+		},
+		want: [4]string{
+			"slots=256 at=97 all=true informed=5/5 digest=e5a0a285811a4fc5",
+			"slots=256 at=193 all=true informed=5/5 digest=bdae65e07e820636",
+			"slots=256 at=102 all=true informed=5/5 digest=7005feb14241f194",
+			"slots=256 at=211 all=true informed=5/5 digest=89f3ec9eb6f9a508",
+		}},
+	// Poisson primary users jam the dedicated channels while the
+	// message spreads.
+	{name: "abstract/clusterchain4x4-poisson", mode: ExchangeAbstract, sources: [2]radio.NodeID{0, 15},
+		build: func(t *testing.T) (*radio.Network, Params, int) {
+			nw, p, d := clusterChainNet(t)
+			j, err := spectrum.NewPoisson(nw.Assign.Universe, 1<<22, 0.01, 20, spectrum.HoldGeometric, 70)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.Jammer = j
+			return nw, p, d
+		},
+		want: [4]string{
+			"slots=896 at=241 all=true informed=16/16 digest=5388995d3929af4b",
+			"slots=896 at=339 all=true informed=16/16 digest=b268173f5acb9844",
+			"slots=896 at=353 all=true informed=16/16 digest=3b51ba00372d646f",
+			"slots=896 at=353 all=true informed=16/16 digest=eec22a185147d0d8",
+		}},
+	// Churn takes nodes down mid-dissemination; a down node's schedule
+	// freezes.
+	{name: "abstract/clusterchain4x4-churn", mode: ExchangeAbstract, sources: [2]radio.NodeID{0, 15},
+		build: func(t *testing.T) (*radio.Network, Params, int) {
+			nw, p, d := clusterChainNet(t)
+			churn, err := dynamics.NewChurn(nw.Graph.N(), 0.0005, 0.002, 71)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw.Topology = churn
+			return nw, p, d
+		},
+		want: [4]string{
+			"slots=896 at=-1 all=false informed=15/16 digest=863dbbd3a75468ab",
+			"slots=896 at=-1 all=false informed=15/16 digest=de70baafaff7795b",
+			"slots=896 at=-1 all=false informed=15/16 digest=8d4d980acf44f015",
+			"slots=896 at=-1 all=false informed=15/16 digest=de197fa79a72e391",
+		}},
+}
+
+// dissemDigest disseminates from source over s and summarizes the
+// result: schedule length, completion slot and informed count in
+// clear, and an FNV-64a digest over the ordered delivery trace, every
+// node's informed flag and the engine counters.
+func dissemDigest(t *testing.T, nw *radio.Network, s *BroadcastSession, d int, source radio.NodeID, seed uint64) string {
+	t.Helper()
+	h := fnv.New64a()
+	nw.Trace = func(slot int64, listener radio.NodeID, ch int32, dl radio.Delivery) {
+		fmt.Fprintf(h, "%d:%d:%d:%d:%v;", slot, listener, ch, dl.From, dl.Data)
+	}
+	defer func() { nw.Trace = nil }()
+	res, err := s.Disseminate(d, source, "m", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.Jammer != nil && res.Radio.JammedListens == 0 {
+		t.Error("the jammer blocked no listener; the instance exercises nothing")
+	}
+	if nw.Topology != nil && res.Radio.DownSlots == 0 {
+		t.Error("churn took no node down; the instance exercises nothing")
+	}
+	informed := 0
+	for _, ok := range res.Informed {
+		if ok {
+			informed++
+		}
+	}
+	fmt.Fprintf(h, "%v|%+v", res.Informed, res.Radio)
+	return fmt.Sprintf("slots=%d at=%d all=%v informed=%d/%d digest=%016x",
+		res.ScheduleSlots, res.AllInformedAt, res.AllInformed, informed, len(res.Informed), h.Sum64())
+}
+
+// TestCGCastDisseminationPinned pins stage 5 — the DissemResult and
+// the ordered delivery trace of Disseminate — on the two
+// broadcast-multihop shapes, a full-fidelity session, Poisson-jammed
+// dedicated channels and churn, from two sources at two seeds each.
+// The wanted strings were recorded before the dissemination state was
+// laid out flat: a change to one is a change of behaviour, not a
+// refresh.
+func TestCGCastDisseminationPinned(t *testing.T) {
+	for _, tc := range pinnedDissems {
+		i := 0
+		for _, seed := range dissemSeeds {
+			for _, src := range tc.sources {
+				want := tc.want[i]
+				i++
+				t.Run(fmt.Sprintf("%s/seed%d/src%d", tc.name, seed, src), func(t *testing.T) {
+					nw, p, d := tc.build(t)
+					s, err := PrepareCGCast(nw, SessionConfig{Params: p, Mode: tc.mode, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := dissemDigest(t, nw, s, d, src, seed+1); got != want {
+						t.Errorf("dissemination changed:\n got  %s\n want %s", got, want)
+					}
+				})
+			}
+		}
+	}
+}
