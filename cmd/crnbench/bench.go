@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 
@@ -743,8 +744,10 @@ func compareReports(w io.Writer, baseline, current BenchReport) error {
 				cur.Name, cur.NsPerOp, cur.NsPerOp/b.NsPerOp, b.NsPerOp)
 		}
 	}
-	for name := range base {
-		fmt.Fprintf(w, "NOTE  %-22s in baseline but not in this run (removed or renamed; not gated)\n", name)
+	for _, r := range baseline.Results {
+		if _, left := base[r.Name]; left {
+			fmt.Fprintf(w, "NOTE  %-22s in baseline but not in this run (not selected by -run, removed or renamed; not gated)\n", r.Name)
+		}
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d allocation regression(s) against baseline:\n  %s",
@@ -832,8 +835,36 @@ func (p *specProfiler) stop(name string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// runBench executes the benchmark suite and writes the report.
-// format is "json" or "text"; out optionally names a file the JSON
+// selectSpecs returns the specs named in list, comma-separated entry
+// names, in suite order; an empty list selects the whole suite. A name
+// the suite does not have is an error.
+func selectSpecs(specs []benchSpec, list string) ([]benchSpec, error) {
+	if list == "" {
+		return specs, nil
+	}
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.name
+	}
+	want := make(map[string]bool)
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(names, name) {
+			return nil, fmt.Errorf("unknown benchmark entry %q (entries: %s)", name, strings.Join(names, ", "))
+		}
+		want[name] = true
+	}
+	var out []benchSpec
+	for _, s := range specs {
+		if want[s.name] {
+			out = append(out, s)
+		}
+	}
+	return out, nil
+}
+
+// runBench executes the benchmark suite, or the entries list names
+// (see selectSpecs), and writes the report. format is "json" or "text"; out optionally names a file the JSON
 // report is additionally written to. In json mode w carries only the
 // JSON document (progress lines go to stderr), so the output pipes
 // cleanly into jq and friends.
@@ -845,7 +876,7 @@ func (p *specProfiler) stop(name string) error {
 //
 // cpuDir / memDir, when non-empty, name directories that receive one
 // CPU / heap pprof file per benchmark entry (see specProfiler).
-func runBench(w io.Writer, format, out, compare, cpuDir, memDir string) error {
+func runBench(w io.Writer, list, format, out, compare, cpuDir, memDir string) error {
 	var baseline BenchReport
 	if compare != "" {
 		// Load before the (minutes-long) suite so a bad path fails fast.
@@ -864,6 +895,9 @@ func runBench(w io.Writer, format, out, compare, cpuDir, memDir string) error {
 	profiler := &specProfiler{cpuDir: cpuDir, memDir: memDir}
 	specs, err := benchSuite()
 	if err != nil {
+		return err
+	}
+	if specs, err = selectSpecs(specs, list); err != nil {
 		return err
 	}
 	progress := w

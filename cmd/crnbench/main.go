@@ -6,8 +6,11 @@
 // Usage:
 //
 //	crnbench [-scale quick|full] [-run E1,E7] [-seed 42] [-list]
-//	crnbench -bench [-format json|text] [-out BENCH.json] [-compare BENCH_5.json]
-//	         [-cpuprofile DIR] [-memprofile DIR]
+//	crnbench -bench [-run engine/slot,primitive/cgcast] [-format json|text]
+//	         [-out BENCH.json] [-compare BENCH_5.json] [-cpuprofile DIR] [-memprofile DIR]
+//
+// Under -bench, -run names the benchmark entries to run; -compare then
+// scores only those, and notes the baseline's other entries.
 package main
 
 import (
@@ -33,7 +36,7 @@ func run(args []string, w io.Writer) error {
 	fs.SetOutput(w)
 	var (
 		scaleName = fs.String("scale", "full", "experiment scale: quick or full")
-		runList   = fs.String("run", "", "comma-separated experiment IDs (default: all)")
+		runList   = fs.String("run", "", "comma-separated experiment IDs, or benchmark entry names under -bench (default: all)")
 		seed      = fs.Uint64("seed", 42, "master random seed")
 		list      = fs.Bool("list", false, "list experiments and exit")
 		bench     = fs.Bool("bench", false, "run the performance benchmark suite instead of experiments")
@@ -51,7 +54,7 @@ func run(args []string, w io.Writer) error {
 		if *format != "text" && *format != "json" {
 			return fmt.Errorf("unknown format %q (want text or json)", *format)
 		}
-		return runBench(w, *format, *out, *compare, *cpuDir, *memDir)
+		return runBench(w, *runList, *format, *out, *compare, *cpuDir, *memDir)
 	}
 	if *compare != "" {
 		return fmt.Errorf("-compare requires -bench")

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -186,6 +188,80 @@ func TestCompareReportsSkipped(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "exceeds GOMAXPROCS") {
 		t.Errorf("SKIP lines do not carry the skip note:\n%s", out.String())
+	}
+}
+
+// TestSelectSpecs: -run under -bench keeps the named entries in suite
+// order, once each, and refuses a name the suite does not have.
+func TestSelectSpecs(t *testing.T) {
+	specs := []benchSpec{{name: "engine/slot"}, {name: "engine/slot-range"}, {name: "primitive/cgcast"}}
+	got, err := selectSpecs(specs, "primitive/cgcast, engine/slot,primitive/cgcast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].name != "engine/slot" || got[1].name != "primitive/cgcast" {
+		t.Errorf("selected %v, want engine/slot then primitive/cgcast", got)
+	}
+	if all, err := selectSpecs(specs, ""); err != nil || len(all) != len(specs) {
+		t.Errorf("empty list selected %d of %d entries (err %v)", len(all), len(specs), err)
+	}
+	if _, err := selectSpecs(specs, "engine/slot,engine/nope"); err == nil || !strings.Contains(err.Error(), "engine/nope") {
+		t.Errorf("unknown entry: err = %v, want one naming engine/nope", err)
+	}
+}
+
+// TestRunBenchUnknownEntry: an unknown -bench entry fails before any
+// entry runs, as an unknown experiment ID does.
+func TestRunBenchUnknownEntry(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-bench", "-run", "engine/slot,engine/nope"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "engine/nope") {
+		t.Fatalf("err = %v, want an unknown-entry error", err)
+	}
+	if strings.Contains(out.String(), "ns/op") {
+		t.Errorf("entries ran before the error:\n%s", out.String())
+	}
+}
+
+// TestRunBenchEntryFilter runs one entry against a two-entry baseline:
+// the report holds only that entry, -compare scores it, and the
+// baseline's other entry is a NOTE rather than a failure.
+func TestRunBenchEntryFilter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a benchmark entry for about a second")
+	}
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "base.json")
+	doc, err := json.Marshal(BenchReport{Results: []BenchResult{
+		{Name: "spectrum/schedule-fill", NsPerOp: 1e6, AllocsPerOp: 1 << 20},
+		{Name: "engine/slot", NsPerOp: 1, AllocsPerOp: 0},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(baseline, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(dir, "report.json")
+	var out strings.Builder
+	if err := run([]string{"-bench", "-run", "spectrum/schedule-fill", "-out", report, "-compare", baseline}, &out); err != nil {
+		t.Fatalf("filtered run failed: %v\n%s", err, out.String())
+	}
+	var got BenchReport
+	doc, err = os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Results) != 1 || got.Results[0].Name != "spectrum/schedule-fill" {
+		t.Errorf("report holds %+v, want only spectrum/schedule-fill", got.Results)
+	}
+	for _, want := range []string{"NOTE  engine/slot", "not selected by -run", "no allocation regressions"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 

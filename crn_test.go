@@ -182,6 +182,65 @@ func TestBroadcastAndFlood(t *testing.T) {
 	}
 }
 
+// TestBroadcastCompletedMatchesAllInformed checks that the facade
+// states a broadcast's completion one way: Result.Completed equals
+// Broadcast.AllInformed, and CompletedAtSlot is a slot (≥ 0) iff the
+// run completed — for GlobalBroadcast (both fidelities) and Flooding,
+// on clear spectrum, two primary-user presets and under churn.
+func TestBroadcastCompletedMatchesAllInformed(t *testing.T) {
+	base := []ScenarioOption{WithTopology(GNP), WithNodes(8), WithChannels(3, 2, 0), WithSeed(21)}
+	scenarios := []struct {
+		name string
+		opts []ScenarioOption
+	}{
+		{PresetQuiet, presetOptions(t, PresetQuiet, base...)},
+		{PresetBursty, presetOptions(t, PresetBursty, base...)},
+		{PresetUrbanBusy, presetOptions(t, PresetUrbanBusy, base...)},
+		{"churn", append(base[:len(base):len(base)], WithChurn(0.001, 0.002, 22))},
+	}
+	// Full fidelity simulates every setup exchange, so it runs one seed,
+	// and none under -short.
+	prims := []struct {
+		name  string
+		prim  Primitive
+		seeds uint64
+	}{
+		{"cgcast", GlobalBroadcast(0, "m"), 2},
+		{"flood", Flooding(0, "m"), 2},
+		{"cgcast-full", GlobalBroadcast(0, "m", WithFullFidelity()), 1},
+	}
+	if testing.Short() {
+		prims = prims[:2]
+	}
+	completed := map[bool]int{}
+	for _, sc := range scenarios {
+		s, err := New(sc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pc := range prims {
+			for seed := uint64(1); seed <= pc.seeds; seed++ {
+				res, err := pc.prim.Run(context.Background(), s, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Completed != res.Broadcast.AllInformed {
+					t.Errorf("%s/%s seed %d: Completed = %v, Broadcast.AllInformed = %v",
+						sc.name, pc.name, seed, res.Completed, res.Broadcast.AllInformed)
+				}
+				if (res.CompletedAtSlot >= 0) != res.Completed {
+					t.Errorf("%s/%s seed %d: CompletedAtSlot = %d with Completed = %v",
+						sc.name, pc.name, seed, res.CompletedAtSlot, res.Completed)
+				}
+				completed[res.Completed]++
+			}
+		}
+	}
+	if completed[true] == 0 || completed[false] == 0 {
+		t.Errorf("runs completed %d times and failed %d times; both outcomes must occur", completed[true], completed[false])
+	}
+}
+
 func TestBroadcastSourceValidation(t *testing.T) {
 	s, err := New(WithTopology(Path), WithNodes(6), WithChannels(3, 2, 0), WithSeed(12))
 	if err != nil {

@@ -1,89 +1,16 @@
-// Package bitset provides dense bitsets sized at construction time.
+// Package bitset provides dense bit matrices sized at construction
+// time.
 //
-// Set is the per-node color plate of the edge coloring; Matrix holds
-// the adjacency the radio engine probes on its hot path. The hot
-// operations are membership tests and AndCountSole over matrix rows,
-// so both are implemented without allocation.
+// A Matrix holds the adjacency the radio engine probes on its hot
+// path, and the color plates of the edge coloring, one row per node.
+// The hot operations are membership tests, AndCountSole over rows and
+// the plate operations Count and NthElem, so all are implemented
+// without allocation.
 package bitset
 
 import "math/bits"
 
 const wordBits = 64
-
-// Set is a fixed-capacity bitset over the universe [0, n) given to
-// New. The zero value is unusable; construct with New.
-type Set struct {
-	words []uint64
-	n     int
-}
-
-// New returns an empty set over the universe [0, n).
-func New(n int) *Set {
-	if n < 0 {
-		n = 0
-	}
-	return &Set{
-		words: make([]uint64, (n+wordBits-1)/wordBits),
-		n:     n,
-	}
-}
-
-// Add inserts i into the set. Out-of-range values are ignored.
-func (s *Set) Add(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Remove deletes i from the set. Out-of-range values are ignored.
-func (s *Set) Remove(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
-// Contains reports whether i is in the set.
-func (s *Set) Contains(i int) bool {
-	if i < 0 || i >= s.n {
-		return false
-	}
-	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// Count returns the number of elements in the set.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// NthElem returns the n-th smallest element (0-indexed) and true, or
-// (0, false) if the set has fewer than n+1 elements.
-func (s *Set) NthElem(n int) (int, bool) {
-	if n < 0 {
-		return 0, false
-	}
-	for wi, w := range s.words {
-		c := bits.OnesCount64(w)
-		if n >= c {
-			n -= c
-			continue
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if n == 0 {
-				return wi*wordBits + b, true
-			}
-			n--
-			w &= w - 1
-		}
-	}
-	return 0, false
-}
 
 // Matrix is a dense rows×cols bit matrix backed by a single allocation.
 // It stores the adjacency structure the radio engine probes on its hot
@@ -136,6 +63,55 @@ func (m *Matrix) Unset(r, c int) {
 		return
 	}
 	m.words[r*m.stride+c/wordBits] &^= 1 << (uint(c) % wordBits)
+}
+
+// Fill sets every bit of m, so each row holds all of [0, cols). The
+// words past the last column stay clear, which Count relies on.
+func (m *Matrix) Fill() {
+	if m.stride == 0 {
+		return
+	}
+	last := ^uint64(0)
+	if r := m.cols % wordBits; r != 0 {
+		last = 1<<uint(r) - 1
+	}
+	for i := range m.words {
+		m.words[i] = ^uint64(0)
+	}
+	for r := 1; r <= m.rows; r++ {
+		m.words[r*m.stride-1] = last
+	}
+}
+
+// Count returns the number of set bits in row r; an out-of-range row
+// counts 0.
+func (m *Matrix) Count(r int) int {
+	c := 0
+	for _, w := range m.Row(r) {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// NthElem returns the column of row r's n-th set bit (0-indexed) and
+// true, or (0, false) if the row has fewer than n+1 set bits or r is
+// out of range.
+func (m *Matrix) NthElem(r, n int) (int, bool) {
+	if n < 0 {
+		return 0, false
+	}
+	for wi, w := range m.Row(r) {
+		c := bits.OnesCount64(w)
+		if n >= c {
+			n -= c
+			continue
+		}
+		for ; n > 0; n-- {
+			w &= w - 1
+		}
+		return wi*wordBits + bits.TrailingZeros64(w), true
+	}
+	return 0, false
 }
 
 // Clone returns a deep copy of m. Dynamic topology views clone the

@@ -6,70 +6,96 @@ import (
 	"testing/quick"
 )
 
+// The plate tests below drive one row of a three-row matrix and check
+// that its neighbours stay untouched: a plate operation that spills
+// across a row boundary would corrupt another node's plate.
+
 func TestNewEmpty(t *testing.T) {
-	s := New(100)
-	if got := s.Count(); got != 0 {
-		t.Errorf("Count() = %d, want 0", got)
-	}
-	for i := 0; i < 100; i++ {
-		if s.Contains(i) {
-			t.Fatalf("empty set Contains(%d) = true", i)
+	m := NewMatrix(3, 100)
+	for r := 0; r < 3; r++ {
+		if got := m.Count(r); got != 0 {
+			t.Errorf("Count(%d) = %d, want 0", r, got)
+		}
+		if _, ok := m.NthElem(r, 0); ok {
+			t.Errorf("NthElem(%d, 0) found an element in an empty row", r)
+		}
+		for c := 0; c < 100; c++ {
+			if m.Get(r, c) {
+				t.Fatalf("empty matrix Get(%d, %d) = true", r, c)
+			}
 		}
 	}
 }
 
 func TestAddRemoveContains(t *testing.T) {
-	s := New(130) // spans three words
+	m := NewMatrix(3, 130) // rows span three words
 	elems := []int{0, 1, 63, 64, 65, 127, 128, 129}
 	for _, e := range elems {
-		s.Add(e)
+		m.Set(1, e)
 	}
-	if got := s.Count(); got != len(elems) {
-		t.Errorf("Count() = %d, want %d", got, len(elems))
+	if got := m.Count(1); got != len(elems) {
+		t.Errorf("Count(1) = %d, want %d", got, len(elems))
 	}
 	for _, e := range elems {
-		if !s.Contains(e) {
-			t.Errorf("Contains(%d) = false, want true", e)
+		if !m.Get(1, e) {
+			t.Errorf("Get(1, %d) = false, want true", e)
 		}
 	}
-	s.Remove(64)
-	if s.Contains(64) {
-		t.Error("Contains(64) = true after Remove")
+	m.Unset(1, 64)
+	if m.Get(1, 64) {
+		t.Error("Get(1, 64) = true after Unset")
 	}
-	if got := s.Count(); got != len(elems)-1 {
-		t.Errorf("Count() = %d, want %d", got, len(elems)-1)
+	if got := m.Count(1); got != len(elems)-1 {
+		t.Errorf("Count(1) = %d, want %d", got, len(elems)-1)
+	}
+	if m.Count(0) != 0 || m.Count(2) != 0 {
+		t.Errorf("neighbour rows hold %d and %d bits, want 0", m.Count(0), m.Count(2))
 	}
 }
 
 func TestOutOfRangeIgnored(t *testing.T) {
-	s := New(10)
-	s.Add(-1)
-	s.Add(10)
-	s.Add(1000)
-	if got := s.Count(); got != 0 {
-		t.Errorf("Count() = %d after out-of-range adds, want 0", got)
+	m := NewMatrix(3, 10)
+	m.Set(1, -1)
+	m.Set(1, 10)
+	m.Set(1, 1000)
+	for r := 0; r < 3; r++ {
+		if got := m.Count(r); got != 0 {
+			t.Errorf("Count(%d) = %d after out-of-range sets, want 0", r, got)
+		}
 	}
-	if s.Contains(-1) || s.Contains(10) {
-		t.Error("Contains out-of-range returned true")
+	if m.Get(1, -1) || m.Get(1, 10) {
+		t.Error("Get out of range returned true")
 	}
-	s.Remove(-5) // must not panic
-	s.Remove(99)
+	m.Fill()
+	if m.Count(-1) != 0 || m.Count(3) != 0 {
+		t.Error("Count of an out-of-range row is not 0")
+	}
+	if _, ok := m.NthElem(3, 0); ok {
+		t.Error("NthElem of an out-of-range row found an element")
+	}
+	m.Unset(1, -5) // must not panic or clear an in-range bit
+	m.Unset(1, 99)
+	if got := m.Count(1); got != 10 {
+		t.Errorf("Count(1) = %d after out-of-range unsets, want 10", got)
+	}
 }
 
 func TestAddIdempotent(t *testing.T) {
-	s := New(10)
-	s.Add(3)
-	s.Add(3)
-	if got := s.Count(); got != 1 {
-		t.Errorf("Count() = %d, want 1", got)
+	m := NewMatrix(3, 10)
+	m.Set(1, 3)
+	m.Set(1, 3)
+	if got := m.Count(1); got != 1 {
+		t.Errorf("Count(1) = %d, want 1", got)
 	}
 }
 
 func TestNthElem(t *testing.T) {
-	s := New(200)
+	m := NewMatrix(3, 200)
 	for _, e := range []int{3, 64, 65, 190} {
-		s.Add(e)
+		m.Set(1, e)
 	}
+	m.Set(0, 0)
+	m.Set(2, 199)
 	tests := []struct {
 		n      int
 		want   int
@@ -83,9 +109,32 @@ func TestNthElem(t *testing.T) {
 		{-1, 0, false},
 	}
 	for _, tt := range tests {
-		got, ok := s.NthElem(tt.n)
+		got, ok := m.NthElem(1, tt.n)
 		if ok != tt.wantOK || (ok && got != tt.want) {
-			t.Errorf("NthElem(%d) = (%d, %v), want (%d, %v)", tt.n, got, ok, tt.want, tt.wantOK)
+			t.Errorf("NthElem(1, %d) = (%d, %v), want (%d, %v)", tt.n, got, ok, tt.want, tt.wantOK)
+		}
+	}
+}
+
+// TestFill: a filled row holds exactly [0, cols) for widths that end
+// inside, at and just past a word boundary, and leaves the words past
+// the last column clear.
+func TestFill(t *testing.T) {
+	for _, cols := range []int{0, 1, 63, 64, 65, 130} {
+		m := NewMatrix(3, cols)
+		m.Fill()
+		for r := 0; r < 3; r++ {
+			if got := m.Count(r); got != cols {
+				t.Errorf("cols=%d: Count(%d) = %d after Fill", cols, r, got)
+			}
+			for c := 0; c < cols; c++ {
+				if e, ok := m.NthElem(r, c); !ok || e != c {
+					t.Fatalf("cols=%d: NthElem(%d, %d) = (%d, %v)", cols, r, c, e, ok)
+				}
+			}
+			if _, ok := m.NthElem(r, cols); ok {
+				t.Errorf("cols=%d: NthElem(%d, %d) found a bit past the last column", cols, r, cols)
+			}
 		}
 	}
 }
@@ -93,9 +142,17 @@ func TestNthElem(t *testing.T) {
 // model is a map-based reference implementation used by property tests.
 type model map[int]bool
 
-func applyOps(n int, ops []opRecord) (*Set, model) {
-	s := New(n)
-	m := make(model)
+// applyOps runs ops on row 1 of a three-row n-column matrix, full when
+// full is set, and on a map model of that row.
+func applyOps(n int, full bool, ops []opRecord) (*Matrix, model) {
+	m := NewMatrix(3, n)
+	want := make(model)
+	if full {
+		m.Fill()
+		for c := 0; c < n; c++ {
+			want[c] = true
+		}
+	}
 	for _, op := range ops {
 		e := op.Elem % n
 		if e < 0 {
@@ -103,14 +160,14 @@ func applyOps(n int, ops []opRecord) (*Set, model) {
 		}
 		switch op.Kind % 2 {
 		case 0:
-			s.Add(e)
-			m[e] = true
+			m.Set(1, e)
+			want[e] = true
 		case 1:
-			s.Remove(e)
-			delete(m, e)
+			m.Unset(1, e)
+			delete(want, e)
 		}
 	}
-	return s, m
+	return m, want
 }
 
 type opRecord struct {
@@ -118,56 +175,66 @@ type opRecord struct {
 	Elem int
 }
 
-// TestQuickAgainstModel checks that arbitrary Add/Remove sequences agree
-// with a map-based model on Count and Contains, and that NthElem walks
-// the elements a Contains scan finds, in order.
+// TestQuickAgainstModel checks that arbitrary Set/Unset sequences on an
+// empty or a filled row — a color plate that colors are struck from —
+// agree with a map model on Count and Get, that NthElem walks the
+// elements a Get scan finds, in order, and that the neighbour rows
+// keep their initial contents.
 func TestQuickAgainstModel(t *testing.T) {
-	f := func(ops []opRecord) bool {
-		const n = 150
-		s, m := applyOps(n, ops)
-		if s.Count() != len(m) {
-			return false
-		}
-		k := 0
-		for i := 0; i < n; i++ {
-			if s.Contains(i) != m[i] {
+	for _, full := range []bool{false, true} {
+		f := func(ops []opRecord) bool {
+			const n = 150
+			m, want := applyOps(n, full, ops)
+			if m.Count(1) != len(want) {
 				return false
 			}
-			if m[i] {
-				if e, ok := s.NthElem(k); !ok || e != i {
+			k := 0
+			for i := 0; i < n; i++ {
+				if m.Get(1, i) != want[i] {
 					return false
 				}
-				k++
+				if want[i] {
+					if e, ok := m.NthElem(1, k); !ok || e != i {
+						return false
+					}
+					k++
+				}
 			}
+			if _, ok := m.NthElem(1, k); ok {
+				return false
+			}
+			untouched := 0
+			if full {
+				untouched = n
+			}
+			return m.Count(0) == untouched && m.Count(2) == untouched
 		}
-		_, ok := s.NthElem(k)
-		return !ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("full=%v: %v", full, err)
+		}
 	}
 }
 
 func TestNthElemMatchesElems(t *testing.T) {
 	rnd := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		s := New(300)
+		m := NewMatrix(3, 300)
 		for i := 0; i < 40; i++ {
-			s.Add(rnd.Intn(300))
+			m.Set(1, rnd.Intn(300))
 		}
 		var elems []int
 		for i := 0; i < 300; i++ {
-			if s.Contains(i) {
+			if m.Get(1, i) {
 				elems = append(elems, i)
 			}
 		}
 		for i, e := range elems {
-			got, ok := s.NthElem(i)
+			got, ok := m.NthElem(1, i)
 			if !ok || got != e {
-				t.Fatalf("NthElem(%d) = (%d, %v), want (%d, true)", i, got, ok, e)
+				t.Fatalf("NthElem(1, %d) = (%d, %v), want (%d, true)", i, got, ok, e)
 			}
 		}
-		if _, ok := s.NthElem(len(elems)); ok {
+		if _, ok := m.NthElem(1, len(elems)); ok {
 			t.Fatal("NthElem past end returned ok")
 		}
 	}

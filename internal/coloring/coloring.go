@@ -13,7 +13,10 @@
 //
 // The per-node phase logic lives in NodeState so that the standalone
 // solver here and CGCAST's in-model embedding (which exchanges the same
-// information over CSEEK executions) share one implementation.
+// information over CSEEK executions) share one implementation. A
+// NodeState holds only the color and the proposal, by value; the
+// plates of all nodes are the rows of one bit matrix (NewPlates) that
+// the caller holds and hands to each step with the node's row.
 package coloring
 
 import (
@@ -27,53 +30,47 @@ import (
 // NoColor marks an undecided node.
 const NoColor = -1
 
-// NodeState is the per-node (or, in CGCAST, per-virtual-node) coloring
-// state machine.
-type NodeState struct {
-	plate    *bitset.Set
-	color    int
-	proposal int
+// NewPlates returns the full plates of n nodes as the rows of one
+// n×numColors bit matrix: row u holds node u's remaining colors.
+func NewPlates(n, numColors int) *bitset.Matrix {
+	m := bitset.NewMatrix(n, numColors)
+	m.Fill()
+	return m
 }
 
-// NewNodeState returns an active node with a full plate of numColors
-// colors.
-func NewNodeState(numColors int) *NodeState {
-	plate := bitset.New(numColors)
-	for c := 0; c < numColors; c++ {
-		plate.Add(c)
-	}
-	return &NodeState{plate: plate, color: NoColor, proposal: NoColor}
+// NodeState is the per-node (or, in CGCAST, per-virtual-node) coloring
+// state machine, apart from its plate. It holds no pointers, so a run
+// lays its states out in one slice.
+type NodeState struct {
+	color    int32
+	proposal int32
 }
+
+// NewNodeState returns an active node with no proposal.
+func NewNodeState() NodeState { return NodeState{color: NoColor, proposal: NoColor} }
 
 // Active reports whether the node still needs a color.
 func (ns *NodeState) Active() bool { return ns.color == NoColor }
 
 // Color returns the decided color, or NoColor.
-func (ns *NodeState) Color() int { return ns.color }
-
-// Proposal returns this phase's proposal, or NoColor if the node sat
-// out (or already decided).
-func (ns *NodeState) Proposal() int { return ns.proposal }
-
-// PlateSize returns the number of colors still available.
-func (ns *NodeState) PlateSize() int { return ns.plate.Count() }
+func (ns *NodeState) Color() int { return int(ns.color) }
 
 // Propose starts a phase: with probability 1/2 the node picks a
-// uniform color from its plate and returns it; otherwise (or if
-// already decided) it returns NoColor.
-func (ns *NodeState) Propose(r *rng.Source) int {
+// uniform color from its plate, row u of plates, and returns it;
+// otherwise (or if already decided) it returns NoColor.
+func (ns *NodeState) Propose(plates *bitset.Matrix, u int, r *rng.Source) int {
 	ns.proposal = NoColor
 	if !ns.Active() || !r.Bool() {
 		return NoColor
 	}
-	avail := ns.plate.Count()
+	avail := plates.Count(u)
 	if avail == 0 {
 		// Cannot happen with a 2Δ plate (Lemma 8 precondition);
 		// degrade to sitting the phase out rather than panicking.
 		return NoColor
 	}
-	c, _ := ns.plate.NthElem(r.Intn(avail))
-	ns.proposal = c
+	c, _ := plates.NthElem(u, r.Intn(avail))
+	ns.proposal = int32(c)
 	return c
 }
 
@@ -85,7 +82,7 @@ func (ns *NodeState) ResolveConflicts(neighborProposals []int) bool {
 		return false
 	}
 	for _, p := range neighborProposals {
-		if p == ns.proposal {
+		if p == int(ns.proposal) {
 			ns.proposal = NoColor
 			return false
 		}
@@ -96,14 +93,14 @@ func (ns *NodeState) ResolveConflicts(neighborProposals []int) bool {
 }
 
 // ObserveDecisions completes step two: colors decided by neighbors are
-// struck from the plate.
-func (ns *NodeState) ObserveDecisions(neighborColors []int) {
+// struck from the node's plate, row u of plates.
+func (ns *NodeState) ObserveDecisions(plates *bitset.Matrix, u int, neighborColors []int) {
 	if !ns.Active() {
 		return
 	}
 	for _, c := range neighborColors {
 		if c >= 0 {
-			ns.plate.Remove(c)
+			plates.Unset(u, c)
 		}
 	}
 }
@@ -127,10 +124,11 @@ func Run(g *graph.Graph, numColors, maxPhases int, r *rng.Source) (Result, error
 		return Result{}, fmt.Errorf("coloring: %d colors cannot color max degree %d", numColors, g.MaxDegree())
 	}
 	n := g.N()
-	states := make([]*NodeState, n)
-	for u := 0; u < n; u++ {
-		states[u] = NewNodeState(numColors)
+	states := make([]NodeState, n)
+	for u := range states {
+		states[u] = NewNodeState()
 	}
+	plates := NewPlates(n, numColors)
 
 	proposals := make([]int, n)
 	decided := make([]int, n)
@@ -141,7 +139,7 @@ func Run(g *graph.Graph, numColors, maxPhases int, r *rng.Source) (Result, error
 		phases++
 		// Step one: propose.
 		for u := 0; u < n; u++ {
-			proposals[u] = states[u].Propose(r)
+			proposals[u] = states[u].Propose(plates, u, r)
 		}
 		// Step one: exchange proposals, resolve conflicts.
 		for u := 0; u < n; u++ {
@@ -167,7 +165,7 @@ func Run(g *graph.Graph, numColors, maxPhases int, r *rng.Source) (Result, error
 			for _, v := range g.Neighbors(u) {
 				scratch = append(scratch, decided[v])
 			}
-			states[u].ObserveDecisions(scratch)
+			states[u].ObserveDecisions(plates, u, scratch)
 		}
 	}
 
@@ -237,20 +235,17 @@ func ValidateEdgeColoring(g *graph.Graph, edgeColors map[graph.Edge]int, numColo
 // centralized baseline used to sanity-check color counts. It uses at
 // most 2Δ-1 colors.
 func Greedy(g *graph.Graph) map[graph.Edge]int {
-	used := make([]*bitset.Set, g.N())
-	numColors := 2*g.MaxDegree() + 1
-	for u := range used {
-		used[u] = bitset.New(numColors)
-	}
+	used := bitset.NewMatrix(g.N(), 2*g.MaxDegree()+1)
 	out := make(map[graph.Edge]int, g.M())
 	for _, e := range g.Edges() {
+		u, v := int(e.U), int(e.V)
 		c := 0
-		for used[e.U].Contains(c) || used[e.V].Contains(c) {
+		for used.Get(u, c) || used.Get(v, c) {
 			c++
 		}
 		out[e] = c
-		used[e.U].Add(c)
-		used[e.V].Add(c)
+		used.Set(u, c)
+		used.Set(v, c)
 	}
 	return out
 }

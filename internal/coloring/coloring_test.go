@@ -10,18 +10,19 @@ import (
 
 func TestNodeStateLifecycle(t *testing.T) {
 	r := rng.New(1)
-	ns := NewNodeState(4)
+	plates := NewPlates(1, 4)
+	ns := NewNodeState()
 	if !ns.Active() || ns.Color() != NoColor {
 		t.Fatal("fresh state not active/uncolored")
 	}
-	if ns.PlateSize() != 4 {
-		t.Fatalf("plate size %d, want 4", ns.PlateSize())
+	if plates.Count(0) != 4 {
+		t.Fatalf("plate size %d, want 4", plates.Count(0))
 	}
 
 	// Propose until the node actually proposes.
 	p := NoColor
 	for i := 0; i < 100 && p == NoColor; i++ {
-		p = ns.Propose(r)
+		p = ns.Propose(plates, 0, r)
 	}
 	if p == NoColor {
 		t.Fatal("node never proposed in 100 phases")
@@ -41,7 +42,7 @@ func TestNodeStateLifecycle(t *testing.T) {
 	// A clean proposal decides.
 	p = NoColor
 	for i := 0; i < 100 && p == NoColor; i++ {
-		p = ns.Propose(r)
+		p = ns.Propose(plates, 0, r)
 	}
 	if !ns.ResolveConflicts([]int{NoColor, p + 1}) {
 		t.Error("did not decide without conflict")
@@ -52,15 +53,19 @@ func TestNodeStateLifecycle(t *testing.T) {
 }
 
 func TestNodeStatePlateShrinks(t *testing.T) {
-	ns := NewNodeState(4)
-	ns.ObserveDecisions([]int{0, 2, NoColor})
-	if ns.PlateSize() != 2 {
-		t.Fatalf("plate size %d after removals, want 2", ns.PlateSize())
+	plates := NewPlates(3, 4)
+	ns := NewNodeState()
+	ns.ObserveDecisions(plates, 1, []int{0, 2, NoColor})
+	if plates.Count(1) != 2 {
+		t.Fatalf("plate size %d after removals, want 2", plates.Count(1))
+	}
+	if plates.Count(0) != 4 || plates.Count(2) != 4 {
+		t.Fatalf("striking row 1 changed its neighbours: %d and %d colors left", plates.Count(0), plates.Count(2))
 	}
 	// Proposals must come from the remaining plate {1, 3}.
 	r := rng.New(2)
 	for i := 0; i < 200; i++ {
-		if p := ns.Propose(r); p != NoColor && p != 1 && p != 3 {
+		if p := ns.Propose(plates, 1, r); p != NoColor && p != 1 && p != 3 {
 			t.Fatalf("proposal %d from struck color", p)
 		}
 	}
@@ -68,17 +73,58 @@ func TestNodeStatePlateShrinks(t *testing.T) {
 
 func TestNodeStateDecidedIgnoresUpdates(t *testing.T) {
 	r := rng.New(3)
-	ns := NewNodeState(2)
+	plates := NewPlates(1, 2)
+	ns := NewNodeState()
 	for !ns.ResolveConflicts(nil) {
-		ns.Propose(r)
+		ns.Propose(plates, 0, r)
 	}
 	c := ns.Color()
-	ns.ObserveDecisions([]int{c}) // must not disturb a decided node
-	if ns.Color() != c {
-		t.Error("decided color changed")
+	ns.ObserveDecisions(plates, 0, []int{c}) // must not disturb a decided node
+	if ns.Color() != c || plates.Count(0) != 2 {
+		t.Error("decided node's color or plate changed")
 	}
-	if got := ns.Propose(r); got != NoColor {
+	if got := ns.Propose(plates, 0, r); got != NoColor {
 		t.Error("decided node proposed")
+	}
+}
+
+// TestNodeStatePlateAgainstModel strikes random colors from one plate
+// row and checks every Propose against a sorted map model of the
+// plate: a coin (Bool), then Intn over the colors left, then the
+// color of that rank — the draws a per-node bitset plate made.
+func TestNodeStatePlateAgainstModel(t *testing.T) {
+	const numColors = 70 // two words per row
+	f := func(seed uint64, strikes []uint8) bool {
+		plates := NewPlates(3, numColors)
+		left := make(map[int]bool, numColors)
+		for c := 0; c < numColors; c++ {
+			left[c] = true
+		}
+		r := rng.New(seed)
+		for _, s := range strikes {
+			ns := NewNodeState()
+			c := int(s) % (numColors + 10) // some strikes fall off the plate
+			ns.ObserveDecisions(plates, 1, []int{c, NoColor})
+			delete(left, c)
+			model := *r
+			want := NoColor
+			if model.Bool() && len(left) > 0 {
+				var sorted []int
+				for c := 0; c < numColors; c++ {
+					if left[c] {
+						sorted = append(sorted, c)
+					}
+				}
+				want = sorted[model.Intn(len(sorted))]
+			}
+			if got := ns.Propose(plates, 1, r); got != want || *r != model {
+				return false
+			}
+		}
+		return plates.Count(1) == len(left) && plates.Count(0) == numColors && plates.Count(2) == numColors
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -64,42 +64,28 @@ func (s *CSeek) RangeBank() (radio.RangeProtocol, int) {
 	return s.bank, s.bankIdx
 }
 
-// dissemBank fuses one dissemination run's stage-5 protocols.
-type dissemBank struct{ nodes []*dissemProto }
-
-var _ radio.RangeProtocol = (*dissemBank)(nil)
-
-func newDissemBank(nodes []*dissemProto) *dissemBank {
-	b := &dissemBank{nodes: nodes}
-	for i, dp := range nodes {
-		dp.bank = b
-		dp.bankIdx = i
-	}
-	return b
-}
+var _ radio.RangeProtocol = (*dissemRun)(nil)
 
 // ActRange implements radio.RangeProtocol.
-func (b *dissemBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
-	nodes := b.nodes
+func (r *dissemRun) ActRange(slot int64, lo, hi int, acts []radio.Action) {
+	nodes := r.nodes
 	for u := lo; u < hi; u++ {
 		acts[u] = nodes[u].Act(slot)
 	}
 }
 
 // ObserveRange implements radio.RangeProtocol.
-func (b *dissemBank) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
-	nodes := b.nodes
+func (r *dissemRun) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
+	nodes := r.nodes
 	for u := lo; u < hi; u++ {
 		nodes[u].Observe(slot, deliveries[u])
 	}
 }
 
-// RangeBank implements radio.RangeNode.
+// RangeBank implements radio.RangeNode: a dissemination machine is
+// always a member of its run's bank.
 func (dp *dissemProto) RangeBank() (radio.RangeProtocol, int) {
-	if dp.bank == nil {
-		return nil, 0
-	}
-	return dp.bank, dp.bankIdx
+	return dp.run, int(dp.u)
 }
 
 // FloodBank fuses the flooding baseline's per-node machines.

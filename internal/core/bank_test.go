@@ -52,6 +52,12 @@ func (f *bankChurnFeed) Step(_ int64, mut radio.TopologyMutator) {
 	}
 }
 
+// perNodeDissem is a dissemination machine without its bank: its
+// RangeBank shadows the machine's, so the engine dispatches per node.
+type perNodeDissem struct{ *dissemProto }
+
+func (perNodeDissem) RangeBank() (radio.RangeProtocol, int) { return nil, 0 }
+
 // TestCoreBanksMatchPerNodeDispatch runs every primitive's protocol
 // stack twice per scenario — bank attached (range dispatch) and not
 // (per-node dispatch) — and requires identical engine stats and
@@ -127,29 +133,17 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rounds := scaledSteps(p.Tuning.DissemRounds, 1, p.LgN())
-			master := rng.New(seed + 4)
-			dps := make([]*dissemProto, n)
-			protos := make([]radio.Protocol, n)
-			for u := 0; u < n; u++ {
-				dp := &dissemProto{
-					env:      Env{ID: radio.NodeID(u), C: c, Rand: master.Split(uint64(u))},
-					schedule: session.schedules[u],
-					phases:   d,
-					rounds:   rounds,
-					lgDelta:  p.LgDelta(),
-					delta:    p.Delta,
-					informed: u == 0,
-					msg:      "m",
-					frame:    dissemMessage{Body: "m"},
-				}
-				dps[u] = dp
-				protos[u] = dp
+			run := newDissemRun(p, session.schedule, d, 0, "m", seed+4)
+			// Dissemination machines are always banked; the per-node
+			// run hides the bank behind perNodeDissem views.
+			protos := run.protocols()
+			for u := range protos {
+				protos[u] = perNodeDissem{&run.nodes[u]}
 			}
-			return stack{protos: protos, slots: dps[0].totalSlots(), attach: func() { newDissemBank(dps) }, outcome: func() string {
+			return stack{protos: protos, slots: run.total, attach: func() { copy(protos, run.protocols()) }, outcome: func() string {
 				out := ""
-				for u, dp := range dps {
-					out += fmt.Sprintf("%d:%v@%d;", u, dp.informed, dp.informedAt)
+				for u := range run.nodes {
+					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].slot)
 				}
 				return out
 			}}

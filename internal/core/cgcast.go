@@ -180,9 +180,10 @@ type BroadcastSession struct {
 	// reports whether their coloring is proper.
 	colored int
 	valid   bool
-	// schedules[u] maps color -> u's local dedicated channel (-1 when
-	// none), precomputed once: every dissemination reuses it read-only.
-	schedules [][]int32
+	// schedule is the n×2Δ table whose row u maps color -> u's local
+	// dedicated channel (-1 when none), precomputed once: every
+	// dissemination reuses it read-only.
+	schedule []int32
 }
 
 // PrepareCGCast runs CGCAST stages 1–4 (discovery, dedicated-channel
@@ -211,6 +212,10 @@ func PrepareCGCastCtx(ctx context.Context, nw *radio.Network, cfg SessionConfig)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	seek, err := cseekSchedule(&p)
+	if err != nil {
+		return nil, err
+	}
 	d := &cgcastDriver{
 		ctx:    ctx,
 		nw:     nw,
@@ -218,6 +223,7 @@ func PrepareCGCastCtx(ctx context.Context, nw *radio.Network, cfg SessionConfig)
 		mode:   mode,
 		master: rng.New(cfg.Seed),
 		n:      nw.Graph.N(),
+		seek:   seek,
 	}
 	return d.prepare()
 }
@@ -256,9 +262,12 @@ type cgcastDriver struct {
 	master *rng.Source
 	n      int
 
-	// exchangeSlots is the canonical cost of one CSEEK execution,
-	// charged per exchange in both modes.
-	exchangeSlots int64
+	// seek is the schedule of every CSEEK exchange; its length is the
+	// canonical exchange cost, charged per exchange in both modes.
+	seek *seekSchedule
+	// rand is the coloring stream of the current (stage, simulator),
+	// rewritten in place by nodeRand.
+	rand rng.Source
 
 	// Edge index over the finalized graph: edge id e is the position of
 	// edges[e] in Graph.Edges(), sorted by (U, V). inc[incStart[u]:
@@ -269,6 +278,10 @@ type cgcastDriver struct {
 	inc       []int32
 	neighbors [][]int32
 	es        []edgeState
+
+	// plates holds the color plate of every edge's virtual node: row e
+	// is edge e's, 2Δ colors wide.
+	plates *bitset.Matrix
 
 	// entry is the per-edge table every coloring exchange carries:
 	// this phase's proposals in step one, its decisions in step two
@@ -290,20 +303,14 @@ type edgeState struct {
 	ch [2]int32
 	// sim is the coloring state of the edge's virtual node, simulated
 	// by U, the smaller endpoint; its color is the edge's final color.
-	sim *coloring.NodeState
+	// Its plate is row e of the driver's plates.
+	sim coloring.NodeState
 	// live reports that the edge is established at both endpoints; it
 	// is cleared when the edge fails discovery, exchange or coloring.
 	live bool
 }
 
 func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
-	// Canonical exchange cost: one CSEEK execution length.
-	probe, err := NewCSeek(d.p, Env{ID: 0, C: d.p.C, Rand: rng.New(1)})
-	if err != nil {
-		return nil, err
-	}
-	d.exchangeSlots = probe.TotalSlots()
-
 	d.indexEdges()
 	if err := d.establishEdges(); err != nil {
 		return nil, err
@@ -349,6 +356,8 @@ func (d *cgcastDriver) indexEdges() {
 	}
 	d.es = make([]edgeState, len(d.edges))
 	d.entry = make([]int, len(d.edges))
+	// An edge has at most 2Δ-2 adjacent edges.
+	d.scratch = make([]int, 0, 2*d.p.Delta)
 }
 
 // buildSchedules derives each node's color -> dedicated-channel map
@@ -359,13 +368,9 @@ func (d *cgcastDriver) indexEdges() {
 // coloring improper.
 func (d *cgcastDriver) buildSchedules(s *BroadcastSession) {
 	numColors := 2 * d.p.Delta
-	flat := make([]int32, d.n*numColors)
-	for i := range flat {
-		flat[i] = -1
-	}
-	s.schedules = make([][]int32, d.n)
-	for u := range s.schedules {
-		s.schedules[u] = flat[u*numColors : (u+1)*numColors : (u+1)*numColors]
+	s.schedule = make([]int32, d.n*numColors)
+	for i := range s.schedule {
+		s.schedule[i] = -1
 	}
 	s.valid = true
 	for e, ed := range d.edges {
@@ -376,17 +381,21 @@ func (d *cgcastDriver) buildSchedules(s *BroadcastSession) {
 		s.colored++
 		c := st.sim.Color()
 		for side, u := range [2]int32{ed.U, ed.V} {
-			if s.schedules[u][c] >= 0 {
+			i := int(u)*numColors + c
+			if s.schedule[i] >= 0 {
 				s.valid = false
 			}
-			s.schedules[u][c] = st.ch[side]
+			s.schedule[i] = st.ch[side]
 		}
 	}
 }
 
-// nodeRand returns a fresh deterministic stream for (stage, node).
+// nodeRand starts the fresh deterministic stream of (stage, node) in
+// d.rand and returns it: the stream Split would return, without a new
+// Source.
 func (d *cgcastDriver) nodeRand(u int) *rng.Source {
-	return d.master.Split(uint64(d.stage)<<32 | uint64(u))
+	d.rand = d.master.SplitValue(uint64(d.stage)<<32 | uint64(u))
+	return &d.rand
 }
 
 // nextStage advances the RNG stream domain separator.
@@ -412,7 +421,7 @@ func (d *cgcastDriver) establishEdges() error {
 				d.es[e] = edgeState{ch: [2]int32{a.Local(u, g), a.Local(v, g)}, live: true}
 			}
 		}
-		d.setupSlots += 2 * d.exchangeSlots
+		d.setupSlots += 2 * d.seek.total
 		d.nextStage()
 		d.nextStage()
 		return nil
@@ -460,9 +469,10 @@ func (d *cgcastDriver) establishEdges() error {
 // ----- Stage 3: line-graph coloring over exchange epochs -----
 
 func (d *cgcastDriver) colorEdges(phases int) error {
+	d.plates = coloring.NewPlates(len(d.es), 2*d.p.Delta)
 	for e := range d.es {
 		if d.es[e].live {
-			d.es[e].sim = coloring.NewNodeState(2 * d.p.Delta)
+			d.es[e].sim = coloring.NewNodeState()
 		}
 	}
 	for phase := 0; phase < phases; phase++ {
@@ -472,19 +482,19 @@ func (d *cgcastDriver) colorEdges(phases int) error {
 		// Step one: propose and exchange proposals two hops out. A
 		// node's simulated edges are contiguous in id order and
 		// ascending in V, so its stream draws over them in ascending
-		// neighbor order; a node with no active edge splits no stream.
+		// neighbor order; a node with no active edge starts no stream.
 		var r *rng.Source
 		owner := int32(-1)
 		for e := range d.es {
 			d.entry[e] = coloring.NoColor
-			sim := d.es[e].sim
-			if sim == nil || !sim.Active() {
+			st := &d.es[e]
+			if !st.live || !st.sim.Active() {
 				continue
 			}
 			if u := d.edges[e].U; u != owner {
 				r, owner = d.nodeRand(int(u)), u
 			}
-			d.entry[e] = sim.Propose(r)
+			d.entry[e] = st.sim.Propose(d.plates, e, r)
 		}
 		d.nextStage()
 		if err := d.exchangeTwoHop(); err != nil {
@@ -507,8 +517,8 @@ func (d *cgcastDriver) colorEdges(phases int) error {
 			return err
 		}
 		for e := range d.es {
-			if sim := d.es[e].sim; sim != nil && sim.Active() {
-				sim.ObserveDecisions(d.adjacentEntries(e))
+			if st := &d.es[e]; st.live && st.sim.Active() {
+				st.sim.ObserveDecisions(d.plates, e, d.adjacentEntries(e))
 			}
 		}
 	}
@@ -581,7 +591,7 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 		return nil, err
 	}
 	if d.mode == ExchangeAbstract {
-		d.setupSlots += d.exchangeSlots
+		d.setupSlots += d.seek.total
 		return d.neighbors, nil
 	}
 	seeks, err := d.runSeeks(false)
@@ -603,10 +613,7 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 // slots to setup. record enables the per-slot channel log stage 1
 // needs.
 func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
-	seeks, err := NewSeekRun(d.p, d.n, d.master, uint64(d.stage)<<32)
-	if err != nil {
-		return nil, err
-	}
+	seeks := newSeekRun(d.seek, d.n, d.master, uint64(d.stage)<<32)
 	protos := make([]radio.Protocol, d.n)
 	for u, s := range seeks {
 		if record {
@@ -618,7 +625,7 @@ func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := e.RunUntilCtx(d.ctx, d.exchangeSlots+1, nil)
+	st, err := e.RunUntilCtx(d.ctx, d.seek.total+1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -627,10 +634,10 @@ func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
 	// a down node legitimately freezes mid-schedule, so partial
 	// exchanges are an expected degradation outcome there.
 	if !st.Completed && d.nw.Topology == nil {
-		return nil, fmt.Errorf("core: exchange stage did not complete in %d slots", d.exchangeSlots)
+		return nil, fmt.Errorf("core: exchange stage did not complete in %d slots", d.seek.total)
 	}
 	d.setupRadio.Accumulate(st)
-	d.setupSlots += d.exchangeSlots
+	d.setupSlots += d.seek.total
 	return seeks, nil
 }
 
@@ -673,39 +680,19 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 	if int(source) < 0 || int(source) >= s.n {
 		return nil, fmt.Errorf("core: source %d out of range", source)
 	}
-	rounds := scaledSteps(s.p.Tuning.DissemRounds, 1, s.p.LgN())
-	protos := make([]radio.Protocol, s.n)
-	dps := make([]*dissemProto, s.n)
-	master := rng.New(seed)
-	for u := 0; u < s.n; u++ {
-		dp := &dissemProto{
-			env:      Env{ID: radio.NodeID(u), C: s.p.C, Rand: master.Split(uint64(u))},
-			schedule: s.schedules[u],
-			phases:   dD,
-			rounds:   rounds,
-			lgDelta:  s.p.LgDelta(),
-			delta:    s.p.Delta,
-			informed: radio.NodeID(u) == source,
-			msg:      msg,
-			frame:    dissemMessage{Body: msg},
-		}
-		dps[u] = dp
-		protos[u] = dp
-	}
-	newDissemBank(dps)
-	e, err := radio.NewEngine(s.nw, protos)
+	run := newDissemRun(s.p, s.schedule, dD, source, msg, seed)
+	e, err := radio.NewEngine(s.nw, run.protocols())
 	if err != nil {
 		return nil, err
 	}
-	scheduleSlots := dps[0].totalSlots()
 
 	allInformedAt := int64(-1)
-	st, err := e.RunUntilCtx(ctx, scheduleSlots+1, func(slot int64) bool {
+	st, err := e.RunUntilCtx(ctx, run.total+1, func(slot int64) bool {
 		if allInformedAt >= 0 {
 			return false // keep running the schedule to full length
 		}
-		for _, dp := range dps {
-			if !dp.informed {
+		for u := range run.nodes {
+			if !run.nodes[u].informed {
 				return false
 			}
 		}
@@ -719,19 +706,19 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 	// static model, a measured outcome under a dynamic topology (down
 	// nodes freeze mid-schedule).
 	if !st.Completed && s.nw.Topology == nil {
-		return nil, fmt.Errorf("core: dissemination did not complete in %d slots", scheduleSlots)
+		return nil, fmt.Errorf("core: dissemination did not complete in %d slots", run.total)
 	}
 
 	res := &DissemResult{
-		ScheduleSlots: scheduleSlots,
+		ScheduleSlots: run.total,
 		AllInformedAt: allInformedAt,
 		AllInformed:   true,
 		Informed:      make([]bool, s.n),
 		Radio:         st,
 	}
-	for u, dp := range dps {
-		res.Informed[u] = dp.informed
-		if !dp.informed {
+	for u := range run.nodes {
+		res.Informed[u] = run.nodes[u].informed
+		if !run.nodes[u].informed {
 			res.AllInformed = false
 		}
 	}
@@ -744,28 +731,36 @@ func (s *BroadcastSession) fillColoringStats(res *BroadcastResult) {
 	res.ColoringValid = s.valid
 }
 
-// dissemProto is the stage-5 per-node protocol: D phases × 2Δ steps ×
-// rounds × lgΔ slots, with step s dedicated to edge color s.
-type dissemProto struct {
-	env      Env
-	schedule []int32 // color -> local dedicated channel, -1 if none
-	phases   int
-	rounds   int
-	lgDelta  int
-	delta    int
-	informed bool
-	msg      any
-	// frame is the pre-boxed dissemMessage carrying msg, refreshed
-	// when the node learns the message, so Act never allocates.
+// dissemRun is the stage-5 state of one dissemination: every node's
+// machine in one slice, and what the machines share, held once. It is
+// also their bank for range dispatch (see bank.go).
+type dissemRun struct {
+	nodes []dissemProto
+	// schedule is the session's n×colors table: row u maps color ->
+	// u's local dedicated channel, -1 if none. Read-only.
+	schedule []int32
+	colors   int   // 2Δ: the steps of a phase, one per color
+	perStep  int64 // slots per step: rounds back-off rounds of lg Δ slots
+	total    int64 // phases·colors·perStep
+	// coins[i] is the back-off coin of slot i of a round (backoffCoins).
+	coins []rng.Coin
+	// frame is the pre-boxed dissemMessage every informed node
+	// broadcasts. Only the source's message is ever relayed, so one
+	// box serves the whole run and Act never allocates.
 	frame any
+}
 
+// dissemProto is the stage-5 machine of one node: D phases × 2Δ steps
+// × rounds × lg Δ slots, with step s dedicated to edge color s. Each
+// node keeps its own clock, because a down node's schedule freezes
+// under churn.
+type dissemProto struct {
+	run         *dissemRun
+	rand        rng.Source
 	slot        int64
-	informedAt  int64
+	u           int32 // the node's index: its schedule row and bank slot
+	informed    bool
 	wasInformed bool // informed state latched at the start of each step
-
-	// bank/bankIdx back-reference the dissemBank (range dispatch).
-	bank    *dissemBank
-	bankIdx int
 }
 
 var _ radio.Protocol = (*dissemProto)(nil)
@@ -775,24 +770,56 @@ type dissemMessage struct {
 	Body any
 }
 
-func (dp *dissemProto) slotsPerStep() int64 { return int64(dp.rounds) * int64(dp.lgDelta) }
+// newDissemRun builds the machines of one dissemination in one pass:
+// phases phases over schedule, an n×2Δ table (n = len(schedule)/2Δ),
+// rounds and back-off coins from p, which must be normalized. Only
+// source starts informed; node u draws from rng.New(seed).Split(u).
+func newDissemRun(p Params, schedule []int32, phases int, source radio.NodeID, msg any, seed uint64) *dissemRun {
+	colors := 2 * p.Delta
+	rounds := scaledSteps(p.Tuning.DissemRounds, 1, p.LgN())
+	coins := p.backoffCoins()
+	r := &dissemRun{
+		nodes:    make([]dissemProto, len(schedule)/colors),
+		schedule: schedule,
+		colors:   colors,
+		perStep:  int64(rounds) * int64(len(coins)),
+		coins:    coins,
+		frame:    dissemMessage{Body: msg},
+	}
+	r.total = int64(phases) * int64(colors) * r.perStep
+	master := rng.New(seed)
+	for u := range r.nodes {
+		r.nodes[u] = dissemProto{
+			run:      r,
+			rand:     master.SplitValue(uint64(u)),
+			u:        int32(u),
+			informed: radio.NodeID(u) == source,
+		}
+	}
+	return r
+}
 
-func (dp *dissemProto) totalSlots() int64 {
-	return int64(dp.phases) * int64(len(dp.schedule)) * dp.slotsPerStep()
+// protocols returns the run's machines as the engine's protocol set.
+func (r *dissemRun) protocols() []radio.Protocol {
+	protos := make([]radio.Protocol, len(r.nodes))
+	for u := range r.nodes {
+		protos[u] = &r.nodes[u]
+	}
+	return protos
 }
 
 // Act implements radio.Protocol.
 func (dp *dissemProto) Act(_ int64) radio.Action {
-	perStep := dp.slotsPerStep()
-	step := int(dp.slot / perStep % int64(len(dp.schedule)))
-	slotInStep := dp.slot % perStep
+	r := dp.run
+	slotInStep := dp.slot % r.perStep
 	if slotInStep == 0 {
 		// Latch the informed state: a node that learns the message
 		// mid-step starts forwarding at the next step, keeping the
 		// per-step roles fixed as in the paper's analysis.
 		dp.wasInformed = dp.informed
 	}
-	ch := dp.schedule[step]
+	step := int(dp.slot / r.perStep % int64(r.colors))
+	ch := r.schedule[int(dp.u)*r.colors+step]
 	if ch < 0 {
 		return radio.Action{Kind: radio.Idle}
 	}
@@ -801,32 +828,26 @@ func (dp *dissemProto) Act(_ int64) radio.Action {
 	}
 	// Back-off broadcast: slot i of the round broadcasts with
 	// probability 2^i/2^lgΔ, sweeping contention levels.
-	i := int(slotInStep % int64(dp.lgDelta))
-	prob := float64(int64(1)<<uint(i)) / float64(int64(1)<<uint(dp.lgDelta))
-	if dp.env.Rand.Bernoulli(prob) {
-		return radio.Action{Kind: radio.Broadcast, Ch: int(ch), Data: dp.frame}
+	if dp.rand.Toss(r.coins[slotInStep%int64(len(r.coins))]) {
+		return radio.Action{Kind: radio.Broadcast, Ch: int(ch), Data: r.frame}
 	}
 	return radio.Action{Kind: radio.Idle, Ch: int(ch)}
 }
 
 // Observe implements radio.Protocol, for both dispatch modes (the
-// dissemBank calls it too).
+// dissemRun's ObserveRange calls it too). Every frame of the run is the
+// message, so hearing one informs the node.
 func (dp *dissemProto) Observe(_ int64, d radio.Delivery) {
-	if d.From >= 0 && !dp.informed {
-		if dm, ok := d.Data.(dissemMessage); ok {
-			dp.informed = true
-			dp.informedAt = dp.slot
-			dp.msg = dm.Body
-			dp.frame = dissemMessage{Body: dm.Body}
-		}
+	if d.From >= 0 {
+		dp.informed = true
 	}
 	dp.slot++
 }
 
 // Done implements radio.Protocol.
-func (dp *dissemProto) Done() bool { return dp.slot >= dp.totalSlots() }
+func (dp *dissemProto) Done() bool { return dp.slot >= dp.run.total }
 
 // MinDoneSlots implements radio.FixedSchedule: the dissemination
 // schedule is fixed-length, so the engine can skip Done polls until it
 // ends.
-func (dp *dissemProto) MinDoneSlots() int64 { return dp.totalSlots() }
+func (dp *dissemProto) MinDoneSlots() int64 { return dp.run.total }

@@ -167,8 +167,9 @@ func setupDigest(s *BroadcastSession) string {
 	var res BroadcastResult
 	s.fillColoringStats(&res)
 	h := fnv.New64a()
-	for u, sched := range s.schedules {
-		fmt.Fprintf(h, "%d:%v;", u, sched)
+	colors := 2 * s.p.Delta
+	for u := 0; u < s.n; u++ {
+		fmt.Fprintf(h, "%d:%v;", u, s.schedule[u*colors:(u+1)*colors])
 	}
 	fmt.Fprintf(h, "%+v", s.setupRadio)
 	return fmt.Sprintf("slots=%d phases=%d colored=%d/%d dropped=%d valid=%v digest=%016x",

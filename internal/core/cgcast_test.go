@@ -175,9 +175,10 @@ func TestCGCastFullMobilitySchedulesBaseEdges(t *testing.T) {
 		t.Fatalf("coloring valid=%v colored=%d", res.ColoringValid, res.EdgesColored)
 	}
 	entries := 0
-	for u, sched := range s.schedules {
+	colors := 2 * s.p.Delta
+	for u := 0; u < s.n; u++ {
 		k := 0
-		for _, ch := range sched {
+		for _, ch := range s.schedule[u*colors : (u+1)*colors] {
 			if ch >= 0 {
 				k++
 			}
@@ -312,27 +313,29 @@ func TestFloodValidation(t *testing.T) {
 // TestDissemProtoStepLatching checks a node that learns the message
 // mid-step starts broadcasting only at the next step boundary.
 func TestDissemProtoStepLatching(t *testing.T) {
-	dp := &dissemProto{
-		env:      Env{ID: 1, C: 2, Rand: rng.New(1)},
-		schedule: []int32{0, 1},
-		phases:   1,
-		rounds:   2,
-		lgDelta:  2,
-		delta:    2,
-		informed: false,
+	p := Params{N: 5, C: 2, K: 1, KMax: 1, Delta: 4}
+	if err := p.Normalize(); err != nil {
+		t.Fatal(err)
 	}
+	// Two nodes, eight colors; node 1 has channels for colors 0 and 1.
+	schedule := []int32{
+		0, 1, -1, -1, -1, -1, -1, -1,
+		0, 1, -1, -1, -1, -1, -1, -1,
+	}
+	run := newDissemRun(p, schedule, 1, 0, "x", 1)
+	dp := &run.nodes[1]
 	// Slot 0: uninformed, must listen.
 	a := dp.Act(0)
 	if a.Kind != radio.Listen {
 		t.Fatalf("slot 0 kind = %v, want Listen", a.Kind)
 	}
 	// Deliver the message mid-step.
-	dp.Observe(0, radio.Delivery{From: 0, Data: dissemMessage{Body: "x"}})
+	dp.Observe(0, radio.Delivery{From: 0, Data: run.frame})
 	if !dp.informed {
 		t.Fatal("message not absorbed")
 	}
 	// Remaining slots of this step must still listen (latched role).
-	perStep := dp.slotsPerStep()
+	perStep := run.perStep
 	for s := int64(1); s < perStep; s++ {
 		a := dp.Act(s)
 		if a.Kind == radio.Broadcast {

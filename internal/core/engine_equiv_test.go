@@ -106,29 +106,11 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rounds := scaledSteps(p.Tuning.DissemRounds, 1, p.LgN())
-			master := rng.New(seed + 4 + off)
-			dps := make([]*dissemProto, n)
-			protos := make([]radio.Protocol, n)
-			for u := 0; u < n; u++ {
-				dp := &dissemProto{
-					env:      Env{ID: radio.NodeID(u), C: c, Rand: master.Split(uint64(u))},
-					schedule: session.schedules[u],
-					phases:   d,
-					rounds:   rounds,
-					lgDelta:  p.LgDelta(),
-					delta:    p.Delta,
-					informed: u == 0,
-					msg:      "m",
-					frame:    dissemMessage{Body: "m"},
-				}
-				dps[u] = dp
-				protos[u] = dp
-			}
-			return stack{protos: protos, slots: dps[0].totalSlots(), outcome: func() string {
+			run := newDissemRun(p, session.schedule, d, 0, "m", seed+4+off)
+			return stack{protos: run.protocols(), slots: run.total, outcome: func() string {
 				out := ""
-				for u, dp := range dps {
-					out += fmt.Sprintf("%d:%v@%d;", u, dp.informed, dp.informedAt)
+				for u := range run.nodes {
+					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].slot)
 				}
 				return out
 			}}

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"crn/internal/chanassign"
+	"crn/internal/dynamics"
 	"crn/internal/graph"
 	"crn/internal/radio"
 	"crn/internal/rng"
+	"crn/internal/spectrum"
 )
 
 // TestQuickCSeekScheduleInvariants fuzzes model parameters and checks
@@ -162,5 +166,98 @@ func TestSessionAccessors(t *testing.T) {
 	}
 	if _, err := session.Disseminate(3, 99, "m", 1); err == nil {
 		t.Error("bad source accepted")
+	}
+}
+
+// checkBroadcastOutcome asserts the two ways a broadcast result states
+// completion agree with its per-node record: AllInformed holds iff
+// every Informed[u] does, and AllInformedAt is a slot (≥ 0) iff
+// AllInformed holds.
+func checkBroadcastOutcome(t *testing.T, informed []bool, all bool, at int64) {
+	t.Helper()
+	every := true
+	for _, ok := range informed {
+		every = every && ok
+	}
+	if all != every {
+		t.Errorf("AllInformed = %v, but every node informed = %v (%v)", all, every, informed)
+	}
+	if (at >= 0) != all {
+		t.Errorf("AllInformedAt = %d with AllInformed = %v", at, all)
+	}
+}
+
+// TestBroadcastOutcomeInvariants checks checkBroadcastOutcome on
+// CGCAST (abstract and full fidelity) and on flooding, over a static
+// network, Poisson primary users and churn, at several seeds. Churn
+// leaves some runs incomplete, so both sides of each equivalence are
+// exercised.
+func TestBroadcastOutcomeInvariants(t *testing.T) {
+	g, err := graph.GNP(8, 0.45, rng.New(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(8, 3, 2, rng.New(82))
+	if err != nil {
+		t.Fatal(err)
+	}
+	networks := []struct {
+		name  string
+		build func(t *testing.T) *radio.Network
+	}{
+		{"static", func(*testing.T) *radio.Network { return &radio.Network{Graph: g, Assign: a} }},
+		{"poisson", func(t *testing.T) *radio.Network {
+			j, err := spectrum.NewPoisson(a.Universe, 1<<22, 0.01, 20, spectrum.HoldGeometric, 83)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &radio.Network{Graph: g, Assign: a, Jammer: j}
+		}},
+		{"churn", func(t *testing.T) *radio.Network {
+			churn, err := dynamics.NewChurn(g.N(), 0.001, 0.002, 84)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &radio.Network{Graph: g, Assign: a, Topology: churn}
+		}},
+	}
+	_, p, d := buildBroadcastNet(t, g, a)
+	// Full fidelity simulates every setup exchange, so it runs one seed,
+	// and none under -short.
+	modes := []struct {
+		name  string
+		mode  BroadcastMode
+		seeds uint64
+	}{{"abstract", ExchangeAbstract, 3}, {"full", ExchangeFull, 1}}
+	if testing.Short() {
+		modes = modes[:1]
+	}
+	completed := map[bool]int{}
+	for _, nc := range networks {
+		for _, mc := range modes {
+			t.Run(fmt.Sprintf("cgcast/%s/%s", nc.name, mc.name), func(t *testing.T) {
+				for seed := uint64(1); seed <= mc.seeds; seed++ {
+					res, err := RunCGCast(nc.build(t), BroadcastConfig{Params: p, D: d, Source: 0, Message: "m", Mode: mc.mode, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkBroadcastOutcome(t, res.Informed, res.AllInformed, res.AllInformedAt)
+					completed[res.AllInformed]++
+				}
+			})
+		}
+		t.Run("flood/"+nc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				res, err := RunFloodCtx(context.Background(), nc.build(t), p, d, 0, "m", seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBroadcastOutcome(t, res.Informed, res.AllInformed, res.AllInformedAt)
+				completed[res.AllInformed]++
+			}
+		})
+	}
+	if completed[true] == 0 || completed[false] == 0 {
+		t.Errorf("runs completed %d times and failed %d times; both outcomes must occur", completed[true], completed[false])
 	}
 }
