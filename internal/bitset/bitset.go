@@ -16,7 +16,7 @@ const wordBits = 64
 // It stores the adjacency structure the radio engine probes on its hot
 // path: Get(r, c) is one shift-and-mask, with no per-row pointer chase
 // or bounds surprises, and building the whole matrix costs one make.
-// The zero value is unusable; construct with NewMatrix.
+// The zero value is an empty matrix; construct with NewMatrix or Reset.
 type Matrix struct {
 	words  []uint64
 	rows   int
@@ -26,19 +26,23 @@ type Matrix struct {
 
 // NewMatrix returns an all-zero rows×cols bit matrix.
 func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 {
-		rows = 0
-	}
-	if cols < 0 {
-		cols = 0
-	}
+	m := new(Matrix)
+	m.Reset(rows, cols)
+	return m
+}
+
+// Reset makes m an all-zero rows×cols bit matrix, reusing its words
+// when they are enough. The zero Matrix may be Reset.
+func (m *Matrix) Reset(rows, cols int) {
+	rows, cols = max(rows, 0), max(cols, 0)
 	stride := (cols + wordBits - 1) / wordBits
-	return &Matrix{
-		words:  make([]uint64, rows*stride),
-		rows:   rows,
-		cols:   cols,
-		stride: stride,
+	if n := rows * stride; cap(m.words) >= n {
+		m.words = m.words[:n]
+		clear(m.words)
+	} else {
+		m.words = make([]uint64, n)
 	}
+	m.rows, m.cols, m.stride = rows, cols, stride
 }
 
 // Set sets bit (r, c). Out-of-range coordinates are ignored.

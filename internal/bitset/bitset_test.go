@@ -384,6 +384,29 @@ func TestMatrixAgainstModel(t *testing.T) {
 	}
 }
 
+// TestMatrixReset: Reset leaves an all-zero matrix of the new shape
+// whether it grows, shrinks or keeps the words, and the zero Matrix
+// may be Reset.
+func TestMatrixReset(t *testing.T) {
+	var m Matrix
+	for _, shape := range [][2]int{{3, 130}, {2, 64}, {5, 200}, {0, 10}, {4, 1}, {-1, -1}} {
+		m.Reset(shape[0], shape[1])
+		rows, cols := max(shape[0], 0), max(shape[1], 0)
+		if m.Stride() != (cols+63)/64 {
+			t.Fatalf("Reset(%d, %d): Stride() = %d", shape[0], shape[1], m.Stride())
+		}
+		for r := 0; r < rows; r++ {
+			if got := m.Count(r); got != 0 {
+				t.Fatalf("Reset(%d, %d): row %d holds %d bits", shape[0], shape[1], r, got)
+			}
+		}
+		if m.Row(rows) != nil {
+			t.Fatalf("Reset(%d, %d): row %d is in range", shape[0], shape[1], rows)
+		}
+		m.Fill()
+	}
+}
+
 // TestCloneIsDeep: a Matrix clone shares no words with its source.
 func TestCloneIsDeep(t *testing.T) {
 	m := NewMatrix(2, 130)

@@ -13,14 +13,16 @@ import "crn/internal/radio"
 // untouched: byte-identity holds by construction, and the equivalence
 // suites pin it.
 //
-// Banks hold no mutable bank-wide state, only the nodes slice, and
-// each loop iteration touches node u's state alone, so a range call
-// behaves exactly like the per-node calls in ascending order.
+// Banks hold no mutable bank-wide state (the dissemination run's
+// shared schedule data is read-only), and each loop iteration touches
+// node u's state alone, so a range call behaves exactly like the
+// per-node calls in ascending order.
 //
 // Attachment is explicit and happens at construction sites
-// (NewSeekRun, CGCAST's dissemination, RunFloodCtx, tests): the bank
-// back-pointer makes every member protocol report the bank via
-// RangeBank, which radio's detectRangeBank verifies per run.
+// (NewSeekRun, RunFloodCtx, tests): the bank back-pointer makes every
+// member protocol report the bank via RangeBank, which radio's
+// detectRangeBank verifies per run. A dissemination machine's run is
+// its bank, so newDissemRun builds them attached.
 
 // SeekBank fuses the CSEEK/CKSEEK machines of one run for range
 // dispatch (discovery, and CGCAST's exchange stages). NewSeekRun and

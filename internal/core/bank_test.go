@@ -136,7 +136,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			run := newDissemRun(p, session.schedule, d, 0, "m", seed+4)
 			// Dissemination machines are always banked; the per-node
 			// run hides the bank behind perNodeDissem views.
-			protos := run.protocols()
+			protos := make([]radio.Protocol, n)
 			for u := range protos {
 				protos[u] = perNodeDissem{&run.nodes[u]}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"crn/internal/bitset"
 	"crn/internal/coloring"
@@ -131,6 +132,7 @@ func RunCGCastCtx(ctx context.Context, nw *radio.Network, cfg BroadcastConfig) (
 	if err != nil {
 		return nil, err
 	}
+	defer session.release()
 	dres, err := session.DisseminateCtx(ctx, cfg.D, cfg.Source, cfg.Message, cfg.Seed+1)
 	if err != nil {
 		return nil, err
@@ -182,8 +184,10 @@ type BroadcastSession struct {
 	valid   bool
 	// schedule is the n×2Δ table whose row u maps color -> u's local
 	// dedicated channel (-1 when none), precomputed once: every
-	// dissemination reuses it read-only.
-	schedule []int32
+	// dissemination reuses it read-only. scheduleBuf is the
+	// schedulePool entry it came from.
+	schedule    []int32
+	scheduleBuf *[]int32
 }
 
 // PrepareCGCast runs CGCAST stages 1–4 (discovery, dedicated-channel
@@ -216,16 +220,36 @@ func PrepareCGCastCtx(ctx context.Context, nw *radio.Network, cfg SessionConfig)
 	if err != nil {
 		return nil, err
 	}
-	d := &cgcastDriver{
-		ctx:    ctx,
-		nw:     nw,
-		p:      p,
-		mode:   mode,
-		master: rng.New(cfg.Seed),
-		n:      nw.Graph.N(),
-		seek:   seek,
-	}
+	d := driverPool.Get().(*cgcastDriver)
+	defer d.release()
+	d.ctx, d.nw, d.p, d.mode, d.n, d.seek = ctx, nw, p, mode, nw.Graph.N(), seek
+	d.master.Reseed(cfg.Seed)
 	return d.prepare()
+}
+
+// driverPool holds setup drivers between setups. A setup's tables are
+// garbage once its session is built, so the next setup reuses them
+// where they are large enough: a sweep of CGCAST runs allocates its
+// per-edge state about once per worker instead of once per run.
+var driverPool = sync.Pool{New: func() any { return new(cgcastDriver) }}
+
+// release returns d to driverPool reset to its zero value but for its
+// tables, and those hold no reference into the network.
+func (d *cgcastDriver) release() {
+	clear(d.neighbors)
+	*d = cgcastDriver{tables: d.tables}
+	driverPool.Put(d)
+}
+
+// reuse returns s resized to n zero elements, allocating only when its
+// capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SetupSlots returns the slot cost of stages 1–4.
@@ -259,7 +283,7 @@ type cgcastDriver struct {
 	nw     *radio.Network
 	p      Params
 	mode   BroadcastMode
-	master *rng.Source
+	master rng.Source
 	n      int
 
 	// seek is the schedule of every CSEEK exchange; its length is the
@@ -269,19 +293,35 @@ type cgcastDriver struct {
 	// rewritten in place by nodeRand.
 	rand rng.Source
 
-	// Edge index over the finalized graph: edge id e is the position of
-	// edges[e] in Graph.Edges(), sorted by (U, V). inc[incStart[u]:
-	// incStart[u+1]] lists u's incident edge ids in ascending neighbor
-	// order, aligned with neighbors[u] = Graph.Neighbors(u).
-	edges     []graph.Edge
+	// edges is the finalized graph's Edges(), sorted by (U, V): edge id
+	// e is the position of edges[e].
+	edges []graph.Edge
+	// haveVis reports that vis holds this setup's static two-hop view
+	// (abstract mode builds it once).
+	haveVis bool
+
+	setupSlots int64
+	setupRadio radio.Stats // engine counters of full-mode exchanges
+	stage      int         // monotone counter used for RNG stream separation
+
+	tables
+}
+
+// tables is the per-node and per-edge storage of a setup, which the
+// next setup reuses (see driverPool).
+type tables struct {
+	// inc[incStart[u]:incStart[u+1]] lists u's incident edge ids in
+	// ascending neighbor order, aligned with neighbors[u] =
+	// Graph.Neighbors(u); fill is scratch for building it.
 	incStart  []int32
 	inc       []int32
+	fill      []int32
 	neighbors [][]int32
 	es        []edgeState
 
 	// plates holds the color plate of every edge's virtual node: row e
 	// is edge e's, 2Δ colors wide.
-	plates *bitset.Matrix
+	plates bitset.Matrix
 
 	// entry is the per-edge table every coloring exchange carries:
 	// this phase's proposals in step one, its decisions in step two
@@ -289,12 +329,8 @@ type cgcastDriver struct {
 	// two-hop exchange left: vis(u, s) reports whether u holds the
 	// entries s simulates. scratch collects one edge's conflicts.
 	entry   []int
-	vis     *bitset.Matrix
+	vis     bitset.Matrix
 	scratch []int
-
-	setupSlots int64
-	setupRadio radio.Stats // engine counters of full-mode exchanges
-	stage      int         // monotone counter used for RNG stream separation
 }
 
 // edgeState is the setup state of one graph edge (U, V).
@@ -340,24 +376,24 @@ func (d *cgcastDriver) prepare() (*BroadcastSession, error) {
 func (d *cgcastDriver) indexEdges() {
 	g := d.nw.Graph
 	d.edges = g.Edges()
-	d.incStart = make([]int32, d.n+1)
-	d.neighbors = make([][]int32, d.n)
+	d.incStart = reuse(d.incStart, d.n+1)
+	d.neighbors = reuse(d.neighbors, d.n)
 	for u := range d.neighbors {
 		d.neighbors[u] = g.Neighbors(u)
 		d.incStart[u+1] = d.incStart[u] + int32(len(d.neighbors[u]))
 	}
-	d.inc = make([]int32, 2*len(d.edges))
-	fill := append([]int32(nil), d.incStart[:d.n]...)
+	d.inc = reuse(d.inc, 2*len(d.edges))
+	d.fill = append(d.fill[:0], d.incStart[:d.n]...)
 	for e, ed := range d.edges {
-		d.inc[fill[ed.U]] = int32(e)
-		fill[ed.U]++
-		d.inc[fill[ed.V]] = int32(e)
-		fill[ed.V]++
+		d.inc[d.fill[ed.U]] = int32(e)
+		d.fill[ed.U]++
+		d.inc[d.fill[ed.V]] = int32(e)
+		d.fill[ed.V]++
 	}
-	d.es = make([]edgeState, len(d.edges))
-	d.entry = make([]int, len(d.edges))
+	d.es = reuse(d.es, len(d.edges))
+	d.entry = reuse(d.entry, len(d.edges))
 	// An edge has at most 2Δ-2 adjacent edges.
-	d.scratch = make([]int, 0, 2*d.p.Delta)
+	d.scratch = reuse(d.scratch, 2*d.p.Delta)[:0]
 }
 
 // buildSchedules derives each node's color -> dedicated-channel map
@@ -368,7 +404,8 @@ func (d *cgcastDriver) indexEdges() {
 // coloring improper.
 func (d *cgcastDriver) buildSchedules(s *BroadcastSession) {
 	numColors := 2 * d.p.Delta
-	s.schedule = make([]int32, d.n*numColors)
+	s.scheduleBuf = schedulePool.Get().(*[]int32)
+	s.schedule = reuse(*s.scheduleBuf, d.n*numColors)
 	for i := range s.schedule {
 		s.schedule[i] = -1
 	}
@@ -388,6 +425,19 @@ func (d *cgcastDriver) buildSchedules(s *BroadcastSession) {
 			s.schedule[i] = st.ch[side]
 		}
 	}
+}
+
+// schedulePool recycles the schedule tables of the sessions RunCGCast
+// discards once its one dissemination is done; a session from
+// PrepareCGCast keeps its table.
+var schedulePool = sync.Pool{New: func() any { return new([]int32) }}
+
+// release returns the session's schedule table to schedulePool. The
+// session must not disseminate again.
+func (s *BroadcastSession) release() {
+	*s.scheduleBuf = s.schedule[:0]
+	schedulePool.Put(s.scheduleBuf)
+	s.schedule, s.scheduleBuf = nil, nil
 }
 
 // nodeRand starts the fresh deterministic stream of (stage, node) in
@@ -469,7 +519,9 @@ func (d *cgcastDriver) establishEdges() error {
 // ----- Stage 3: line-graph coloring over exchange epochs -----
 
 func (d *cgcastDriver) colorEdges(phases int) error {
-	d.plates = coloring.NewPlates(len(d.es), 2*d.p.Delta)
+	// Every plate starts full.
+	d.plates.Reset(len(d.es), 2*d.p.Delta)
+	d.plates.Fill()
 	for e := range d.es {
 		if d.es[e].live {
 			d.es[e].sim = coloring.NewNodeState()
@@ -494,7 +546,7 @@ func (d *cgcastDriver) colorEdges(phases int) error {
 			if u := d.edges[e].U; u != owner {
 				r, owner = d.nodeRand(int(u)), u
 			}
-			d.entry[e] = st.sim.Propose(d.plates, e, r)
+			d.entry[e] = st.sim.Propose(&d.plates, e, r)
 		}
 		d.nextStage()
 		if err := d.exchangeTwoHop(); err != nil {
@@ -518,7 +570,7 @@ func (d *cgcastDriver) colorEdges(phases int) error {
 		}
 		for e := range d.es {
 			if st := &d.es[e]; st.live && st.sim.Active() {
-				st.sim.ObserveDecisions(d.plates, e, d.adjacentEntries(e))
+				st.sim.ObserveDecisions(&d.plates, e, d.adjacentEntries(e))
 			}
 		}
 	}
@@ -561,10 +613,11 @@ func (d *cgcastDriver) exchangeTwoHop() error {
 	if err != nil {
 		return err
 	}
-	if d.vis != nil && d.mode == ExchangeAbstract {
+	if d.haveVis && d.mode == ExchangeAbstract {
 		return nil
 	}
-	d.vis = bitset.NewMatrix(d.n, d.n)
+	d.vis.Reset(d.n, d.n)
+	d.haveVis = true
 	for u, relays := range second {
 		for _, s := range first[u] {
 			d.vis.Set(u, int(s))
@@ -613,7 +666,7 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 // slots to setup. record enables the per-slot channel log stage 1
 // needs.
 func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
-	seeks := newSeekRun(d.seek, d.n, d.master, uint64(d.stage)<<32)
+	seeks := newSeekRun(d.seek, d.n, &d.master, uint64(d.stage)<<32)
 	protos := make([]radio.Protocol, d.n)
 	for u, s := range seeks {
 		if record {
@@ -681,6 +734,7 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 		return nil, fmt.Errorf("core: source %d out of range", source)
 	}
 	run := newDissemRun(s.p, s.schedule, dD, source, msg, seed)
+	defer run.release()
 	e, err := radio.NewEngine(s.nw, run.protocols())
 	if err != nil {
 		return nil, err
@@ -735,7 +789,8 @@ func (s *BroadcastSession) fillColoringStats(res *BroadcastResult) {
 // machine in one slice, and what the machines share, held once. It is
 // also their bank for range dispatch (see bank.go).
 type dissemRun struct {
-	nodes []dissemProto
+	nodes  []dissemProto
+	protos []radio.Protocol // &nodes[u], the engine's protocol set
 	// schedule is the session's n×colors table: row u maps color ->
 	// u's local dedicated channel, -1 if none. Read-only.
 	schedule []int32
@@ -774,20 +829,24 @@ type dissemMessage struct {
 // phases phases over schedule, an n×2Δ table (n = len(schedule)/2Δ),
 // rounds and back-off coins from p, which must be normalized. Only
 // source starts informed; node u draws from rng.New(seed).Split(u).
+// The run's storage comes from dissemPool; release returns it.
 func newDissemRun(p Params, schedule []int32, phases int, source radio.NodeID, msg any, seed uint64) *dissemRun {
 	colors := 2 * p.Delta
 	rounds := scaledSteps(p.Tuning.DissemRounds, 1, p.LgN())
-	coins := p.backoffCoins()
-	r := &dissemRun{
-		nodes:    make([]dissemProto, len(schedule)/colors),
+	r := dissemPool.Get().(*dissemRun)
+	n := len(schedule) / colors
+	*r = dissemRun{
+		nodes:    reuse(r.nodes, n),
+		protos:   reuse(r.protos, n),
 		schedule: schedule,
 		colors:   colors,
-		perStep:  int64(rounds) * int64(len(coins)),
-		coins:    coins,
+		coins:    p.backoffCoins(),
 		frame:    dissemMessage{Body: msg},
 	}
+	r.perStep = int64(rounds) * int64(len(r.coins))
 	r.total = int64(phases) * int64(colors) * r.perStep
-	master := rng.New(seed)
+	var master rng.Source
+	master.Reseed(seed)
 	for u := range r.nodes {
 		r.nodes[u] = dissemProto{
 			run:      r,
@@ -795,18 +854,25 @@ func newDissemRun(p Params, schedule []int32, phases int, source radio.NodeID, m
 			u:        int32(u),
 			informed: radio.NodeID(u) == source,
 		}
+		r.protos[u] = &r.nodes[u]
 	}
 	return r
 }
 
-// protocols returns the run's machines as the engine's protocol set.
-func (r *dissemRun) protocols() []radio.Protocol {
-	protos := make([]radio.Protocol, len(r.nodes))
-	for u := range r.nodes {
-		protos[u] = &r.nodes[u]
-	}
-	return protos
+// dissemPool holds dissemination runs between disseminations, so a
+// run's node machines reuse the storage of an earlier run.
+var dissemPool = sync.Pool{New: func() any { return new(dissemRun) }}
+
+// release returns r to dissemPool, keeping only its node storage; the
+// machines must not be stepped again.
+func (r *dissemRun) release() {
+	*r = dissemRun{nodes: r.nodes[:0], protos: r.protos[:0]}
+	dissemPool.Put(r)
 }
+
+// protocols returns the run's machines as the engine's protocol set.
+// The slice belongs to the run.
+func (r *dissemRun) protocols() []radio.Protocol { return r.protos }
 
 // Act implements radio.Protocol.
 func (dp *dissemProto) Act(_ int64) radio.Action {

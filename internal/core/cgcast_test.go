@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -355,4 +357,90 @@ func TestDissemProtoStepLatching(t *testing.T) {
 	if !sawBroadcast {
 		t.Error("informed node never attempted broadcast in its step")
 	}
+}
+
+// TestCGCastConcurrentRunsMatchSequential: setups, sessions and
+// disseminations reuse pooled tables across runs, so runs on instances
+// of different sizes, on several goroutines at once, must each match
+// the same run made alone — for whole RunCGCast runs and for
+// concurrent disseminations over one shared session.
+func TestCGCastConcurrentRunsMatchSequential(t *testing.T) {
+	type instance struct {
+		nw *radio.Network
+		p  Params
+		d  int
+	}
+	var insts []instance
+	for i, g := range []*graph.Graph{graph.Path(8), graph.Star(10), graph.Complete(6)} {
+		a, err := chanassign.SharedCore(g.N(), 3, 2, rng.New(uint64(90+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, p, d := buildBroadcastNet(t, g, a)
+		insts = append(insts, instance{nw, p, d})
+	}
+	grid, err := graph.Grid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := chanassign.SharedCore(16, 4, 2, rng.New(94))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, p, d := buildBroadcastNet(t, grid, a)
+	insts = append(insts, instance{nw, p, d})
+
+	const seeds = 3
+	run := func(i int, seed uint64) string {
+		in := insts[i]
+		res, err := RunCGCast(in.nw, BroadcastConfig{Params: in.p, D: in.d, Source: 0, Message: "m", Seed: seed})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return fmt.Sprintf("%+v", *res)
+	}
+	want := make([][seeds]string, len(insts))
+	for i := range insts {
+		for s := range seeds {
+			want[i][s] = run(i, uint64(s+1))
+		}
+	}
+	session, err := PrepareCGCast(nw, SessionConfig{Params: p, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disseminate := func(seed uint64) string {
+		res, err := session.Disseminate(d, 3, "m", seed)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return fmt.Sprintf("%+v", *res)
+	}
+	var wantDissem [seeds]string
+	for s := range seeds {
+		wantDissem[s] = disseminate(uint64(s + 1))
+	}
+
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each worker walks the runs in its own order, so tables
+			// sized for one instance are reused by another.
+			for k := range len(insts) * seeds {
+				j := (k*(w+1) + w) % (len(insts) * seeds)
+				i, s := j/seeds, j%seeds
+				if got := run(i, uint64(s+1)); got != want[i][s] {
+					t.Errorf("worker %d: instance %d seed %d diverged:\n got %s\nwant %s", w, i, s+1, got, want[i][s])
+				}
+				if got := disseminate(uint64(s + 1)); got != wantDissem[s] {
+					t.Errorf("worker %d: session dissemination seed %d diverged:\n got %s\nwant %s", w, s+1, got, wantDissem[s])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
