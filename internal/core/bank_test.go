@@ -140,7 +140,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			for u := range protos {
 				protos[u] = perNodeDissem{&run.nodes[u]}
 			}
-			return stack{protos: protos, slots: run.total, attach: func() { copy(protos, run.protocols()) }, outcome: func() string {
+			return stack{protos: protos, slots: run.total, attach: func() { copy(protos, run.protos) }, outcome: func() string {
 				out := ""
 				for u := range run.nodes {
 					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].slot)

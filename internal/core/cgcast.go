@@ -735,7 +735,7 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 	}
 	run := newDissemRun(s.p, s.schedule, dD, source, msg, seed)
 	defer run.release()
-	e, err := radio.NewEngine(s.nw, run.protocols())
+	e, err := radio.NewEngine(s.nw, run.protos)
 	if err != nil {
 		return nil, err
 	}
@@ -869,10 +869,6 @@ func (r *dissemRun) release() {
 	*r = dissemRun{nodes: r.nodes[:0], protos: r.protos[:0]}
 	dissemPool.Put(r)
 }
-
-// protocols returns the run's machines as the engine's protocol set.
-// The slice belongs to the run.
-func (r *dissemRun) protocols() []radio.Protocol { return r.protos }
 
 // Act implements radio.Protocol.
 func (dp *dissemProto) Act(_ int64) radio.Action {

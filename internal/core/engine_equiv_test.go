@@ -107,7 +107,7 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := newDissemRun(p, session.schedule, d, 0, "m", seed+4+off)
-			return stack{protos: run.protocols(), slots: run.total, outcome: func() string {
+			return stack{protos: run.protos, slots: run.total, outcome: func() string {
 				out := ""
 				for u := range run.nodes {
 					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].slot)
