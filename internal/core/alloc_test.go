@@ -119,7 +119,7 @@ func TestCGCastSetupAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw, p, _ := buildBroadcastNet(t, g, a)
-	// 6 allocations when the driver pool hands back a driver, 16 when
+	// 6 allocations when the setup pool hands back its tables, 16 when
 	// it does not (the race detector drops pooled entries at random):
 	// the edge index, the per-edge tables, the plates, the two-hop
 	// view, the schedule and the session. A coloring state and plate
@@ -133,7 +133,7 @@ func TestCGCastSetupAllocs(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("setup made %.0f allocations, ceiling %d", allocs, ceiling)
 	}
-	// The coloring stage of a driver whose tables are sized: one phase,
+	// The coloring stage of a setup whose tables are sized: one phase,
 	// in which every edge is still active, and the full budget, whose
 	// early phases all have edges left to color.
 	seek, err := cseekSchedule(&p)

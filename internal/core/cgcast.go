@@ -220,25 +220,25 @@ func PrepareCGCastCtx(ctx context.Context, nw *radio.Network, cfg SessionConfig)
 	if err != nil {
 		return nil, err
 	}
-	d := driverPool.Get().(*cgcastDriver)
+	d := setupPool.Get().(*cgcastDriver)
 	defer d.release()
 	d.ctx, d.nw, d.p, d.mode, d.n, d.seek = ctx, nw, p, mode, nw.Graph.N(), seek
 	d.master.Reseed(cfg.Seed)
 	return d.prepare()
 }
 
-// driverPool holds setup drivers between setups. A setup's tables are
+// setupPool holds setup state between setups. A setup's tables are
 // garbage once its session is built, so the next setup reuses them
 // where they are large enough: a sweep of CGCAST runs allocates its
 // per-edge state about once per worker instead of once per run.
-var driverPool = sync.Pool{New: func() any { return new(cgcastDriver) }}
+var setupPool = sync.Pool{New: func() any { return new(cgcastDriver) }}
 
-// release returns d to driverPool reset to its zero value but for its
+// release returns d to setupPool reset to its zero value but for its
 // tables, and those hold no reference into the network.
 func (d *cgcastDriver) release() {
 	clear(d.neighbors)
 	*d = cgcastDriver{tables: d.tables}
-	driverPool.Put(d)
+	setupPool.Put(d)
 }
 
 // reuse returns s resized to n zero elements, allocating only when its
@@ -308,7 +308,7 @@ type cgcastDriver struct {
 }
 
 // tables is the per-node and per-edge storage of a setup, which the
-// next setup reuses (see driverPool).
+// next setup reuses (see setupPool).
 type tables struct {
 	// inc[incStart[u]:incStart[u+1]] lists u's incident edge ids in
 	// ascending neighbor order, aligned with neighbors[u] =
@@ -339,7 +339,7 @@ type edgeState struct {
 	ch [2]int32
 	// sim is the coloring state of the edge's virtual node, simulated
 	// by U, the smaller endpoint; its color is the edge's final color.
-	// Its plate is row e of the driver's plates.
+	// Its plate is row e of the setup's plates.
 	sim coloring.NodeState
 	// live reports that the edge is established at both endpoints; it
 	// is cleared when the edge fails discovery, exchange or coloring.
