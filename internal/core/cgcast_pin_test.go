@@ -244,10 +244,10 @@ func clusterChainNet(t *testing.T) (*radio.Network, Params, int) {
 var pinnedDissems = []pinnedDissem{
 	{name: "abstract/unitdisk48", mode: ExchangeAbstract, sources: [2]radio.NodeID{0, 47}, build: unitDisk48Net,
 		want: [4]string{
-			"slots=16560 at=1810 all=true informed=48/48 digest=1e84e14d7a5bccb9",
-			"slots=16560 at=1805 all=true informed=48/48 digest=42ef2b8082285e43",
-			"slots=16560 at=2224 all=true informed=48/48 digest=e58b5bfa748d79e6",
-			"slots=16560 at=1323 all=true informed=48/48 digest=181a1e1c1f70b321",
+			"slots=16560 at=1810 all=true informed=48/48 digest=8f8d07ab6c7f6eef",
+			"slots=16560 at=1805 all=true informed=48/48 digest=43a54997966e5819",
+			"slots=16560 at=2224 all=true informed=48/48 digest=4f531793c8d1e6ea",
+			"slots=16560 at=1323 all=true informed=48/48 digest=cffc413f39f4407d",
 		}},
 	{name: "abstract/grid8x8", mode: ExchangeAbstract, sources: [2]radio.NodeID{0, 63},
 		build: func(t *testing.T) (*radio.Network, Params, int) {
@@ -262,10 +262,10 @@ var pinnedDissems = []pinnedDissem{
 			return buildBroadcastNet(t, g, a)
 		},
 		want: [4]string{
-			"slots=2688 at=824 all=true informed=64/64 digest=ba8a0d03bc2847f2",
-			"slots=2688 at=794 all=true informed=64/64 digest=eb61ca625c4bfb79",
-			"slots=2688 at=845 all=true informed=64/64 digest=2c29569d3f5b90c3",
-			"slots=2688 at=674 all=true informed=64/64 digest=5e98e16d922d5a5a",
+			"slots=2688 at=824 all=true informed=64/64 digest=63d522a68ccf216e",
+			"slots=2688 at=794 all=true informed=64/64 digest=512a97482dd6a305",
+			"slots=2688 at=845 all=true informed=64/64 digest=61f8d89eaf01f685",
+			"slots=2688 at=674 all=true informed=64/64 digest=7901efee1c7d8002",
 		}},
 	{name: "full/star5", mode: ExchangeFull, sources: [2]radio.NodeID{0, 4},
 		build: func(t *testing.T) (*radio.Network, Params, int) {
@@ -276,10 +276,10 @@ var pinnedDissems = []pinnedDissem{
 			return buildBroadcastNet(t, graph.Star(5), a)
 		},
 		want: [4]string{
-			"slots=256 at=97 all=true informed=5/5 digest=e5a0a285811a4fc5",
-			"slots=256 at=193 all=true informed=5/5 digest=bdae65e07e820636",
-			"slots=256 at=102 all=true informed=5/5 digest=7005feb14241f194",
-			"slots=256 at=211 all=true informed=5/5 digest=89f3ec9eb6f9a508",
+			"slots=256 at=97 all=true informed=5/5 digest=0e09cbb289ed9da8",
+			"slots=256 at=193 all=true informed=5/5 digest=fd17539a913a883e",
+			"slots=256 at=102 all=true informed=5/5 digest=7f0f842c7e24d50f",
+			"slots=256 at=211 all=true informed=5/5 digest=84be023473b9ab24",
 		}},
 	// Poisson primary users jam the dedicated channels while the
 	// message spreads.
@@ -294,10 +294,10 @@ var pinnedDissems = []pinnedDissem{
 			return nw, p, d
 		},
 		want: [4]string{
-			"slots=896 at=241 all=true informed=16/16 digest=5388995d3929af4b",
-			"slots=896 at=339 all=true informed=16/16 digest=b268173f5acb9844",
-			"slots=896 at=353 all=true informed=16/16 digest=3b51ba00372d646f",
-			"slots=896 at=353 all=true informed=16/16 digest=eec22a185147d0d8",
+			"slots=896 at=241 all=true informed=16/16 digest=0ca25dca3ceb094a",
+			"slots=896 at=339 all=true informed=16/16 digest=8725020487d5c2d2",
+			"slots=896 at=353 all=true informed=16/16 digest=6645a876ad303e58",
+			"slots=896 at=353 all=true informed=16/16 digest=e08493ca2b563a43",
 		}},
 	// Churn takes nodes down mid-dissemination; a down node's schedule
 	// freezes.
@@ -312,10 +312,10 @@ var pinnedDissems = []pinnedDissem{
 			return nw, p, d
 		},
 		want: [4]string{
-			"slots=896 at=-1 all=false informed=15/16 digest=863dbbd3a75468ab",
-			"slots=896 at=-1 all=false informed=15/16 digest=de70baafaff7795b",
-			"slots=896 at=-1 all=false informed=15/16 digest=8d4d980acf44f015",
-			"slots=896 at=-1 all=false informed=15/16 digest=de197fa79a72e391",
+			"slots=896 at=-1 all=false informed=15/16 digest=482cc6cafe7b62cb",
+			"slots=896 at=-1 all=false informed=15/16 digest=03d0f9e7d8f66af0",
+			"slots=896 at=-1 all=false informed=15/16 digest=80db03ad62dc5e49",
+			"slots=896 at=-1 all=false informed=15/16 digest=cce542c549ae6b94",
 		}},
 }
 
@@ -327,7 +327,7 @@ func dissemDigest(t *testing.T, nw *radio.Network, s *BroadcastSession, d int, s
 	t.Helper()
 	h := fnv.New64a()
 	nw.Trace = func(slot int64, listener radio.NodeID, ch int32, dl radio.Delivery) {
-		fmt.Fprintf(h, "%d:%d:%d:%d:%v;", slot, listener, ch, dl.From, dl.Data)
+		fmt.Fprintf(h, "%d:%d:%d:%d;", slot, listener, ch, dl.From)
 	}
 	defer func() { nw.Trace = nil }()
 	res, err := s.Disseminate(d, source, "m", seed)
@@ -355,9 +355,9 @@ func dissemDigest(t *testing.T, nw *radio.Network, s *BroadcastSession, d int, s
 // the ordered delivery trace of Disseminate — on the two
 // broadcast-multihop shapes, a full-fidelity session, Poisson-jammed
 // dedicated channels and churn, from two sources at two seeds each.
-// The wanted strings were recorded before the dissemination state was
-// laid out flat: a change to one is a change of behaviour, not a
-// refresh.
+// The wanted strings were recorded before frames lost their payload;
+// the trace digest covers (slot, listener, channel, sender). A change
+// to one is a change of behaviour, not a refresh.
 func TestCGCastDisseminationPinned(t *testing.T) {
 	for _, tc := range pinnedDissems {
 		i := 0

@@ -12,13 +12,15 @@ import (
 )
 
 // This file pins the slot loop's observable behaviour to fixed values
-// recorded from an independent earlier implementation of the engine:
-// for a single Engine run and for each replica of a 3-replica
-// BatchEngine it hashes the run's Stats, its ordered delivery trace and
-// every node's full observation sequence (slot, sender, payload or
-// nil). The equivalence suites elsewhere compare execution paths with
-// each other; this one compares against constants, so it still bites
-// when every path is rewritten at once.
+// recorded from an earlier implementation of the engine: for a single
+// Engine run and for each replica of a 3-replica BatchEngine it hashes
+// the run's Stats, its ordered delivery trace (slot, listener, channel,
+// sender) and every node's full observation sequence (slot, sender).
+// The values were recorded on the engine that still carried a payload
+// per frame, before that payload was removed. The equivalence suites
+// elsewhere compare execution paths with each other; this one compares
+// against constants, so it still bites when every path is rewritten at
+// once.
 
 // pinProto draws a random action per slot from its own stream and
 // folds every observation into a per-node hash. life > 0 ends the
@@ -39,7 +41,7 @@ type pinProto struct {
 func (p *pinProto) Act(_ int64) Action {
 	switch p.r.Intn(3) {
 	case 0:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: p.idx*1000 + int(p.observed)}
+		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c)}
 	case 1:
 		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
 	default:
@@ -48,19 +50,14 @@ func (p *pinProto) Act(_ int64) Action {
 }
 
 func (p *pinProto) Observe(slot int64, d Delivery) {
-	p.record(slot, d.From, d.Data)
+	p.record(slot, d.From)
 }
 
-func (p *pinProto) record(slot int64, from NodeID, data any) {
+func (p *pinProto) record(slot int64, from NodeID) {
 	p.observed++
-	var buf [16]byte
+	var buf [12]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(slot))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(from))
-	d := -1
-	if data != nil {
-		d = data.(int)
-	}
-	binary.LittleEndian.PutUint32(buf[12:], uint32(d))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(from))
 	p.h.Write(buf[:])
 }
 
@@ -85,7 +82,7 @@ func (b *pinBank) ActRange(slot int64, lo, hi int, acts []Action) {
 
 func (b *pinBank) ObserveRange(slot int64, lo, hi int, deliveries []Delivery) {
 	for u := lo; u < hi; u++ {
-		b.nodes[u].record(slot, deliveries[u].From, deliveries[u].Data)
+		b.nodes[u].record(slot, deliveries[u].From)
 	}
 }
 
@@ -158,7 +155,7 @@ func pinDigest(st Stats, trace []pinEvent, views []*pinProto) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v\n", st)
 	for _, ev := range trace {
-		fmt.Fprintf(h, "%d %d %d %d %d\n", ev.slot, ev.listener, ev.ch, ev.from, ev.data)
+		fmt.Fprintf(h, "%d %d %d %d\n", ev.slot, ev.listener, ev.ch, ev.from)
 	}
 	for _, v := range views {
 		fmt.Fprintf(h, "%x\n", v.h.Sum64())
@@ -171,33 +168,32 @@ type pinEvent struct {
 	listener NodeID
 	ch       int32
 	from     NodeID
-	data     int
 }
 
 func pinRecorder(dst *[]pinEvent) TraceFunc {
 	return func(slot int64, listener NodeID, ch int32, d Delivery) {
-		*dst = append(*dst, pinEvent{slot, listener, ch, d.From, d.Data.(int)})
+		*dst = append(*dst, pinEvent{slot, listener, ch, d.From})
 	}
 }
 
 // pinnedDigests holds, per case/set, the Engine run's digest followed
 // by the three BatchEngine replicas' digests.
 var pinnedDigests = map[string][4]string{
-	"static/node":            {"e9ff979a683674bf", "4a2810f00f6fee2b", "8392301b578e0e49", "3c6d1176e923a74f"},
-	"static/bank":            {"4fa746d66eaf9a95", "4ea8860ead48e771", "9e890b0edbfbd889", "f0e7a4f292ac44a6"},
-	"static/delayed":         {"807d1be24c65b0aa", "e39677cc76a45567", "ba6f88efa84dccd4", "d7c0de0cb1c3ea60"},
-	"parity/node":            {"f5cd2968babddb47", "29e5dd4bc61d0c31", "9349853a49ecfbac", "e64a8bffaace0b6c"},
-	"parity/bank":            {"bb8726c8f809ec57", "c56b899b052b4441", "19e2520c6bc28f80", "e6f110871911f25c"},
-	"parity/delayed":         {"d440e71b31e7611d", "3a1c2850578bc90d", "37be43ed4df2ea99", "7ec2aa62e91b0049"},
-	"reactive/node":          {"8c1f4ef255798725", "bf14a14b51f06177", "8166b261e05976b1", "e5895263e8d76c79"},
-	"reactive/bank":          {"9f6259180ca7dece", "e5036409b577f87f", "f298dd1617e3cef2", "12977073570d15cd"},
-	"reactive/delayed":       {"264c4724916fe6d2", "6ad19bcbadaad406", "34a0dae5f0e4ddb0", "c2ef1a7e4331432c"},
-	"churnflap/node":         {"a1cdc9421f8b8dd8", "dc437c0d99e97792", "177f95b6b10622ff", "70bc3259577c0c40"},
-	"churnflap/bank":         {"4a4ef02533f40de0", "653de2a3c4db92e9", "08f8602e28ec0d00", "c7aa9bb576e47642"},
-	"churnflap/delayed":      {"c87f985d40addcba", "f040a4a23f29488e", "576dfd838f1faf5b", "15fffa213314760b"},
-	"jammed-dynamic/node":    {"7419274a016e8c6b", "a48915b691b194c2", "ac6612a03d343667", "3c59c967fe45f614"},
-	"jammed-dynamic/bank":    {"c88b56f695e5d4fd", "c80f15868bb9e23d", "b6253fe4d23dda9f", "c5689ffd10b220bc"},
-	"jammed-dynamic/delayed": {"1d9bab32d52ab8e6", "d58d8681d257fc21", "952fa99a6366b5d7", "5530c830bbbfb9bd"},
+	"static/node":            {"dbbe0589196085fd", "77301c031cfb41fc", "a05b6b629ce940df", "6971a51b7d736f7c"},
+	"static/bank":            {"dddc01115bf9cb44", "a4805600cd4eba0c", "4c6168313ca8a15f", "8d05aebe4f296df5"},
+	"static/delayed":         {"131c2c63c411d980", "383555f25f91446d", "40baf24dd22a86f3", "42444ad4d6bb6863"},
+	"parity/node":            {"b868a712b8b34156", "0df4348093afee8b", "1174224f911caff4", "7a9e36a04509d138"},
+	"parity/bank":            {"b1077ff41a4a5e66", "570c358ccd8a55e1", "70c4231eb5af88e3", "f8c546b613f3f2de"},
+	"parity/delayed":         {"ebc86ed8cf44dd66", "e609f0bbdbd1a097", "440b1eb2b8bcc4fe", "51d91fc0cbe6a1df"},
+	"reactive/node":          {"02b141927d89b3c4", "435fad788c5f9c23", "d1e5692f64f7550e", "179841a9e0278d53"},
+	"reactive/bank":          {"68d71ad5e40aff8f", "a612f6c768540b4b", "cd9921926e77ebac", "b5c0b395fe06c06f"},
+	"reactive/delayed":       {"1f4527536d2e79df", "b55bf7f64177b003", "c329e5d2123c7beb", "1aa4b5745380c937"},
+	"churnflap/node":         {"455c11ef87d08698", "37cc7d36d0e1ef4c", "28cbc26cabbd7cf4", "876ced7b63355451"},
+	"churnflap/bank":         {"1b6c3fbff203d102", "127305ff57cae54a", "c20e0e43b4b50346", "6391e805d2296083"},
+	"churnflap/delayed":      {"ebe1f167ffd43aea", "c24559bda77b09dc", "926ff03a32f335c3", "93d3741a648c4945"},
+	"jammed-dynamic/node":    {"84b3fd52454d9bb9", "0c1281f398cfe220", "bee9a52054f073ce", "c0bd10d16783dbea"},
+	"jammed-dynamic/bank":    {"981b1602454941b5", "d3d137101120277f", "e4dcd7318c8087e3", "0e4153405cc0faea"},
+	"jammed-dynamic/delayed": {"e9342439fc19705c", "953b97277eb87152", "1056678a1f6d4008", "957a14fd03c48278"},
 }
 
 // TestEnginePinned runs every case × set through a single Engine
@@ -295,9 +291,9 @@ func pinSanity(t *testing.T, cs, set string, st Stats, slots int64) {
 // TestEnginePinned installs a trace on every run, so it never pins
 // that case.
 var pinnedSteadyDigests = map[string][4]string{
-	"node":    {"63c6d8e9e332ea37", "9d79242b5d983d8b", "d2b23c2537c282b6", "96d2d1e7ec354985"},
-	"bank":    {"90a556f533d70037", "6a615c75eafce05f", "1135a4e218b0ae1c", "cdc5751713ef0bfa"},
-	"delayed": {"2ea8a66ccdcd0e84", "d2e6b60ae42d3ce6", "5bc7094f20212c25", "cb7c40e993cba2b3"},
+	"node":    {"e8b91867a3e943e8", "e09b6d88206dde65", "272a09215f62766e", "96dba71aaf7faa85"},
+	"bank":    {"0267f9123031c5a0", "7ff762d1fd5616b4", "77a8c2267b83dc03", "878c92abc38d64f2"},
+	"delayed": {"79373886f502aa21", "376a24139641b97c", "e174155398f6d44d", "979896a4c7665874"},
 }
 
 // TestEnginePinnedSteadyState pins the resolve loop as the static
