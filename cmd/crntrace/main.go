@@ -64,28 +64,32 @@ func run(args []string, w io.Writer) error {
 		schedule = s.TotalSlots()
 		protos[u] = s
 	}
-	e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a}, protos)
+	nw := &radio.Network{Graph: g, Assign: a}
+	var rec trace.Recorder
+	if *jsonl {
+		nw.Trace = rec.Trace
+	} else {
+		printed := int64(0)
+		nw.Trace = func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
+			if printed >= *max {
+				return
+			}
+			printed++
+			fmt.Fprintf(w, "%6d  node %-3d   <-  node %-3d (ch %d)\n", slot, listener, d.From, ch)
+		}
+	}
+	e, err := radio.NewEngine(nw, protos)
 	if err != nil {
 		return err
 	}
 
 	if *jsonl {
-		var rec trace.Recorder
-		rec.Attach(e)
 		e.Run(schedule + 1)
 		return rec.WriteJSONL(w)
 	}
 
 	fmt.Fprintf(w, "# CSEEK on a %d-node star, c=%d k=%d, schedule %d slots\n", *n, *c, *k, schedule)
 	fmt.Fprintf(w, "# slot  listener  <-  sender  (global channel)\n")
-	printed := int64(0)
-	e.SetTrace(func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
-		if printed >= *max {
-			return
-		}
-		printed++
-		fmt.Fprintf(w, "%6d  node %-3d   <-  node %-3d (ch %d)\n", slot, listener, d.From, ch)
-	})
 	st := e.Run(schedule + 1)
 	fmt.Fprintf(w, "# done: %d slots, %d deliveries, %d collisions\n",
 		st.Slots, st.Deliveries, st.Collisions)

@@ -90,8 +90,8 @@ func TestReactiveAdversaryOneSlotDelay(t *testing.T) {
 	}
 }
 
-// TestNetworkTraceFeedsEngine: a Network-carried trace callback sees
-// deliveries without an explicit SetTrace.
+// TestNetworkTraceFeedsEngine: the Network's trace callback sees every
+// delivery as (listener, sender).
 func TestNetworkTraceFeedsEngine(t *testing.T) {
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 2, 43)

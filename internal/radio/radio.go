@@ -269,8 +269,7 @@ type Network struct {
 	// is never mutated.
 	Topology TopologyFeed
 	// Trace optionally observes every delivery the engine resolves, in
-	// slot order on the engine's goroutine; Engine.SetTrace overrides
-	// it.
+	// slot order on the engine's goroutine.
 	Trace TraceFunc
 }
 
@@ -309,10 +308,6 @@ func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 	}
 	return &Engine{be: be}, nil
 }
-
-// SetTrace installs a delivery trace callback (nil to disable),
-// replacing the network's.
-func (e *Engine) SetTrace(fn TraceFunc) { e.be.reps[0].Trace = fn }
 
 // Slot returns the number of slots executed so far.
 func (e *Engine) Slot() int64 { return e.be.slot }

@@ -221,28 +221,6 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
-func TestTraceCallback(t *testing.T) {
-	g := graph.Path(2)
-	nw := newTestNetwork(t, g, 1, 9)
-	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: "x"}}}
-	p1 := &scriptProto{script: []Action{{Kind: Listen, Ch: 0}}}
-	e, err := NewEngine(nw, []Protocol{p0, p1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []NodeID
-	e.SetTrace(func(slot int64, listener NodeID, ch int32, d Delivery) {
-		got = append(got, listener)
-		if d.From != 0 {
-			t.Errorf("trace d.From = %d, want 0", d.From)
-		}
-	})
-	e.Run(10)
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("trace listeners = %v, want [1]", got)
-	}
-}
-
 // TestTraceFiresBeforeObserves: within a slot, all of a run's trace
 // callbacks fire before any of its observes — for a per-node set
 // through the adapter exactly as for a banked set — so when slot s is

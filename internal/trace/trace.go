@@ -26,21 +26,18 @@ type Event struct {
 }
 
 // Recorder accumulates delivery events from an engine run in delivery
-// order. Attach with Attach.
+// order. Install it as a network's trace: nw.Trace = rec.Trace.
 type Recorder struct {
 	events []Event
 }
 
-// Attach registers the recorder on an engine. It replaces any
-// previously installed trace callback.
-func (r *Recorder) Attach(e *radio.Engine) {
-	e.SetTrace(func(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
-		r.events = append(r.events, Event{
-			Slot:     slot,
-			Listener: int32(listener),
-			Sender:   int32(d.From),
-			Channel:  ch,
-		})
+// Trace records one delivery; it has radio.TraceFunc's signature.
+func (r *Recorder) Trace(slot int64, listener radio.NodeID, ch int32, d radio.Delivery) {
+	r.events = append(r.events, Event{
+		Slot:     slot,
+		Listener: int32(listener),
+		Sender:   int32(d.From),
+		Channel:  ch,
 	})
 }
 

@@ -35,12 +35,11 @@ func record(t *testing.T, seed uint64) *Recorder {
 		schedule = s.TotalSlots()
 		protos[u] = s
 	}
-	e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a}, protos)
+	var rec Recorder
+	e, err := radio.NewEngine(&radio.Network{Graph: g, Assign: a, Trace: rec.Trace}, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Recorder
-	rec.Attach(e)
 	e.Run(schedule + 1)
 	return &rec
 }
