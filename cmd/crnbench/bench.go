@@ -613,7 +613,7 @@ func (p *kernelProto) Act(_ int64) radio.Action {
 	b.slots[p.id] = int64(s) + 1
 	switch (p.id + s) & 3 {
 	case 0:
-		return radio.Action{Kind: radio.Broadcast, Ch: s & b.cMask, Data: b.frames[p.id]}
+		return radio.Action{Kind: radio.Broadcast, Ch: s & b.cMask}
 	case 1, 2:
 		return radio.Action{Kind: radio.Listen, Ch: (p.id + s) & b.cMask}
 	default:
@@ -634,31 +634,28 @@ func (p *kernelProto) RangeBank() (radio.RangeProtocol, int) {
 }
 
 // kernelBank is the range-ABI bank over the kernel workload: per-node
-// state is struct-of-arrays (slot counters and preboxed frames in flat
-// slices), so ActRange is one branch-plus-store pass with no per-node
-// pointer chase, and the observe side is a no-op — the per-protocol
-// cost floor, leaving the benchmark to measure the engine kernel
-// alone. This is the dispatch mode behind the ROADMAP's 100M
-// node-slots/sec target.
+// state is one flat slice of slot counters, so ActRange is one
+// branch-plus-store pass with no per-node pointer chase, and the
+// observe side is a no-op — the per-protocol cost floor, leaving the
+// benchmark to measure the engine kernel alone. This is the dispatch
+// mode behind the ROADMAP's 100M node-slots/sec target.
 type kernelBank struct {
 	// cMask is c-1: the benchmark pins c to a power of two so the
 	// channel rotation is a mask, not a hardware divide per node-slot
 	// (a DIV is ~half the whole per-node kernel budget).
-	cMask  int
-	slots  []int64
-	frames []any
+	cMask int
+	slots []int64
 }
 
 func (b *kernelBank) ActRange(_ int64, lo, hi int, acts []radio.Action) {
 	cMask := b.cMask
 	slots := b.slots
-	frames := b.frames
 	for u := lo; u < hi; u++ {
 		s := int(slots[u])
 		slots[u] = int64(s) + 1
 		switch (u + s) & 3 {
 		case 0:
-			acts[u] = radio.Action{Kind: radio.Broadcast, Ch: s & cMask, Data: frames[u]}
+			acts[u] = radio.Action{Kind: radio.Broadcast, Ch: s & cMask}
 		case 1, 2:
 			acts[u] = radio.Action{Kind: radio.Listen, Ch: (u + s) & cMask}
 		default:
@@ -676,10 +673,9 @@ func kernelProtos(n, c int, banked bool) []radio.Protocol {
 	if c&(c-1) != 0 {
 		panic("kernelProtos: c must be a power of two")
 	}
-	bank := &kernelBank{cMask: c - 1, slots: make([]int64, n), frames: make([]any, n)}
+	bank := &kernelBank{cMask: c - 1, slots: make([]int64, n)}
 	protos := make([]radio.Protocol, n)
 	for i := range protos {
-		bank.frames[i] = i
 		protos[i] = &kernelProto{id: i, bank: bank, banked: banked}
 	}
 	return protos

@@ -178,7 +178,7 @@ func TestCGCastRunAllocs(t *testing.T) {
 		nw, p, d := buildBroadcastNet(t, g, a)
 		var res *BroadcastResult
 		allocs := testing.AllocsPerRun(1, func() {
-			res, err = RunCGCast(nw, BroadcastConfig{Params: p, D: d, Source: 0, Message: "m", Seed: 1})
+			res, err = RunCGCast(nw, BroadcastConfig{Params: p, D: d, Source: 0, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,16 +13,17 @@ import "crn/internal/radio"
 // untouched: byte-identity holds by construction, and the equivalence
 // suites pin it.
 //
-// Banks hold no mutable bank-wide state (the dissemination run's
-// shared schedule data is read-only), and each loop iteration touches
+// Banks hold no mutable bank-wide state (what the dissemination and
+// flooding runs share is read-only), and each loop iteration touches
 // node u's state alone, so a range call behaves exactly like the
 // per-node calls in ascending order.
 //
-// Attachment is explicit and happens at construction sites
-// (NewSeekRun, RunFloodCtx, tests): the bank back-pointer makes every
-// member protocol report the bank via RangeBank, which radio's
-// detectRangeBank verifies per run. A dissemination machine's run is
-// its bank, so newDissemRun builds them attached.
+// A CSEEK bank is attached explicitly at construction sites
+// (NewSeekRun, tests): the bank back-pointer makes every member
+// protocol report the bank via RangeBank, which radio's
+// detectRangeBank verifies per run. A dissemination or flooding
+// machine's run is its bank, so newDissemRun and newFloodRun build
+// them attached.
 
 // SeekBank fuses the CSEEK/CKSEEK machines of one run for range
 // dispatch (discovery, and CGCAST's exchange stages). NewSeekRun and
@@ -90,42 +91,26 @@ func (dp *dissemProto) RangeBank() (radio.RangeProtocol, int) {
 	return dp.run, int(dp.u)
 }
 
-// FloodBank fuses the flooding baseline's per-node machines.
-type FloodBank struct{ nodes []*Flood }
-
-var _ radio.RangeProtocol = (*FloodBank)(nil)
-
-// NewFloodBank builds a bank over the per-node machines and attaches
-// itself to each of them.
-func NewFloodBank(nodes []*Flood) *FloodBank {
-	b := &FloodBank{nodes: nodes}
-	for i, f := range nodes {
-		f.bank = b
-		f.bankIdx = i
-	}
-	return b
-}
+var _ radio.RangeProtocol = (*floodRun)(nil)
 
 // ActRange implements radio.RangeProtocol.
-func (b *FloodBank) ActRange(slot int64, lo, hi int, acts []radio.Action) {
-	nodes := b.nodes
+func (r *floodRun) ActRange(slot int64, lo, hi int, acts []radio.Action) {
+	nodes := r.nodes
 	for u := lo; u < hi; u++ {
 		acts[u] = nodes[u].Act(slot)
 	}
 }
 
 // ObserveRange implements radio.RangeProtocol.
-func (b *FloodBank) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
-	nodes := b.nodes
+func (r *floodRun) ObserveRange(slot int64, lo, hi int, deliveries []radio.Delivery) {
+	nodes := r.nodes
 	for u := lo; u < hi; u++ {
 		nodes[u].Observe(slot, deliveries[u])
 	}
 }
 
-// RangeBank implements radio.RangeNode.
+// RangeBank implements radio.RangeNode: a flooding machine is always a
+// member of its run's bank.
 func (f *Flood) RangeBank() (radio.RangeProtocol, int) {
-	if f.bank == nil {
-		return nil, 0
-	}
-	return f.bank, f.bankIdx
+	return f.run, int(f.u)
 }

@@ -58,6 +58,11 @@ type perNodeDissem struct{ *dissemProto }
 
 func (perNodeDissem) RangeBank() (radio.RangeProtocol, int) { return nil, 0 }
 
+// perNodeFlood is perNodeDissem for a flooding machine.
+type perNodeFlood struct{ *Flood }
+
+func (perNodeFlood) RangeBank() (radio.RangeProtocol, int) { return nil, 0 }
+
 // TestCoreBanksMatchPerNodeDispatch runs every primitive's protocol
 // stack twice per scenario — bank attached (range dispatch) and not
 // (per-node dispatch) — and requires identical engine stats and
@@ -133,7 +138,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := newDissemRun(p, session.schedule, d, 0, "m", seed+4)
+			run := newDissemRun(p, session.schedule, d, 0, seed+4)
 			// Dissemination machines are always banked; the per-node
 			// run hides the bank behind perNodeDissem views.
 			protos := make([]radio.Protocol, n)
@@ -149,21 +154,16 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			}}
 		}},
 		{"flood", func(t *testing.T, _ *radio.Network) stack {
-			master := rng.New(seed + 5)
-			fls := make([]*Flood, n)
+			run := newFloodRun(p, n, d, 0, seed+5)
+			// Flooding machines are always banked too.
 			protos := make([]radio.Protocol, n)
-			for u := 0; u < n; u++ {
-				fl, err := NewFlood(p, Env{ID: radio.NodeID(u), C: c, Rand: master.Split(uint64(u))}, d, u == 0, "m")
-				if err != nil {
-					t.Fatal(err)
-				}
-				fls[u] = fl
-				protos[u] = fl
+			for u := range protos {
+				protos[u] = perNodeFlood{&run.nodes[u]}
 			}
-			return stack{protos: protos, slots: fls[0].TotalSlots(), attach: func() { NewFloodBank(fls) }, outcome: func() string {
+			return stack{protos: protos, slots: run.total, attach: func() { copy(protos, run.protos) }, outcome: func() string {
 				out := ""
-				for u, fl := range fls {
-					out += fmt.Sprintf("%d:%v@%d;", u, fl.Informed(), fl.InformedAt())
+				for u := range run.nodes {
+					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].informedAt)
 				}
 				return out
 			}}

@@ -67,8 +67,6 @@ type BroadcastConfig struct {
 	D int
 	// Source is the node holding the message.
 	Source radio.NodeID
-	// Message is the payload to disseminate.
-	Message any
 	// Mode selects exchange fidelity; zero value means ExchangeAbstract.
 	Mode BroadcastMode
 	// Seed drives all protocol randomness.
@@ -133,7 +131,7 @@ func RunCGCastCtx(ctx context.Context, nw *radio.Network, cfg BroadcastConfig) (
 		return nil, err
 	}
 	defer session.release()
-	dres, err := session.DisseminateCtx(ctx, cfg.D, cfg.Source, cfg.Message, cfg.Seed+1)
+	dres, err := session.DisseminateCtx(ctx, cfg.D, cfg.Source, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -262,9 +260,11 @@ func (s *BroadcastSession) ColoringPhases() int { return s.phases }
 // endpoints.
 func (s *BroadcastSession) EdgesColored() int { return s.colored }
 
-// DissemResult reports one dissemination over a prepared session.
+// DissemResult reports one dissemination over a prepared session, or
+// one flooding run (RunFloodCtx).
 type DissemResult struct {
-	// ScheduleSlots is the dissemination schedule length (D·2Δ·rounds·lgΔ).
+	// ScheduleSlots is the schedule length: D·2Δ·rounds·lgΔ for a
+	// dissemination, the slot budget for flooding.
 	ScheduleSlots int64
 	// AllInformedAt is the slot after which every node held the
 	// message, or -1.
@@ -273,8 +273,8 @@ type DissemResult struct {
 	AllInformed bool
 	// Informed[u] reports whether node u held the message at the end.
 	Informed []bool
-	// Radio holds the dissemination engine's counters (deliveries,
-	// collisions, jammed listener-slots).
+	// Radio holds the run's engine counters (deliveries, collisions,
+	// jammed listener-slots).
 	Radio radio.Stats
 }
 
@@ -717,23 +717,23 @@ func (d *cgcastDriver) announceColors() error {
 
 // ----- Stage 5: dissemination -----
 
-// Disseminate runs one message dissemination over the prepared
-// session: D phases of 2Δ color-steps, each step Θ(lg n) back-off
-// rounds of lg Δ slots on the edge's dedicated channel.
-func (s *BroadcastSession) Disseminate(dD int, source radio.NodeID, msg any, seed uint64) (*DissemResult, error) {
-	return s.DisseminateCtx(context.Background(), dD, source, msg, seed)
+// Disseminate runs one message dissemination from source over the
+// prepared session: D phases of 2Δ color-steps, each step Θ(lg n)
+// back-off rounds of lg Δ slots on the edge's dedicated channel.
+func (s *BroadcastSession) Disseminate(dD int, source radio.NodeID, seed uint64) (*DissemResult, error) {
+	return s.DisseminateCtx(context.Background(), dD, source, seed)
 }
 
 // DisseminateCtx is Disseminate with cooperative cancellation: ctx is
 // polled throughout the dissemination run.
-func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source radio.NodeID, msg any, seed uint64) (*DissemResult, error) {
+func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source radio.NodeID, seed uint64) (*DissemResult, error) {
 	if dD < 1 {
 		return nil, fmt.Errorf("core: D must be >= 1, got %d", dD)
 	}
 	if int(source) < 0 || int(source) >= s.n {
 		return nil, fmt.Errorf("core: source %d out of range", source)
 	}
-	run := newDissemRun(s.p, s.schedule, dD, source, msg, seed)
+	run := newDissemRun(s.p, s.schedule, dD, source, seed)
 	defer run.release()
 	e, err := radio.NewEngine(s.nw, run.protos)
 	if err != nil {
@@ -799,10 +799,6 @@ type dissemRun struct {
 	total    int64 // phases·colors·perStep
 	// coins[i] is the back-off coin of slot i of a round (backoffCoins).
 	coins []rng.Coin
-	// frame is the pre-boxed dissemMessage every informed node
-	// broadcasts. Only the source's message is ever relayed, so one
-	// box serves the whole run and Act never allocates.
-	frame any
 }
 
 // dissemProto is the stage-5 machine of one node: D phases × 2Δ steps
@@ -820,17 +816,12 @@ type dissemProto struct {
 
 var _ radio.Protocol = (*dissemProto)(nil)
 
-// dissemMessage is the stage-5 frame body.
-type dissemMessage struct {
-	Body any
-}
-
 // newDissemRun builds the machines of one dissemination in one pass:
 // phases phases over schedule, an n×2Δ table (n = len(schedule)/2Δ),
 // rounds and back-off coins from p, which must be normalized. Only
 // source starts informed; node u draws from rng.New(seed).Split(u).
 // The run's storage comes from dissemPool; release returns it.
-func newDissemRun(p Params, schedule []int32, phases int, source radio.NodeID, msg any, seed uint64) *dissemRun {
+func newDissemRun(p Params, schedule []int32, phases int, source radio.NodeID, seed uint64) *dissemRun {
 	colors := 2 * p.Delta
 	rounds := scaledSteps(p.Tuning.DissemRounds, 1, p.LgN())
 	r := dissemPool.Get().(*dissemRun)
@@ -841,7 +832,6 @@ func newDissemRun(p Params, schedule []int32, phases int, source radio.NodeID, m
 		schedule: schedule,
 		colors:   colors,
 		coins:    p.backoffCoins(),
-		frame:    dissemMessage{Body: msg},
 	}
 	r.perStep = int64(rounds) * int64(len(r.coins))
 	r.total = int64(phases) * int64(colors) * r.perStep
@@ -891,14 +881,14 @@ func (dp *dissemProto) Act(_ int64) radio.Action {
 	// Back-off broadcast: slot i of the round broadcasts with
 	// probability 2^i/2^lgΔ, sweeping contention levels.
 	if dp.rand.Toss(r.coins[slotInStep%int64(len(r.coins))]) {
-		return radio.Action{Kind: radio.Broadcast, Ch: int(ch), Data: r.frame}
+		return radio.Action{Kind: radio.Broadcast, Ch: int(ch)}
 	}
 	return radio.Action{Kind: radio.Idle, Ch: int(ch)}
 }
 
 // Observe implements radio.Protocol, for both dispatch modes (the
-// dissemRun's ObserveRange calls it too). Every frame of the run is the
-// message, so hearing one informs the node.
+// dissemRun's ObserveRange calls it too). Only informed nodes
+// broadcast, so hearing a frame informs the node.
 func (dp *dissemProto) Observe(_ int64, d radio.Delivery) {
 	if d.From >= 0 {
 		dp.informed = true

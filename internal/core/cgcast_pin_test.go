@@ -330,7 +330,7 @@ func dissemDigest(t *testing.T, nw *radio.Network, s *BroadcastSession, d int, s
 		fmt.Fprintf(h, "%d:%d:%d:%d;", slot, listener, ch, dl.From)
 	}
 	defer func() { nw.Trace = nil }()
-	res, err := s.Disseminate(d, source, "m", seed)
+	res, err := s.Disseminate(d, source, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

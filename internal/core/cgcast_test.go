@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -31,12 +32,11 @@ func runCGCast(t *testing.T, g *graph.Graph, a *chanassign.Assignment, mode Broa
 	t.Helper()
 	nw, p, d := buildBroadcastNet(t, g, a)
 	res, err := RunCGCast(nw, BroadcastConfig{
-		Params:  p,
-		D:       d,
-		Source:  0,
-		Message: "payload",
-		Mode:    mode,
-		Seed:    seed,
+		Params: p,
+		D:      d,
+		Source: 0,
+		Mode:   mode,
+		Seed:   seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,33 +281,30 @@ func TestFloodInformsPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw, p, d := buildBroadcastNet(t, g, a)
-	doneAt, all, err := RunFlood(nw, p, d, 0, "m", 99)
+	res, err := RunFloodCtx(context.Background(), nw, p, d, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !all {
+	if !res.AllInformed {
 		t.Fatal("flooding left nodes uninformed")
 	}
-	if doneAt <= 0 {
-		t.Errorf("doneAt = %d, want > 0", doneAt)
+	if res.AllInformedAt <= 0 {
+		t.Errorf("AllInformedAt = %d, want > 0", res.AllInformedAt)
 	}
 }
 
 func TestFloodValidation(t *testing.T) {
 	p := Params{N: 4, C: 3, K: 1, KMax: 1, Delta: 2}
-	r := rng.New(1)
-	if _, err := NewFlood(p, Env{C: 2, Rand: r}, 1, false, nil); err == nil {
-		t.Error("channel mismatch accepted")
-	}
-	if _, err := NewFlood(p, Env{C: 3, Rand: r}, 0, false, nil); err == nil {
-		t.Error("D=0 accepted")
-	}
 	g := graph.Path(4)
 	a, err := chanassign.SharedCore(4, 3, 2, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunFlood(&radio.Network{Graph: g, Assign: a}, p, 1, 99, nil, 1); err == nil {
+	nw := &radio.Network{Graph: g, Assign: a}
+	if _, err := RunFloodCtx(context.Background(), nw, p, 0, 0, 1); err == nil {
+		t.Error("D=0 accepted")
+	}
+	if _, err := RunFloodCtx(context.Background(), nw, p, 1, 99, 1); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }
@@ -324,7 +321,7 @@ func TestDissemProtoStepLatching(t *testing.T) {
 		0, 1, -1, -1, -1, -1, -1, -1,
 		0, 1, -1, -1, -1, -1, -1, -1,
 	}
-	run := newDissemRun(p, schedule, 1, 0, "x", 1)
+	run := newDissemRun(p, schedule, 1, 0, 1)
 	dp := &run.nodes[1]
 	// Slot 0: uninformed, must listen.
 	a := dp.Act(0)
@@ -332,7 +329,7 @@ func TestDissemProtoStepLatching(t *testing.T) {
 		t.Fatalf("slot 0 kind = %v, want Listen", a.Kind)
 	}
 	// Deliver the message mid-step.
-	dp.Observe(0, radio.Delivery{From: 0, Data: run.frame})
+	dp.Observe(0, radio.Delivery{From: 0})
 	if !dp.informed {
 		t.Fatal("message not absorbed")
 	}
@@ -393,7 +390,7 @@ func TestCGCastConcurrentRunsMatchSequential(t *testing.T) {
 	const seeds = 3
 	run := func(i int, seed uint64) string {
 		in := insts[i]
-		res, err := RunCGCast(in.nw, BroadcastConfig{Params: in.p, D: in.d, Source: 0, Message: "m", Seed: seed})
+		res, err := RunCGCast(in.nw, BroadcastConfig{Params: in.p, D: in.d, Source: 0, Seed: seed})
 		if err != nil {
 			t.Error(err)
 			return ""
@@ -411,7 +408,7 @@ func TestCGCastConcurrentRunsMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	disseminate := func(seed uint64) string {
-		res, err := session.Disseminate(d, 3, "m", seed)
+		res, err := session.Disseminate(d, 3, seed)
 		if err != nil {
 			t.Error(err)
 			return ""

@@ -106,7 +106,7 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := newDissemRun(p, session.schedule, d, 0, "m", seed+4+off)
+			run := newDissemRun(p, session.schedule, d, 0, seed+4+off)
 			return stack{protos: run.protos, slots: run.total, outcome: func() string {
 				out := ""
 				for u := range run.nodes {
@@ -116,21 +116,12 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 			}}
 		}},
 		{"flood", func(t *testing.T, _ *radio.Network, off uint64) stack {
-			master := rng.New(seed + 5 + off)
-			fls := make([]*Flood, n)
-			protos := make([]radio.Protocol, n)
-			for u := 0; u < n; u++ {
-				fl, err := NewFlood(p, Env{ID: radio.NodeID(u), C: c, Rand: master.Split(uint64(u))}, d, u == 0, "m")
-				if err != nil {
-					t.Fatal(err)
-				}
-				fls[u] = fl
-				protos[u] = fl
-			}
-			return stack{protos: protos, slots: fls[0].TotalSlots(), outcome: func() string {
+			// Built the same way RunFloodCtx builds it.
+			run := newFloodRun(p, n, d, 0, seed+5+off)
+			return stack{protos: run.protos, slots: run.total, outcome: func() string {
 				out := ""
-				for u, fl := range fls {
-					out += fmt.Sprintf("%d:%v@%d;", u, fl.Informed(), fl.InformedAt())
+				for u := range run.nodes {
+					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].informedAt)
 				}
 				return out
 			}}

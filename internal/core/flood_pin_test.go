@@ -87,7 +87,7 @@ func floodDigest(t *testing.T, nw *radio.Network, p Params, d int, source radio.
 	nw.Trace = func(slot int64, listener radio.NodeID, ch int32, dl radio.Delivery) {
 		fmt.Fprintf(h, "%d:%d:%d:%d;", slot, listener, ch, dl.From)
 	}
-	res, err := RunFloodCtx(context.Background(), nw, p, d, source, "m", seed)
+	res, err := RunFloodCtx(context.Background(), nw, p, d, source, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

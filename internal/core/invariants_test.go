@@ -116,18 +116,18 @@ func TestSessionDisseminateDeterminism(t *testing.T) {
 	}
 	d := g.Diameter()
 
-	r1, err := session.Disseminate(d, 0, "m", 77)
+	r1, err := session.Disseminate(d, 0, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := session.Disseminate(d, 0, "m", 77)
+	r2, err := session.Disseminate(d, 0, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.AllInformedAt != r2.AllInformedAt || r1.ScheduleSlots != r2.ScheduleSlots {
 		t.Errorf("same-seed disseminations differ: %+v vs %+v", r1, r2)
 	}
-	r3, err := session.Disseminate(d, 7, "other", 99)
+	r3, err := session.Disseminate(d, 7, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestSessionAccessors(t *testing.T) {
 	if session.EdgesColored() != g.M() {
 		t.Errorf("EdgesColored = %d, want %d", session.EdgesColored(), g.M())
 	}
-	if _, err := session.Disseminate(0, 0, "m", 1); err == nil {
+	if _, err := session.Disseminate(0, 0, 1); err == nil {
 		t.Error("D=0 accepted")
 	}
-	if _, err := session.Disseminate(3, 99, "m", 1); err == nil {
+	if _, err := session.Disseminate(3, 99, 1); err == nil {
 		t.Error("bad source accepted")
 	}
 }
@@ -237,7 +237,7 @@ func TestBroadcastOutcomeInvariants(t *testing.T) {
 		for _, mc := range modes {
 			t.Run(fmt.Sprintf("cgcast/%s/%s", nc.name, mc.name), func(t *testing.T) {
 				for seed := uint64(1); seed <= mc.seeds; seed++ {
-					res, err := RunCGCast(nc.build(t), BroadcastConfig{Params: p, D: d, Source: 0, Message: "m", Mode: mc.mode, Seed: seed})
+					res, err := RunCGCast(nc.build(t), BroadcastConfig{Params: p, D: d, Source: 0, Mode: mc.mode, Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -248,7 +248,7 @@ func TestBroadcastOutcomeInvariants(t *testing.T) {
 		}
 		t.Run("flood/"+nc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				res, err := RunFloodCtx(context.Background(), nc.build(t), p, d, 0, "m", seed)
+				res, err := RunFloodCtx(context.Background(), nc.build(t), p, d, 0, seed)
 				if err != nil {
 					t.Fatal(err)
 				}

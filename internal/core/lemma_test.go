@@ -74,12 +74,11 @@ func TestCGCastFullStar(t *testing.T) {
 	k, kmax := a.OverlapRange(g)
 	p := Params{N: 5, C: 3, K: k, KMax: kmax, Delta: g.MaxDegree()}
 	res, err := RunCGCast(nw, BroadcastConfig{
-		Params:  p,
-		D:       g.Diameter(),
-		Source:  2, // start from a leaf: message must cross the center
-		Message: "m",
-		Mode:    ExchangeFull,
-		Seed:    24,
+		Params: p,
+		D:      g.Diameter(),
+		Source: 2, // start from a leaf: message must cross the center
+		Mode:   ExchangeFull,
+		Seed:   24,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +109,11 @@ func TestCGCastFullHeterogeneous(t *testing.T) {
 	k, kmax := a.OverlapRange(g)
 	p := Params{N: 4, C: 6, K: k, KMax: kmax, Delta: g.MaxDegree()}
 	res, err := RunCGCast(nw, BroadcastConfig{
-		Params:  p,
-		D:       g.Diameter(),
-		Source:  0,
-		Message: 42,
-		Mode:    ExchangeFull,
-		Seed:    26,
+		Params: p,
+		D:      g.Diameter(),
+		Source: 0,
+		Mode:   ExchangeFull,
+		Seed:   26,
 	})
 	if err != nil {
 		t.Fatal(err)

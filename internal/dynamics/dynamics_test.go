@@ -446,7 +446,7 @@ type chatterProto struct {
 func (p *chatterProto) Act(_ int64) radio.Action {
 	switch p.r.Intn(3) {
 	case 0:
-		return radio.Action{Kind: radio.Broadcast, Ch: p.r.Intn(p.c), Data: 1}
+		return radio.Action{Kind: radio.Broadcast, Ch: p.r.Intn(p.c)}
 	case 1:
 		return radio.Action{Kind: radio.Listen, Ch: p.r.Intn(p.c)}
 	default:

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"crn/internal/chanassign"
@@ -48,7 +49,7 @@ func E16Amortization(scale Scale, seed uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dres, err := session.Disseminate(d, 0, "m", seed+2)
+	dres, err := session.Disseminate(d, 0, seed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -58,14 +59,14 @@ func E16Amortization(scale Scale, seed uint64) (*Table, error) {
 
 	var floodTimes []float64
 	for i := 0; i < floodTrials; i++ {
-		at, all, err := core.RunFlood(in.nw, in.p, d, radio.NodeID(0), "m", seed+3+uint64(i)*31)
+		fres, err := core.RunFloodCtx(context.Background(), in.nw, in.p, d, radio.NodeID(0), seed+3+uint64(i)*31)
 		if err != nil {
 			return nil, err
 		}
-		if !all {
+		if !fres.AllInformed {
 			return nil, fmt.Errorf("experiments: flooding left nodes uninformed")
 		}
-		floodTimes = append(floodTimes, float64(at))
+		floodTimes = append(floodTimes, float64(fres.AllInformedAt))
 	}
 	flood := int64(median(floodTimes))
 

@@ -32,12 +32,12 @@ func TestEngineFeedsActivityPerSlot(t *testing.T) {
 	// never count as activity). Slot 1: both broadcast, different
 	// channels.
 	p0 := &scriptProto{script: []Action{
-		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "x"},
-		{Kind: Broadcast, Ch: localFor(t, nw, 0, 1), Data: "y"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)},
+		{Kind: Broadcast, Ch: localFor(t, nw, 0, 1)},
 	}}
 	p1 := &scriptProto{script: []Action{
 		{Kind: Listen, Ch: localFor(t, nw, 1, 0)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 1, 0), Data: "z"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 1, 0)},
 	}}
 	e, err := NewEngine(nw, []Protocol{p0, p1})
 	if err != nil {
@@ -67,8 +67,8 @@ func TestReactiveAdversaryOneSlotDelay(t *testing.T) {
 	// twice. Slot 0 is clear (the adversary has observed nothing);
 	// slot 1 is jammed (channel 0 was the busiest channel of slot 0).
 	p0 := &scriptProto{script: []Action{
-		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "a"},
-		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "b"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)},
+		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)},
 	}}
 	p1 := &scriptProto{script: []Action{
 		{Kind: Listen, Ch: localFor(t, nw, 1, 0)},
@@ -79,7 +79,7 @@ func TestReactiveAdversaryOneSlotDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if p1.heard[0].From < 0 || p1.heard[0].Data != "a" {
+	if p1.heard[0].From != 0 {
 		t.Errorf("slot 0 delivery lost: adversary must not react within the slot (%v)", p1.heard[0])
 	}
 	if p1.heard[1].From >= 0 {
@@ -102,7 +102,7 @@ func TestNetworkTraceFeedsEngine(t *testing.T) {
 			t.Errorf("trace saw listener=%d from=%d", listener, d.From)
 		}
 	}
-	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "x"}}}
+	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)}}}
 	p1 := &scriptProto{script: []Action{{Kind: Listen, Ch: localFor(t, nw, 1, 0)}}}
 	e, err := NewEngine(nw, []Protocol{p0, p1})
 	if err != nil {

@@ -15,11 +15,10 @@ import (
 // engine scratch.
 
 // hotProto is a zero-allocation protocol for alloc regression tests:
-// its broadcast frame is pre-boxed, and it records only counters.
+// it records only counters.
 type hotProto struct {
 	id     int
 	c      int
-	frame  any // pre-boxed payload
 	slot   int64
 	heard  int64
 	misses int64
@@ -30,7 +29,7 @@ func (p *hotProto) Act(_ int64) Action {
 	// roles by node id and slot.
 	switch (p.id + int(p.slot)) % 4 {
 	case 0:
-		return Action{Kind: Broadcast, Ch: int(p.slot) % p.c, Data: p.frame}
+		return Action{Kind: Broadcast, Ch: int(p.slot) % p.c}
 	case 1, 2:
 		return Action{Kind: Listen, Ch: (p.id + int(p.slot)) % p.c}
 	default:
@@ -66,7 +65,7 @@ func newHotEngine(t testing.TB, nw *Network, n, c int) *Engine {
 	t.Helper()
 	protos := make([]Protocol, n)
 	for i := range protos {
-		protos[i] = &hotProto{id: i, c: c, frame: i}
+		protos[i] = &hotProto{id: i, c: c}
 	}
 	e, err := NewEngine(nw, protos)
 	if err != nil {

@@ -69,12 +69,10 @@ type BatchEngine struct {
 	slot    int64
 
 	// Per-slot hot state of the replica being stepped, struct-of-arrays:
-	// the collect phase writes one byte (kind), one int32 (globalCh) and
-	// — for broadcasters only — one interface word pair (data) per node,
-	// and the resolve phase reads them back with unit-stride loads.
-	// acts and deliv are the range ABI's scratch, indexed by node.
+	// the collect phase writes one byte (kind) and one int32 (globalCh)
+	// per node, and the resolve phase reads them back with unit-stride
+	// loads. acts and deliv are the range ABI's scratch, indexed by node.
 	kind     []Kind
-	data     []any   // broadcast payload, valid only for this slot's broadcasters
 	globalCh []int32 // resolved global channel per non-idle node
 	acts     []Action
 	deliv    []Delivery
@@ -198,7 +196,6 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 		stats:     make([]Stats, len(reps)),
 		nActive:   len(reps),
 		kind:      make([]Kind, n),
-		data:      make([]any, n),
 		globalCh:  make([]int32, n),
 		acts:      make([]Action, n),
 		deliv:     make([]Delivery, n),
@@ -487,7 +484,6 @@ func (e *BatchEngine) fold(lo, hi int) {
 	// the loop runs without bounds checks.
 	acts := e.acts[lo:hi]
 	kind := e.kind[lo:hi][:len(acts)]
-	data := e.data[lo:hi][:len(acts)]
 	globalCh := e.globalCh[lo:hi][:len(acts)]
 	listeners := e.listeners
 	bcasters := e.bcasters[:cap(e.bcasters)]
@@ -507,7 +503,6 @@ func (e *BatchEngine) fold(lo, hi int) {
 			panic(fmt.Sprintf("radio: node %d returned invalid action kind %d", v, k))
 		}
 		kind[i] = k
-		data[i] = a.Data
 		bcasters[nb] = int32(v)
 		listeners[nl] = int32(v)
 		if k == Broadcast {
@@ -614,16 +609,15 @@ func (e *BatchEngine) resetIndex() {
 //
 // e.deliv holds From=-1 for every node outside this phase, so only
 // actual deliveries are written — and only those entries are reset
-// afterwards. Most node-slots hear nothing; paying one 24-byte store
-// per delivery instead of one per live node is a large share of the
-// range path's speed.
+// afterwards. Most node-slots hear nothing; paying one store per
+// delivery instead of one per live node is a large share of the range
+// path's speed.
 func (e *BatchEngine) resolve(rp *replica) {
 	g := rp.g
 	nbr := rp.nbr
 	dynamic := rp.dyn != nil
 	slot := e.slot
 	kind := e.kind
-	data := e.data
 	globalCh := e.globalCh
 	chCount := e.chCount
 	chHead := e.chHead
@@ -701,7 +695,7 @@ func (e *BatchEngine) resolve(rp *replica) {
 		case talkers == 1:
 			delivIdx[deliveries] = int32(u)
 			deliveries++
-			deliv[u] = Delivery{From: NodeID(from), Data: data[from]}
+			deliv[u] = Delivery{From: NodeID(from)}
 		case talkers > 1:
 			collisions++
 		}
@@ -728,8 +722,8 @@ func (e *BatchEngine) resolve(rp *replica) {
 			bank.ObserveRange(slot, lo, u, deliv)
 		}
 	}
-	// Restore the From=-1 invariant (and drop payload references) on
-	// exactly the entries this slot delivered into.
+	// Restore the From=-1 invariant on exactly the entries this slot
+	// delivered into.
 	for _, u := range delivIdx[:deliveries] {
 		deliv[u] = Delivery{From: -1}
 	}

@@ -246,7 +246,7 @@ func TestBatchEngineSteadyStateAllocs(t *testing.T) {
 	for r := range reps {
 		protos := make([]Protocol, n)
 		for u := range protos {
-			protos[u] = &hotProto{id: u, c: 6, frame: u}
+			protos[u] = &hotProto{id: u, c: 6}
 		}
 		reps[r] = Replica{Protocols: protos}
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestDelayedIdlesBeforeStart(t *testing.T) {
 	inner := &scriptProto{script: []Action{
-		{Kind: Broadcast, Ch: 0, Data: "late"},
+		{Kind: Broadcast, Ch: 0},
 	}}
 	d := &Delayed{Start: 3, Inner: inner}
 	for slot := int64(0); slot < 3; slot++ {
@@ -59,14 +59,21 @@ func TestDelayedZeroStartIsTransparent(t *testing.T) {
 // TestDelayedEndToEnd staggers a two-node ping exchange: the listener
 // starts 5 slots late, the broadcaster transmits every slot; the
 // listener must still hear the frames that fall inside its awake
-// window.
+// window, and only those.
 func TestDelayedEndToEnd(t *testing.T) {
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 1, 77)
+	var slots []int64
+	nw.Trace = func(slot int64, listener NodeID, _ int32, d Delivery) {
+		if listener != 1 || d.From != 0 {
+			t.Errorf("slot %d: trace saw listener %d hear %d", slot, listener, d.From)
+		}
+		slots = append(slots, slot)
+	}
 
 	bScript := make([]Action, 10)
 	for i := range bScript {
-		bScript[i] = Action{Kind: Broadcast, Ch: 0, Data: i}
+		bScript[i] = Action{Kind: Broadcast, Ch: 0}
 	}
 	lScript := make([]Action, 3)
 	for i := range lScript {
@@ -86,14 +93,13 @@ func TestDelayedEndToEnd(t *testing.T) {
 		t.Fatalf("listener observed %d slots, want 3", len(l.heard))
 	}
 	for i, d := range l.heard {
-		if d.From < 0 {
-			t.Fatalf("observation %d: heard nothing", i)
+		if d.From != 0 {
+			t.Fatalf("observation %d: heard %d, want node 0", i, d.From)
 		}
-		// The listener's slot i is engine slot 5+i; the broadcaster sent
-		// payload 5+i there.
-		if d.Data != 5+i {
-			t.Errorf("observation %d: payload %v, want %d", i, d.Data, 5+i)
-		}
+	}
+	// The listener's slot i is engine slot 5+i.
+	if fmt.Sprint(slots) != "[5 6 7]" {
+		t.Errorf("deliveries at engine slots %v, want [5 6 7]", slots)
 	}
 }
 
@@ -108,7 +114,7 @@ type delayedChatter struct {
 func (p *delayedChatter) Act(_ int64) Action {
 	switch p.r.Intn(3) {
 	case 0:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: "d"}
+		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c)}
 	case 1:
 		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
 	default:
@@ -176,7 +182,7 @@ func TestDelayedFiniteParallelCompletion(t *testing.T) {
 			script := make([]Action, 4)
 			for i := range script {
 				if u%2 == 0 {
-					script[i] = Action{Kind: Broadcast, Ch: 0, Data: u}
+					script[i] = Action{Kind: Broadcast, Ch: 0}
 				} else {
 					script[i] = Action{Kind: Listen, Ch: 0}
 				}

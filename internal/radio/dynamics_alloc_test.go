@@ -18,11 +18,10 @@ import (
 )
 
 // dynHotProto is an allocation-free protocol for the dynamics alloc
-// and benchmark harnesses (counters only, pre-boxed frame).
+// and benchmark harnesses (counters only).
 type dynHotProto struct {
 	id    int
 	c     int
-	frame any
 	slot  int64
 	heard int64
 }
@@ -30,7 +29,7 @@ type dynHotProto struct {
 func (p *dynHotProto) Act(_ int64) radio.Action {
 	switch (p.id + int(p.slot)) % 4 {
 	case 0:
-		return radio.Action{Kind: radio.Broadcast, Ch: int(p.slot) % p.c, Data: p.frame}
+		return radio.Action{Kind: radio.Broadcast, Ch: int(p.slot) % p.c}
 	case 1, 2:
 		return radio.Action{Kind: radio.Listen, Ch: (p.id + int(p.slot)) % p.c}
 	default:
@@ -67,7 +66,7 @@ func newDynamicsEngine(tb testing.TB, n, c int) *radio.Engine {
 	}
 	protos := make([]radio.Protocol, n)
 	for i := range protos {
-		protos[i] = &dynHotProto{id: i, c: c, frame: i}
+		protos[i] = &dynHotProto{id: i, c: c}
 	}
 	e, err := radio.NewEngine(&radio.Network{
 		Graph:    g,
@@ -127,7 +126,7 @@ func BenchmarkEngineSlotDynamics(b *testing.B) {
 	}
 	protos := make([]radio.Protocol, 64)
 	for i := range protos {
-		protos[i] = &dynHotProto{id: i, c: 8, frame: i}
+		protos[i] = &dynHotProto{id: i, c: 8}
 	}
 	e, err := radio.NewEngine(&radio.Network{
 		Graph:    g,

@@ -24,8 +24,8 @@ func TestJammedChannelSilencesListener(t *testing.T) {
 	// Slot 0: broadcast on (jammed) global channel 0 → lost.
 	// Slot 1: same broadcast, channel now clear → delivered.
 	b := &scriptProto{script: []Action{
-		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "x"},
-		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "y"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)},
+		{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)},
 	}}
 	l := &scriptProto{script: []Action{
 		{Kind: Listen, Ch: localFor(t, nw, 1, 0)},
@@ -39,7 +39,7 @@ func TestJammedChannelSilencesListener(t *testing.T) {
 	if l.heard[0].From >= 0 {
 		t.Error("heard a frame on a jammed channel")
 	}
-	if l.heard[1].From < 0 || l.heard[1].Data != "y" {
+	if l.heard[1].From != 0 {
 		t.Errorf("clear-channel frame lost: %v", l.heard[1])
 	}
 	if st.JammedListens != 1 {
@@ -57,14 +57,14 @@ func TestJammingOnlyAffectsItsChannel(t *testing.T) {
 
 	// Broadcast and listen on global channel 1 while channel 0 is
 	// jammed: delivery must succeed.
-	b := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 1), Data: "ok"}}}
+	b := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 1)}}}
 	l := &scriptProto{script: []Action{{Kind: Listen, Ch: localFor(t, nw, 1, 1)}}}
 	e, err := NewEngine(nw, []Protocol{b, l})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := e.Run(10)
-	if l.heard[0].From < 0 || l.heard[0].Data != "ok" {
+	if l.heard[0].From != 0 {
 		t.Errorf("delivery on clear channel failed: %v", l.heard[0])
 	}
 	if st.JammedListens != 0 {
@@ -89,7 +89,7 @@ func TestJammingParallelEngineAgrees(t *testing.T) {
 				if (i+r)%2 == 0 {
 					script[s] = Action{Kind: Listen, Ch: (i + s) % 3}
 				} else {
-					script[s] = Action{Kind: Broadcast, Ch: (i + s + r) % 3, Data: i}
+					script[s] = Action{Kind: Broadcast, Ch: (i + s + r) % 3}
 				}
 			}
 			sps[i] = &scriptProto{script: script}

@@ -28,8 +28,8 @@
 //     never construct the view and resolve against the shared graph.
 //  2. Collect: one ActRange per maximal run of live nodes (one call
 //     while all are live) fills the action scratch, folded at once into
-//     per-node kind/channel/payload arrays plus the lists of
-//     broadcasters and listeners.
+//     per-node kind/channel arrays plus the lists of broadcasters and
+//     listeners.
 //  3. Index: broadcasters are bucketed by global channel into a
 //     compact per-slot index — a count per channel plus an intrusive
 //     per-channel broadcaster list, and a bitset row for dense
@@ -70,25 +70,27 @@ const (
 
 // Delivery is one node's resolved slot outcome, the one value every
 // observer gets: Protocol.Observe, a bank's ObserveRange and a
-// TraceFunc. From is the broadcaster heard (exactly one broadcasting
-// neighbor on the node's channel) and Data its Action.Data, handed on
-// as is; From < 0 means the node heard nothing — silence, collision,
-// jam, or a non-listening action — and Data is then nil.
+// TraceFunc. A delivery is its sender's identity: From is the
+// broadcaster heard (exactly one broadcasting neighbor on the node's
+// channel), and From < 0 means the node heard nothing — silence,
+// collision, jam, or a non-listening action. Frames carry no payload:
+// every primitive of the model is decided by who hears whom, and a
+// protocol that relays a message tracks which nodes hold it, not its
+// content.
 //
 // The zero value Delivery{} means "heard node 0", not silence: code
 // that reports silence must write Delivery{From: -1}, the value the
 // engine keeps in every entry between slots.
 type Delivery struct {
 	From NodeID
-	Data any
 }
 
 // Action is a node's decision for one slot. Ch is a local channel
-// label in [0, c); it is ignored for Idle.
+// label in [0, c); it is ignored for Idle. A broadcast sends the
+// node's identity (see Delivery).
 type Action struct {
 	Kind Kind
 	Ch   int
-	Data any
 }
 
 // Protocol is a node-local state machine driven by the engine.

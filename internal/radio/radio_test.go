@@ -54,7 +54,7 @@ func localFor(t *testing.T, nw *Network, u int, gch int32) int {
 func TestSingleBroadcasterDelivers(t *testing.T) {
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 2, 1)
-	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 0), Data: "hello"}}}
+	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 0, 0)}}}
 	p1 := &scriptProto{script: []Action{{Kind: Listen, Ch: localFor(t, nw, 1, 0)}}}
 	e, err := NewEngine(nw, []Protocol{p0, p1})
 	if err != nil {
@@ -70,8 +70,8 @@ func TestSingleBroadcasterDelivers(t *testing.T) {
 	if len(p1.heard) != 1 || p1.heard[0].From < 0 {
 		t.Fatalf("listener heard %v, want one message", p1.heard)
 	}
-	if p1.heard[0].From != 0 || p1.heard[0].Data != "hello" {
-		t.Errorf("heard %+v, want From=0 Data=hello", p1.heard[0])
+	if p1.heard[0].From != 0 {
+		t.Errorf("heard %+v, want From=0", p1.heard[0])
 	}
 	if st.Deliveries != 1 || st.Collisions != 0 {
 		t.Errorf("stats %+v, want 1 delivery 0 collisions", st)
@@ -83,8 +83,8 @@ func TestCollisionSilence(t *testing.T) {
 	g := graph.Star(3)
 	nw := newTestNetwork(t, g, 2, 2)
 	center := &scriptProto{script: []Action{{Kind: Listen, Ch: localFor(t, nw, 0, 0)}}}
-	leaf1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 1, 0), Data: 1}}}
-	leaf2 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 2, 0), Data: 2}}}
+	leaf1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 1, 0)}}}
+	leaf2 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 2, 0)}}}
 	e, err := NewEngine(nw, []Protocol{center, leaf1, leaf2})
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +104,8 @@ func TestDifferentChannelsNoInterference(t *testing.T) {
 	g := graph.Star(3)
 	nw := newTestNetwork(t, g, 2, 3)
 	center := &scriptProto{script: []Action{{Kind: Listen, Ch: localFor(t, nw, 0, 1)}}}
-	leaf1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 1, 0), Data: 1}}}
-	leaf2 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 2, 1), Data: 2}}}
+	leaf1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 1, 0)}}}
+	leaf2 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: localFor(t, nw, 2, 1)}}}
 	e, err := NewEngine(nw, []Protocol{center, leaf1, leaf2})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestDifferentChannelsNoInterference(t *testing.T) {
 	if len(center.heard) != 1 || center.heard[0].From < 0 {
 		t.Fatalf("center heard %v, want one message", center.heard)
 	}
-	if center.heard[0].Data != 2 {
+	if center.heard[0].From != 2 {
 		t.Errorf("heard %v, want leaf2's message", center.heard[0])
 	}
 }
@@ -125,20 +125,20 @@ func TestNonNeighborsDoNotInterfere(t *testing.T) {
 	// neighbor (0 and 3 are not adjacent to both), so both hear.
 	g := graph.Path(4)
 	nw := newTestNetwork(t, g, 1, 4)
-	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: "a"}}}
+	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0}}}
 	p1 := &scriptProto{script: []Action{{Kind: Listen, Ch: 0}}}
 	p2 := &scriptProto{script: []Action{{Kind: Listen, Ch: 0}}}
-	p3 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: "b"}}}
+	p3 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0}}}
 	e, err := NewEngine(nw, []Protocol{p0, p1, p2, p3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run(10)
-	if p1.heard[0].From < 0 || p1.heard[0].Data != "a" {
-		t.Errorf("node 1 heard %v, want a", p1.heard[0])
+	if p1.heard[0].From != 0 {
+		t.Errorf("node 1 heard %v, want node 0", p1.heard[0])
 	}
-	if p2.heard[0].From < 0 || p2.heard[0].Data != "b" {
-		t.Errorf("node 2 heard %v, want b", p2.heard[0])
+	if p2.heard[0].From != 3 {
+		t.Errorf("node 2 heard %v, want node 3", p2.heard[0])
 	}
 }
 
@@ -147,8 +147,8 @@ func TestBroadcasterHearsNothing(t *testing.T) {
 	// "receive" their own message; Observe reports From < 0.
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 1, 5)
-	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: 0}}}
-	p1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: 1}}}
+	p0 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0}}}
+	p1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0}}}
 	e, err := NewEngine(nw, []Protocol{p0, p1})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestIdleObservesNil(t *testing.T) {
 	g := graph.Path(2)
 	nw := newTestNetwork(t, g, 1, 6)
 	p0 := &scriptProto{script: []Action{{Kind: Idle}}}
-	p1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0, Data: 9}}}
+	p1 := &scriptProto{script: []Action{{Kind: Broadcast, Ch: 0}}}
 	e, err := NewEngine(nw, []Protocol{p0, p1})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func (p *randomProto) Act(_ int64) Action {
 	case 1:
 		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
 	default:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: p.r.Intn(100)}
+		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c)}
 	}
 }
 

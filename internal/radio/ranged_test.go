@@ -30,7 +30,7 @@ type bankedProto struct {
 func (p *bankedProto) Act(_ int64) Action {
 	switch p.r.Intn(3) {
 	case 0:
-		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c), Data: p.idx}
+		return Action{Kind: Broadcast, Ch: p.r.Intn(p.c)}
 	case 1:
 		return Action{Kind: Listen, Ch: p.r.Intn(p.c)}
 	default:
@@ -284,7 +284,7 @@ func TestEngineRangeDispatchZeroAllocsPerSlot(t *testing.T) {
 			bank := &hotBank{nodes: make([]*hotBankedProto, n)}
 			protos := make([]Protocol, n)
 			for u := 0; u < n; u++ {
-				bank.nodes[u] = &hotBankedProto{hotProto: hotProto{id: u, c: c, frame: u}, bank: bank, idx: u}
+				bank.nodes[u] = &hotBankedProto{hotProto: hotProto{id: u, c: c}, bank: bank, idx: u}
 				protos[u] = bank.nodes[u]
 			}
 			e, err := NewEngine(nw, protos)

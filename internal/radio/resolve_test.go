@@ -71,7 +71,7 @@ func TestResolveEmptyChannel(t *testing.T) {
 		{Kind: Idle},
 		{Kind: Idle},
 		{Kind: Listen, Ch: localFor(t, nw, 3, 1)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: "x"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0)},
 	})
 	if heard[3].From >= 0 {
 		t.Errorf("listener on empty channel heard %+v, want silence", heard[3])
@@ -85,13 +85,13 @@ func TestResolveSoleTalkerAdjacent(t *testing.T) {
 	nw := fastPathNet(t, 2)
 	heard, st := runOneSlot(t, nw, []Action{
 		{Kind: Listen, Ch: localFor(t, nw, 0, 0)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 1, 0), Data: "hi"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 1, 0)},
 		{Kind: Idle},
 		{Kind: Idle},
 		{Kind: Idle},
 	})
-	if heard[0].From != 1 || heard[0].Data != "hi" {
-		t.Errorf("heard %+v, want From=1 Data=hi", heard[0])
+	if heard[0].From != 1 {
+		t.Errorf("heard %+v, want From=1", heard[0])
 	}
 	if st.Deliveries != 1 {
 		t.Errorf("Deliveries = %d, want 1", st.Deliveries)
@@ -108,7 +108,7 @@ func TestResolveSoleTalkerNonAdjacent(t *testing.T) {
 		{Kind: Idle},
 		{Kind: Idle},
 		{Kind: Listen, Ch: localFor(t, nw, 3, 0)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: "x"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0)},
 	})
 	if heard[3].From >= 0 {
 		t.Errorf("non-neighbor delivery: heard %+v, want silence", heard[3])
@@ -127,10 +127,10 @@ func TestResolveContendedChannel(t *testing.T) {
 	// them would still hear. Use node 3: adjacent only to 0 -> silence.
 	heard, st := runOneSlot(t, nw, []Action{
 		{Kind: Listen, Ch: localFor(t, nw, 0, 0)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 1, 0), Data: 1},
-		{Kind: Broadcast, Ch: localFor(t, nw, 2, 0), Data: 2},
+		{Kind: Broadcast, Ch: localFor(t, nw, 1, 0)},
+		{Kind: Broadcast, Ch: localFor(t, nw, 2, 0)},
 		{Kind: Listen, Ch: localFor(t, nw, 3, 0)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: 4},
+		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0)},
 	})
 	if heard[0].From >= 0 {
 		t.Errorf("center heard %+v through a 3-way collision", heard[0])
@@ -151,12 +151,12 @@ func TestResolveContendedChannelPartialAdjacency(t *testing.T) {
 	heard, st := runOneSlot(t, nw, []Action{
 		{Kind: Idle},
 		{Kind: Listen, Ch: localFor(t, nw, 1, 0)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 2, 0), Data: "from2"},
-		{Kind: Broadcast, Ch: localFor(t, nw, 3, 0), Data: "from3"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 2, 0)},
+		{Kind: Broadcast, Ch: localFor(t, nw, 3, 0)},
 		{Kind: Idle},
 	})
-	if heard[1].From != 2 || heard[1].Data != "from2" {
-		t.Errorf("heard %+v, want From=2 Data=from2", heard[1])
+	if heard[1].From != 2 {
+		t.Errorf("heard %+v, want From=2", heard[1])
 	}
 	if st.Deliveries != 1 {
 		t.Errorf("Deliveries = %d, want 1", st.Deliveries)
@@ -172,14 +172,14 @@ func TestResolveJammedChannel(t *testing.T) {
 	heard, st := runOneSlot(t, nw, []Action{
 		{Kind: Listen, Ch: localFor(t, nw, 0, 0)},
 		{Kind: Listen, Ch: localFor(t, nw, 1, 1)},
-		{Kind: Broadcast, Ch: localFor(t, nw, 2, 1), Data: "heard"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 2, 1)},
 		{Kind: Idle},
-		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0), Data: "lost"},
+		{Kind: Broadcast, Ch: localFor(t, nw, 4, 0)},
 	})
 	if heard[0].From >= 0 {
 		t.Errorf("jammed listener heard %+v, want silence", heard[0])
 	}
-	if heard[1].From < 0 || heard[1].Data != "heard" {
+	if heard[1].From != 2 {
 		t.Errorf("clear-channel listener heard %+v, want From=2", heard[1])
 	}
 	if st.JammedListens != 1 || st.Deliveries != 1 {
@@ -207,7 +207,7 @@ func randomScripts(r *rng.Source, n, c, slots int, heavy bool) [][]Action {
 			case 1:
 				scripts[u][s] = Action{Kind: Listen, Ch: r.Intn(c)}
 			default:
-				scripts[u][s] = Action{Kind: Broadcast, Ch: r.Intn(c), Data: u*1000 + s}
+				scripts[u][s] = Action{Kind: Broadcast, Ch: r.Intn(c)}
 			}
 		}
 	}
@@ -287,7 +287,7 @@ func naiveOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, scripts [
 					if va.Kind == Broadcast && a.Global(int(v), va.Ch) == ch {
 						talkers++
 						if talkers == 1 {
-							want = Delivery{From: NodeID(v), Data: va.Data}
+							want = Delivery{From: NodeID(v)}
 						}
 					}
 				}
@@ -393,7 +393,7 @@ func TestResolveBinarySearchPathHugeGraph(t *testing.T) {
 		// is even (sole neighbor n-2 -> delivery).
 		var act Action
 		if u%2 == 0 {
-			act = Action{Kind: Broadcast, Ch: 0, Data: u}
+			act = Action{Kind: Broadcast, Ch: 0}
 		} else {
 			act = Action{Kind: Listen, Ch: 0}
 		}
@@ -638,13 +638,13 @@ func naiveDynamicOracle(g *graph.Graph, a *chanassign.Assignment, jam Jammer, sc
 					if cur[mkEdgeKey(u, v)] {
 						talkers++
 						if talkers == 1 {
-							from = Delivery{From: NodeID(v), Data: acts[v].Data}
+							from = Delivery{From: NodeID(v)}
 						}
 					}
 					if base[mkEdgeKey(u, v)] {
 						baseTalkers++
 						if baseTalkers == 1 {
-							baseFrom = Delivery{From: NodeID(v), Data: acts[v].Data}
+							baseFrom = Delivery{From: NodeID(v)}
 						}
 					}
 				}

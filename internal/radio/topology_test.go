@@ -25,7 +25,7 @@ type pairProto struct {
 
 func (p *pairProto) Act(_ int64) Action {
 	if p.id == 0 {
-		return Action{Kind: Broadcast, Ch: 0, Data: "x"}
+		return Action{Kind: Broadcast, Ch: 0}
 	}
 	return Action{Kind: Listen, Ch: 0}
 }
@@ -318,7 +318,7 @@ func (s *seekLike) Act(_ int64) Action {
 	s.slots++
 	switch s.r.Intn(3) {
 	case 0:
-		return Action{Kind: Broadcast, Ch: s.r.Intn(s.c), Data: int(s.id)}
+		return Action{Kind: Broadcast, Ch: s.r.Intn(s.c)}
 	case 1:
 		return Action{Kind: Listen, Ch: s.r.Intn(s.c)}
 	default:

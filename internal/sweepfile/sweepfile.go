@@ -31,7 +31,9 @@ type Spec struct {
 	Primitive string `json:"primitive"`
 	// KHat is ckseek's k̂ threshold (required for ckseek).
 	KHat int `json:"khat,omitempty"`
-	// Source / Message configure the broadcast primitives.
+	// Source is the broadcast primitives' source node. Message names
+	// what they broadcast: the model tracks which nodes hold it, not
+	// its content, so it changes no result.
 	Source  int    `json:"source,omitempty"`
 	Message string `json:"message,omitempty"`
 	// Variants are the scenario configurations to sweep over.
@@ -199,16 +201,10 @@ func BuildSweepSpec(sf *Spec, workers int) (crn.SweepSpec, error) {
 			return zero, fmt.Errorf("primitive ckseek needs \"khat\" ≥ 1")
 		}
 		prim = crn.KDiscovery(sf.KHat)
-	case "cgcast", "flood":
-		msg := sf.Message
-		if msg == "" {
-			msg = "message"
-		}
-		if sf.Primitive == "cgcast" {
-			prim = crn.GlobalBroadcast(sf.Source, msg)
-		} else {
-			prim = crn.Flooding(sf.Source, msg)
-		}
+	case "cgcast":
+		prim = crn.GlobalBroadcast(sf.Source, sf.Message)
+	case "flood":
+		prim = crn.Flooding(sf.Source, sf.Message)
 	case "":
 		return zero, fmt.Errorf("spec is missing \"primitive\"")
 	default:

@@ -442,15 +442,16 @@ func resolveBroadcastOptions(opts []BroadcastOption) broadcastOptions {
 // GlobalBroadcast returns the CGCAST global-broadcast primitive
 // (Theorem 9): the full setup pipeline (discovery, dedicated-channel
 // fixing, edge coloring, announcement) followed by one dissemination
-// of message from the source node.
+// of message from the source node. message names what is broadcast:
+// the model tracks which nodes hold it, not its content, so it changes
+// no result.
 func GlobalBroadcast(source int, message any, opts ...BroadcastOption) Primitive {
-	return globalBroadcastPrimitive{source: source, message: message, opts: resolveBroadcastOptions(opts)}
+	return globalBroadcastPrimitive{source: source, opts: resolveBroadcastOptions(opts)}
 }
 
 type globalBroadcastPrimitive struct {
-	source  int
-	message any
-	opts    broadcastOptions
+	source int
+	opts   broadcastOptions
 }
 
 func (p globalBroadcastPrimitive) Name() string { return "cgcast" }
@@ -458,12 +459,11 @@ func (p globalBroadcastPrimitive) Name() string { return "cgcast" }
 func (p globalBroadcastPrimitive) Run(ctx context.Context, s *Scenario, seed uint64) (*Result, error) {
 	nw := s.runNetwork()
 	res, err := core.RunCGCastCtx(ctx, nw, core.BroadcastConfig{
-		Params:  s.p,
-		D:       s.d,
-		Source:  radio.NodeID(p.source),
-		Message: p.message,
-		Mode:    p.opts.mode,
-		Seed:    seed,
+		Params: s.p,
+		D:      s.d,
+		Source: radio.NodeID(p.source),
+		Mode:   p.opts.mode,
+		Seed:   seed,
 	})
 	if err != nil {
 		return nil, err
@@ -491,21 +491,22 @@ func (p globalBroadcastPrimitive) Run(ctx context.Context, s *Scenario, seed uin
 
 // Flooding returns the naive flooding broadcast baseline: informed
 // nodes hop channels at random and broadcast with a back-off coin,
-// paying a fresh rendezvous for every hop.
+// paying a fresh rendezvous for every hop. message names what is
+// broadcast: the model tracks which nodes hold it, not its content, so
+// it changes no result.
 func Flooding(source int, message any) Primitive {
-	return floodingPrimitive{source: source, message: message}
+	return floodingPrimitive{source: source}
 }
 
 type floodingPrimitive struct {
-	source  int
-	message any
+	source int
 }
 
 func (p floodingPrimitive) Name() string { return "flood" }
 
 func (p floodingPrimitive) Run(ctx context.Context, s *Scenario, seed uint64) (*Result, error) {
 	nw := s.runNetwork()
-	res, err := core.RunFloodCtx(ctx, nw, s.p, s.d, radio.NodeID(p.source), p.message, seed)
+	res, err := core.RunFloodCtx(ctx, nw, s.p, s.d, radio.NodeID(p.source), seed)
 	if err != nil {
 		return nil, err
 	}

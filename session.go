@@ -55,24 +55,27 @@ type SessionBroadcastResult struct {
 }
 
 // Broadcast disseminates one message from source over the prepared
-// schedule.
+// schedule. message names what is broadcast: the model tracks which
+// nodes hold it, not its content, so it changes no result.
 func (bs *BroadcastSession) Broadcast(source int, message any, seed uint64) (*SessionBroadcastResult, error) {
-	return bs.disseminate(context.Background(), bs.s.d, source, message, seed)
+	return bs.disseminate(context.Background(), bs.s.d, source, seed)
 }
 
-// BroadcastCtx is Broadcast with cooperative cancellation.
+// BroadcastCtx is Broadcast with cooperative cancellation. message
+// names what is broadcast, as in Broadcast.
 func (bs *BroadcastSession) BroadcastCtx(ctx context.Context, source int, message any, seed uint64) (*SessionBroadcastResult, error) {
-	return bs.disseminate(ctx, bs.s.d, source, message, seed)
+	return bs.disseminate(ctx, bs.s.d, source, seed)
 }
 
 // LocalBroadcast delivers a message from source to its immediate
 // neighbors only: a single phase of the dissemination schedule, the
 // local-broadcast primitive the global algorithm repeats D times.
+// message names what is broadcast, as in Broadcast.
 // In the result, AllInformed refers to the source's neighborhood;
 // AllInformedAtSlot stays -1 unless the single phase happened to reach
 // the whole network (it tracks the global predicate).
 func (bs *BroadcastSession) LocalBroadcast(source int, message any, seed uint64) (*SessionBroadcastResult, error) {
-	res, err := bs.session.Disseminate(1, radio.NodeID(source), message, seed)
+	res, err := bs.session.Disseminate(1, radio.NodeID(source), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +93,8 @@ func (bs *BroadcastSession) LocalBroadcast(source int, message any, seed uint64)
 	}, nil
 }
 
-func (bs *BroadcastSession) disseminate(ctx context.Context, d, source int, message any, seed uint64) (*SessionBroadcastResult, error) {
-	res, err := bs.session.DisseminateCtx(ctx, d, radio.NodeID(source), message, seed)
+func (bs *BroadcastSession) disseminate(ctx context.Context, d, source int, seed uint64) (*SessionBroadcastResult, error) {
+	res, err := bs.session.DisseminateCtx(ctx, d, radio.NodeID(source), seed)
 	if err != nil {
 		return nil, err
 	}
