@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -123,8 +124,7 @@ func RunMatrix(ctx context.Context, cfg MatrixConfig) ([]SeedResult, error) {
 		cfg.Parallel = min(4, runtime.NumCPU())
 	}
 	if cfg.Log == nil {
-		cfg.Log = log.New(os.Stderr, "", 0)
-		cfg.Log.SetOutput(discard{})
+		cfg.Log = log.New(io.Discard, "", 0)
 	}
 	ref, err := Reference(ctx, cfg.Spec)
 	if err != nil {
@@ -149,17 +149,6 @@ func RunMatrix(ctx context.Context, cfg MatrixConfig) ([]SeedResult, error) {
 	}
 	wg.Wait()
 	return results, nil
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // runSeed runs one complete service-under-chaos lifecycle: spool,
@@ -210,7 +199,7 @@ func runSeed(ctx context.Context, cfg MatrixConfig, seed uint64, reference []byt
 		}
 	}
 
-	quiet := log.New(discard{}, "", 0)
+	quiet := log.New(io.Discard, "", 0)
 	chaosFS := NewFS(plan.Writes, plan.Reads, logf)
 	newDaemon := func() (*sweepd.Server, error) {
 		return sweepd.New(sweepd.Config{
