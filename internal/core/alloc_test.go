@@ -161,7 +161,7 @@ func TestCGCastSetupAllocs(t *testing.T) {
 // abstract-mode CGCAST run: RunCGCast on a unit-disk instance — setup,
 // one dissemination and the result — stays under one fixed ceiling at
 // n = 48 and at n = 96, so no per-node or per-edge allocation can come
-// back. It is 29 with the pools' entries reused and 44 without. A
+// back. It is 27 with the pools' entries reused and 42 without. A
 // coloring state per edge, a stream per simulator per phase and a
 // machine per node made it 1,415 at n = 48 and 4,828 at n = 96.
 func TestCGCastRunAllocs(t *testing.T) {
