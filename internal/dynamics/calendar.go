@@ -6,16 +6,15 @@ import (
 	"crn/internal/rng"
 )
 
-// This file implements the event-calendar machinery behind the churn
-// and link-flap models. Both are collections of independent two-state
-// Markov chains advanced once per slot; stepping every chain with a
-// Bernoulli draw costs O(chains) per slot even when nothing happens,
-// which used to dominate the dynamics slot budget (a ~300-edge flap
-// model burned ~1.5µs/slot on draws alone). Instead each chain draws
-// its *waiting time* to the next transition directly — the geometric
-// distribution the Bernoulli sequence induces — and parks in a min-heap
-// keyed by that step, so a slot costs O(transitions due) heap pops and
-// an O(1) peek when nothing is due.
+// This file implements the chain set behind the churn and link-flap
+// models: independent two-state Markov chains advanced once per slot.
+// Stepping every chain with a Bernoulli draw costs O(chains) per slot
+// even when nothing happens, which used to dominate the dynamics slot
+// budget (a ~300-edge flap model burned ~1.5µs/slot on draws alone).
+// Instead each chain draws its *waiting time* to the next transition
+// directly — the geometric distribution the Bernoulli sequence induces
+// — and parks in a min-heap keyed by that step, so a slot costs
+// O(transitions due) heap pops and an O(1) peek when nothing is due.
 //
 // The trade: trajectories are sampled with one uniform draw per
 // transition instead of one per slot, so a given seed produces a
@@ -71,6 +70,71 @@ func (s gapSampler) draw(r *rng.Source) int64 {
 	return g
 }
 
+// chains is a set of independent two-state Markov chains. Every chain
+// starts on; an on chain turns off with probability pOff per step, and
+// an off chain turns back on with probability pOn. Churn runs one chain
+// per node (off is down), EdgeFlap one per base edge (off is absent).
+//
+// Chain i draws from rng.New(seed).Split(i): first the gap to its
+// first turn-off, in chain order at construction, then one gap per
+// transition, in (step, chain) order.
+type chains struct {
+	offGap  gapSampler   // waiting time to turn off while on
+	onGap   gapSampler   // waiting time to turn back on while off
+	streams []rng.Source // flat, one per chain: gap draws stay cache-local
+	off     []bool
+	cal     calendar
+	steps   int64 // internal step count, not the engine slot: one feed may span several engines
+}
+
+func newChains(n int, pOff, pOn float64, seed uint64) chains {
+	c := chains{
+		offGap:  newGapSampler(pOff),
+		onGap:   newGapSampler(pOn),
+		streams: make([]rng.Source, n),
+		off:     make([]bool, n),
+		cal:     calendar{h: make([]calEntry, 0, n)},
+	}
+	var master rng.Source
+	master.Reseed(seed)
+	for i := range c.streams {
+		c.streams[i] = master.SplitValue(uint64(i))
+		if c.offGap.ok {
+			// A gap of g puts the first Bernoulli success on step g-1
+			// (steps count from 0).
+			c.cal.schedule(int32(i), c.offGap.draw(&c.streams[i])-1)
+		}
+	}
+	return c
+}
+
+// step applies the transitions due at the next step, handing each
+// flipped chain and the state it entered to flip, in chain order.
+func (c *chains) step(flip func(i int, off bool)) {
+	step := c.steps
+	c.steps++
+	for {
+		i := c.cal.peekDue(step)
+		if i < 0 {
+			return
+		}
+		off := !c.off[i]
+		c.off[i] = off
+		flip(int(i), off)
+		// Exit sampler of the state just entered; !ok parks the chain
+		// there forever.
+		exit := c.offGap
+		if off {
+			exit = c.onGap
+		}
+		if exit.ok {
+			c.cal.replaceTop(step + exit.draw(&c.streams[i]))
+		} else {
+			c.cal.popTop()
+		}
+	}
+}
+
 // calEntry is one parked chain: the absolute step its next transition
 // fires at, and its index. Keeping the key inside the heap slice keeps
 // sift comparisons on one cache line instead of chasing a side array.
@@ -85,10 +149,6 @@ type calEntry struct {
 // can never transition again are simply not re-scheduled.
 type calendar struct {
 	h []calEntry
-}
-
-func newCalendar(n int) *calendar {
-	return &calendar{h: make([]calEntry, 0, n)}
 }
 
 // schedule (re)inserts chain idx with its next transition at step `at`.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"crn/internal/radio"
-	"crn/internal/rng"
 )
 
 // Churn models node churn as independent per-node on/off processes:
@@ -22,18 +21,12 @@ import (
 // skip-ahead; see calendar.go), so a slot with no transitions costs
 // O(1) instead of n Bernoulli draws.
 type Churn struct {
-	n           int
-	pDown, pUp  float64
-	downGap     gapSampler // waiting time to failure while up
-	upGap       gapSampler // waiting time to rejoin while down
-	seed        uint64
-	streams     []rng.Source // flat, one per node: gap draws stay cache-local
-	down        []bool
-	lastJoin    []int64 // latest rejoin slot per node, -1 never
-	cal         *calendar
-	steps       int64 // internal step count — not the engine slot: one feed may span several engines
-	lastMut     radio.TopologyMutator
-	transitions int64
+	n          int
+	pDown, pUp float64
+	seed       uint64
+	chains     chains  // one per node; off is down
+	lastJoin   []int64 // latest rejoin slot per node, -1 never
+	lastMut    radio.TopologyMutator
 }
 
 // NewChurn returns a churn model over n nodes. Probabilities must be
@@ -47,31 +40,13 @@ func NewChurn(n int, pDown, pUp float64, seed uint64) (*Churn, error) {
 	}
 	c := &Churn{
 		n: n, pDown: pDown, pUp: pUp, seed: seed,
-		downGap: newGapSampler(pDown),
-		upGap:   newGapSampler(pUp),
+		chains:   newChains(n, pDown, pUp, seed),
+		lastJoin: make([]int64, n),
 	}
-	c.reset()
-	return c, nil
-}
-
-func (c *Churn) reset() {
-	master := rng.New(c.seed)
-	c.streams = make([]rng.Source, c.n)
-	c.down = make([]bool, c.n)
-	c.lastJoin = make([]int64, c.n)
-	c.cal = newCalendar(c.n)
-	c.steps = 0
-	c.lastMut = nil
-	c.transitions = 0
-	for u := 0; u < c.n; u++ {
-		c.streams[u] = *master.Split(uint64(u))
+	for u := range c.lastJoin {
 		c.lastJoin[u] = -1
-		if c.downGap.ok {
-			// A gap of g means the first success of the per-step
-			// Bernoulli sequence lands on step g-1 (steps count from 0).
-			c.cal.schedule(int32(u), c.downGap.draw(&c.streams[u])-1)
-		}
 	}
+	return c, nil
 }
 
 // NewRun implements RunScoped.
@@ -90,36 +65,16 @@ func (c *Churn) Step(slot int64, mut radio.TopologyMutator) {
 		// New engine (multi-stage pipeline): re-establish current state
 		// over its fresh base topology.
 		c.lastMut = mut
-		for u := 0; u < c.n; u++ {
-			mut.SetNodeUp(u, !c.down[u])
+		for u, down := range c.chains.off {
+			mut.SetNodeUp(u, !down)
 		}
 	}
-	step := c.steps
-	c.steps++
-	for {
-		u := c.cal.peekDue(step)
-		if u < 0 {
-			return
-		}
-		goingDown := !c.down[u]
-		c.down[u] = goingDown
-		c.transitions++
-		if !goingDown {
+	c.chains.step(func(u int, down bool) {
+		if !down {
 			c.lastJoin[u] = slot
 		}
-		mut.SetNodeUp(int(u), !goingDown)
-		// Exit sampler of the state just entered; !ok parks the node
-		// there forever.
-		exit := c.downGap
-		if goingDown {
-			exit = c.upGap
-		}
-		if exit.ok {
-			c.cal.replaceTop(step + exit.draw(&c.streams[u]))
-		} else {
-			c.cal.popTop()
-		}
-	}
+		mut.SetNodeUp(u, !down)
+	})
 }
 
 // LastJoin implements JoinLog.
@@ -129,7 +84,3 @@ func (c *Churn) LastJoin(u int) int64 {
 	}
 	return c.lastJoin[u]
 }
-
-// Transitions returns the number of up/down flips applied so far (a
-// test and debugging hook).
-func (c *Churn) Transitions() int64 { return c.transitions }

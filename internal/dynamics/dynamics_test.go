@@ -175,7 +175,7 @@ func TestEdgeFlapStaysWithinBase(t *testing.T) {
 			}
 		}
 	}
-	if f.Transitions() == 0 {
+	if mut.adds+mut.removes == 0 {
 		t.Fatal("no flaps in 300 slots — degenerate test")
 	}
 	// A fresh engine's mutator starts from the full base edge set; the
@@ -186,8 +186,8 @@ func TestEdgeFlapStaysWithinBase(t *testing.T) {
 	f.Step(300, fresh)
 	for i, e := range f.edges {
 		k := key(int(e.U), int(e.V))
-		if fresh.edges[k] == f.absent[i] {
-			t.Fatalf("resync mismatch on edge %v: present=%v, model absent=%v", k, fresh.edges[k], f.absent[i])
+		if fresh.edges[k] == f.chains.off[i] {
+			t.Fatalf("resync mismatch on edge %v: present=%v, model absent=%v", k, fresh.edges[k], f.chains.off[i])
 		}
 	}
 }

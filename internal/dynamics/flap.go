@@ -5,7 +5,6 @@ import (
 
 	"crn/internal/graph"
 	"crn/internal/radio"
-	"crn/internal/rng"
 )
 
 // EdgeFlap models link-quality churn as independent per-edge Markov
@@ -22,18 +21,12 @@ import (
 // slot with no flips costs O(1) instead of one Bernoulli draw per
 // base edge.
 type EdgeFlap struct {
-	edges          []graph.Edge
-	pDrop          float64
-	pRestore       float64
-	dropGap        gapSampler // waiting time to drop while present
-	restoreGap     gapSampler // waiting time to restore while absent
-	seed           uint64
-	streams        []rng.Source // flat, one per edge: gap draws stay cache-local
-	absent         []bool
-	cal            *calendar
-	steps          int64 // internal step count, not the engine slot
-	lastMut        radio.TopologyMutator
-	transitionsCnt int64
+	edges    []graph.Edge
+	pDrop    float64
+	pRestore float64
+	seed     uint64
+	chains   chains // one per base edge; off is absent
+	lastMut  radio.TopologyMutator
 }
 
 // NewEdgeFlap returns a flapping model over the given base edges
@@ -46,33 +39,13 @@ func NewEdgeFlap(edges []graph.Edge, pDrop, pRestore float64, seed uint64) (*Edg
 	if pDrop < 0 || pDrop > 1 || pRestore < 0 || pRestore > 1 {
 		return nil, fmt.Errorf("dynamics: flap probabilities must be in [0,1], got %v and %v", pDrop, pRestore)
 	}
-	f := &EdgeFlap{
-		edges:      append([]graph.Edge(nil), edges...),
-		pDrop:      pDrop,
-		pRestore:   pRestore,
-		dropGap:    newGapSampler(pDrop),
-		restoreGap: newGapSampler(pRestore),
-		seed:       seed,
-	}
-	f.reset()
-	return f, nil
-}
-
-func (f *EdgeFlap) reset() {
-	master := rng.New(f.seed)
-	f.streams = make([]rng.Source, len(f.edges))
-	f.absent = make([]bool, len(f.edges))
-	f.cal = newCalendar(len(f.edges))
-	f.steps = 0
-	f.lastMut = nil
-	f.transitionsCnt = 0
-	for i := range f.edges {
-		f.streams[i] = *master.Split(uint64(i))
-		if f.dropGap.ok {
-			// A gap of g puts the first Bernoulli success on step g-1.
-			f.cal.schedule(int32(i), f.dropGap.draw(&f.streams[i])-1)
-		}
-	}
+	return &EdgeFlap{
+		edges:    append([]graph.Edge(nil), edges...),
+		pDrop:    pDrop,
+		pRestore: pRestore,
+		seed:     seed,
+		chains:   newChains(len(edges), pDrop, pRestore, seed),
+	}, nil
 }
 
 // NewRun implements RunScoped.
@@ -91,40 +64,19 @@ func (f *EdgeFlap) Step(_ int64, mut radio.TopologyMutator) {
 		// New engine (multi-stage pipeline): re-establish current state
 		// over its fresh base topology.
 		f.lastMut = mut
-		for i := range f.edges {
-			u, v := int(f.edges[i].U), int(f.edges[i].V)
-			if f.absent[i] {
-				mut.RemoveEdge(u, v)
-			} else {
-				mut.AddEdge(u, v)
-			}
+		for i, absent := range f.chains.off {
+			f.set(mut, i, absent)
 		}
 	}
-	step := f.steps
-	f.steps++
-	for {
-		i := f.cal.peekDue(step)
-		if i < 0 {
-			return
-		}
-		f.absent[i] = !f.absent[i]
-		f.transitionsCnt++
-		u, v := int(f.edges[i].U), int(f.edges[i].V)
-		exit := f.dropGap
-		if f.absent[i] {
-			mut.RemoveEdge(u, v)
-			exit = f.restoreGap
-		} else {
-			mut.AddEdge(u, v)
-		}
-		if exit.ok {
-			f.cal.replaceTop(step + exit.draw(&f.streams[i]))
-		} else {
-			f.cal.popTop()
-		}
-	}
+	f.chains.step(func(i int, absent bool) { f.set(mut, i, absent) })
 }
 
-// Transitions returns the number of edge flips applied so far (a test
-// and debugging hook).
-func (f *EdgeFlap) Transitions() int64 { return f.transitionsCnt }
+// set removes base edge i from mut if absent, and adds it otherwise.
+func (f *EdgeFlap) set(mut radio.TopologyMutator, i int, absent bool) {
+	u, v := int(f.edges[i].U), int(f.edges[i].V)
+	if absent {
+		mut.RemoveEdge(u, v)
+	} else {
+		mut.AddEdge(u, v)
+	}
+}
