@@ -255,22 +255,6 @@ func TestMiddlewareFaultsLeasePathsOnly(t *testing.T) {
 	}
 }
 
-// TestManualClock pins the deflake-by-construction property: time is
-// state, not waiting.
-func TestManualClock(t *testing.T) {
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	mc := NewManualClock(base)
-	if !mc.Now().Equal(base) {
-		t.Fatal("manual clock did not start at base")
-	}
-	if got := mc.Advance(90 * time.Second); !got.Equal(base.Add(90 * time.Second)) {
-		t.Fatalf("Advance returned %v", got)
-	}
-	if !mc.Now().Equal(base.Add(90 * time.Second)) {
-		t.Fatal("Advance did not stick")
-	}
-}
-
 // TestDelayRespectsContext: an injected delay must not outlive the
 // request's deadline — the client's per-request timeout stays in
 // charge.

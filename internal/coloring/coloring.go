@@ -198,54 +198,3 @@ func Validate(g *graph.Graph, colors []int, numColors int) error {
 	}
 	return nil
 }
-
-// ValidateEdgeColoring checks that edgeColors is a proper edge coloring
-// of g: every edge colored in [0, numColors), no two edges sharing an
-// endpoint share a color.
-func ValidateEdgeColoring(g *graph.Graph, edgeColors map[graph.Edge]int, numColors int) error {
-	if len(edgeColors) != g.M() {
-		return fmt.Errorf("coloring: %d edge colors for %d edges", len(edgeColors), g.M())
-	}
-	type slot struct {
-		node  int32
-		color int
-	}
-	seen := make(map[slot]graph.Edge, 2*g.M())
-	for _, e := range g.Edges() {
-		c, ok := edgeColors[e]
-		if !ok {
-			return fmt.Errorf("coloring: edge (%d,%d) uncolored", e.U, e.V)
-		}
-		if c < 0 || c >= numColors {
-			return fmt.Errorf("coloring: edge (%d,%d) color %d outside [0,%d)", e.U, e.V, c, numColors)
-		}
-		for _, end := range [2]int32{e.U, e.V} {
-			key := slot{node: end, color: c}
-			if other, dup := seen[key]; dup {
-				return fmt.Errorf("coloring: edges (%d,%d) and (%d,%d) share color %d at node %d",
-					e.U, e.V, other.U, other.V, c, end)
-			}
-			seen[key] = e
-		}
-	}
-	return nil
-}
-
-// Greedy returns a sequential greedy edge coloring of g — the
-// centralized baseline used to sanity-check color counts. It uses at
-// most 2Δ-1 colors.
-func Greedy(g *graph.Graph) map[graph.Edge]int {
-	used := bitset.NewMatrix(g.N(), 2*g.MaxDegree()+1)
-	out := make(map[graph.Edge]int, g.M())
-	for _, e := range g.Edges() {
-		u, v := int(e.U), int(e.V)
-		c := 0
-		for used.Get(u, c) || used.Get(v, c) {
-			c++
-		}
-		out[e] = c
-		used.Set(u, c)
-		used.Set(v, c)
-	}
-	return out
-}

@@ -224,37 +224,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestValidateEdgeColoring(t *testing.T) {
-	g := graph.Star(4)
-	edges := g.Edges()
-	good := map[graph.Edge]int{edges[0]: 0, edges[1]: 1, edges[2]: 2}
-	if err := ValidateEdgeColoring(g, good, 3); err != nil {
-		t.Errorf("valid coloring rejected: %v", err)
-	}
-	bad := map[graph.Edge]int{edges[0]: 0, edges[1]: 0, edges[2]: 2}
-	if err := ValidateEdgeColoring(g, bad, 3); err == nil {
-		t.Error("clashing star edges accepted")
-	}
-	missing := map[graph.Edge]int{edges[0]: 0, edges[1]: 1}
-	if err := ValidateEdgeColoring(g, missing, 3); err == nil {
-		t.Error("missing edge accepted")
-	}
-}
-
-func TestGreedyEdgeColoring(t *testing.T) {
-	f := func(seed uint64) bool {
-		g, err := graph.GNP(12, 0.4, rng.New(seed))
-		if err != nil {
-			return true
-		}
-		ec := Greedy(g)
-		return ValidateEdgeColoring(g, ec, 2*g.MaxDegree()+1) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickRunAlwaysValid fuzzes random graphs; every completed run
 // must be a proper coloring.
 func TestQuickRunAlwaysValid(t *testing.T) {

@@ -163,7 +163,7 @@ func TestCoreBanksMatchPerNodeDispatch(t *testing.T) {
 			return stack{protos: protos, slots: run.total, attach: func() { copy(protos, run.protos) }, outcome: func() string {
 				out := ""
 				for u := range run.nodes {
-					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].informedAt)
+					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].slot)
 				}
 				return out
 			}}

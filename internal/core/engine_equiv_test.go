@@ -121,7 +121,7 @@ func TestCrossEngineEquivalenceUnderJammers(t *testing.T) {
 			return stack{protos: run.protos, slots: run.total, outcome: func() string {
 				out := ""
 				for u := range run.nodes {
-					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].informedAt)
+					out += fmt.Sprintf("%d:%v@%d;", u, run.nodes[u].informed, run.nodes[u].slot)
 				}
 				return out
 			}}

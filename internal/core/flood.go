@@ -15,12 +15,11 @@ import (
 // costs a fresh Θ~(c²/k) rendezvous, with no schedule reuse. Each
 // machine is one node of a floodRun, which builds them.
 type Flood struct {
-	run        *floodRun
-	rand       rng.Source
-	slot       int64
-	informedAt int64 // the slot the node learned the message, or -1
-	u          int32 // the node's index: its bank slot
-	informed   bool
+	run      *floodRun
+	rand     rng.Source
+	slot     int64
+	u        int32 // the node's index: its bank slot
+	informed bool
 }
 
 var _ radio.Protocol = (*Flood)(nil)
@@ -51,11 +50,10 @@ func newFloodRun(p Params, n, d int, source radio.NodeID, seed uint64) *floodRun
 	master.Reseed(seed)
 	for u := range r.nodes {
 		r.nodes[u] = Flood{
-			run:        r,
-			rand:       master.SplitValue(uint64(u)),
-			informedAt: -1,
-			u:          int32(u),
-			informed:   radio.NodeID(u) == source,
+			run:      r,
+			rand:     master.SplitValue(uint64(u)),
+			u:        int32(u),
+			informed: radio.NodeID(u) == source,
 		}
 		r.protos[u] = &r.nodes[u]
 	}
@@ -82,7 +80,6 @@ func (f *Flood) Act(_ int64) radio.Action {
 func (f *Flood) Observe(_ int64, d radio.Delivery) {
 	if d.From >= 0 {
 		f.informed = true
-		f.informedAt = f.slot
 	}
 	f.slot++
 }

@@ -110,15 +110,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.uint64n(uint64(n)))
 }
 
-// IntRange returns a uniform integer in [lo, hi] inclusive.
-// It panics if hi < lo.
-func (r *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
 // uint64n returns a uniform value in [0, n) using Lemire's
 // multiply-shift rejection method.
 func (r *Source) uint64n(n uint64) uint64 {
@@ -209,14 +200,6 @@ func (r *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // WeightedChoice returns an index i with probability weights[i]/sum.

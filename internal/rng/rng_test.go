@@ -121,24 +121,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(6)
-	seen := make(map[int]bool)
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(3, 5)
-		if v < 3 || v > 5 {
-			t.Fatalf("IntRange(3,5) = %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("IntRange(3,5) hit %d values, want 3", len(seen))
-	}
-	if got := r.IntRange(7, 7); got != 7 {
-		t.Errorf("IntRange(7,7) = %d, want 7", got)
-	}
-}
-
 func TestIntnUniformity(t *testing.T) {
 	r := New(99)
 	const n, trials = 10, 100000
@@ -294,19 +276,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 		if math.Abs(float64(c)-want)/want > 0.05 {
 			t.Errorf("Perm first-element bucket %d: %d, want ~%f", i, c, want)
 		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		if seen[v] {
-			t.Fatalf("Shuffle duplicated %d", v)
-		}
-		seen[v] = true
 	}
 }
 

@@ -66,15 +66,6 @@ func summarizeSorted(s []float64) Summary {
 	}
 }
 
-// SummarizeInts is Summarize for integer samples.
-func SummarizeInts(xs []int64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of a sorted sample
 // using linear interpolation. The input must be sorted ascending.
 func Percentile(sorted []float64, p float64) float64 {
@@ -167,19 +158,4 @@ func LogLogSlope(xs, ys []float64) (Fit, error) {
 		ly[i] = math.Log(ys[i])
 	}
 	return LinearFit(lx, ly)
-}
-
-// GeometricMean returns the geometric mean of positive samples.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: empty sample")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean needs positive values, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }

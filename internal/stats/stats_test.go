@@ -37,13 +37,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int64{10, 20, 30})
-	if !almostEqual(s.Mean, 20, 1e-12) {
-		t.Errorf("Mean = %v, want 20", s.Mean)
-	}
-}
-
 func TestSummarizeDoesNotMutate(t *testing.T) {
 	in := []float64{3, 1, 2}
 	Summarize(in)
@@ -119,22 +112,6 @@ func TestLogLogSlopeRejectsNonPositive(t *testing.T) {
 	}
 	if _, err := LogLogSlope([]float64{1, 2}, []float64{1, -2}); err == nil {
 		t.Error("negative y accepted")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	gm, err := GeometricMean([]float64{1, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(gm, 10, 1e-9) {
-		t.Errorf("GeometricMean = %v, want 10", gm)
-	}
-	if _, err := GeometricMean(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-	if _, err := GeometricMean([]float64{1, -1}); err == nil {
-		t.Error("negative value accepted")
 	}
 }
 

@@ -37,10 +37,6 @@ type Config struct {
 	// FS is the spool filesystem (default sweepfile.OS). internal/chaos
 	// injects faults here.
 	FS sweepfile.FS
-	// Now is the queue's clock (default time.Now). Tests and chaos
-	// schedules use a manual clock so lease expiry needs no wall-clock
-	// sleeps.
-	Now func() time.Time
 	// OnShardDone, when set, observes every acked shard completion
 	// (after the artifact is durably spooled and the queue marked it
 	// done). The chaos harness uses it to assert no acked artifact is
@@ -87,9 +83,6 @@ func New(cfg Config) (*Server, error) {
 		store: st,
 		log:   cfg.Log,
 		stop:  make(chan struct{}),
-	}
-	if cfg.Now != nil {
-		s.queue.now = cfg.Now
 	}
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)

@@ -1,7 +1,6 @@
 // Package trace records radio-engine executions as structured event
-// streams. Traces serve three purposes: debugging (crntrace renders
-// them), regression checking (same seed ⇒ byte-identical trace), and
-// analysis (delivery timelines feed experiment post-processing).
+// streams. Traces serve two purposes: debugging (crntrace renders
+// them) and regression checking (same seed ⇒ byte-identical trace).
 package trace
 
 import (
@@ -92,39 +91,4 @@ func Equal(a, b []Event) bool {
 		}
 	}
 	return true
-}
-
-// Summary aggregates a trace for quick inspection.
-type Summary struct {
-	// Events is the total number of deliveries.
-	Events int `json:"events"`
-	// FirstSlot and LastSlot bound the delivery activity.
-	FirstSlot int64 `json:"firstSlot"`
-	LastSlot  int64 `json:"lastSlot"`
-	// PerChannel counts deliveries per global channel.
-	PerChannel map[int32]int `json:"perChannel"`
-	// PerListener counts deliveries per listening node.
-	PerListener map[int32]int `json:"perListener"`
-}
-
-// Summarize computes a Summary of the events.
-func Summarize(events []Event) Summary {
-	s := Summary{
-		PerChannel:  make(map[int32]int),
-		PerListener: make(map[int32]int),
-		FirstSlot:   -1,
-		LastSlot:    -1,
-	}
-	for _, ev := range events {
-		s.Events++
-		if s.FirstSlot == -1 || ev.Slot < s.FirstSlot {
-			s.FirstSlot = ev.Slot
-		}
-		if ev.Slot > s.LastSlot {
-			s.LastSlot = ev.Slot
-		}
-		s.PerChannel[ev.Channel]++
-		s.PerListener[ev.Listener]++
-	}
-	return s
 }

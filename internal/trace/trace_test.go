@@ -125,31 +125,3 @@ func TestEqual(t *testing.T) {
 		t.Error("differing events equal")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	events := []Event{
-		{Slot: 5, Listener: 0, Sender: 1, Channel: 2},
-		{Slot: 9, Listener: 0, Sender: 2, Channel: 2},
-		{Slot: 12, Listener: 1, Sender: 0, Channel: 0},
-	}
-	s := Summarize(events)
-	if s.Events != 3 {
-		t.Errorf("Events = %d, want 3", s.Events)
-	}
-	if s.FirstSlot != 5 || s.LastSlot != 12 {
-		t.Errorf("slot bounds = [%d,%d], want [5,12]", s.FirstSlot, s.LastSlot)
-	}
-	if s.PerChannel[2] != 2 || s.PerChannel[0] != 1 {
-		t.Errorf("PerChannel = %v", s.PerChannel)
-	}
-	if s.PerListener[0] != 2 || s.PerListener[1] != 1 {
-		t.Errorf("PerListener = %v", s.PerListener)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Events != 0 || s.FirstSlot != -1 || s.LastSlot != -1 {
-		t.Errorf("empty summary = %+v", s)
-	}
-}
