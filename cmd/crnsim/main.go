@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"crn"
+	"crn/internal/sweepfile"
 )
 
 func main() {
@@ -68,30 +69,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	opts := []crn.ScenarioOption{
-		crn.WithTopology(crn.Topology(*topology)),
-		crn.WithNodes(*n),
-		crn.WithChannels(*c, *k, *kmax),
-		crn.WithSeed(*seed),
-	}
-	if *preset != "" {
-		p, err := crn.PresetByName(*preset)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, p.Options...)
-	}
-	specOpts, err := crn.ParseSpectrum(*spec, *seed)
+	opts, err := sweepfile.Variant{
+		Topology: *topology, N: *n, Channels: *c, K: *k, KMax: *kmax,
+		Seed: *seed, Preset: *preset, Spectrum: *spec, Dynamics: *dyn,
+	}.Options()
 	if err != nil {
 		return err
 	}
-	opts = append(opts, specOpts...)
-	dynOpts, err := crn.ParseDynamics(*dyn, *seed)
-	if err != nil {
-		return err
-	}
-	opts = append(opts, dynOpts...)
-
 	scn, err := crn.New(opts...)
 	if err != nil {
 		return err

@@ -23,9 +23,10 @@ import (
 // Spec is the declarative, JSON-serializable mirror of crn.SweepSpec:
 // crn.Primitive and crn.ScenarioOption are code, so the spec names
 // them and BuildSweepSpec reconstitutes the real spec. The parsed
-// struct (not the raw file bytes) is the canonical form the plan hash
-// covers — reformatting the file does not invalidate artifacts,
-// changing its meaning does.
+// struct (not the raw file bytes), with Message cleared, is the
+// canonical form the plan hash covers — reformatting the file or
+// renaming the message does not invalidate artifacts, changing its
+// meaning does.
 type Spec struct {
 	// Primitive: cseek, naive, uniform, ckseek, cgcast or flood.
 	Primitive string `json:"primitive"`
@@ -33,7 +34,7 @@ type Spec struct {
 	KHat int `json:"khat,omitempty"`
 	// Source is the broadcast primitives' source node. Message names
 	// what they broadcast: the model tracks which nodes hold it, not
-	// its content, so it changes no result.
+	// its content, so it changes no result, and NewManifest clears it.
 	Source  int    `json:"source,omitempty"`
 	Message string `json:"message,omitempty"`
 	// Variants are the scenario configurations to sweep over.
@@ -45,7 +46,8 @@ type Spec struct {
 }
 
 // Variant mirrors one crn.Variant as scenario-option fields, the same
-// vocabulary as cmd/crnsim's flags.
+// vocabulary as cmd/crnsim's flags. Options maps them onto the
+// variant's crn options.
 type Variant struct {
 	Name     string  `json:"name"`
 	Topology string  `json:"topology"`
@@ -136,9 +138,15 @@ func PlanHash(spec *Spec, plan *crn.ShardPlan) (string, error) {
 
 // NewManifest plans spec into shards and assembles the manifest both
 // crnsweep plan and crnsweepd submit write: plan, hash and the
-// conventional shard-k.json / merged.json artifact names.
+// conventional shard-k.json / merged.json artifact names. It stores
+// and hashes the spec in canonical form, with Message cleared, so two
+// specs that differ only in their message plan the same sweep. A
+// manifest that carries a message still validates against its own
+// hash.
 func NewManifest(sf *Spec, shards int) (*Manifest, error) {
-	spec, err := BuildSweepSpec(sf, 0)
+	canon := *sf
+	canon.Message = ""
+	spec, err := BuildSweepSpec(&canon, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +154,13 @@ func NewManifest(sf *Spec, shards int) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	hash, err := PlanHash(sf, plan)
+	hash, err := PlanHash(&canon, plan)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manifest{
 		Version:  ManifestVersion,
-		Spec:     sf,
+		Spec:     &canon,
 		Plan:     plan,
 		PlanHash: hash,
 		Merged:   "merged.json",
@@ -218,32 +226,10 @@ func BuildSweepSpec(sf *Spec, workers int) (crn.SweepSpec, error) {
 		if v.Name == "" {
 			return zero, fmt.Errorf("variant %d has no name", i)
 		}
-		opts := []crn.ScenarioOption{
-			crn.WithTopology(crn.Topology(v.Topology)),
-			crn.WithNodes(v.N),
-			crn.WithChannels(v.Channels, v.K, v.KMax),
-			crn.WithSeed(v.Seed),
-		}
-		if v.Density > 0 {
-			opts = append(opts, crn.WithDensity(v.Density))
-		}
-		if v.Preset != "" {
-			p, err := crn.PresetByName(v.Preset)
-			if err != nil {
-				return zero, fmt.Errorf("variant %q: %w", v.Name, err)
-			}
-			opts = append(opts, p.Options...)
-		}
-		spOpts, err := crn.ParseSpectrum(v.Spectrum, v.Seed)
+		opts, err := v.Options()
 		if err != nil {
 			return zero, fmt.Errorf("variant %q: %w", v.Name, err)
 		}
-		opts = append(opts, spOpts...)
-		dynOpts, err := crn.ParseDynamics(v.Dynamics, v.Seed)
-		if err != nil {
-			return zero, fmt.Errorf("variant %q: %w", v.Name, err)
-		}
-		opts = append(opts, dynOpts...)
 		variants[i] = crn.Variant{Name: v.Name, Options: opts}
 	}
 	return crn.SweepSpec{
@@ -253,6 +239,38 @@ func BuildSweepSpec(sf *Spec, workers int) (crn.SweepSpec, error) {
 		BaseSeed:  sf.BaseSeed,
 		Workers:   workers,
 	}, nil
+}
+
+// Options returns v's scenario options in a fixed order: topology,
+// nodes, channels, seed, density, preset, spectrum, dynamics. The
+// spectrum and dynamics models are seeded from Seed.
+func (v Variant) Options() ([]crn.ScenarioOption, error) {
+	opts := []crn.ScenarioOption{
+		crn.WithTopology(crn.Topology(v.Topology)),
+		crn.WithNodes(v.N),
+		crn.WithChannels(v.Channels, v.K, v.KMax),
+		crn.WithSeed(v.Seed),
+	}
+	if v.Density > 0 {
+		opts = append(opts, crn.WithDensity(v.Density))
+	}
+	if v.Preset != "" {
+		p, err := crn.PresetByName(v.Preset)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, p.Options...)
+	}
+	spOpts, err := crn.ParseSpectrum(v.Spectrum, v.Seed)
+	if err != nil {
+		return nil, err
+	}
+	opts = append(opts, spOpts...)
+	dynOpts, err := crn.ParseDynamics(v.Dynamics, v.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return append(opts, dynOpts...), nil
 }
 
 // LoadSpec reads and strictly parses a spec file.

@@ -1,6 +1,7 @@
 package sweepfile
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,63 @@ func spoolShard(t *testing.T, dir string, shards, k int) *Manifest {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestManifestIgnoresMessage: two flood specs that differ only in
+// their message plan byte-identical manifests, and the caller's spec
+// keeps its message.
+func TestManifestIgnoresMessage(t *testing.T) {
+	plan := func(msg string) []byte {
+		sf := testSpec()
+		sf.Primitive, sf.Message = "flood", msg
+		m, err := NewManifest(sf, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sf.Message != msg {
+			t.Fatalf("NewManifest changed the caller's message to %q", sf.Message)
+		}
+		doc, err := MarshalPretty(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	if a, b := plan(""), plan("hello"); !bytes.Equal(a, b) {
+		t.Errorf("the message changed the manifest:\n%s\n%s", a, b)
+	}
+}
+
+// TestManifestWithMessageLoads: a manifest whose spec carries a
+// message, hashed as it stands (as one spooled before NewManifest
+// cleared the field), still loads and validates.
+func TestManifestWithMessageLoads(t *testing.T) {
+	sf := testSpec()
+	sf.Primitive = "flood"
+	m, err := NewManifest(sf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := *m.Spec
+	spec.Message = "hello"
+	m.Spec = &spec
+	if m.PlanHash, err = PlanHash(m.Spec, m.Plan); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := WriteJSON(path, m); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Spec.Message != "hello" || got.PlanHash != m.PlanHash {
+		t.Errorf("loaded message %q and hash %s, spooled %q and %s", got.Spec.Message, got.PlanHash, spec.Message, m.PlanHash)
+	}
+	if _, err := BuildSweepSpec(got.Spec, 1); err != nil {
+		t.Errorf("the loaded spec does not build: %v", err)
+	}
 }
 
 // TestArtifactCorruptionTable feeds LoadArtifact every corruption a
