@@ -81,22 +81,16 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	var prim crn.Primitive
-	switch *algo {
-	case "cseek", "naive", "uniform", "":
-		prim = crn.Discovery(crn.Algorithm(*algo))
-	case "ckseek":
-		kh := *khat
-		if kh == 0 {
-			kh = scn.KMax()
-		}
-		prim = crn.KDiscovery(kh)
-	case "cgcast":
-		prim = crn.GlobalBroadcast(0, "message")
-	case "flood":
-		prim = crn.Flooding(0, "message")
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
+	name, kh := *algo, *khat
+	if name == "" {
+		name = "cseek"
+	}
+	if name == "ckseek" && kh == 0 {
+		kh = scn.KMax()
+	}
+	prim, err := sweepfile.Primitive(name, kh, 0)
+	if err != nil {
+		return err
 	}
 
 	ctx := context.Background()

@@ -3,6 +3,7 @@ package crn
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crn/internal/chanassign"
@@ -18,6 +19,10 @@ func TestNewScenarioValidation(t *testing.T) {
 		cfg  scenarioConfig
 	}{
 		{name: "too few nodes", cfg: scenarioConfig{N: 1, C: 3, K: 1}},
+		{name: "too many nodes", cfg: scenarioConfig{N: maxNodes + 1, C: 3, K: 1}},
+		// c = 8 makes a branching-7 tree: the smallest one reaching 8000
+		// nodes has 19 608.
+		{name: "tree over the bound", cfg: scenarioConfig{Topology: Tree, N: 8000, C: 8, K: 1}},
 		{name: "no channels", cfg: scenarioConfig{N: 4, C: 0, K: 0}},
 		{name: "k over c", cfg: scenarioConfig{N: 4, C: 2, K: 3}},
 		{name: "kmax under k", cfg: scenarioConfig{N: 4, C: 4, K: 3, KMax: 2}},
@@ -29,6 +34,18 @@ func TestNewScenarioValidation(t *testing.T) {
 				t.Errorf("newGeneratedScenario(%+v) succeeded, want error", tt.cfg)
 			}
 		})
+	}
+}
+
+// TestScenarioNodeBoundBuilds: the node bound is inclusive, so a
+// scenario of exactly maxNodes nodes still builds.
+func TestScenarioNodeBoundBuilds(t *testing.T) {
+	s, err := New(WithTopology(Regular), WithNodes(maxNodes), WithChannels(4, 2, 0), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.N() != maxNodes {
+		t.Errorf("N = %d, want %d", s.N(), maxNodes)
 	}
 }
 
@@ -314,6 +331,21 @@ func TestCustomScenarioValidation(t *testing.T) {
 		cfg.Channels = [][]int{{0, 1}, {0}, {0, 1}}
 		if _, err := NewCustomScenario(cfg); err == nil {
 			t.Error("uneven channel counts accepted")
+		}
+	})
+	t.Run("too many nodes", func(t *testing.T) {
+		cfg := base
+		cfg.N = maxNodes + 1
+		cfg.Edges = nil
+		cfg.Channels = make([][]int, cfg.N)
+		for u := range cfg.Channels {
+			cfg.Channels[u] = []int{0, 1}
+			if u > 0 {
+				cfg.Edges = append(cfg.Edges, [2]int{u - 1, u})
+			}
+		}
+		if _, err := NewCustomScenario(cfg); err == nil || !strings.Contains(err.Error(), "at most 8192") {
+			t.Errorf("8193-node custom path: err = %v, want the node bound", err)
 		}
 	})
 	t.Run("bad edge", func(t *testing.T) {

@@ -39,16 +39,12 @@ func newBankChurnFeed(g *graph.Graph, seed uint64) *bankChurnFeed {
 
 func (f *bankChurnFeed) Step(_ int64, mut radio.TopologyMutator) {
 	u := f.r.Intn(f.n)
-	if f.r.Bernoulli(0.05) {
-		mut.SetNodeUp(u, !mut.NodeUp(u))
+	if f.r.Bernoulli(0.05) && !mut.SetNodeUp(u, false) {
+		mut.SetNodeUp(u, true)
 	}
 	e := f.edges[f.r.Intn(len(f.edges))]
-	if f.r.Bernoulli(0.1) {
-		if mut.HasEdge(int(e.U), int(e.V)) {
-			mut.RemoveEdge(int(e.U), int(e.V))
-		} else {
-			mut.AddEdge(int(e.U), int(e.V))
-		}
+	if f.r.Bernoulli(0.1) && !mut.RemoveEdge(int(e.U), int(e.V)) {
+		mut.AddEdge(int(e.U), int(e.V))
 	}
 }
 

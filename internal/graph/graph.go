@@ -25,27 +25,10 @@ type Graph struct {
 	adj   [][]int32 // sorted after Finalize
 	edges []Edge    // each with U < V
 	final bool
-	// nbr is the dense adjacency matrix maintained by AddEdge for
-	// graphs with at most maxMatrixNodes vertices (allocated lazily on
-	// the first edge). It makes duplicate detection and the radio
-	// engine's adjacency probes O(1) with no hashing.
+	// nbr is the dense adjacency matrix, n²/8 bytes allocated by New
+	// and kept by AddEdge: duplicate detection and the radio engine's
+	// adjacency probes are one bit probe each, with no hashing.
 	nbr *bitset.Matrix
-	// edgeSet indexes edges by packed (U,V) key for graphs too large
-	// for a dense matrix; nil while nbr is in use.
-	edgeSet map[uint64]struct{}
-}
-
-// maxMatrixNodes caps the dense adjacency matrix: n²/8 bytes of
-// backing store, so 8192 nodes → 8 MiB. Larger graphs fall back to a
-// hash-set edge index.
-const maxMatrixNodes = 8192
-
-// edgeKey packs an undirected edge into a map key (order-insensitive).
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
 }
 
 // Edge is an undirected edge with U < V.
@@ -53,19 +36,15 @@ type Edge struct {
 	U, V int32
 }
 
-// New returns an empty graph on n vertices.
+// New returns an empty graph on n vertices, with its n×n adjacency
+// matrix (n²/8 bytes) allocated.
 func New(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	g := &Graph{
+	n = max(n, 0)
+	return &Graph{
 		n:   n,
 		adj: make([][]int32, n),
+		nbr: bitset.NewMatrix(n, n),
 	}
-	if n > maxMatrixNodes {
-		g.edgeSet = make(map[uint64]struct{})
-	}
-	return g
 }
 
 // N returns the number of vertices.
@@ -76,8 +55,7 @@ func (g *Graph) M() int { return len(g.edges) }
 
 // AddEdge inserts the undirected edge {u, v}. It returns an error for
 // self-loops, out-of-range endpoints, or duplicate edges. The
-// duplicate check is O(1) — a dense bit-matrix probe (hash-set lookup
-// for graphs above maxMatrixNodes) — so generating a dense graph is
+// duplicate check is one matrix probe, so generating a dense graph is
 // O(m), not O(m·Δ).
 func (g *Graph) AddEdge(u, v int) error {
 	if u == v {
@@ -85,9 +63,6 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if g.nbr == nil && g.edgeSet == nil {
-		g.nbr = bitset.NewMatrix(g.n, g.n)
 	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
@@ -98,12 +73,8 @@ func (g *Graph) AddEdge(u, v int) error {
 	g.adj[u] = append(g.adj[u], int32(v))
 	g.adj[v] = append(g.adj[v], int32(u))
 	g.edges = append(g.edges, Edge{U: int32(u), V: int32(v)})
-	if g.edgeSet != nil {
-		g.edgeSet[edgeKey(u, v)] = struct{}{}
-	} else {
-		g.nbr.Set(u, v)
-		g.nbr.Set(v, u)
-	}
+	g.nbr.Set(u, v)
+	g.nbr.Set(v, u)
 	g.final = false
 	return nil
 }
@@ -116,44 +87,12 @@ func (g *Graph) MustAddEdge(u, v int) {
 	}
 }
 
-// HasEdge reports whether {u, v} is an edge, in O(1).
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	if g.nbr != nil {
-		return g.nbr.Get(u, v)
-	}
-	_, ok := g.edgeSet[edgeKey(u, v)]
-	return ok
-}
+// HasEdge reports whether {u, v} is an edge: one matrix probe.
+// Out-of-range vertices read as false.
+func (g *Graph) HasEdge(u, v int) bool { return g.nbr.Get(u, v) }
 
-// Adjacent reports whether {u, v} is an edge, on the fastest path the
-// finalized structure offers: an O(1) matrix probe when the dense
-// neighbor matrix exists, otherwise an O(log Δ) binary search of u's
-// sorted adjacency list. It must only be called after Finalize with
-// in-range vertices (the radio engine finalizes its graph on
-// construction); for unfinalized graphs or unchecked input use
-// HasEdge.
-func (g *Graph) Adjacent(u, v int) bool {
-	if g.nbr != nil {
-		return g.nbr.Get(u, v)
-	}
-	a := g.adj[u]
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(a[mid]) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(a) && int(a[lo]) == v
-}
-
-// NeighborMatrix returns the dense adjacency matrix, or nil when the
-// graph is too large for one (above maxMatrixNodes vertices).
+// NeighborMatrix returns the dense adjacency matrix. The caller must
+// not modify it.
 func (g *Graph) NeighborMatrix() *bitset.Matrix { return g.nbr }
 
 // Neighbors returns the adjacency list of u. The caller must not

@@ -519,46 +519,6 @@ func BenchmarkRandomRegularish(b *testing.B) {
 	}
 }
 
-// TestAdjacentMatchesHasEdge checks the finalized fast paths (dense
-// matrix below the node cap, binary search above it) against the
-// reference edge index.
-func TestAdjacentMatchesHasEdge(t *testing.T) {
-	g, err := GNP(60, 0.3, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NeighborMatrix() == nil {
-		t.Fatal("small graph should carry the dense neighbor matrix")
-	}
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if got, want := g.Adjacent(u, v), g.HasEdge(u, v); got != want {
-				t.Fatalf("Adjacent(%d,%d) = %v, HasEdge = %v", u, v, got, want)
-			}
-		}
-	}
-}
-
-// TestHugeGraphFallsBackToEdgeSet checks graphs above maxMatrixNodes:
-// no dense matrix, O(1) HasEdge via the hash index, and Adjacent via
-// binary search after Finalize.
-func TestHugeGraphFallsBackToEdgeSet(t *testing.T) {
-	n := maxMatrixNodes + 10
-	g := Path(n)
-	if g.NeighborMatrix() != nil {
-		t.Fatal("huge graph built a dense matrix")
-	}
-	if err := g.AddEdge(0, 1); err == nil {
-		t.Error("duplicate edge accepted on the edge-set path")
-	}
-	if !g.HasEdge(5, 6) || g.HasEdge(5, 7) {
-		t.Error("HasEdge wrong on the edge-set path")
-	}
-	if !g.Adjacent(5, 6) || g.Adjacent(5, 7) {
-		t.Error("Adjacent wrong on the binary-search path")
-	}
-}
-
 // TestAddEdgeDuplicateDetection pins the O(1) duplicate check across
 // construction orders.
 func TestAddEdgeDuplicateDetection(t *testing.T) {

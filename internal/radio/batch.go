@@ -54,7 +54,6 @@ type Replica struct {
 // graph and matrix, so mixing static and dynamic replicas in one
 // batch costs clones only for the dynamic ones.
 type BatchEngine struct {
-	g      *graph.Graph
 	assign *chanassign.Assignment
 	nbr    *bitset.Matrix
 	n      int
@@ -100,14 +99,13 @@ type BatchEngine struct {
 	touched   []int32
 	bcasters  []int32
 
-	// Channel bitset rows (nil without a dense adjacency matrix): a
-	// channel whose broadcaster count reaches rowMin gets a row of n
-	// bits from rowBuf — one bit per broadcaster — so listeners resolve
-	// the whole channel with an AND/popcount sweep against their
-	// neighbor-matrix row instead of walking broadcaster or neighbor
-	// lists. rowOf[ch] is the channel's row index this slot (-1 none);
-	// rows are cleared when (re)assigned, so resetIndex only has to
-	// reset rowOf and the row cursor.
+	// Channel bitset rows: a channel whose broadcaster count reaches
+	// rowMin gets a row of n bits from rowBuf — one bit per
+	// broadcaster — so listeners resolve the whole channel with an
+	// AND/popcount sweep against their neighbor-matrix row instead of
+	// walking broadcaster or neighbor lists. rowOf[ch] is the channel's
+	// row index this slot (-1 none); rows are cleared when (re)assigned,
+	// so resetIndex only has to reset rowOf and the row cursor.
 	rowBuf    []uint64
 	rowOf     []int32
 	rowStride int
@@ -169,9 +167,9 @@ const (
 
 // NewBatchEngine constructs an engine over the shared (graph,
 // assignment) pair and the given replicas. The graph is finalized
-// (idempotent) so adjacency queries can use the sorted or bit-matrix
-// fast paths; every replica must provide exactly one protocol per
-// node.
+// (idempotent) so neighbor walks see sorted adjacency lists, and
+// adjacency probes read its dense matrix; every replica must provide
+// exactly one protocol per node.
 func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replica) (*BatchEngine, error) {
 	if err := (&Network{Graph: g, Assign: assign}).Validate(); err != nil {
 		return nil, err
@@ -188,7 +186,6 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 	g.Finalize()
 	u := assign.Universe
 	e := &BatchEngine{
-		g:         g,
 		assign:    assign,
 		nbr:       g.NeighborMatrix(),
 		n:         n,
@@ -218,19 +215,15 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 	for i := range e.deliv {
 		e.deliv[i].From = -1
 	}
-	if e.nbr != nil {
-		// Rows exist only when the graph affords a dense adjacency
-		// matrix. The walk path costs ~min(count, degree) dependent
-		// probes, the row path ~stride sequential word ops; rows start
-		// paying for themselves once a channel has a couple of
-		// broadcasters, except on huge graphs where a row sweep reads
-		// stride words per listener and the bar is proportionally
-		// higher. At most n/rowMin channels can earn a row in a slot,
-		// which bounds the pool.
-		e.rowStride = e.nbr.Stride()
-		e.rowMin = int32(max(2, e.rowStride/4))
-		e.rowBuf = make([]uint64, min(n/int(e.rowMin)+1, u)*e.rowStride)
-	}
+	// The walk path costs ~min(count, degree) dependent probes, the
+	// row path ~stride sequential word ops; rows start paying for
+	// themselves once a channel has a couple of broadcasters, except on
+	// large graphs where a row sweep reads stride words per listener
+	// and the bar is proportionally higher. At most n/rowMin channels
+	// can earn a row in a slot, which bounds the pool.
+	e.rowStride = e.nbr.Stride()
+	e.rowMin = int32(max(2, e.rowStride/4))
+	e.rowBuf = make([]uint64, min(n/int(e.rowMin)+1, u)*e.rowStride)
 	for r := range reps {
 		rp := &e.reps[r]
 		rp.Replica = reps[r]
@@ -278,10 +271,6 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 	return e, nil
 }
 
-func (rp *replica) N() int { return len(rp.state) }
-
-func (rp *replica) NodeUp(u int) bool { return u >= 0 && u < len(rp.up) && rp.up[u] }
-
 func (rp *replica) SetNodeUp(u int, up bool) bool {
 	if u < 0 || u >= len(rp.up) || rp.up[u] == up {
 		return false
@@ -303,8 +292,6 @@ func (rp *replica) SetNodeUp(u int, up bool) bool {
 	}
 	return true
 }
-
-func (rp *replica) HasEdge(u, v int) bool { return rp.dyn.HasEdge(u, v) }
 
 func (rp *replica) AddEdge(u, v int) bool {
 	if !rp.dyn.AddEdge(u, v) {
@@ -550,7 +537,7 @@ func (e *BatchEngine) buildIndex() {
 		chHead[ch] = u
 		cnt := chCount[ch] + 1
 		chCount[ch] = cnt
-		if rowBuf == nil || cnt < rowMin {
+		if cnt < rowMin {
 			continue
 		}
 		// Dense channel: maintain its bitset row. The first broadcaster
@@ -656,25 +643,13 @@ func (e *BatchEngine) resolve(rp *replica) {
 			talkers = c
 			from = int32(sole)
 		} else if nbrs := g.Neighbors(u); int(cnt) <= len(nbrs) {
-			if nbr != nil {
-				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-					if nbr.Get(u, int(v)) {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
+			for v := chHead[ch]; v >= 0; v = bcastNext[v] {
+				if nbr.Get(u, int(v)) {
+					talkers++
+					if talkers > 1 {
+						break
 					}
-				}
-			} else {
-				for v := chHead[ch]; v >= 0; v = bcastNext[v] {
-					if g.Adjacent(u, int(v)) {
-						talkers++
-						if talkers > 1 {
-							break
-						}
-						from = v
-					}
+					from = v
 				}
 			}
 		} else {
@@ -746,11 +721,9 @@ func (e *BatchEngine) resolve(rp *replica) {
 // second talker. When the listener's current adjacency row (nbr)
 // equals its base row, nothing incident to it has churned, both
 // resolutions are identical by construction, and the check returns at
-// once; that skip needs dense matrices on both views, so huge graphs
-// always run the counterfactual. A channel row exists only with the
-// base matrix, so a row is swept against the listener's base row.
+// once. A channel row is swept against the listener's base row.
 func (e *BatchEngine) partitionLoss(nbr *bitset.Matrix, u int, ch int32, talkers int, from int32) bool {
-	if nbr != nil && e.nbr != nil && bitset.EqualWords(nbr.Row(u), e.nbr.Row(u)) {
+	if bitset.EqualWords(nbr.Row(u), e.nbr.Row(u)) {
 		return false
 	}
 	baseTalkers := 0
@@ -761,7 +734,7 @@ func (e *BatchEngine) partitionLoss(nbr *bitset.Matrix, u int, ch int32, talkers
 		baseTalkers, baseFrom = c, int32(sole)
 	} else {
 		for v := e.chHead[ch]; v >= 0; v = e.bcastNext[v] {
-			if e.baseAdjacent(u, v) {
+			if e.nbr.Get(u, int(v)) {
 				baseTalkers++
 				if baseTalkers > 1 {
 					break
@@ -771,15 +744,6 @@ func (e *BatchEngine) partitionLoss(nbr *bitset.Matrix, u int, ch int32, talkers
 		}
 	}
 	return baseTalkers == 1 && (talkers != 1 || from != baseFrom)
-}
-
-// baseAdjacent probes adjacency in the shared base topology, the
-// partition-loss counterfactual for dynamic replicas.
-func (e *BatchEngine) baseAdjacent(u int, v int32) bool {
-	if e.nbr != nil {
-		return e.nbr.Get(u, int(v))
-	}
-	return e.g.Adjacent(u, int(v))
 }
 
 // feedActivity reports the slot's broadcast counts per global channel

@@ -216,24 +216,20 @@ type ActivitySink interface {
 }
 
 // TopologyMutator is the engine-side handle a TopologyFeed mutates
-// topology through. Mutations apply to the engine's private dynamic
-// view (the network's base graph is never touched) and take effect in
-// the slot about to execute. Edge mutations keep the resolve fast
-// paths' invariants — sorted adjacency and the dense bit matrix —
-// updated incrementally; the boolean results report whether anything
-// actually changed, so feeds may reconcile desired state
-// declaratively and the engine counts only real changes.
+// topology through: the three mutations feeds make, and no queries.
+// Mutations apply to the engine's private dynamic view (the network's
+// base graph is never touched) and take effect in the slot about to
+// execute. Edge mutations keep what resolution reads — sorted
+// adjacency and the dense bit matrix — updated incrementally. The
+// boolean results report whether anything actually changed, so feeds
+// may reconcile desired state declaratively, a feed that toggles
+// state can read the old state from them, and the engine counts only
+// real changes.
 type TopologyMutator interface {
-	// N returns the node count (topology dynamics never change it).
-	N() int
-	// NodeUp reports whether the node is currently up.
-	NodeUp(u int) bool
 	// SetNodeUp sets a node up or down and reports whether the state
 	// changed. Down nodes neither transmit nor observe; their
 	// protocols freeze on their local clocks until rejoin.
 	SetNodeUp(u int, up bool) bool
-	// HasEdge reports whether {u, v} is currently an edge.
-	HasEdge(u, v int) bool
 	// AddEdge inserts {u, v}; no-op (false) when present or invalid.
 	AddEdge(u, v int) bool
 	// RemoveEdge deletes {u, v}; no-op (false) when absent or invalid.
@@ -296,8 +292,8 @@ type Engine struct {
 
 // NewEngine constructs an engine for the given network and per-node
 // protocols (len must equal the node count). It finalizes the graph
-// (idempotent) so adjacency queries can use the sorted or bit-matrix
-// fast paths.
+// (idempotent) so neighbor walks see sorted adjacency lists;
+// adjacency probes read the graph's dense matrix.
 func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 	be, err := NewBatchEngine(nw.Graph, nw.Assign, []Replica{{
 		Protocols: protocols,

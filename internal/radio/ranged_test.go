@@ -114,16 +114,12 @@ func churnFlapFeed(g *graph.Graph, seed uint64) TopologyFeed {
 	r := rng.New(seed)
 	return &scriptFeed{steps: func(slot int64, mut TopologyMutator) {
 		u := r.Intn(n)
-		if r.Bernoulli(0.1) {
-			mut.SetNodeUp(u, !mut.NodeUp(u))
+		if r.Bernoulli(0.1) && !mut.SetNodeUp(u, false) {
+			mut.SetNodeUp(u, true)
 		}
 		e := edges[r.Intn(len(edges))]
-		if r.Bernoulli(0.2) {
-			if mut.HasEdge(int(e.U), int(e.V)) {
-				mut.RemoveEdge(int(e.U), int(e.V))
-			} else {
-				mut.AddEdge(int(e.U), int(e.V))
-			}
+		if r.Bernoulli(0.2) && !mut.RemoveEdge(int(e.U), int(e.V)) {
+			mut.AddEdge(int(e.U), int(e.V))
 		}
 	}}
 }

@@ -372,51 +372,6 @@ func TestResolutionMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// TestResolveBinarySearchPathHugeGraph drives the engine on a graph
-// above the dense-matrix node cap, exercising the sorted-adjacency
-// binary-search fallback in the resolution fast paths.
-func TestResolveBinarySearchPathHugeGraph(t *testing.T) {
-	n := 8200 // > maxMatrixNodes in internal/graph
-	g := graph.Path(n)
-	if g.NeighborMatrix() != nil {
-		t.Fatal("expected no dense matrix above the node cap")
-	}
-	a, err := chanassign.Identical(n, 1, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	protos := make([]Protocol, n)
-	sps := make([]*scriptProto, n)
-	for u := 0; u < n; u++ {
-		// Even nodes broadcast, odd nodes listen: every odd listener has
-		// two broadcasting neighbors (collision), except node n-1 if n
-		// is even (sole neighbor n-2 -> delivery).
-		var act Action
-		if u%2 == 0 {
-			act = Action{Kind: Broadcast, Ch: 0}
-		} else {
-			act = Action{Kind: Listen, Ch: 0}
-		}
-		sp := &scriptProto{script: []Action{act}}
-		sps[u] = sp
-		protos[u] = sp
-	}
-	e, err := NewEngine(&Network{Graph: g, Assign: a}, protos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.Run(1)
-	wantCollisions := int64(n/2 - 1)
-	wantDeliveries := int64(1)
-	if st.Collisions != wantCollisions || st.Deliveries != wantDeliveries {
-		t.Errorf("stats %+v, want %d collisions %d deliveries", st, wantCollisions, wantDeliveries)
-	}
-	last := sps[n-1]
-	if len(last.heard) != 1 || last.heard[0].From != NodeID(n-2) {
-		t.Errorf("tail listener heard %+v, want From=%d", last.heard, n-2)
-	}
-}
-
 // TestRunCtxCancellation covers both loop entry points' cancellation:
 // a context cancelled before the run executes no slot, and one
 // cancelled mid-run stops within ctxCheckMask+1 slots of the cancel.

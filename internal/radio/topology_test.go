@@ -96,9 +96,6 @@ func TestTopologyFeedEdgeAddition(t *testing.T) {
 			if !mut.AddEdge(0, 2) {
 				t.Fatal("AddEdge(0,2) was a no-op")
 			}
-			if !mut.HasEdge(0, 2) {
-				t.Fatal("HasEdge(0,2) false after AddEdge")
-			}
 		}
 	}}
 	nw, pps, protos := topoNetwork(t, feed)
@@ -299,7 +296,7 @@ func TestStaticEngineSkipsDynamicView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp := &ed.be.reps[0]; rp.dyn == nil || rp.g == g || ed.be.g != g {
+	if rp := &ed.be.reps[0]; rp.dyn == nil || rp.g == g || rp.nbr == g.NeighborMatrix() || ed.be.nbr != g.NeighborMatrix() {
 		t.Error("dynamic engine did not build its private view over the base graph")
 	}
 }

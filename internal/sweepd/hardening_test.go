@@ -855,13 +855,15 @@ func variants(n int) []sweepfile.Variant {
 }
 
 // TestSubmitRefusesHugeCounts: a submit asking for 1<<40 shards, or
-// carrying a spec of 1<<40 seeds or of 4097 variants (one more than
-// crn's maxVariants), is answered 400 instead of planning one shard
-// range per requested shard (which took the daemon down with an
-// out-of-memory fatal error) or building every variant. A spec of
-// 100 000 variants is refused by the submit body bound before it is
-// decoded (decoding it allocated about 140 MB). The same daemon then
-// completes a normal job and accepts a spec of exactly 4096 variants.
+// carrying a spec of 1<<40 seeds, of 4097 variants (one more than
+// crn's maxVariants) or with an 8193-node variant (one more than crn's
+// maxNodes), is answered 400 instead of planning one shard range per
+// requested shard (which took the daemon down with an out-of-memory
+// fatal error), building every variant or building a graph above the
+// scenario bound. A spec of 100 000 variants is refused by the submit
+// body bound before it is decoded (decoding it allocated about
+// 140 MB). The same daemon then completes a normal job and accepts a
+// spec of exactly 4096 variants.
 func TestSubmitRefusesHugeCounts(t *testing.T) {
 	ctx := context.Background()
 	const maxVariants = 1 << 12 // crn's variant bound
@@ -870,10 +872,13 @@ func TestSubmitRefusesHugeCounts(t *testing.T) {
 	hugeSeeds.Seeds = 1 << 40
 	wide := testSpec()
 	wide.Variants = variants(maxVariants + 1)
+	big := testSpec()
+	big.Variants[1].N = 8193 // one more than crn's node bound
 	for name, req := range map[string]SubmitRequest{
 		"shards":   {Spec: testSpec(), Shards: 1 << 40},
 		"seeds":    {Spec: hugeSeeds, Shards: 2},
 		"variants": {Spec: wide, Shards: 2},
+		"nodes":    {Spec: big, Shards: 2},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {

@@ -219,9 +219,10 @@ func (st *store) recover() (jobs []*recoveredJob, skipped []error, err error) {
 		if _, terr := sweepfile.RemoveStaleTemps(st.fs, dir); terr != nil {
 			skipped = append(skipped, fmt.Errorf("job %s: sweeping temp files: %w", id, terr))
 		}
-		m, lerr := st.loadManifest(dir)
+		path := filepath.Join(dir, "manifest.json")
+		m, _, lerr := sweepfile.LoadManifestFS(st.fs, path)
 		for read := 1; lerr != nil && read < manifestReads; read++ {
-			m, lerr = st.loadManifest(dir)
+			m, _, lerr = sweepfile.LoadManifestFS(st.fs, path)
 		}
 		if lerr != nil {
 			skipped = append(skipped, fmt.Errorf("job %s: %w", id, lerr))
@@ -260,21 +261,4 @@ func (st *store) recover() (jobs []*recoveredJob, skipped []error, err error) {
 		jobs = append(jobs, rj)
 	}
 	return jobs, skipped, nil
-}
-
-// loadManifest is sweepfile.LoadManifest through the store's FS.
-func (st *store) loadManifest(dir string) (*sweepfile.Manifest, error) {
-	path := filepath.Join(dir, "manifest.json")
-	doc, err := st.fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m := new(sweepfile.Manifest)
-	if err := sweepfile.UnmarshalStrict(doc, m); err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", path, err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("manifest %s: %w", path, err)
-	}
-	return m, nil
 }

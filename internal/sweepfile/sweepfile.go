@@ -196,27 +196,37 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
+// Primitive maps a primitive name onto the facade's primitive: cseek,
+// naive and uniform discovery, ckseek with threshold khat (≥ 1), and
+// cgcast and flood from node source. The facade's message argument
+// changes no result, so none is passed.
+func Primitive(name string, khat, source int) (crn.Primitive, error) {
+	switch name {
+	case "cseek", "naive", "uniform":
+		return crn.Discovery(crn.Algorithm(name)), nil
+	case "ckseek":
+		if khat < 1 {
+			return nil, fmt.Errorf("primitive ckseek needs \"khat\" ≥ 1")
+		}
+		return crn.KDiscovery(khat), nil
+	case "cgcast":
+		return crn.GlobalBroadcast(source, nil), nil
+	case "flood":
+		return crn.Flooding(source, nil), nil
+	}
+	return nil, fmt.Errorf("unknown primitive %q (have cseek, naive, uniform, ckseek, cgcast, flood)", name)
+}
+
 // BuildSweepSpec reconstitutes the executable crn.SweepSpec a spec
 // file describes.
 func BuildSweepSpec(sf *Spec, workers int) (crn.SweepSpec, error) {
 	var zero crn.SweepSpec
-	var prim crn.Primitive
-	switch sf.Primitive {
-	case "cseek", "naive", "uniform":
-		prim = crn.Discovery(crn.Algorithm(sf.Primitive))
-	case "ckseek":
-		if sf.KHat < 1 {
-			return zero, fmt.Errorf("primitive ckseek needs \"khat\" ≥ 1")
-		}
-		prim = crn.KDiscovery(sf.KHat)
-	case "cgcast":
-		prim = crn.GlobalBroadcast(sf.Source, sf.Message)
-	case "flood":
-		prim = crn.Flooding(sf.Source, sf.Message)
-	case "":
+	if sf.Primitive == "" {
 		return zero, fmt.Errorf("spec is missing \"primitive\"")
-	default:
-		return zero, fmt.Errorf("unknown primitive %q (have cseek, naive, uniform, ckseek, cgcast, flood)", sf.Primitive)
+	}
+	prim, err := Primitive(sf.Primitive, sf.KHat, sf.Source)
+	if err != nil {
+		return zero, err
 	}
 	if len(sf.Variants) == 0 {
 		return zero, fmt.Errorf("spec has no variants")
@@ -297,7 +307,12 @@ func UnmarshalStrict(doc []byte, v any) error {
 // LoadManifest reads, strictly parses and validates a manifest,
 // returning it with its directory (the base for artifact paths).
 func LoadManifest(path string) (*Manifest, string, error) {
-	doc, err := os.ReadFile(path)
+	return LoadManifestFS(OS, path)
+}
+
+// LoadManifestFS is LoadManifest through an explicit filesystem.
+func LoadManifestFS(fsys FS, path string) (*Manifest, string, error) {
+	doc, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}

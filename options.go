@@ -54,7 +54,7 @@ func WithTopology(t Topology) ScenarioOption {
 	return func(b *scenarioBuilder) { b.cfg.Topology = t }
 }
 
-// WithNodes sets the number of nodes n.
+// WithNodes sets the number of nodes n, from 2 to 8192.
 func WithNodes(n int) ScenarioOption {
 	return func(b *scenarioBuilder) { b.cfg.N = n }
 }

@@ -72,6 +72,7 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{name: "no nodes", opts: []crn.ScenarioOption{crn.WithChannels(3, 1, 0)}},
 		{name: "too few nodes", opts: []crn.ScenarioOption{crn.WithNodes(1), crn.WithChannels(3, 1, 0)}},
+		{name: "too many nodes", opts: []crn.ScenarioOption{crn.WithNodes(8193), crn.WithChannels(3, 1, 0)}},
 		{name: "no channels", opts: []crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(0, 0, 0)}},
 		{name: "k over c", opts: []crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(2, 3, 0)}},
 		{name: "kmax under k", opts: []crn.ScenarioOption{crn.WithNodes(4), crn.WithChannels(4, 3, 2)}},

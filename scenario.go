@@ -122,8 +122,8 @@ func New(opts ...ScenarioOption) (*Scenario, error) {
 
 // newGeneratedScenario validates config and generates the network.
 func newGeneratedScenario(cfg scenarioConfig) (*Scenario, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("crn: need at least 2 nodes, got %d", cfg.N)
+	if err := checkNodes(cfg.N); err != nil {
+		return nil, err
 	}
 	if cfg.C < 1 {
 		return nil, fmt.Errorf("crn: need at least 1 channel, got %d", cfg.C)
@@ -166,7 +166,7 @@ func newGeneratedScenario(cfg scenarioConfig) (*Scenario, error) {
 // every adjacent pair share at least one channel; NewCustomScenario
 // verifies it.
 type CustomConfig struct {
-	// N is the number of nodes.
+	// N is the number of nodes, from 2 to 8192.
 	N int
 	// Edges lists undirected edges between nodes in [0, N).
 	Edges [][2]int
@@ -184,8 +184,8 @@ type CustomConfig struct {
 // NewCustomScenario builds a scenario from explicit topology and
 // channel sets.
 func NewCustomScenario(cfg CustomConfig, opts ...ScenarioOption) (*Scenario, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("crn: need at least 2 nodes, got %d", cfg.N)
+	if err := checkNodes(cfg.N); err != nil {
+		return nil, err
 	}
 	if len(cfg.Channels) != cfg.N {
 		return nil, fmt.Errorf("crn: %d channel sets for %d nodes", len(cfg.Channels), cfg.N)
@@ -209,6 +209,17 @@ func NewCustomScenario(cfg CustomConfig, opts ...ScenarioOption) (*Scenario, err
 		return nil, fmt.Errorf("crn: some adjacent pair shares no channels")
 	}
 	return assembleScenario(g, a, cfg.Tuning, opts)
+}
+
+// checkNodes refuses a node count outside [2, maxNodes].
+func checkNodes(n int) error {
+	if n < 2 {
+		return fmt.Errorf("crn: need at least 2 nodes, got %d", n)
+	}
+	if n > maxNodes {
+		return fmt.Errorf("crn: %d nodes, at most %d", n, maxNodes)
+	}
+	return nil
 }
 
 // NewScenarioFromParts assembles a Scenario directly from a prebuilt
@@ -310,6 +321,9 @@ func buildTopology(cfg scenarioConfig, r *rng.Source) (*graph.Graph, *graph.Geom
 			level *= branching
 			count += level
 			height++
+		}
+		if count > maxNodes {
+			return nil, nil, fmt.Errorf("crn: a tree of branching %d reaching %d nodes has %d, at most %d", branching, cfg.N, count, maxNodes)
 		}
 		g, err := graph.CompleteTree(branching, height)
 		return g, nil, err

@@ -64,9 +64,13 @@ func PlanShards(spec SweepSpec, shards int) (*ShardPlan, error) {
 		return nil, err
 	}
 	// Planning builds every variant, though it runs none, so a spec
-	// that would fail in some shard is rejected here.
-	if err := rs.build(0, len(spec.Variants)); err != nil {
-		return nil, err
+	// that would fail in some shard is rejected here. Each scenario is
+	// dropped once built, so the plan holds one variant's at a time.
+	for v := range spec.Variants {
+		if err := rs.build(v, v+1); err != nil {
+			return nil, err
+		}
+		rs.scenarios[v] = nil
 	}
 	plan := &ShardPlan{
 		Primitive: spec.Primitive.Name(),

@@ -90,10 +90,16 @@ type resolvedSweep struct {
 // PlanShards or RunShard allocate — or build scenarios — without
 // limit: each refuses a larger count before allocating anything in
 // proportion to it.
+//
+// maxNodes bounds a scenario's nodes, so its graph's dense adjacency
+// matrix (n²/8 bytes) stays near 8 MiB: New and NewCustomScenario
+// refuse a larger N, and the tree topology a larger tree, before
+// building anything.
 const (
 	maxSeeds    = 1 << 20
 	maxVariants = 1 << 12
 	maxShards   = 1 << 16
+	maxNodes    = 8192
 )
 
 func resolveSweep(spec SweepSpec) (*resolvedSweep, error) {

@@ -5,10 +5,47 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"weak"
 )
+
+// TestPlanShardsHoldsOneVariantAtATime: planning builds every variant
+// to refuse an unbuildable one, but drops each scenario once built, so
+// a plan's peak memory is one variant's graph, not the sum of all of
+// them. Each variant's post hook collects and checks that the previous
+// variant's scenario is gone.
+func TestPlanShardsHoldsOneVariantAtATime(t *testing.T) {
+	const variants = 4
+	built := make([]weak.Pointer[Scenario], variants)
+	var held []int
+	spec := SweepSpec{Primitive: Discovery(CSeek), Seeds: 2, BaseSeed: 5}
+	for v := 0; v < variants; v++ {
+		spec.Variants = append(spec.Variants, Variant{Name: fmt.Sprintf("path-%d", v), Options: []ScenarioOption{
+			WithTopology(Path), WithNodes(4), WithChannels(2, 1, 0), WithSeed(uint64(v)),
+			func(b *scenarioBuilder) {
+				b.post = append(b.post, func(s *Scenario) error {
+					built[v] = weak.Make(s)
+					if v > 0 {
+						runtime.GC()
+						if built[v-1].Value() != nil {
+							held = append(held, v-1)
+						}
+					}
+					return nil
+				})
+			},
+		}})
+	}
+	if _, err := PlanShards(spec, 3); err != nil {
+		t.Fatal(err)
+	}
+	if held != nil {
+		t.Errorf("PlanShards still held the scenarios of variants %v while building the next", held)
+	}
+}
 
 // TestShardBuildsOnlyItsVariants: RunShard builds the scenarios of only
 // the variants with a job in its range: one, two when the range
