@@ -264,7 +264,7 @@ func TestMatching(t *testing.T) {
 	if a.Global(0, 1) == a.Global(1, 0) {
 		t.Error("unmatched labels share a global channel")
 	}
-	g := graph.TwoNode()
+	g := graph.Path(2)
 	if err := a.Validate(g, 2, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -201,8 +201,6 @@ func PrepareCGCastCtx(ctx context.Context, nw *radio.Network, cfg SessionConfig)
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
-	// The edge index relies on the finalized graph's sorted edge list.
-	nw.Graph.Finalize()
 	p := cfg.Params
 	if err := p.Normalize(); err != nil {
 		return nil, err
@@ -293,7 +291,7 @@ type cgcastDriver struct {
 	// rewritten in place by nodeRand.
 	rand rng.Source
 
-	// edges is the finalized graph's Edges(), sorted by (U, V): edge id
+	// edges is the graph's Edges(), sorted by (U, V): edge id
 	// e is the position of edges[e].
 	edges []graph.Edge
 	// haveVis reports that vis holds this setup's static two-hop view

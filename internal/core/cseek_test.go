@@ -83,7 +83,7 @@ func TestCSeekTwoNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := buildInstance(t, graph.TwoNode(), a)
+	in := buildInstance(t, graph.Path(2), a)
 	ds := runDiscovery(t, in, func(u int, env Env) Discoverer {
 		s, err := NewCSeek(in.p, env)
 		if err != nil {
@@ -185,7 +185,7 @@ func TestCSeekFirstHeardSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := buildInstance(t, graph.TwoNode(), a)
+	in := buildInstance(t, graph.Path(2), a)
 	master := rng.New(0xFEED)
 	mk := func(u int) *CSeek {
 		env := Env{ID: radio.NodeID(u), C: in.p.C, Rand: master.Split(uint64(u))}
@@ -305,7 +305,7 @@ func TestCSeekChannelLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := buildInstance(t, graph.TwoNode(), a)
+	in := buildInstance(t, graph.Path(2), a)
 	master := rng.New(0xBEEF)
 	mk := func(u int) *CSeek {
 		env := Env{ID: radio.NodeID(u), C: in.p.C, Rand: master.Split(uint64(u))}

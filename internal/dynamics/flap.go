@@ -15,7 +15,7 @@ import (
 // and go. Edges never in the base set are never created.
 //
 // Determinism: edge i's chain runs on rng.New(seed).Split(i) with the
-// base edges in their finalized sorted order, so the trajectory is a
+// base edges in their sorted (U, V) order, so the trajectory is a
 // pure function of (seed, base edge list). Waiting times between flips
 // are drawn directly (geometric skip-ahead; see calendar.go), so a
 // slot with no flips costs O(1) instead of one Bernoulli draw per
@@ -30,8 +30,7 @@ type EdgeFlap struct {
 }
 
 // NewEdgeFlap returns a flapping model over the given base edges
-// (callers pass Graph.Edges() of a finalized graph; the slice is
-// copied). Probabilities must be in [0, 1].
+// (callers pass Graph.Edges(); the slice is copied). Probabilities must be in [0, 1].
 func NewEdgeFlap(edges []graph.Edge, pDrop, pRestore float64, seed uint64) (*EdgeFlap, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("dynamics: edge flap needs at least one base edge")

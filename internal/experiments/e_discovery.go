@@ -180,13 +180,16 @@ func starWithWeakLink(leaves, c, kmax int, seed uint64) (*instance, error) {
 		return nil, fmt.Errorf("experiments: kmax+1 = %d exceeds c = %d", kmax+1, c)
 	}
 	n := leaves + 2 // center + leaves + appendage
-	g := graph.New(n)
+	edges := make([][2]int, 0, leaves+1)
 	for v := 1; v <= leaves; v++ {
-		g.MustAddEdge(0, v)
+		edges = append(edges, [2]int{0, v})
 	}
 	appendage := n - 1
-	g.MustAddEdge(1, appendage)
-	g.Finalize()
+	edges = append(edges, [2]int{1, appendage})
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		return nil, err
+	}
 
 	// Channel sets: global channels [0,kmax) are the star core; channel
 	// kmax is the weak link; the rest are per-node private fillers.

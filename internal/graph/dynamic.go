@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Dynamic is a mutable view of a graph for time-varying topologies:
 // node mobility and link flapping mutate the edge set between radio
 // slots, so the view supports incremental edge insertion and removal
@@ -13,30 +15,30 @@ package graph
 // NewDynamic deep-copies the base graph, so the base stays immutable
 // (scenarios are shared read-only across sweep workers; each run
 // mutates its own clone) and remains available as the reference
-// topology for partition-loss accounting.
+// topology for partition-loss accounting. The copy is a constant
+// number of allocations: the matrix clone and one array holding every
+// adjacency list as a capacity-limited window.
 //
 // Costs per mutation: two matrix bit updates plus an O(Δ) scan and
 // shift of the two adjacency lists (Δ is small and a list is one or
 // two cache lines of int32s, so the scan beats a binary search's
-// per-probe branches) — no re-sort, no rebuild.
+// per-probe branches) — no re-sort, no rebuild. An insertion into a
+// full window moves only that node's list out of the shared array; a
+// removal shrinks the list within its own window.
 type Dynamic struct {
 	g *Graph
 }
 
 // NewDynamic returns a mutable deep copy of base's adjacency and
-// matrix. The base graph is left untouched and must already be
-// finalized (generators finalize; the radio engine finalizes on
-// construction).
+// matrix. The base graph is left untouched.
 func NewDynamic(base *Graph) *Dynamic {
-	base.Finalize()
-	g := &Graph{
-		n:     base.n,
-		adj:   make([][]int32, base.n),
-		final: true,
-		nbr:   base.nbr.Clone(),
-	}
-	for u := range base.adj {
-		g.adj[u] = append([]int32(nil), base.adj[u]...)
+	g := &Graph{n: base.n, adj: make([][]int32, base.n), nbr: base.nbr.Clone()}
+	flat := slices.Concat(base.adj...)
+	off := 0
+	for u, nbrs := range base.adj {
+		end := off + len(nbrs)
+		g.adj[u] = flat[off:end:end]
+		off = end
 	}
 	return &Dynamic{g: g}
 }
@@ -79,7 +81,9 @@ func (d *Dynamic) RemoveEdge(u, v int) bool {
 
 // insertSorted inserts v into the sorted slice *a (v known absent).
 // Adjacency lists are short (mean degree), so a linear position scan
-// beats sort.Search's per-probe closure calls.
+// beats sort.Search's per-probe closure calls. *a is a
+// capacity-limited window, so a full one is moved out by append and
+// never grows into the next node's list.
 func insertSorted(a *[]int32, v int32) {
 	s := *a
 	i := 0
@@ -92,7 +96,8 @@ func insertSorted(a *[]int32, v int32) {
 	*a = s
 }
 
-// removeSorted deletes v from the sorted slice *a (v known present).
+// removeSorted deletes v from the sorted slice *a (v known present),
+// within its window.
 func removeSorted(a *[]int32, v int32) {
 	s := *a
 	i := 0

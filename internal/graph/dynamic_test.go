@@ -9,13 +9,12 @@ import (
 // rebuild constructs a fresh graph on n vertices holding exactly the
 // given edge set — the oracle every incremental invariant is checked
 // against.
-func rebuild(n int, edges map[Edge]bool) *Graph {
-	g := New(n)
+func rebuild(t *testing.T, n int, edges map[Edge]bool) *Graph {
+	list := make([][2]int, 0, len(edges))
 	for e := range edges {
-		g.MustAddEdge(int(e.U), int(e.V))
+		list = append(list, [2]int{int(e.U), int(e.V)})
 	}
-	g.Finalize()
-	return g
+	return mustFromEdges(t, n, list...)
 }
 
 // assertDynamicMatches checks every structure the radio engine reads —
@@ -94,7 +93,7 @@ func TestDynamicRandomizedOracle(t *testing.T) {
 			}
 		}
 		if op%checkEvery == 0 {
-			assertDynamicMatches(t, d, rebuild(n, shadow))
+			assertDynamicMatches(t, d, rebuild(t, n, shadow))
 		}
 	}
 	if adds == 0 || removes == 0 {
@@ -105,7 +104,7 @@ func TestDynamicRandomizedOracle(t *testing.T) {
 			t.Fatalf("out-of-range pair %v changed the view", uv)
 		}
 	}
-	assertDynamicMatches(t, d, rebuild(n, shadow))
+	assertDynamicMatches(t, d, rebuild(t, n, shadow))
 }
 
 // TestDynamicLeavesBaseUntouched: the clone is deep — mutating the

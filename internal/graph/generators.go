@@ -10,22 +10,20 @@ import (
 // It is the topology behind the Ω(Δ) term in Theorem 13: the center can
 // learn at most one identity per slot.
 func Star(n int) *Graph {
-	g := New(n)
+	b := newBuilder(n)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(0, v)
+		b.must(0, v)
 	}
-	g.Finalize()
-	return g
+	return b.graph()
 }
 
 // Path returns a path 0-1-2-…-(n-1), the maximum-diameter tree.
 func Path(n int) *Graph {
-	g := New(n)
+	b := newBuilder(n)
 	for v := 1; v < n; v++ {
-		g.MustAddEdge(v-1, v)
+		b.must(v-1, v)
 	}
-	g.Finalize()
-	return g
+	return b.graph()
 }
 
 // Cycle returns a cycle on n ≥ 3 vertices.
@@ -33,22 +31,22 @@ func Cycle(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("graph: cycle needs n >= 3, got %d", n)
 	}
-	g := Path(n)
-	g.MustAddEdge(0, n-1)
-	g.Finalize()
-	return g, nil
+	b := newBuilder(n)
+	for v := 0; v < n; v++ {
+		b.must(v, (v+1)%n)
+	}
+	return b.graph(), nil
 }
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	g := New(n)
+	b := newBuilder(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v)
+			b.must(u, v)
 		}
 	}
-	g.Finalize()
-	return g
+	return b.graph()
 }
 
 // CompleteTree returns a complete rooted tree of the given height in
@@ -72,7 +70,7 @@ func CompleteTree(branching, height int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: complete tree too large (%d vertices)", n)
 		}
 	}
-	g := New(n)
+	b := newBuilder(n)
 	// Assign ids level by level; children of vertex v at index i within
 	// its level start right after all previously allocated vertices.
 	next := 1
@@ -82,15 +80,14 @@ func CompleteTree(branching, height int) (*Graph, error) {
 		var nextFrontier []int
 		for _, p := range frontier {
 			for c := 0; c < branching; c++ {
-				g.MustAddEdge(p, next)
+				b.must(p, next)
 				nextFrontier = append(nextFrontier, next)
 				next++
 			}
 		}
 		frontier = nextFrontier
 	}
-	g.Finalize()
-	return g, nil
+	return b.graph(), nil
 }
 
 // Grid returns the rows×cols grid graph.
@@ -98,20 +95,19 @@ func Grid(rows, cols int) (*Graph, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("graph: grid needs positive dims, got %dx%d", rows, cols)
 	}
-	g := New(rows * cols)
+	b := newBuilder(rows * cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r, c+1))
+				b.must(id(r, c), id(r, c+1))
 			}
 			if r+1 < rows {
-				g.MustAddEdge(id(r, c), id(r+1, c))
+				b.must(id(r, c), id(r+1, c))
 			}
 		}
 	}
-	g.Finalize()
-	return g, nil
+	return b.graph(), nil
 }
 
 // ClusterChain returns a "chain of clusters": numClusters cliques of
@@ -123,22 +119,21 @@ func ClusterChain(numClusters, clusterSize int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: cluster chain needs positive params, got %d clusters of %d", numClusters, clusterSize)
 	}
 	n := numClusters * clusterSize
-	g := New(n)
+	b := newBuilder(n)
 	for cl := 0; cl < numClusters; cl++ {
 		base := cl * clusterSize
 		for i := 0; i < clusterSize; i++ {
 			for j := i + 1; j < clusterSize; j++ {
-				g.MustAddEdge(base+i, base+j)
+				b.must(base+i, base+j)
 			}
 		}
 		if cl > 0 {
 			// Bridge from the last vertex of the previous cluster to the
 			// first vertex of this one.
-			g.MustAddEdge(base-1, base)
+			b.must(base-1, base)
 		}
 	}
-	g.Finalize()
-	return g, nil
+	return b.graph(), nil
 }
 
 // GNP returns an Erdős–Rényi G(n, p) graph. It retries up to 64 seeds
@@ -148,16 +143,15 @@ func GNP(n int, p float64, r *rng.Source) (*Graph, error) {
 		return nil, fmt.Errorf("graph: GNP needs n >= 1, got %d", n)
 	}
 	for attempt := 0; attempt < 64; attempt++ {
-		g := New(n)
+		b := newBuilder(n)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if r.Bernoulli(p) {
-					g.MustAddEdge(u, v)
+					b.must(u, v)
 				}
 			}
 		}
-		if g.Connected() {
-			g.Finalize()
+		if g := b.graph(); g.Connected() {
 			return g, nil
 		}
 	}
@@ -214,17 +208,16 @@ func UnitDiskGeometry(n int, radius float64, r *rng.Source) (*Graph, *Geometry, 
 			xs[i] = r.Float64()
 			ys[i] = r.Float64()
 		}
-		g := New(n)
+		b := newBuilder(n)
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				dx, dy := xs[u]-xs[v], ys[u]-ys[v]
 				if dx*dx+dy*dy <= r2 {
-					g.MustAddEdge(u, v)
+					b.must(u, v)
 				}
 			}
 		}
-		if g.Connected() {
-			g.Finalize()
+		if g := b.graph(); g.Connected() {
 			return g, &Geometry{X: xs, Y: ys, Radius: radius}, nil
 		}
 	}
@@ -243,35 +236,23 @@ func RandomRegularish(n, d int, r *rng.Source) (*Graph, error) {
 	if d < 2 || d >= n {
 		return nil, fmt.Errorf("graph: RandomRegularish needs 2 <= d < n, got d=%d n=%d", d, n)
 	}
-	g := New(n)
+	b := newBuilder(n)
 	perm := r.Perm(n)
 	for i := 0; i < n; i++ {
-		u, v := perm[i], perm[(i+1)%n]
-		if !g.HasEdge(u, v) {
-			g.MustAddEdge(u, v)
-		}
+		// n >= 3, so the cycle's n edges are distinct.
+		b.must(perm[i], perm[(i+1)%n])
 	}
 	// Add chords until average degree reaches d, never exceeding d+1 on
 	// any endpoint.
 	target := n * d / 2
 	tries := 0
-	for g.M() < target && tries < 50*n*d {
+	for b.m < target && tries < 50*n*d {
 		tries++
 		u, v := r.Intn(n), r.Intn(n)
-		if u == v || g.HasEdge(u, v) || g.Degree(u) > d || g.Degree(v) > d {
+		if u == v || b.nbr.Get(u, v) || int(b.deg[u]) > d || int(b.deg[v]) > d {
 			continue
 		}
-		g.MustAddEdge(u, v)
+		b.must(u, v)
 	}
-	g.Finalize()
-	return g, nil
-}
-
-// TwoNode returns the 2-vertex, 1-edge graph used by the Lemma 11
-// reduction (a network containing only two nodes u and v).
-func TwoNode() *Graph {
-	g := New(2)
-	g.MustAddEdge(0, 1)
-	g.Finalize()
-	return g
+	return b.graph(), nil
 }

@@ -5,29 +5,28 @@
 //
 // The package provides the structural queries the algorithms and their
 // analyses need — degree Δ, diameter D, BFS layers, connectivity — plus
-// the line-graph construction CGCAST uses to turn edge coloring into
-// node coloring, and generators for the worst-case topologies in the
-// lower-bound proofs (stars, complete trees) and for random networks.
+// the line-graph construction that experiment E6 colors (CGCAST
+// simulates the line graph itself and does not call it), and
+// generators for the worst-case topologies in the lower-bound proofs
+// (stars, complete trees) and for random networks.
 package graph
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"crn/internal/bitset"
 )
 
-// Graph is an undirected simple graph on vertices 0..N-1.
-// Construct with New and AddEdge; the structure is append-only.
+// Graph is an undirected simple graph on vertices 0..N-1. Construct
+// with FromEdges or a generator; no method mutates it.
 type Graph struct {
 	n     int
-	adj   [][]int32 // sorted after Finalize
-	edges []Edge    // each with U < V
-	final bool
-	// nbr is the dense adjacency matrix, n²/8 bytes allocated by New
-	// and kept by AddEdge: duplicate detection and the radio engine's
-	// adjacency probes are one bit probe each, with no hashing.
+	adj   [][]int32 // ascending; windows of one backing array
+	edges []Edge    // each with U < V, sorted by (U, V)
+	// nbr is the dense adjacency matrix, n²/8 bytes: the radio
+	// engine's adjacency probes are one bit probe each, with no
+	// hashing.
 	nbr *bitset.Matrix
 }
 
@@ -36,15 +35,89 @@ type Edge struct {
 	U, V int32
 }
 
-// New returns an empty graph on n vertices, with its n×n adjacency
-// matrix (n²/8 bytes) allocated.
-func New(n int) *Graph {
-	n = max(n, 0)
-	return &Graph{
-		n:   n,
-		adj: make([][]int32, n),
-		nbr: bitset.NewMatrix(n, n),
+// FromEdges returns the graph on n vertices with the given undirected
+// edges, in any order. It returns an error for a self-loop, an
+// out-of-range endpoint, or a duplicate edge in either orientation.
+func FromEdges(n int, edges [][2]int) (*Graph, error) {
+	b := newBuilder(n)
+	for _, e := range edges {
+		if err := b.add(e[0], e[1]); err != nil {
+			return nil, err
+		}
 	}
+	return b.graph(), nil
+}
+
+// builder accumulates an edge set in the n×n matrix and the degree
+// counts, then lays the graph out once. Every constructor goes
+// through it.
+type builder struct {
+	n, m int
+	deg  []int32
+	nbr  *bitset.Matrix
+}
+
+func newBuilder(n int) *builder {
+	n = max(n, 0)
+	return &builder{n: n, deg: make([]int32, n), nbr: bitset.NewMatrix(n, n)}
+}
+
+// add inserts the undirected edge {u, v}. It returns an error for
+// self-loops, out-of-range endpoints, or duplicate edges; the
+// duplicate check is one matrix probe, so generating a dense graph is
+// O(m), not O(m·Δ).
+func (b *builder) add(u, v int) error {
+	if u == v {
+		return fmt.Errorf("graph: self-loop at %d", u)
+	}
+	if u < 0 || u >= b.n || v < 0 || v >= b.n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+	}
+	if b.nbr.Get(u, v) {
+		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
+	}
+	b.nbr.Set(u, v)
+	b.nbr.Set(v, u)
+	b.deg[u]++
+	b.deg[v]++
+	b.m++
+	return nil
+}
+
+// must is add for generator code where the edge is known valid by
+// construction; it panics on error.
+func (b *builder) must(u, v int) {
+	if err := b.add(u, v); err != nil {
+		panic(err)
+	}
+}
+
+// graph lays the edge set out: every adjacency list is a
+// capacity-limited window of one array of length 2m, filled by walking
+// the set bits of the node's matrix row, so it comes out ascending.
+// The bits above u are u's edges (u, v), so the same pass fills the
+// edge list in (U, V) order. The graph takes the matrix without a
+// copy; the builder must not be used afterwards.
+func (b *builder) graph() *Graph {
+	g := &Graph{n: b.n, adj: make([][]int32, b.n), edges: make([]Edge, 0, b.m), nbr: b.nbr}
+	flat := make([]int32, 2*b.m)
+	off := 0
+	for u := range g.adj {
+		end := off + int(b.deg[u])
+		list := flat[off:off:end]
+		for wi, w := range b.nbr.Row(u) {
+			for ; w != 0; w &= w - 1 {
+				v := int32(wi*64 + bits.TrailingZeros64(w))
+				list = append(list, v)
+				if int(v) > u {
+					g.edges = append(g.edges, Edge{U: int32(u), V: v})
+				}
+			}
+		}
+		g.adj[u] = list
+		off = end
+	}
+	return g
 }
 
 // N returns the number of vertices.
@@ -52,40 +125,6 @@ func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
 func (g *Graph) M() int { return len(g.edges) }
-
-// AddEdge inserts the undirected edge {u, v}. It returns an error for
-// self-loops, out-of-range endpoints, or duplicate edges. The
-// duplicate check is one matrix probe, so generating a dense graph is
-// O(m), not O(m·Δ).
-func (g *Graph) AddEdge(u, v int) error {
-	if u == v {
-		return fmt.Errorf("graph: self-loop at %d", u)
-	}
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if g.HasEdge(u, v) {
-		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-	}
-	if u > v {
-		u, v = v, u
-	}
-	g.adj[u] = append(g.adj[u], int32(v))
-	g.adj[v] = append(g.adj[v], int32(u))
-	g.edges = append(g.edges, Edge{U: int32(u), V: int32(v)})
-	g.nbr.Set(u, v)
-	g.nbr.Set(v, u)
-	g.final = false
-	return nil
-}
-
-// MustAddEdge is AddEdge for generator code where the edge is known
-// valid by construction; it panics on error.
-func (g *Graph) MustAddEdge(u, v int) {
-	if err := g.AddEdge(u, v); err != nil {
-		panic(err)
-	}
-}
 
 // HasEdge reports whether {u, v} is an edge: one matrix probe.
 // Out-of-range vertices read as false.
@@ -95,8 +134,8 @@ func (g *Graph) HasEdge(u, v int) bool { return g.nbr.Get(u, v) }
 // not modify it.
 func (g *Graph) NeighborMatrix() *bitset.Matrix { return g.nbr }
 
-// Neighbors returns the adjacency list of u. The caller must not
-// modify the returned slice.
+// Neighbors returns the adjacency list of u, ascending. The caller
+// must not modify the returned slice.
 func (g *Graph) Neighbors(u int) []int32 { return g.adj[u] }
 
 // Degree returns the degree of u.
@@ -113,24 +152,9 @@ func (g *Graph) MaxDegree() int {
 	return d
 }
 
-// Edges returns all edges with U < V. The caller must not modify the
-// returned slice.
+// Edges returns all edges with U < V, sorted by (U, V). The caller
+// must not modify the returned slice.
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// Finalize sorts adjacency lists for deterministic iteration order.
-// Generators call it before returning; it is idempotent.
-func (g *Graph) Finalize() {
-	if g.final {
-		return
-	}
-	for _, nbrs := range g.adj {
-		slices.Sort(nbrs)
-	}
-	slices.SortFunc(g.edges, func(a, b Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	g.final = true
-}
 
 // BFS returns the hop distance from src to every vertex, with -1 for
 // unreachable vertices.
@@ -246,30 +270,27 @@ func (g *Graph) Eccentricity(src int) int {
 // edge Edges()[i] of g, and two line-graph vertices are adjacent iff
 // the corresponding edges share an endpoint (Section 5.2).
 func (g *Graph) LineGraph() (*Graph, []Edge) {
-	g.Finalize()
 	edgeIdx := make(map[Edge]int, len(g.edges))
 	for i, e := range g.edges {
 		edgeIdx[e] = i
 	}
-	lg := New(len(g.edges))
+	lg := newBuilder(len(g.edges))
 	// Two edges are adjacent in G_L iff they share an endpoint: for
-	// every vertex u, connect all pairs of edges incident to u.
+	// every vertex u, connect all pairs of edges incident to u. Two
+	// distinct edges share at most one endpoint, so each pair is added
+	// once.
 	for u := 0; u < g.n; u++ {
 		inc := g.adj[u]
 		for i := 0; i < len(inc); i++ {
 			ei := edgeIdx[mkEdge(int32(u), inc[i])]
 			for j := i + 1; j < len(inc); j++ {
-				ej := edgeIdx[mkEdge(int32(u), inc[j])]
-				if !lg.HasEdge(ei, ej) {
-					lg.MustAddEdge(ei, ej)
-				}
+				lg.must(ei, edgeIdx[mkEdge(int32(u), inc[j])])
 			}
 		}
 	}
-	lg.Finalize()
 	edges := make([]Edge, len(g.edges))
 	copy(edges, g.edges)
-	return lg, edges
+	return lg.graph(), edges
 }
 
 func mkEdge(u, v int32) Edge {

@@ -8,38 +8,46 @@ import (
 	"crn/internal/rng"
 )
 
-func TestAddEdgeErrors(t *testing.T) {
-	g := New(3)
+// mustFromEdges is FromEdges for edge lists known valid.
+func mustFromEdges(t testing.TB, n int, edges ...[2]int) *Graph {
+	t.Helper()
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestFromEdgesErrors: every refusal names its cause, a duplicate is
+// refused in either orientation, and a valid list builds.
+func TestFromEdgesErrors(t *testing.T) {
 	tests := []struct {
-		name string
-		u, v int
+		name  string
+		edges [][2]int
+		want  string
 	}{
-		{name: "self loop", u: 1, v: 1},
-		{name: "negative", u: -1, v: 0},
-		{name: "out of range", u: 0, v: 3},
+		{name: "self loop", edges: [][2]int{{1, 1}}, want: "graph: self-loop at 1"},
+		{name: "negative", edges: [][2]int{{-1, 0}}, want: "graph: edge (-1,0) out of range [0,3)"},
+		{name: "out of range", edges: [][2]int{{0, 3}}, want: "graph: edge (0,3) out of range [0,3)"},
+		{name: "duplicate", edges: [][2]int{{0, 1}, {1, 2}, {0, 1}}, want: "graph: duplicate edge (0,1)"},
+		{name: "reversed duplicate", edges: [][2]int{{1, 2}, {2, 1}}, want: "graph: duplicate edge (2,1)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := g.AddEdge(tt.u, tt.v); err == nil {
-				t.Errorf("AddEdge(%d,%d) succeeded, want error", tt.u, tt.v)
+			g, err := FromEdges(3, tt.edges)
+			if err == nil || err.Error() != tt.want {
+				t.Fatalf("FromEdges(3, %v) = %v, %v; want error %q", tt.edges, g, err, tt.want)
 			}
 		})
 	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatalf("AddEdge(0,1): %v", err)
-	}
-	if err := g.AddEdge(1, 0); err == nil {
-		t.Error("duplicate edge accepted")
+	g := mustFromEdges(t, 5, [2]int{3, 1}, [2]int{1, 4})
+	if g.M() != 2 || !g.HasEdge(1, 3) || !g.HasEdge(4, 1) {
+		t.Errorf("FromEdges(5, {3,1},{1,4}): M=%d, edges %v", g.M(), g.Edges())
 	}
 }
 
 func TestBasicQueries(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
-	g.MustAddEdge(3, 0)
-	g.Finalize()
+	g := mustFromEdges(t, 4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0})
 
 	if g.N() != 4 || g.M() != 4 {
 		t.Fatalf("N,M = %d,%d want 4,4", g.N(), g.M())
@@ -76,9 +84,7 @@ func TestBFSAndDiameter(t *testing.T) {
 	}
 
 	// Disconnected graph.
-	h := New(4)
-	h.MustAddEdge(0, 1)
-	h.MustAddEdge(2, 3)
+	h := mustFromEdges(t, 4, [2]int{0, 1}, [2]int{2, 3})
 	if h.Connected() {
 		t.Error("disconnected graph reported connected")
 	}
@@ -91,10 +97,10 @@ func TestBFSAndDiameter(t *testing.T) {
 }
 
 func TestTrivialGraphs(t *testing.T) {
-	if !New(0).Connected() || !New(1).Connected() {
+	if !mustFromEdges(t, 0).Connected() || !mustFromEdges(t, 1).Connected() {
 		t.Error("empty/singleton graphs should be connected")
 	}
-	if d := New(1).Diameter(); d != 0 {
+	if d := mustFromEdges(t, 1).Diameter(); d != 0 {
 		t.Errorf("singleton Diameter = %d, want 0", d)
 	}
 }
@@ -290,13 +296,6 @@ func TestRandomRegularish(t *testing.T) {
 	}
 }
 
-func TestTwoNode(t *testing.T) {
-	g := TwoNode()
-	if g.N() != 2 || g.M() != 1 || !g.HasEdge(0, 1) {
-		t.Error("TwoNode malformed")
-	}
-}
-
 func TestLineGraphTriangle(t *testing.T) {
 	// Triangle: line graph is also a triangle.
 	g := Complete(3)
@@ -422,7 +421,7 @@ func TestDiameterMatchesFloydWarshall(t *testing.T) {
 		t.Error(err)
 	}
 
-	cases := map[string]*Graph{"path130": Path(130), "empty": New(0), "single": New(1)}
+	cases := map[string]*Graph{"path130": Path(130), "empty": mustFromEdges(t, 0), "single": mustFromEdges(t, 1)}
 	for _, n := range []int{63, 64, 65, 130} {
 		g, err := RandomRegularish(n, 3, rng.New(uint64(n)))
 		if err != nil {
@@ -430,14 +429,13 @@ func TestDiameterMatchesFloydWarshall(t *testing.T) {
 		}
 		cases[fmt.Sprintf("sparse%d", n)] = g
 	}
-	split := New(70) // two paths, 0..39 and 40..69
+	var split [][2]int // two paths, 0..39 and 40..69
 	for u := 0; u+1 < 70; u++ {
 		if u != 39 {
-			split.MustAddEdge(u, u+1)
+			split = append(split, [2]int{u, u + 1})
 		}
 	}
-	split.Finalize()
-	cases["disconnected"] = split
+	cases["disconnected"] = mustFromEdges(t, 70, split...)
 	want := map[string]int{"path130": 129, "empty": 0, "single": 0, "disconnected": -1}
 	for name, g := range cases {
 		got, fw := g.Diameter(), floydWarshallDiameter(g)
@@ -451,15 +449,17 @@ func TestDiameterMatchesFloydWarshall(t *testing.T) {
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(2, 4)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	g.Finalize()
+	g := mustFromEdges(t, 5, [2]int{2, 4}, [2]int{2, 0}, [2]int{3, 2})
 	nbrs := g.Neighbors(2)
 	for i := 1; i < len(nbrs); i++ {
 		if nbrs[i-1] >= nbrs[i] {
 			t.Fatalf("Neighbors(2) not sorted: %v", nbrs)
+		}
+	}
+	edges := g.Edges()
+	for i := 1; i < len(edges); i++ {
+		if a, b := edges[i-1], edges[i]; a.U > b.U || a.U == b.U && a.V >= b.V {
+			t.Fatalf("Edges() not sorted by (U, V): %v", edges)
 		}
 	}
 }
@@ -490,8 +490,8 @@ func BenchmarkLineGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkGNPDense measures dense random-graph generation, which is
-// dominated by AddEdge's duplicate check.
+// BenchmarkGNPDense measures dense random-graph generation: one
+// Bernoulli draw and, per edge, one matrix probe.
 func BenchmarkGNPDense(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -519,20 +519,40 @@ func BenchmarkRandomRegularish(b *testing.B) {
 	}
 }
 
-// TestAddEdgeDuplicateDetection pins the O(1) duplicate check across
-// construction orders.
-func TestAddEdgeDuplicateDetection(t *testing.T) {
-	g := New(5)
-	if err := g.AddEdge(1, 3); err != nil {
+// TestGeneratorAllocs: a graph is built in a constant number of
+// allocations, whatever its size — the matrix, the degree counts and
+// one exactly-sized array each for the adjacency lists and the edge
+// list — and the dynamic view's clone is one more constant.
+func TestGeneratorAllocs(t *testing.T) {
+	const ceiling = 16
+	base, err := GNP(64, 0.3, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddEdge(3, 1); err == nil {
-		t.Error("reversed duplicate accepted")
+	cases := []struct {
+		name  string
+		build func() error
+	}{
+		{"Path(4096)", func() error { Path(4096); return nil }},
+		{"RandomRegularish(2048, 8)", func() error { _, err := RandomRegularish(2048, 8, rng.New(1)); return err }},
+		{"Complete(64)", func() error { Complete(64); return nil }},
+		{"Grid(8, 8)", func() error { _, err := Grid(8, 8); return err }},
+		{"NewDynamic(GNP(64, 0.3))", func() error { NewDynamic(base); return nil }},
 	}
-	if err := g.AddEdge(1, 3); err == nil {
-		t.Error("duplicate accepted")
-	}
-	if g.M() != 1 {
-		t.Errorf("M = %d after rejected duplicates, want 1", g.M())
+	for _, c := range cases {
+		var err error
+		allocs := testing.AllocsPerRun(5, func() {
+			if e := c.build(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs > ceiling {
+			t.Errorf("%s: %.0f allocations, want at most %d", c.name, allocs, ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations", c.name, allocs)
+		}
 	}
 }

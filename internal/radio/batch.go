@@ -166,10 +166,9 @@ const (
 )
 
 // NewBatchEngine constructs an engine over the shared (graph,
-// assignment) pair and the given replicas. The graph is finalized
-// (idempotent) so neighbor walks see sorted adjacency lists, and
-// adjacency probes read its dense matrix; every replica must provide
-// exactly one protocol per node.
+// assignment) pair and the given replicas. Adjacency probes read the
+// graph's dense matrix; every replica must provide exactly one
+// protocol per node.
 func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replica) (*BatchEngine, error) {
 	if err := (&Network{Graph: g, Assign: assign}).Validate(); err != nil {
 		return nil, err
@@ -183,7 +182,6 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 			return nil, fmt.Errorf("radio: replica %d has %d protocols for %d nodes", r, len(reps[r].Protocols), n)
 		}
 	}
-	g.Finalize()
 	u := assign.Universe
 	e := &BatchEngine{
 		assign:    assign,

@@ -291,9 +291,8 @@ type Engine struct {
 }
 
 // NewEngine constructs an engine for the given network and per-node
-// protocols (len must equal the node count). It finalizes the graph
-// (idempotent) so neighbor walks see sorted adjacency lists;
-// adjacency probes read the graph's dense matrix.
+// protocols (len must equal the node count). Adjacency probes read the
+// graph's dense matrix.
 func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 	be, err := NewBatchEngine(nw.Graph, nw.Assign, []Replica{{
 		Protocols: protocols,

@@ -29,12 +29,10 @@ func (parityJammer) Jammed(slot int64, ch int32) bool {
 // with all nodes sharing all channels (identity-permuted labels).
 func fastPathNet(t *testing.T, c int) *Network {
 	t.Helper()
-	g := graph.New(5)
-	for v := 1; v < 5; v++ {
-		g.MustAddEdge(0, v)
+	g, err := graph.FromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.MustAddEdge(1, 2)
-	g.Finalize()
 	return newTestNetwork(t, g, c, 77)
 }
 

@@ -40,10 +40,7 @@ func (p *pairProto) Done() bool { return false }
 
 func topoNetwork(t *testing.T, feed TopologyFeed) (*Network, []*pairProto, []Protocol) {
 	t.Helper()
-	g := graph.New(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.Finalize()
+	g := graph.Path(3)
 	a, err := chanassign.Identical(3, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +139,7 @@ func TestTopologyFeedChurn(t *testing.T) {
 			mut.SetNodeUp(2, true)
 		}
 	}}
-	g := graph.New(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.Finalize()
+	g := graph.Path(3)
 	a, err := chanassign.Identical(3, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)

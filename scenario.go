@@ -190,13 +190,10 @@ func NewCustomScenario(cfg CustomConfig, opts ...ScenarioOption) (*Scenario, err
 	if len(cfg.Channels) != cfg.N {
 		return nil, fmt.Errorf("crn: %d channel sets for %d nodes", len(cfg.Channels), cfg.N)
 	}
-	g := graph.New(cfg.N)
-	for _, e := range cfg.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("crn: %w", err)
-		}
+	g, err := graph.FromEdges(cfg.N, cfg.Edges)
+	if err != nil {
+		return nil, fmt.Errorf("crn: %w", err)
 	}
-	g.Finalize()
 	if !g.Connected() {
 		return nil, fmt.Errorf("crn: custom topology is not connected")
 	}
@@ -261,11 +258,6 @@ func assembleScenario(g *graph.Graph, a *chanassign.Assignment, tuning *core.Tun
 }
 
 func newScenario(g *graph.Graph, a *chanassign.Assignment, tuning *core.Tuning) (*Scenario, error) {
-	// Finalize here, while scenario assembly is single-threaded:
-	// radio.NewEngine finalizes too (idempotently), but sweep workers
-	// construct engines concurrently over this shared graph, and the
-	// first Finalize must not race.
-	g.Finalize()
 	k, kmax := a.OverlapRange(g)
 	p := core.Params{N: g.N(), C: a.C, K: k, KMax: kmax, Delta: g.MaxDegree()}
 	if tuning != nil {
