@@ -309,7 +309,7 @@ func buildTopology(cfg scenarioConfig, r *rng.Source) (*graph.Graph, *graph.Geom
 		}
 		// Smallest height whose complete tree reaches N nodes.
 		height, count, level := 0, 1, 1
-		for count < cfg.N && height < 20 {
+		for count < cfg.N {
 			level *= branching
 			count += level
 			height++

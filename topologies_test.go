@@ -44,6 +44,18 @@ func TestCompleteTopology(t *testing.T) {
 	}
 }
 
+// TestTreeTopologyReachesN: with c ≤ 2 the tree's branching is 1, so
+// the tree is a path, and it grows to the N nodes asked for.
+func TestTreeTopologyReachesN(t *testing.T) {
+	s, err := New(WithTopology(Tree), WithNodes(100), WithChannels(2, 1, 0), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.N() != 100 || s.Diameter() != 99 || len(s.Edges()) != 99 {
+		t.Errorf("c = 2 tree on 100 nodes: n=%d D=%d edges=%d, want 100, 99, 99", s.N(), s.Diameter(), len(s.Edges()))
+	}
+}
+
 func TestRegularTopology(t *testing.T) {
 	// Density scales the target degree: d = round(Density·(n-1)).
 	s, err := New(WithTopology(Regular), WithNodes(20), WithChannels(4, 2, 0), WithDensity(0.3), WithSeed(3))
