@@ -117,8 +117,8 @@ func (w *RandomWaypoint) move(dist float64) {
 				}
 				continue
 			}
-			w.geom.X[u] += dx / d * left
-			w.geom.Y[u] += dy / d * left
+			w.geom.X[u] += float64(dx / d * left)
+			w.geom.Y[u] += float64(dy / d * left)
 			left = 0
 		}
 	}

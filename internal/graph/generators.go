@@ -170,7 +170,7 @@ type Geometry struct {
 // InRange reports whether nodes u and v are within transmission range.
 func (ge *Geometry) InRange(u, v int) bool {
 	dx, dy := ge.X[u]-ge.X[v], ge.Y[u]-ge.Y[v]
-	return dx*dx+dy*dy <= ge.Radius*ge.Radius
+	return float64(dx*dx)+float64(dy*dy) <= ge.Radius*ge.Radius
 }
 
 // Clone returns a deep copy (mobility models mutate positions per run
@@ -212,7 +212,7 @@ func UnitDiskGeometry(n int, radius float64, r *rng.Source) (*Graph, *Geometry, 
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				dx, dy := xs[u]-xs[v], ys[u]-ys[v]
-				if dx*dx+dy*dy <= r2 {
+				if float64(dx*dx)+float64(dy*dy) <= r2 {
 					b.must(u, v)
 				}
 			}

@@ -46,11 +46,11 @@ func summarizeSorted(s []float64) Summary {
 	var sum, sumSq float64
 	for _, x := range s {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	n := float64(len(s))
 	mean := sum / n
-	variance := sumSq/n - mean*mean
+	variance := sumSq/n - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}
@@ -78,14 +78,14 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := p * float64(len(sorted)-1)
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // String renders a Summary compactly.
@@ -116,24 +116,24 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
+		syy += float64(ys[i] * ys[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return Fit{}, fmt.Errorf("stats: degenerate x values")
 	}
-	slope := (n*sxy - sx*sy) / den
-	intercept := (sy - slope*sx) / n
+	slope := (float64(n*sxy) - float64(sx*sy)) / den
+	intercept := (sy - float64(slope*sx)) / n
 
 	// R² = 1 - SS_res/SS_tot.
 	meanY := sy / n
-	ssTot := syy - n*meanY*meanY
+	ssTot := syy - float64(n*meanY*meanY)
 	ssRes := 0.0
 	for i := range xs {
-		r := ys[i] - (slope*xs[i] + intercept)
-		ssRes += r * r
+		r := ys[i] - (float64(slope*xs[i]) + intercept)
+		ssRes += float64(r * r)
 	}
 	r2 := 1.0
 	if ssTot > 0 {

@@ -339,7 +339,7 @@ func buildTopology(cfg scenarioConfig, r *rng.Source) (*graph.Graph, *graph.Geom
 		}
 		d := 4
 		if cfg.Density != 0 {
-			d = int(cfg.Density*float64(cfg.N-1) + 0.5)
+			d = int(float64(cfg.Density*float64(cfg.N-1)) + 0.5)
 		}
 		if d < 2 {
 			d = 2
