@@ -30,7 +30,8 @@ type EdgeFlap struct {
 }
 
 // NewEdgeFlap returns a flapping model over the given base edges
-// (callers pass Graph.Edges(); the slice is copied). Probabilities must be in [0, 1].
+// (callers pass Graph.Edges(); the slice is copied). Probabilities
+// must be in [0, 1].
 func NewEdgeFlap(edges []graph.Edge, pDrop, pRestore float64, seed uint64) (*EdgeFlap, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("dynamics: edge flap needs at least one base edge")

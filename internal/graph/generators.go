@@ -50,9 +50,9 @@ func Complete(n int) *Graph {
 }
 
 // CompleteTree returns a complete rooted tree of the given height in
-// which every internal vertex has `branching` children, along with the
-// number of vertices. Vertex 0 is the root. This is the topology in the
-// proof of Theorem 14 (with branching = min{c,Δ}−1).
+// which every internal vertex has `branching` children. Vertex 0 is the
+// root. This is the topology in the proof of Theorem 14 (with
+// branching = min{c,Δ}−1).
 func CompleteTree(branching, height int) (*Graph, error) {
 	if branching < 1 {
 		return nil, fmt.Errorf("graph: tree branching must be >= 1, got %d", branching)
@@ -70,22 +70,11 @@ func CompleteTree(branching, height int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: complete tree too large (%d vertices)", n)
 		}
 	}
+	// Ids are assigned level by level, each parent's children
+	// consecutive, so vertex v's parent is (v−1)/branching.
 	b := newBuilder(n)
-	// Assign ids level by level; children of vertex v at index i within
-	// its level start right after all previously allocated vertices.
-	next := 1
-	var frontier []int
-	frontier = append(frontier, 0)
-	for l := 0; l < height; l++ {
-		var nextFrontier []int
-		for _, p := range frontier {
-			for c := 0; c < branching; c++ {
-				b.must(p, next)
-				nextFrontier = append(nextFrontier, next)
-				next++
-			}
-		}
-		frontier = nextFrontier
+	for v := 1; v < n; v++ {
+		b.must((v-1)/branching, v)
 	}
 	return b.graph(), nil
 }
