@@ -54,8 +54,17 @@ func TestDiscoveryFirstHeardMatchesTrace(t *testing.T) {
 // machines, tables and Result in a fixed number of allocations, so the
 // count must not grow with n. Per-node records (first-heard maps and
 // their entries) made it 3,335 at n = 64 and 31,198 at n = 256.
+//
+// After AllocsPerRun's warm-up run the engine scratch and the CSEEK
+// storage come back from their pools, and the run makes 23 or 24
+// allocations, where allocating both per run made 44; with every pool
+// empty it makes 45 to 47. The race detector drops pooled entries at
+// random, so under it only the fresh-path ceiling holds.
 func TestDiscoveryRunAllocs(t *testing.T) {
-	const ceiling = 64
+	ceiling := 64.0
+	if poolsKeepEntries {
+		ceiling = 30
+	}
 	for _, n := range []int{64, 256} {
 		s, err := New(WithTopology(GNP), WithNodes(n), WithDensity(0.3), WithChannels(2, 1, 0), WithSeed(5))
 		if err != nil {
@@ -70,7 +79,7 @@ func TestDiscoveryRunAllocs(t *testing.T) {
 		})
 		t.Logf("n=%d: %.0f allocations, %d pairs found", n, allocs, res.Discovery.PairsDiscovered)
 		if allocs > ceiling {
-			t.Errorf("n=%d: one run made %.0f allocations, ceiling %d", n, allocs, ceiling)
+			t.Errorf("n=%d: one run made %.0f allocations, ceiling %.0f", n, allocs, ceiling)
 		}
 	}
 }

@@ -161,11 +161,19 @@ func TestCGCastSetupAllocs(t *testing.T) {
 // abstract-mode CGCAST run: RunCGCast on a unit-disk instance — setup,
 // one dissemination and the result — stays under one fixed ceiling at
 // n = 48 and at n = 96, so no per-node or per-edge allocation can come
-// back. It is 27 with the pools' entries reused and 42 without. A
-// coloring state per edge, a stream per simulator per phase and a
-// machine per node made it 1,415 at n = 48 and 4,828 at n = 96.
+// back. After AllocsPerRun's warm-up run every pool hands its entry
+// back, the dissemination engine's scratch included, and the run makes
+// 14 allocations; with its scratch allocated per engine it made 27,
+// and with no pooled entry at all it makes 43. The race detector
+// drops pooled entries at random, so under it only the fresh-path
+// ceiling holds. A coloring state per edge, a stream per simulator per
+// phase and a machine per node made it 1,415 at n = 48 and 4,828 at
+// n = 96.
 func TestCGCastRunAllocs(t *testing.T) {
-	const ceiling = 52
+	ceiling := 52.0
+	if poolsKeepEntries {
+		ceiling = 20
+	}
 	for _, n := range []int{48, 96} {
 		g, err := graph.UnitDisk(n, 0.35, rng.New(48))
 		if err != nil {
@@ -185,7 +193,7 @@ func TestCGCastRunAllocs(t *testing.T) {
 		})
 		t.Logf("n=%d: %.0f allocations, %d edges colored, all informed %v", n, allocs, res.EdgesColored, res.AllInformed)
 		if allocs > ceiling {
-			t.Errorf("n=%d: one run made %.0f allocations, ceiling %d", n, allocs, ceiling)
+			t.Errorf("n=%d: one run made %.0f allocations, ceiling %.0f", n, allocs, ceiling)
 		}
 	}
 }

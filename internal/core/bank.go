@@ -1,6 +1,10 @@
 package core
 
-import "crn/internal/radio"
+import (
+	"sync"
+
+	"crn/internal/radio"
+)
 
 // This file implements the radio.RangeProtocol ABI for the hot core
 // protocols: a "bank" fuses the per-node machines of one run so the
@@ -27,8 +31,16 @@ import "crn/internal/radio"
 
 // SeekBank fuses the CSEEK/CKSEEK machines of one run for range
 // dispatch (discovery, and CGCAST's exchange stages). NewSeekRun and
-// NewCKSeekRun attach one to the machines they build.
-type SeekBank struct{ nodes []*CSeek }
+// NewCKSeekRun build the machines of a run over a bank from seekPool,
+// which then holds their storage until Release.
+type SeekBank struct {
+	nodes []*CSeek
+	// seekStore is the machines' storage on a bank from seekPool, and
+	// pooled reports that the bank is out of seekPool and not yet
+	// released.
+	seekStore
+	pooled bool
+}
 
 var _ radio.RangeProtocol = (*SeekBank)(nil)
 
@@ -41,6 +53,29 @@ func NewSeekBank(nodes []*CSeek) *SeekBank {
 		s.bankIdx = i
 	}
 	return b
+}
+
+// seekPool holds the banks of released runs, so a run's machines
+// reuse the storage of an earlier run.
+var seekPool = sync.Pool{New: func() any { return new(SeekBank) }}
+
+// Nodes returns the bank's machines, node u at index u.
+func (b *SeekBank) Nodes() []*CSeek { return b.nodes }
+
+// Release hands the storage of a run's machines back to seekPool once
+// the run's outcome has been read: the machines, and every slice their
+// accessors returned, must not be used again. It does nothing on a
+// bank from NewSeekBank, whose machines the caller owns, or on a bank
+// already released.
+func (b *SeekBank) Release() {
+	if !b.pooled {
+		return
+	}
+	b.pooled = false
+	// Drop what the machines reference beyond the store: the schedule,
+	// tables grown past Δ and channel logs.
+	clear(b.seeks)
+	seekPool.Put(b)
 }
 
 // ActRange implements radio.RangeProtocol.

@@ -478,16 +478,19 @@ func (d *cgcastDriver) establishEdges() error {
 	// Full mode, stage 1: CSEEK with channel logging. Stage 2: CSEEK
 	// again, each frame standing for the sender's stage-1 first-heard
 	// table.
-	stage1, err := d.runSeeks(true)
+	bank1, err := d.runSeeks(true)
 	if err != nil {
 		return err
 	}
+	defer bank1.Release()
 	d.nextStage()
-	stage2, err := d.runSeeks(false)
+	bank2, err := d.runSeeks(false)
 	if err != nil {
 		return err
 	}
+	defer bank2.Release()
 	d.nextStage()
+	stage1, stage2 := bank1.Nodes(), bank2.Nodes()
 
 	// Fix dedicated channels: u establishes (u,v) iff it heard v in
 	// stage 1 and received v's table naming u in stage 2 — that is, u
@@ -645,12 +648,13 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 		d.setupSlots += d.seek.total
 		return d.neighbors, nil
 	}
-	seeks, err := d.runSeeks(false)
+	bank, err := d.runSeeks(false)
 	if err != nil {
 		return nil, err
 	}
+	defer bank.Release()
 	heard := make([][]int32, d.n)
-	for u, s := range seeks {
+	for u, s := range bank.Nodes() {
 		ids, _ := s.Heard()
 		for _, v := range ids {
 			heard[u] = append(heard[u], int32(v))
@@ -662,11 +666,12 @@ func (d *cgcastDriver) exchange() ([][]int32, error) {
 // runSeeks runs one full-schedule CSEEK execution, every node drawing
 // from its stream of the current stage (nodeRand's), and charges its
 // slots to setup. record enables the per-slot channel log stage 1
-// needs.
-func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
-	seeks := newSeekRun(d.seek, d.n, &d.master, uint64(d.stage)<<32)
+// needs. The caller releases the returned bank once it has read the
+// machines.
+func (d *cgcastDriver) runSeeks(record bool) (*SeekBank, error) {
+	bank := newSeekRun(d.seek, d.n, &d.master, uint64(d.stage)<<32)
 	protos := make([]radio.Protocol, d.n)
-	for u, s := range seeks {
+	for u, s := range bank.Nodes() {
 		if record {
 			s.RecordChannels()
 		}
@@ -676,6 +681,7 @@ func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
 	st, err := e.RunUntilCtx(d.ctx, d.seek.total+1, nil)
 	if err != nil {
 		return nil, err
@@ -689,7 +695,7 @@ func (d *cgcastDriver) runSeeks(record bool) ([]*CSeek, error) {
 	}
 	d.setupRadio.Accumulate(st)
 	d.setupSlots += d.seek.total
-	return seeks, nil
+	return bank, nil
 }
 
 // ----- Stage 4: color announcement -----
@@ -737,6 +743,7 @@ func (s *BroadcastSession) DisseminateCtx(ctx context.Context, dD int, source ra
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
 
 	allInformedAt := int64(-1)
 	st, err := e.RunUntilCtx(ctx, run.total+1, func(slot int64) bool {

@@ -179,10 +179,11 @@ func NewCKSeek(p Params, env Env, khat, deltaKhat int) (*CSeek, error) {
 }
 
 // NewSeekRun returns the CSEEK machines of one n-node run, attached to
-// one SeekBank. Node u draws from master.Split(stream|u), so with
-// stream 0 each machine matches NewCSeek(p, Env{..., Rand:
-// master.Split(u)}) draw for draw.
-func NewSeekRun(p Params, n int, master *rng.Source, stream uint64) ([]*CSeek, error) {
+// one SeekBank (its Nodes). Node u draws from master.Split(stream|u),
+// so with stream 0 each machine matches NewCSeek(p, Env{..., Rand:
+// master.Split(u)}) draw for draw. The run's storage comes from
+// seekPool, and the bank's Release hands it back.
+func NewSeekRun(p Params, n int, master *rng.Source, stream uint64) (*SeekBank, error) {
 	sched, err := cseekSchedule(&p)
 	if err != nil {
 		return nil, err
@@ -191,7 +192,7 @@ func NewSeekRun(p Params, n int, master *rng.Source, stream uint64) ([]*CSeek, e
 }
 
 // NewCKSeekRun is NewSeekRun for CKSEEK (see NewCKSeek).
-func NewCKSeekRun(p Params, n, khat, deltaKhat int, master *rng.Source, stream uint64) ([]*CSeek, error) {
+func NewCKSeekRun(p Params, n, khat, deltaKhat int, master *rng.Source, stream uint64) (*SeekBank, error) {
 	sched, err := ckseekSchedule(&p, khat, deltaKhat)
 	if err != nil {
 		return nil, err
@@ -207,53 +208,69 @@ func newSeek(p Params, sched *seekSchedule, env Env) (*CSeek, error) {
 	if env.Rand == nil {
 		return nil, fmt.Errorf("core: env needs a random source")
 	}
-	return &buildSeeks(sched, 1, func(int) *rng.Source { return env.Rand })[0], nil
+	var st seekStore
+	return &st.build(sched, 1, func(int) *rng.Source { return env.Rand })[0], nil
 }
 
-// newSeekRun builds a run's machines with their streams in one slice,
-// and banks them.
-func newSeekRun(sched *seekSchedule, n int, master *rng.Source, stream uint64) []*CSeek {
-	rands := make([]rng.Source, n)
-	for u := range rands {
-		rands[u] = master.SplitValue(stream | uint64(u))
+// newSeekRun builds a run's machines and their streams over a bank
+// from seekPool, and banks them.
+func newSeekRun(sched *seekSchedule, n int, master *rng.Source, stream uint64) *SeekBank {
+	b := seekPool.Get().(*SeekBank)
+	b.pooled = true
+	b.rands = reuse(b.rands, n)
+	for u := range b.rands {
+		b.rands[u] = master.SplitValue(stream | uint64(u))
 	}
-	seeks := buildSeeks(sched, n, func(u int) *rng.Source { return &rands[u] })
-	nodes := make([]*CSeek, n)
+	seeks := b.build(sched, n, func(u int) *rng.Source { return &b.rands[u] })
+	b.nodes = reuse(b.nodes, n)
 	for u := range seeks {
-		nodes[u] = &seeks[u]
+		b.nodes[u] = &seeks[u]
+		seeks[u].bank, seeks[u].bankIdx = b, u
 	}
-	NewSeekBank(nodes)
-	return nodes
+	return b
 }
 
-// buildSeeks is the one construction path of CSEEK and CKSEEK
-// machines. It lays n machines sharing sched over contiguous storage:
-// their part-one counts in one n×c array, and their first-heard tables
-// in windows of capacity Δ into three run-wide arrays (see heardTable
-// for what happens past Δ). Each machine rolls its first step's
-// choices on its stream rand(u) before it returns.
-func buildSeeks(sched *seekSchedule, n int, rand func(u int) *rng.Source) []CSeek {
+// seekStore is the storage of a run's machines: the machines, their
+// streams (when the run owns them), the part-one counts and the three
+// first-heard arrays.
+type seekStore struct {
+	seeks  []CSeek
+	rands  []rng.Source
+	counts []int64
+	ids    []radio.NodeID
+	slots  []int64
+	stamps []uint32
+}
+
+// build is the one construction path of CSEEK and CKSEEK machines. It
+// lays n machines sharing sched over the store, reallocating an array
+// only where it is short: their part-one counts in one n×c array, and
+// their first-heard tables in windows of capacity Δ into three
+// run-wide arrays (see heardTable for what happens past Δ). Each
+// machine rolls its first step's choices on its stream rand(u) before
+// it returns.
+func (st *seekStore) build(sched *seekSchedule, n int, rand func(u int) *rng.Source) []CSeek {
 	c, delta := sched.c, sched.delta
-	seeks := make([]CSeek, n)
-	counts := make([]int64, n*c)
-	ids := make([]radio.NodeID, n*delta)
-	slots := make([]int64, n*delta)
-	stamps := make([]uint32, n*delta)
+	st.seeks = reuse(st.seeks, n)
+	st.counts = reuse(st.counts, n*c)
+	st.ids = reuse(st.ids, n*delta)
+	st.slots = reuse(st.slots, n*delta)
+	st.stamps = reuse(st.stamps, n*delta)
 	first := partOne
 	if sched.p1Steps == 0 {
 		first = partTwo
 	}
-	for u := range seeks {
+	for u := range st.seeks {
 		lo, hi := u*delta, (u+1)*delta
-		s := &seeks[u]
+		s := &st.seeks[u]
 		s.sched = sched
 		s.rand = rand(u)
-		s.counts = counts[u*c : (u+1)*c : (u+1)*c]
-		s.heardTable = heardTable{ids: ids[lo:lo:hi], slots: slots[lo:lo:hi], stamps: stamps[lo:lo:hi]}
+		s.counts = st.counts[u*c : (u+1)*c : (u+1)*c]
+		s.heardTable = heardTable{ids: st.ids[lo:lo:hi], slots: st.slots[lo:lo:hi], stamps: st.stamps[lo:lo:hi]}
 		s.stepKind = first
 		s.beginStep()
 	}
-	return seeks
+	return st.seeks
 }
 
 // RecordChannels enables the per-slot channel log needed by CGCAST's

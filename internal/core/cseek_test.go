@@ -223,7 +223,8 @@ func TestCSeekFirstHeardSlot(t *testing.T) {
 // NewCKSeekRun build in one pass, on range dispatch, end a run exactly
 // as NewCSeek/NewCKSeek machines built one at a time end it on per-node
 // dispatch: same stats, same tables, same counts. A Δ below the graph's
-// real degree makes the tables outgrow their windows.
+// real degree makes the tables outgrow their windows, and each run
+// after the first reuses the storage of the one before.
 func TestSeekRunMatchesPerNodeMachines(t *testing.T) {
 	const n, seed, stream = 12, 41, 7 << 32
 	g, err := graph.GNP(n, 0.5, rng.New(3))
@@ -269,15 +270,16 @@ func TestSeekRunMatchesPerNodeMachines(t *testing.T) {
 			}
 			want := run(protos, one)
 
-			var all []*CSeek
+			var bank *SeekBank
 			if khat == 0 {
-				all, err = NewSeekRun(p, n, rng.New(seed), stream)
+				bank, err = NewSeekRun(p, n, rng.New(seed), stream)
 			} else {
-				all, err = NewCKSeekRun(p, n, khat, delta, rng.New(seed), stream)
+				bank, err = NewCKSeekRun(p, n, khat, delta, rng.New(seed), stream)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			all := bank.Nodes()
 			for u, s := range all {
 				protos[u] = s
 			}
@@ -295,6 +297,8 @@ func TestSeekRunMatchesPerNodeMachines(t *testing.T) {
 					t.Errorf("Δ=%d k̂=%d: no table outgrew its window (most heard: %d)", delta, khat, most)
 				}
 			}
+			// The next run reuses this one's storage.
+			bank.Release()
 		}
 	}
 }

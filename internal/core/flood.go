@@ -114,6 +114,7 @@ func RunFloodCtx(ctx context.Context, nw *radio.Network, p Params, d int, source
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
 	var doneAt int64 = -1
 	st, err := e.RunUntilCtx(ctx, run.total+1, func(slot int64) bool {
 		for u := range run.nodes {

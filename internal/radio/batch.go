@@ -3,6 +3,7 @@ package radio
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"crn/internal/bitset"
 	"crn/internal/chanassign"
@@ -67,6 +68,33 @@ type BatchEngine struct {
 	nActive int
 	slot    int64
 
+	// scratch is the per-slot storage, taken from scratchPool; box is
+	// the pool entry it came from (nil once released).
+	scratch
+	box *scratch
+
+	// The collect phase's tallies of the replica being stepped: nListen
+	// listeners (the first nListen entries of listeners), idles,
+	// broadcasts and down nodes.
+	nListen, idles, bcasts int64
+	downs                  int64
+
+	// rowStride is the length of a channel bitset row in words; a
+	// channel earns a row once rowMin of its broadcasters are indexed,
+	// and rowsUsed rows are handed out this slot (see rowBuf).
+	rowStride int
+	rowMin    int32
+	rowsUsed  int32
+}
+
+// scratch is an engine's per-slot storage: its n-sized node arrays and
+// its universe-sized channel-index arrays. Between slots they hold
+// nothing a later slot reads (the channel index and deliv are back in
+// their reset state, and everything else is written before it is
+// read), and nothing outside the engine holds them, so engines take
+// theirs from scratchPool and Release hands it back: a worker's runs
+// reuse one set instead of allocating one each.
+type scratch struct {
 	// Per-slot hot state of the replica being stepped, struct-of-arrays:
 	// the collect phase writes one byte (kind) and one int32 (globalCh)
 	// per node, and the resolve phase reads them back with unit-stride
@@ -79,14 +107,12 @@ type BatchEngine struct {
 	// so the post-observe reset touches only those entries (deliv holds
 	// From=-1 everywhere in between).
 	delivIdx []int32
-	// listeners and the counts below carry the collect phase's
-	// classification to the resolve phase, which then visits only the
-	// listeners instead of rescanning every node's kind. Node state
-	// cannot change between the two phases, so the collect-time
-	// classification is exactly what resolve would recompute.
-	listeners              []int32
-	nListen, idles, bcasts int64
-	downs                  int64
+	// listeners carries the collect phase's classification to the
+	// resolve phase, which then visits only the listeners instead of
+	// rescanning every node's kind. Node state cannot change between
+	// the two phases, so the collect-time classification is exactly
+	// what resolve would recompute.
+	listeners []int32
 
 	// Per-slot channel index (the "index" phase): chCount[ch] is the
 	// number of broadcasters on global channel ch (zero for channels
@@ -106,14 +132,11 @@ type BatchEngine struct {
 	// walking broadcaster or neighbor lists. rowOf[ch] is the channel's
 	// row index this slot (-1 none); rows are cleared when (re)assigned,
 	// so resetIndex only has to reset rowOf and the row cursor.
-	rowBuf    []uint64
-	rowOf     []int32
-	rowStride int
-	rowMin    int32
-	rowsUsed  int32
+	rowBuf []uint64
+	rowOf  []int32
 
 	// activity is the broadcast count per global channel handed to
-	// reactive jammers (nil when no replica has an ActivitySink).
+	// reactive jammers (sized only when a replica has an ActivitySink).
 	activity []int
 }
 
@@ -184,44 +207,26 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 	}
 	u := assign.Universe
 	e := &BatchEngine{
-		assign:    assign,
-		nbr:       g.NeighborMatrix(),
-		n:         n,
-		reps:      make([]replica, len(reps)),
-		stats:     make([]Stats, len(reps)),
-		nActive:   len(reps),
-		kind:      make([]Kind, n),
-		globalCh:  make([]int32, n),
-		acts:      make([]Action, n),
-		deliv:     make([]Delivery, n),
-		delivIdx:  make([]int32, n),
-		listeners: make([]int32, n),
-		chCount:   make([]int32, u),
-		chHead:    make([]int32, u),
-		bcastNext: make([]int32, n),
-		touched:   make([]int32, 0, u),
-		bcasters:  make([]int32, 0, n),
-		rowOf:     make([]int32, u),
+		assign:  assign,
+		nbr:     g.NeighborMatrix(),
+		n:       n,
+		reps:    make([]replica, len(reps)),
+		stats:   make([]Stats, len(reps)),
+		nActive: len(reps),
+		box:     scratchPool.Get().(*scratch),
 	}
 	e.flat, e.flatC = assign.Flat()
-	for i := range e.chHead {
-		e.chHead[i] = -1
-		e.rowOf[i] = -1
-	}
-	// resolve keeps From=-1 as the steady-state content of every entry,
-	// writing (and afterwards resetting) only actual deliveries.
-	for i := range e.deliv {
-		e.deliv[i].From = -1
-	}
 	// The walk path costs ~min(count, degree) dependent probes, the
 	// row path ~stride sequential word ops; rows start paying for
 	// themselves once a channel has a couple of broadcasters, except on
 	// large graphs where a row sweep reads stride words per listener
 	// and the bar is proportionally higher. At most n/rowMin channels
-	// can earn a row in a slot, which bounds the pool.
+	// can earn a row in a slot, which bounds rowBuf.
 	e.rowStride = e.nbr.Stride()
 	e.rowMin = int32(max(2, e.rowStride/4))
-	e.rowBuf = make([]uint64, min(n/int(e.rowMin)+1, u)*e.rowStride)
+	e.scratch = *e.box
+	e.scratch.size(n, u, min(n/int(e.rowMin)+1, u)*e.rowStride)
+	activity := false
 	for r := range reps {
 		rp := &e.reps[r]
 		rp.Replica = reps[r]
@@ -256,9 +261,7 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 		}
 		if sink, ok := rp.Jammer.(ActivitySink); ok {
 			rp.sink = sink
-			if e.activity == nil {
-				e.activity = make([]int, u)
-			}
+			activity = true
 		}
 		rp.bank = detectRangeBank(rp.Protocols)
 		rp.ranged = rp.bank != nil
@@ -266,7 +269,69 @@ func NewBatchEngine(g *graph.Graph, assign *chanassign.Assignment, reps []Replic
 			rp.bank = &protocolBank{protocols: rp.Protocols}
 		}
 	}
+	if activity {
+		e.activity = reuse(e.activity, u)
+	}
 	return e, nil
+}
+
+// scratchPool holds the scratch of released engines.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// size lays sc out for n nodes, a channel universe of u channels and
+// rowWords words of channel rows, in the state every engine starts
+// in: each entry zero, except that chHead and rowOf hold -1 (no
+// broadcaster, no row) and deliv holds From=-1 (silence). An array is
+// reallocated only when it is too short. Laying it out afresh, rather
+// than trusting the state the last slot left, keeps a scratch released
+// mid-slot (a protocol panicked past a deferred Release) harmless.
+func (sc *scratch) size(n, u, rowWords int) {
+	sc.kind = reuse(sc.kind, n)
+	sc.globalCh = reuse(sc.globalCh, n)
+	sc.acts = reuse(sc.acts, n)
+	sc.deliv = reuse(sc.deliv, n)
+	sc.delivIdx = reuse(sc.delivIdx, n)
+	sc.listeners = reuse(sc.listeners, n)
+	sc.bcastNext = reuse(sc.bcastNext, n)
+	sc.bcasters = reuse(sc.bcasters, n)[:0]
+	sc.chCount = reuse(sc.chCount, u)
+	sc.chHead = reuse(sc.chHead, u)
+	sc.rowOf = reuse(sc.rowOf, u)
+	sc.touched = reuse(sc.touched, u)[:0]
+	sc.rowBuf = reuse(sc.rowBuf, rowWords)
+	for i := range sc.chHead {
+		sc.chHead[i] = -1
+		sc.rowOf[i] = -1
+	}
+	// resolve keeps From=-1 as the steady-state content of every entry,
+	// writing (and afterwards resetting) only actual deliveries.
+	for i := range sc.deliv {
+		sc.deliv[i].From = -1
+	}
+}
+
+// reuse returns s resized to n zero elements, allocating only when its
+// capacity is short.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Release hands the engine's per-slot scratch back for the next engine
+// to reuse. Call it once the run's outcome has been read: the engine
+// must not run again, though Slot, Stats and the Stats slice RunCtx
+// returned stay valid. A second Release does nothing.
+func (e *BatchEngine) Release() {
+	if e.box == nil {
+		return
+	}
+	*e.box = e.scratch
+	scratchPool.Put(e.box)
+	e.scratch, e.box = scratch{}, nil
 }
 
 func (rp *replica) SetNodeUp(u int, up bool) bool {
@@ -341,6 +406,9 @@ func (e *BatchEngine) Run(maxSlots int64) []Stats {
 // context.Background(). This is the cancellation point every facade
 // primitive and the sweep engine thread their contexts down to.
 func (e *BatchEngine) RunCtx(ctx context.Context, maxSlots int64, stop func(r int, slot int64) bool) ([]Stats, error) {
+	if e.box == nil {
+		panic("radio: engine run after Release")
+	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

@@ -309,6 +309,10 @@ func NewEngine(nw *Network, protocols []Protocol) (*Engine, error) {
 // Slot returns the number of slots executed so far.
 func (e *Engine) Slot() int64 { return e.be.slot }
 
+// Release hands the engine's scratch back for reuse (see
+// BatchEngine.Release); the engine must not run again.
+func (e *Engine) Release() { e.be.Release() }
+
 // Stats returns counters accumulated so far.
 func (e *Engine) Stats() Stats { return e.be.stats[0] }
 

@@ -45,7 +45,7 @@ func (p discoveryPrimitive) Name() string {
 func (p discoveryPrimitive) mk(s *Scenario) runBuilder {
 	switch p.algo {
 	case CSeek, "":
-		return func(master *rng.Source) ([]core.Discoverer, error) {
+		return func(master *rng.Source) ([]core.Discoverer, *core.SeekBank, error) {
 			return discoverers(core.NewSeekRun(s.p, s.g.N(), master, 0))
 		}
 	case Naive:
@@ -53,8 +53,8 @@ func (p discoveryPrimitive) mk(s *Scenario) runBuilder {
 	case Uniform:
 		return eachNode(s, func(env core.Env) (core.Discoverer, error) { return core.NewUniformSeek(s.p, env) })
 	}
-	return func(*rng.Source) ([]core.Discoverer, error) {
-		return nil, fmt.Errorf("crn: unknown algorithm %q", p.algo)
+	return func(*rng.Source) ([]core.Discoverer, *core.SeekBank, error) {
+		return nil, nil, fmt.Errorf("crn: unknown algorithm %q", p.algo)
 	}
 }
 
@@ -69,35 +69,36 @@ func (p discoveryPrimitive) RunBatch(ctx context.Context, s *Scenario, seeds []u
 }
 
 // runBuilder builds the discoverers of one run, node u drawing from
-// master.Split(u).
-type runBuilder func(master *rng.Source) ([]core.Discoverer, error)
+// master.Split(u), and the bank that holds their storage when they are
+// a CSEEK/CKSEEK run (nil for the baselines).
+type runBuilder func(master *rng.Source) ([]core.Discoverer, *core.SeekBank, error)
 
 // discoverers adapts a CSEEK/CKSEEK run, built in one pass and banked,
 // to the Discoverer slice a run holds.
-func discoverers(seeks []*core.CSeek, err error) ([]core.Discoverer, error) {
+func discoverers(bank *core.SeekBank, err error) ([]core.Discoverer, *core.SeekBank, error) {
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ds := make([]core.Discoverer, len(seeks))
-	for u, sk := range seeks {
+	ds := make([]core.Discoverer, len(bank.Nodes()))
+	for u, sk := range bank.Nodes() {
 		ds[u] = sk
 	}
-	return ds, nil
+	return ds, bank, nil
 }
 
 // eachNode builds a baseline's run one node at a time; baselines stay
 // on per-node dispatch.
 func eachNode(s *Scenario, mk func(core.Env) (core.Discoverer, error)) runBuilder {
-	return func(master *rng.Source) ([]core.Discoverer, error) {
+	return func(master *rng.Source) ([]core.Discoverer, *core.SeekBank, error) {
 		ds := make([]core.Discoverer, s.g.N())
 		for u := range ds {
 			d, err := mk(core.Env{ID: radio.NodeID(u), C: s.p.C, Rand: master.Split(uint64(u))})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ds[u] = d
 		}
-		return ds, nil
+		return ds, nil, nil
 	}
 }
 
@@ -141,7 +142,7 @@ func (p kDiscoveryPrimitive) khatTargets(s *Scenario) ([][]int32, int, error) {
 
 // mk builds CKSEEK runs sized for Δ_k̂.
 func (p kDiscoveryPrimitive) mk(s *Scenario, deltaKhat int) runBuilder {
-	return func(master *rng.Source) ([]core.Discoverer, error) {
+	return func(master *rng.Source) ([]core.Discoverer, *core.SeekBank, error) {
 		return discoverers(core.NewCKSeekRun(s.p, s.g.N(), p.khat, deltaKhat, master, 0))
 	}
 }
@@ -175,6 +176,9 @@ type discoveryRun struct {
 	ds     []core.Discoverer
 	protos []radio.Protocol
 	nw     *radio.Network
+	// bank holds the discoverers' storage on a CSEEK/CKSEEK run; finish
+	// copies what the Result needs out of it, and release hands it back.
+	bank *core.SeekBank
 
 	rediscovered       int64
 	rediscoveryLatency int64
@@ -187,7 +191,7 @@ type discoveryRun struct {
 // seed, the run-scoped network, and — under a dynamic topology with a
 // join log — the delivery-trace tap for re-discovery accounting.
 func prepareDiscovery(s *Scenario, name string, build runBuilder, targets [][]int32, seed uint64) (*discoveryRun, error) {
-	ds, err := build(rng.New(seed))
+	ds, bank, err := build(rng.New(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -198,6 +202,7 @@ func prepareDiscovery(s *Scenario, name string, build runBuilder, targets [][]in
 		targets:     targets,
 		ds:          ds,
 		protos:      make([]radio.Protocol, n),
+		bank:        bank,
 		completedAt: -1,
 	}
 	for u, d := range ds {
@@ -341,6 +346,14 @@ func (dr *discoveryRun) finish(st radio.Stats) *Result {
 	return res
 }
 
+// release hands the run's CSEEK storage back once finish has copied
+// its outcome into the Result; the run must not be used again.
+func (dr *discoveryRun) release() {
+	if dr.bank != nil {
+		dr.bank.Release()
+	}
+}
+
 // runDiscovery drives one discovery protocol instance per node until
 // the goal predicate holds or the schedule ends: runDiscoveryBatch with
 // a single seed. When targets is nil the goal is "every node knows all
@@ -364,6 +377,10 @@ func runDiscovery(ctx context.Context, s *Scenario, name string, build runBuilde
 // Dynamic topologies batch too: prepareDiscovery installs a fresh
 // run-scoped TopologyFeed per run (Scenario.runNetwork), and the batch
 // engine gives each such replica a private mutable graph clone.
+//
+// The engine's scratch and each run's CSEEK storage go back to their
+// pools once every Result is built; the Results share nothing with
+// them.
 func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, build runBuilder, targets [][]int32, seeds []uint64) ([]*Result, error) {
 	drs := make([]*discoveryRun, len(seeds))
 	reps := make([]radio.Replica, len(seeds))
@@ -379,6 +396,7 @@ func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, build runB
 	if err != nil {
 		return nil, err
 	}
+	defer be.Release()
 	sts, err := be.RunCtx(ctx, drs[0].maxSlots(), func(r int, slot int64) bool {
 		return drs[r].stop(slot)
 	})
@@ -388,6 +406,7 @@ func runDiscoveryBatch(ctx context.Context, s *Scenario, name string, build runB
 	results := make([]*Result, len(seeds))
 	for i, dr := range drs {
 		results[i] = dr.finish(sts[i])
+		dr.release()
 	}
 	return results, nil
 }
