@@ -67,13 +67,45 @@ type BenchResult struct {
 
 // BenchReport is the full -bench output.
 type BenchReport struct {
-	// GoMaxProcs records the host parallelism the suite ran under.
-	// Scaling-axis numbers (sweep/workers=N) are only meaningful up to
-	// this value; the suite skips the rest rather than reporting a
-	// flat curve that just restates the serial measurement.
-	GoMaxProcs int `json:"gomaxprocs,omitempty"`
+	// CPU, GoMaxProcs and GoVersion fingerprint the host the suite ran
+	// on; -compare times entries only against a baseline from the same
+	// host. GoMaxProcs is also the host parallelism: scaling-axis
+	// numbers (sweep/workers=N) are only meaningful up to it, and the
+	// suite skips the rest rather than reporting a flat curve that just
+	// restates the serial measurement.
+	CPU        string `json:"cpu,omitempty"`
+	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go,omitempty"`
 	// Results holds one entry per benchmark.
 	Results []BenchResult `json:"results"`
+}
+
+// host describes the machine the report ran on, naming what a report
+// from before the fingerprint did not record.
+func (r BenchReport) host() string {
+	cpu, goVersion := r.CPU, r.GoVersion
+	if cpu == "" {
+		cpu = "CPU unrecorded"
+	}
+	if goVersion == "" {
+		goVersion = "Go version unrecorded"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", cpu, r.GoMaxProcs, goVersion)
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or the
+// architecture where there is none.
+func cpuModel() string {
+	doc, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
 }
 
 // benchSpec couples a benchmark with the node-slot volume one
@@ -707,11 +739,19 @@ func allocLimit(baseline int64) int64 {
 // naming every allocation regression and prints warnings for wall-time
 // regressions. Benchmarks without a baseline entry (or baselines
 // without a current run) are noted but never fail — renaming a
-// benchmark should not brick CI.
+// benchmark should not brick CI. A baseline from another host (see
+// BenchReport.host) says nothing about this host's times, so one NOTE
+// replaces the wall-time warnings; allocation counts do not depend on
+// the host and gate as usual.
 func compareReports(w io.Writer, baseline, current BenchReport) error {
 	base := make(map[string]BenchResult, len(baseline.Results))
 	for _, r := range baseline.Results {
 		base[r.Name] = r
+	}
+	sameHost := baseline.host() == current.host()
+	if !sameHost {
+		fmt.Fprintf(w, "NOTE  the baseline ran on another host (%s; this run: %s): ns/op not compared, allocs/op gate as usual\n",
+			baseline.host(), current.host())
 	}
 	var regressions []string
 	for _, cur := range current.Results {
@@ -735,7 +775,7 @@ func compareReports(w io.Writer, baseline, current BenchReport) error {
 			fmt.Fprintf(w, "FAIL  %-22s %d allocs/op exceeds limit %d (baseline %d)\n",
 				cur.Name, cur.AllocsPerOp, limit, b.AllocsPerOp)
 		}
-		if b.NsPerOp > 0 && cur.NsPerOp > b.NsPerOp*timeWarnFactor {
+		if sameHost && b.NsPerOp > 0 && cur.NsPerOp > b.NsPerOp*timeWarnFactor {
 			fmt.Fprintf(w, "WARN  %-22s %.0f ns/op is %.2fx baseline %.0f ns/op (time regressions warn only)\n",
 				cur.Name, cur.NsPerOp, cur.NsPerOp/b.NsPerOp, b.NsPerOp)
 		}
@@ -900,7 +940,8 @@ func runBench(w io.Writer, list, format, out, compare, cpuDir, memDir string) er
 	if format == "json" {
 		progress = os.Stderr
 	}
-	report := BenchReport{GoMaxProcs: runtime.GOMAXPROCS(0)}
+	report := BenchReport{CPU: cpuModel(), GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	fmt.Fprintf(progress, "host: %s\n", report.host())
 	for _, spec := range specs {
 		if spec.skip != "" {
 			report.Results = append(report.Results, BenchResult{

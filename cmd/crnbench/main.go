@@ -7,7 +7,7 @@
 //
 //	crnbench [-scale quick|full] [-run E1,E7] [-seed 42] [-list]
 //	crnbench -bench [-run engine/slot,primitive/cgcast] [-format json|text]
-//	         [-out BENCH.json] [-compare BENCH_6.json] [-cpuprofile DIR] [-memprofile DIR]
+//	         [-out BENCH.json] [-compare BENCH_7.json] [-cpuprofile DIR] [-memprofile DIR]
 //
 // Under -bench, -run names the benchmark entries to run; -compare then
 // scores only those, and notes the baseline's other entries.

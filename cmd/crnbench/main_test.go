@@ -163,6 +163,41 @@ func TestCompareReportsRenames(t *testing.T) {
 	}
 }
 
+// TestCompareReportsOtherHost: against a baseline from another host
+// (or one that recorded no host), compare prints one NOTE instead of
+// any wall-time warning, and allocations still gate; against the same
+// host, a slower entry warns.
+func TestCompareReportsOtherHost(t *testing.T) {
+	host := func(cpu string, r ...BenchResult) BenchReport {
+		return BenchReport{CPU: cpu, GoMaxProcs: 2, GoVersion: "go1.24.0", Results: r}
+	}
+	slow := BenchResult{Name: "engine/slot", NsPerOp: 9000, AllocsPerOp: 0}
+	base := BenchResult{Name: "engine/slot", NsPerOp: 3000, AllocsPerOp: 0}
+	for _, baseline := range []BenchReport{
+		host("Xeon A", base),
+		{Results: []BenchResult{base}},
+	} {
+		var out strings.Builder
+		if err := compareReports(&out, baseline, host("Xeon B", slow)); err != nil {
+			t.Fatalf("time-only difference failed the gate: %v", err)
+		}
+		if got := strings.Count(out.String(), "another host"); got != 1 || strings.Contains(out.String(), "WARN") {
+			t.Errorf("want one another-host NOTE and no WARN, got:\n%s", out.String())
+		}
+		bloat := host("Xeon B", BenchResult{Name: "engine/slot", NsPerOp: 3000, AllocsPerOp: 1})
+		if err := compareReports(io.Discard, baseline, bloat); err == nil {
+			t.Error("an allocation regression against another host's baseline passed the gate")
+		}
+	}
+	var out strings.Builder
+	if err := compareReports(&out, host("Xeon A", base), host("Xeon A", slow)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "WARN") || strings.Contains(out.String(), "another host") {
+		t.Errorf("same host: want a WARN and no another-host NOTE, got:\n%s", out.String())
+	}
+}
+
 // TestCompareReportsSkipped: entries skipped on either side (e.g.
 // sweep/workers beyond the host's GOMAXPROCS) are excluded from the
 // gate with an explicit SKIP line — even when the other side carries a

@@ -98,6 +98,18 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 }
 
+// readHeaderTimeout bounds how long serve waits for a request's
+// headers, so a client that opens a connection and stalls does not
+// hold it. serve sets no read or write timeout: a status wait holds
+// its reply for up to 30 s, and an artifact upload's body takes as
+// long as the shard is large.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the http.Server serve runs h on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("crnsweepd serve", flag.ContinueOnError)
 	fs.SetOutput(w)
@@ -132,7 +144,7 @@ func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(w, "crnsweepd: serving on %s (spool %s, lease %v)\n", ln.Addr(), *spool, *leaseTTL)

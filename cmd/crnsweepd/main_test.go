@@ -70,6 +70,19 @@ func TestServeShutsDownGracefully(t *testing.T) {
 	}
 }
 
+// TestServeSetsHeaderTimeout: the server serve runs (newHTTPServer)
+// drops a connection whose headers stall, and sets no read or write
+// timeout, which would cut held status waits and long uploads short.
+func TestServeSetsHeaderTimeout(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout %v, WriteTimeout %v; want neither", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}
+
 // syncBuf is a strings.Builder safe to read while serve writes to it.
 type syncBuf struct {
 	mu sync.Mutex

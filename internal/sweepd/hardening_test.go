@@ -854,6 +854,37 @@ func variants(n int) []sweepfile.Variant {
 	return vs
 }
 
+// TestSubmitRefusesTrailingData: a submit body with a second JSON
+// value or junk after the request is answered 400 and queues nothing,
+// while the same request with a trailing newline is queued.
+func TestSubmitRefusesTrailingData(t *testing.T) {
+	ctx := context.Background()
+	_, ts, c := startServer(t, t.TempDir(), time.Minute)
+	body, err := json.Marshal(SubmitRequest{Spec: testSpec(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(tail string) int {
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(string(body)+tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tail := range []string{` {"spec":{"primitive":"flood"},"shards":1}`, " trailing garbage"} {
+		if code := post(tail); code != http.StatusBadRequest {
+			t.Errorf("submit with %q appended answered %d, want 400", tail, code)
+		}
+	}
+	if jobs, err := c.Jobs(ctx); err != nil || len(jobs.Jobs) != 0 {
+		t.Fatalf("after refused submits: jobs %+v, error %v; want none", jobs, err)
+	}
+	if code := post("\n"); code != http.StatusOK {
+		t.Errorf("submit with a trailing newline answered %d, want 200", code)
+	}
+}
+
 // TestSubmitRefusesHugeCounts: a submit asking for 1<<40 shards, or
 // carrying a spec of 1<<40 seeds, of 4097 variants (one more than
 // crn's maxVariants) or with an 8193-node variant (one more than crn's

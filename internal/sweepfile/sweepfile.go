@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -297,11 +298,20 @@ func LoadSpec(path string) (*Spec, error) {
 }
 
 // UnmarshalStrict rejects unknown fields, so a typo'd spec key fails
-// loudly instead of silently sweeping the default.
+// loudly instead of silently sweeping the default, and anything but
+// whitespace after the one JSON value, so a second document or a
+// file with junk appended is not read as its first value alone.
 func UnmarshalStrict(doc []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("unexpected data after the JSON value at offset %d", end)
+	}
+	return nil
 }
 
 // LoadManifest reads, strictly parses and validates a manifest,

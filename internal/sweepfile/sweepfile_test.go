@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,6 +102,67 @@ func TestManifestWithMessageLoads(t *testing.T) {
 	}
 	if _, err := BuildSweepSpec(got.Spec, 1); err != nil {
 		t.Errorf("the loaded spec does not build: %v", err)
+	}
+}
+
+// TestStrictJSONRejectsTrailingData: a spec, manifest or artifact
+// followed by a second value or by junk is refused, through
+// UnmarshalStrict and through each loader, while trailing whitespace,
+// such as MarshalPretty's newline, still parses.
+func TestStrictJSONRejectsTrailingData(t *testing.T) {
+	spec, err := MarshalPretty(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", "\n", " \t\r\n"} {
+		if err := UnmarshalStrict(append(spec, tail...), new(Spec)); err != nil {
+			t.Errorf("trailing %q: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{
+		`{"primitive":"flood"}`,
+		` {"primitive":"flood"} trailing garbage`,
+		"trailing garbage",
+		"}",
+		"0",
+	} {
+		if err := UnmarshalStrict(append(spec, tail...), new(Spec)); err == nil || !strings.Contains(err.Error(), "after the JSON value") {
+			t.Errorf("trailing %q: error %v, want one about data after the value", tail, err)
+		}
+	}
+
+	dir := t.TempDir()
+	m := spoolShard(t, dir, 1, 0)
+	manifest, err := MarshalPretty(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, "manifest.json")
+	specPath := filepath.Join(dir, "spec.json")
+	artifactPath := filepath.Join(dir, m.Artifacts[0])
+	artifact, err := os.ReadFile(artifactPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaders := []struct {
+		name string
+		path string
+		doc  []byte
+		load func() error
+	}{
+		{"LoadSpec", specPath, spec, func() error { _, err := LoadSpec(specPath); return err }},
+		{"LoadManifestFS", manifestPath, manifest, func() error { _, _, err := LoadManifestFS(OS, manifestPath); return err }},
+		{"LoadArtifactFS", artifactPath, artifact, func() error { _, err := LoadArtifactFS(OS, m, dir, 0); return err }},
+	}
+	for _, l := range loaders {
+		for tail, ok := range map[string]bool{"\n": true, "{}": false, "junk": false} {
+			if err := os.WriteFile(l.path, append(slices.Clip(l.doc), tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.load(); (err == nil) != ok {
+				t.Errorf("%s with %q appended: error %v", l.name, tail, err)
+			}
+		}
 	}
 }
 
